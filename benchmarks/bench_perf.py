@@ -1,6 +1,6 @@
 """Performance microbenchmark: the perf trajectory of the training core.
 
-Measures four things and writes them to ``BENCH_PERF.json``:
+Measures six things and writes them to ``BENCH_PERF.json``:
 
 1. **units** — epochs/sec of ``train_units_independently`` on a bank of
    structured PBQU units: the sequential per-unit reference loop vs the
@@ -17,8 +17,7 @@ Measures four things and writes them to ``BENCH_PERF.json``:
    batching, no checker memoization) vs the defaults.
 5. **replay** — ``tape.step``-only epochs/sec of the units training
    graph per replay backend: the reference closure walker (``numpy``)
-   vs the compiled fused plan (``fused``) vs numba-JITted segments
-   (``numba``, when importable).  This isolates the replay engine from
+   vs the compiled fused plan (``fused``).  This isolates the replay engine from
    optimizer/bookkeeping overhead; sections 1-3 pin ``backend="numpy"``
    so their trajectory stays comparable with historical records.
 6. **serve** — the HTTP front end under concurrent load: one cold
@@ -26,10 +25,6 @@ Measures four things and writes them to ``BENCH_PERF.json``:
    (req/s, p50/p95 latency, and the memo speedup ``check_perf.py``
    gates at >= 10x), plus N concurrent *identical* requests proving
    the in-flight dedup collapses them to exactly one solve.
-7. **warm_start** — cross-attempt reuse: the per-attempt setup cost
-   (eager record + plan compile) vs adopting a pooled tape (the
-   attempts-2+ path, gated at >= 5x), and total ``train_epochs`` of
-   full solves with ``warm_start`` on vs off (gated warm <= cold).
 
 Speedups are ratios measured in the same process on the same machine,
 so they are comparable across hosts; the absolute epochs/sec numbers
@@ -52,7 +47,7 @@ import numpy as np
 
 from repro.api import InvariantService
 from repro.bench import nla_problem
-from repro.autodiff import Tape, TapePool, Tensor, numba_available, numba_version
+from repro.autodiff import Tape, Tensor
 from repro.cln.model import (
     AtomicKind,
     GCLN,
@@ -202,11 +197,8 @@ def bench_replay(
     data, term_vars, term_degs, variables = _unit_bank_inputs(
         n_terms, samples, seed=0
     )
-    backends = ["numpy", "fused"]
-    if numba_available():
-        backends.append("numba")
-    out: dict = {"reps": reps, "numba": numba_version()}
-    for backend in backends:
+    out: dict = {"reps": reps}
+    for backend in ("numpy", "fused"):
         config = GCLNConfig(max_epochs=reps, backend=backend)
         units = structured_inequality_units(
             term_vars, term_degs, variables, config, np.random.default_rng(3)
@@ -233,11 +225,7 @@ def bench_replay(
             tape.step(build)
         elapsed = time.perf_counter() - start
         out[f"{backend}_epochs_per_sec"] = reps / elapsed
-        if backend == backends[-1]:
-            stats = tape.stats()
-            out["nodes"] = stats["n_nodes"]
-            out["fused_segments"] = stats["fused_segments"]
-            out["jitted_segments"] = stats["jitted_segments"]
+        out["nodes"] = tape.stats()["n_nodes"]
     out["speedup"] = (
         out["fused_epochs_per_sec"] / out["numpy_epochs_per_sec"]
     )
@@ -408,99 +396,6 @@ def bench_serve(
     return out
 
 
-def bench_warm_start(
-    problems: list[str],
-    epochs: int = 200,
-    n_terms: int = 15,
-    samples: int = 60,
-    reps: int = 15,
-) -> dict:
-    """Cross-attempt warm start: pooled tape adoption vs fresh setup.
-
-    Two measurements:
-
-    * **setup_speedup** — per-attempt *setup* cost: what a pool miss
-      pays (eager record of the graph + fused-plan compile) vs what a
-      hit pays (copying leaf values into the pooled storage and
-      rebinding the model).  Both are derived from whole
-      ``train_gcln`` calls so the measurement exercises the real
-      adoption path: a 0-epoch call isolates the per-call overhead
-      (optimizer build, regularizer vectors) common to both legs, a
-      2-epoch cold call adds record + compile + two steps, and warm
-      calls on a primed pool replace record + compile with adoption.
-      ``setup = cold2 - (warm2 - warm0) - cold0`` and
-      ``adopt = warm0 - cold0`` (floored at 10us: adoption is pure
-      array copies and regularly vanishes into timer noise).
-    * **epochs** — total ``train_epochs`` of full solves with
-      ``warm_start`` on vs off, at a fixed budget where every attempt
-      runs to its epoch cap: the warm path must never pay extra epochs,
-      and the cap keeps the totals deterministic (early-stop jitter
-      cannot flake the gate).
-    """
-    rng = np.random.default_rng(0)
-    data = normalize_rows(np.abs(rng.normal(size=(samples, n_terms))) + 0.5)
-    config = GCLNConfig(
-        n_clauses=10, max_epochs=2, dropout_rate=0.5, backend="fused"
-    )
-
-    def timed(seed: int, pool: TapePool, max_epochs: int) -> float:
-        model = GCLN(
-            n_terms, config, np.random.default_rng(seed), protected_terms=[0]
-        )
-        start = time.perf_counter()
-        train_gcln(
-            model, data, max_epochs=max_epochs,
-            early_stop_patience=_NO_EARLY_STOP, pool=pool,
-        )
-        return time.perf_counter() - start
-
-    def median(values) -> float:
-        ordered = sorted(values)
-        return ordered[len(ordered) // 2]
-
-    # Cold legs: a fresh pool per rep, so every call misses.
-    cold0 = median(timed(seed, TapePool(2), 0) for seed in range(reps))
-    cold2 = median(timed(seed, TapePool(2), 2) for seed in range(reps))
-    # Warm legs: prime one pool, then every call adopts the pooled tape.
-    pool = TapePool(2)
-    timed(100, pool, 2)
-    warm2 = median(timed(200 + i, pool, 2) for i in range(reps))
-    warm0 = median(timed(300 + i, pool, 0) for i in range(reps))
-    adopt = max(warm0 - cold0, 1e-5)
-    setup = max(cold2 - (warm2 - warm0) - cold0, 1e-6)
-    out: dict = {
-        "reps": reps,
-        "cold0_seconds": cold0,
-        "cold2_seconds": cold2,
-        "warm0_seconds": warm0,
-        "warm2_seconds": warm2,
-        "cold_setup_seconds": setup,
-        "warm_setup_seconds": adopt,
-        "setup_speedup": setup / adopt,
-        "pool": pool.stats(),
-    }
-
-    per_problem: dict[str, dict] = {}
-    totals = {"cold": 0, "warm": 0}
-    for name in problems:
-        entry: dict = {}
-        for label, flag in (("cold", False), ("warm", True)):
-            service = InvariantService(
-                InferenceConfig(max_epochs=epochs, warm_start=flag)
-            )
-            result = service.solve(nla_problem(name))
-            entry[f"{label}_epochs"] = result.train_epochs
-            entry[f"{label}_solved"] = result.solved
-            totals[label] += result.train_epochs
-        per_problem[name] = entry
-    out["problems"] = list(problems)
-    out["epochs_budget"] = epochs
-    out["cold_epochs"] = totals["cold"]
-    out["warm_epochs"] = totals["warm"]
-    out["per_problem"] = per_problem
-    return out
-
-
 def run(args: argparse.Namespace) -> dict:
     unit_epochs = 120 if args.quick else 400
     e2e_epochs = 200 if args.quick else 400
@@ -521,7 +416,6 @@ def run(args: argparse.Namespace) -> dict:
             unit_epochs,
             requests_per_client=(10 if args.quick else 25),
         ),
-        "warm_start": bench_warm_start(args.problems),
     }
     return payload
 
@@ -552,12 +446,7 @@ def report(payload: dict) -> str:
         [
             f"replay ({replay['nodes']} nodes, tape.step only)",
             f"{replay['numpy_epochs_per_sec']:.0f} ep/s",
-            f"{replay['fused_epochs_per_sec']:.0f} ep/s"
-            + (
-                f" / numba {replay['numba_epochs_per_sec']:.0f}"
-                if "numba_epochs_per_sec" in replay
-                else ""
-            ),
+            f"{replay['fused_epochs_per_sec']:.0f} ep/s",
             f"{replay['speedup']:.1f}x",
         ],
         [
@@ -579,17 +468,6 @@ def report(payload: dict) -> str:
                 f"{serve['cold_seconds'] * 1e3:.0f}ms",
                 f"{serve['memo_median_seconds'] * 1e3:.1f}ms",
                 f"{serve['memo_speedup']:.0f}x",
-            ]
-        )
-    if "warm_start" in payload:
-        warm = payload["warm_start"]
-        rows.append(
-            [
-                f"warm start (setup; epochs warm {warm['warm_epochs']}"
-                f" vs cold {warm['cold_epochs']})",
-                f"{warm['cold_setup_seconds'] * 1e3:.1f}ms",
-                f"{warm['warm_setup_seconds'] * 1e3:.1f}ms",
-                f"{warm['setup_speedup']:.1f}x",
             ]
         )
     return format_table(

@@ -10,10 +10,8 @@ Two kinds of checks:
   slower than the reference closure walker, and the HTTP server's
   memoized replays >= 10x faster than a cold solve (with the in-flight
   dedup collapsing N concurrent identical requests to exactly one
-  solve), and warm-start tape adoption >= 5x faster than a fresh
-  record+compile with warm solves never spending more train epochs
-  than cold — the acceptance criteria of the vectorized-training-core,
-  cross-batch, compiled-replay, serve, and warm-start changes.  On loaded or
+  solve) — the acceptance criteria of the vectorized-training-core,
+  cross-batch, compiled-replay, and serve changes.  On loaded or
   heavily shared runners the ratios themselves get noisy; set
   ``REPRO_PERF_FLOOR_SCALE`` (a float in (0, 1], default 1.0) to scale
   every relative floor down instead of letting the gate flake — e.g.
@@ -48,9 +46,6 @@ MIN_REPLAY_SPEEDUP = 2.0
 MIN_REPLAY_VS_WALKER = 1.0
 # Serving: a memoized replay must be >= 10x faster than a cold solve.
 MIN_SERVE_MEMO_SPEEDUP = 10.0
-# Warm start: adopting a pooled tape must beat re-recording and
-# re-compiling the plan by >= 5x (the attempts-2+ setup path).
-MIN_WARM_SETUP_SPEEDUP = 5.0
 MAX_REGRESSION = 2.0  # current must be >= baseline / MAX_REGRESSION
 
 
@@ -90,11 +85,6 @@ def check(current: dict, baseline: dict) -> list[str]:
             "record has no 'serve' section — regenerate it with the "
             "current benchmarks/bench_perf.py"
         )
-    if "warm_start" not in current:
-        failures.append(
-            "record has no 'warm_start' section — regenerate it with "
-            "the current benchmarks/bench_perf.py"
-        )
     floors = [
         ("units", current["units"]["speedup"], MIN_UNITS_SPEEDUP),
         ("end-to-end", current["end_to_end"]["speedup"], MIN_E2E_SPEEDUP),
@@ -124,23 +114,6 @@ def check(current: dict, baseline: dict) -> list[str]:
                 f"serve dedup ran {serve['dedup_solves']} solves for "
                 f"{serve['dedup_requests']} concurrent identical requests "
                 "(expected exactly 1)"
-            )
-    if "warm_start" in current:
-        warm = current["warm_start"]
-        floors.append(
-            (
-                "warm-start setup (pooled tape vs record+compile)",
-                warm["setup_speedup"],
-                MIN_WARM_SETUP_SPEEDUP,
-            )
-        )
-        # Exact, not a floor (and never scaled): the warm path runs
-        # against an epoch cap, so it must never pay *more* epochs
-        # than the cold path.
-        if warm["warm_epochs"] > warm["cold_epochs"]:
-            failures.append(
-                f"warm-start spent {warm['warm_epochs']} train epochs vs "
-                f"{warm['cold_epochs']} cold (expected warm <= cold)"
             )
     for label, got, floor in floors:
         required = floor * scale
@@ -205,8 +178,7 @@ def main(argv: list[str]) -> int:
             f"suite {current['suite']['speedup']:.1f}x, "
             f"replay {current['replay']['speedup']:.1f}x, "
             f"end-to-end {current['end_to_end']['speedup']:.1f}x, "
-            f"serve memo {current['serve']['memo_speedup']:.0f}x, "
-            f"warm setup {current['warm_start']['setup_speedup']:.1f}x"
+            f"serve memo {current['serve']['memo_speedup']:.0f}x"
         )
     return 1 if failures else 0
 

@@ -129,11 +129,10 @@ class SolveResult:
         cache_stats: the :class:`~repro.sampling.cache.TraceCache`
             counters observed at the end of the solve.
         backend: resolved tape-replay backend name used for training
-            (``"numpy"``/``"fused"``/``"numba"``; empty for solvers
-            that do not train).
+            (``"fused"``/``"numpy"``; empty for solvers that do not
+            train).
         train_epochs: total training epochs spent across attempts
-            (0 for solvers that do not train; the warm-start CI smoke
-            compares warm vs cold totals).
+            (0 for solvers that do not train).
         checking: the checker mode the solve ran under —
             ``"symbolic+bounded"`` for program-backed problems, the
             degraded ``"bounded-holdout"`` for trace-only problems

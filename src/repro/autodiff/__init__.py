@@ -8,14 +8,13 @@ verified against central finite differences in the test suite.
 """
 
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.autodiff.tape import Tape, TapePool
+from repro.autodiff.tape import Tape
 from repro.autodiff.backend import (
     Backend,
     available_backends,
     get_backend,
     resolve_backend_name,
 )
-from repro.autodiff.backend_numba import numba_available, numba_version
 from repro.autodiff.functional import (
     concat,
     exp,
@@ -38,13 +37,10 @@ from repro.autodiff.init import normal_init, uniform_init
 __all__ = [
     "Tensor",
     "Tape",
-    "TapePool",
     "Backend",
     "available_backends",
     "get_backend",
     "resolve_backend_name",
-    "numba_available",
-    "numba_version",
     "no_grad",
     "pbqu",
     "fused_gated_tnorm",

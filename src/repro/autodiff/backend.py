@@ -16,11 +16,7 @@ list into straight-line Python source over preallocated buffers:
 * contributions to parents that do not require gradients are dropped
   at compile time (the walker computes and discards them);
 * ``exclusive_prod`` — the t-norm backward hot spot — runs through an
-  allocation-free twin that is bitwise-identical to the reference;
-* runs of adjacent same-shape elementwise nodes form *fused segments*;
-  the numba backend JITs those segments into single per-element loops
-  (:mod:`repro.autodiff.backend_numba`), falling back to the fused
-  numpy lines when numba is absent or compilation fails.
+  allocation-free twin that is bitwise-identical to the reference.
 
 **Oracle guarantee**: the ``numpy`` backend is the untouched closure
 walker, and the ``fused`` plan computes every gradient with the same
@@ -42,9 +38,6 @@ compare equal under ``==``/``np.array_equal``:
   receives a gradient — is skipped outright rather than fed exact
   zeros.
 
-Numba segments use libm scalar math and are held to a tight
-``allclose`` instead.
-
 Compilation is conservative: any node without supported ``_op``
 metadata makes :func:`compile_plan` return ``None`` and the tape falls
 back to the walker.  Correctness never depends on compilability.
@@ -52,7 +45,6 @@ back to the walker.  Correctness never depends on compilability.
 
 from __future__ import annotations
 
-import re
 from typing import Callable
 
 import numpy as np
@@ -117,10 +109,6 @@ class ReplayProgram:
         data_guard: list,
         grad_guard: list,
         source: str,
-        n_segments: int,
-        n_jitted: int,
-        n_bwd_segments: int = 0,
-        n_bwd_jitted: int = 0,
     ):
         self.env = env
         self.forward: Callable[[], None] = env["_fwd"]
@@ -128,10 +116,6 @@ class ReplayProgram:
         self._data_guard = data_guard
         self._grad_guard = grad_guard
         self.source = source
-        self.n_segments = n_segments
-        self.n_jitted = n_jitted
-        self.n_bwd_segments = n_bwd_segments
-        self.n_bwd_jitted = n_bwd_jitted
 
     def guards_ok(self) -> bool:
         """True while every bound leaf still owns the compiled buffers.
@@ -163,44 +147,12 @@ class ReplayProgram:
                 env[name] = grad
 
 
-# Elementwise kinds a numba segment can absorb (same-shape operands).
-_SEGMENT_KINDS = frozenset(
-    {
-        "add", "sub", "mul", "div", "neg", "abs", "exp", "log", "sqrt",
-        "tanh", "relu", "sigmoid", "pow", "gaussian", "pbqu",
-        "maximum", "minimum",
-    }
-)
-# Kinds heavy enough that a single-node segment is worth a JIT loop.
-_HEAVY_KINDS = frozenset(
-    {"exp", "log", "sqrt", "tanh", "sigmoid", "gaussian", "pbqu"}
-)
-
-# Backward lines eligible for segment JIT.  Unlike the forward pass
-# (which segments *nodes*), the backward pass is segmented on the
-# generated source lines: a line is JITable when it is a plain
-# same-size elementwise ufunc call over C-contiguous env arrays and
-# float literals.  Anything with reshapes, reductions, scatter,
-# dynamic-scalar locals (``_tN``), or ``if`` blocks breaks a run.
-_BWD_CALL_RE = re.compile(
-    r"^np\.(negative|square|sqrt|reciprocal|abs|add|subtract|multiply|"
-    r"divide|maximum|minimum|power)\(([^,()]+)(?:, ([^,()]+))?, "
-    r"out=(\w+)\)$"
-)
-_BWD_COPYTO_RE = re.compile(r"^np\.copyto\((\w+), (\w+)\)$")
-_BWD_FILL_RE = re.compile(r"^(\w+)\.fill\((-?[0-9][-+0-9.e]*)\)$")
-_BWD_UNARY_OPS = frozenset(
-    {"negative", "square", "sqrt", "reciprocal", "abs"}
-)
-
-
 class _PlanCompiler:
     """Lowers a recorded node list into a :class:`ReplayProgram`."""
 
-    def __init__(self, nodes: list[Tensor], root: Tensor, jit: bool):
+    def __init__(self, nodes: list[Tensor], root: Tensor):
         self.nodes = nodes
         self.root = root
-        self.jit = jit
         self.env: dict = {
             "np": np,
             "_sig": _stable_sigmoid,
@@ -228,7 +180,6 @@ class _PlanCompiler:
         self._local = 0
         self.fwd_lines: list[str] = []
         self.bwd_lines: list[str] = []
-        self._fwd_spans: list[tuple[Tensor, int, int]] = []
         self.failure: str | None = None
 
     # -- binding -----------------------------------------------------------
@@ -454,15 +405,13 @@ class _PlanCompiler:
             self._gstate[id(self.root)] = ("uniform", 1.0)
             for node in self.nodes:
                 self._slot = 0
-                self._emit_forward(node)
+                self._forward_op(node)
             for node in reversed(self.nodes):
                 self._slot = 0
                 self._emit_backward(node)
         except _Unsupported as exc:
             self.failure = str(exc)
             return None
-        n_segments, n_jitted = self._finalize_segments()
-        n_bwd_segments, n_bwd_jitted = self._finalize_bwd_segments()
         body_f = "\n".join(f"    {ln}" for ln in self.fwd_lines) or "    pass"
         body_b = "\n".join(f"    {ln}" for ln in self.bwd_lines) or "    pass"
         source = f"def _fwd():\n{body_f}\n\ndef _bwd():\n{body_b}\n"
@@ -472,184 +421,8 @@ class _PlanCompiler:
         for name, u in self._init_fills:
             self.env[name].fill(u)
         return ReplayProgram(
-            self.env, self.data_guard, self.grad_guard, source,
-            n_segments, n_jitted, n_bwd_segments, n_bwd_jitted,
+            self.env, self.data_guard, self.grad_guard, source
         )
-
-    # Forward lines are tagged with their node so the segment pass can
-    # group adjacent elementwise work; each entry of _fwd_spans is
-    # (node, first_line_index, n_lines).
-    def _emit_forward(self, node: Tensor) -> None:
-        start = len(self.fwd_lines)
-        self._forward_op(node)
-        self._fwd_spans.append((node, start, len(self.fwd_lines) - start))
-
-    def _finalize_segments(self) -> tuple[int, int]:
-        """Count fused segments; JIT them when the numba backend is on."""
-        spans = self._fwd_spans
-        segments: list[list] = []
-        run: list = []
-        for node, start, count in spans:
-            if self._segmentable(node):
-                run.append((node, start, count))
-            else:
-                if run:
-                    segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        worthwhile = [
-            seg for seg in segments
-            if len(seg) >= 2
-            or any(n._op[0] in _HEAVY_KINDS for n, _, _ in seg)
-        ]
-        n_jitted = 0
-        if self.jit and worthwhile:
-            from repro.autodiff import backend_numba
-
-            replaced: list[tuple[int, int, str]] = []
-            for seg in worthwhile:
-                caller = backend_numba.jit_forward_segment(self, seg)
-                if caller is None:
-                    continue
-                name = self._bind(caller, "j")
-                first = seg[0][1]
-                last = seg[-1][1] + seg[-1][2]
-                replaced.append((first, last, f"{name}()"))
-                n_jitted += 1
-            for first, last, call in sorted(replaced, reverse=True):
-                self.fwd_lines[first:last] = [call]
-        return len(worthwhile), n_jitted
-
-    def _segmentable(self, node: Tensor) -> bool:
-        kind, params = node._op
-        if kind not in _SEGMENT_KINDS:
-            return False
-        shape = node.data.shape
-        if node.data.ndim == 0 or not node.data.flags.c_contiguous:
-            return False
-        for p in node._parents:
-            if p.data.shape == shape:
-                if not p.data.flags.c_contiguous:
-                    return False
-            elif p.data.ndim != 0:
-                return False
-        return True
-
-    # -- backward segments -------------------------------------------------
-
-    def _bwd_operand(self, token: str, size: int):
-        """Resolve a backward-line operand, or None if unsupported.
-
-        Returns the env array (same element count, C-contiguous, float
-        or bool, never a rebindable leaf-grad buffer) or a Python float
-        for literal tokens.
-        """
-        if token.startswith("lg"):
-            # Leaf gradients rebind through env on every replay
-            # (prepare_grads); a kernel would pin a stale buffer.
-            return None
-        arr = self.env.get(token)
-        if isinstance(arr, np.ndarray):
-            if (
-                arr.ndim >= 1
-                and arr.size == size
-                and arr.flags.c_contiguous
-                and arr.dtype in (np.float64, np.bool_)
-            ):
-                return arr
-            return None
-        try:
-            return float(token)
-        except ValueError:
-            return None
-
-    def _parse_bwd_line(self, line: str):
-        """Lower one backward source line to ``(out, op, operands)``.
-
-        Returns None when the line cannot join a JIT run.  ``out`` is
-        the (float64) destination array, ``operands`` resolved arrays
-        or floats.
-        """
-        m = _BWD_CALL_RE.match(line)
-        if m is not None:
-            op, a1, a2, out_name = m.groups()
-            args = [a1] if a2 is None else [a1, a2]
-            if (op in _BWD_UNARY_OPS) != (a2 is None):
-                return None
-        else:
-            m = _BWD_COPYTO_RE.match(line)
-            if m is not None:
-                out_name, src = m.groups()
-                op, args = "copyto", [src]
-            else:
-                m = _BWD_FILL_RE.match(line)
-                if m is None:
-                    return None
-                out_name, lit = m.groups()
-                op, args = "fill", [lit]
-        out = self.env.get(out_name)
-        if (
-            not isinstance(out, np.ndarray)
-            or out.ndim == 0
-            or not out.flags.c_contiguous
-            or out.dtype != np.float64
-            or out_name.startswith("lg")
-        ):
-            return None
-        operands = []
-        for token in args:
-            operand = self._bwd_operand(token.strip(), out.size)
-            if operand is None:
-                return None
-            operands.append(operand)
-        if op != "fill" and all(
-            not isinstance(o, np.ndarray) for o in operands
-        ):
-            return None  # degenerate constant line; keep numpy
-        return out, op, operands
-
-    def _finalize_bwd_segments(self) -> tuple[int, int]:
-        """Group adjacent JITable backward lines; JIT runs of >= 2.
-
-        Mirrors :meth:`_finalize_segments` for the backward pass.  Runs
-        are maximal stretches of parseable lines over buffers of one
-        element count; short runs stay as their numpy lines.
-        """
-        runs: list[tuple[int, int, list]] = []
-        start = None
-        parsed: list = []
-        for i, line in enumerate(self.bwd_lines):
-            lowered = self._parse_bwd_line(line)
-            if lowered is not None and (
-                not parsed or lowered[0].size == parsed[0][0].size
-            ):
-                if start is None:
-                    start = i
-                parsed.append(lowered)
-                continue
-            if len(parsed) >= 2:
-                runs.append((start, i, parsed))
-            start, parsed = None, []
-            if lowered is not None:
-                start, parsed = i, [lowered]
-        if len(parsed) >= 2:
-            runs.append((start, len(self.bwd_lines), parsed))
-        n_jitted = 0
-        if self.jit and runs:
-            from repro.autodiff import backend_numba
-
-            replaced: list[tuple[int, int, str]] = []
-            for first, last, lowered in runs:
-                caller = backend_numba.jit_backward_run(lowered)
-                if caller is None:
-                    continue
-                name = self._bind(caller, "jb")
-                replaced.append((first, last, f"{name}()"))
-                n_jitted += 1
-            for first, last, call in sorted(replaced, reverse=True):
-                self.bwd_lines[first:last] = [call]
-        return len(runs), n_jitted
 
     # -- forward ops -------------------------------------------------------
 
@@ -1396,15 +1169,13 @@ class _Unsupported(Exception):
     """Internal: an op the plan compiler cannot lower."""
 
 
-def compile_plan(
-    nodes: list[Tensor], root: Tensor, jit: bool = False
-) -> ReplayProgram | None:
+def compile_plan(nodes: list[Tensor], root: Tensor) -> ReplayProgram | None:
     """Compile a recorded tape; None (never an error) when unsupported."""
     compile_plan.last_failure = None  # type: ignore[attr-defined]
     if not nodes:
         compile_plan.last_failure = "empty tape"  # type: ignore[attr-defined]
         return None
-    compiler = _PlanCompiler(nodes, root, jit)
+    compiler = _PlanCompiler(nodes, root)
     program = compiler.compile()
     if program is None:
         compile_plan.last_failure = compiler.failure  # type: ignore[attr-defined]
@@ -1442,30 +1213,12 @@ class FusedBackend(Backend):
     name = "fused"
 
     def prepare(self, nodes, root):
-        return compile_plan(nodes, root, jit=False)
-
-
-class NumbaBackend(Backend):
-    """Fused plan with numba-JITted elementwise segments.
-
-    Degrades to the plain fused plan when numba is missing or any
-    segment fails to compile — never to an error.
-    """
-
-    name = "numba"
-
-    def prepare(self, nodes, root):
-        from repro.autodiff import backend_numba
-
-        return compile_plan(
-            nodes, root, jit=backend_numba.numba_available()
-        )
+        return compile_plan(nodes, root)
 
 
 _BACKENDS = {
-    "numpy": NumpyBackend,
     "fused": FusedBackend,
-    "numba": NumbaBackend,
+    "numpy": NumpyBackend,
 }
 
 
@@ -1474,20 +1227,16 @@ class UnknownBackendError(AutodiffError):
 
 
 def available_backends() -> tuple[str, ...]:
-    """Selectable backend names (``auto`` resolves at tape creation)."""
-    return ("auto",) + tuple(sorted(_BACKENDS))
+    """Selectable backend names, the default (``fused``) first."""
+    return tuple(_BACKENDS)
 
 
 def resolve_backend_name(spec: str | Backend | None) -> str:
-    """The concrete backend ``spec`` selects (resolving ``auto``)."""
+    """The backend name ``spec`` selects (``None`` means ``fused``)."""
     if isinstance(spec, Backend):
         return spec.name
     if spec is None:
-        spec = "auto"
-    if spec == "auto":
-        from repro.autodiff import backend_numba
-
-        return "numba" if backend_numba.numba_available() else "fused"
+        return "fused"
     if spec not in _BACKENDS:
         raise UnknownBackendError(
             f"unknown backend {spec!r}; expected one of "
@@ -1497,7 +1246,7 @@ def resolve_backend_name(spec: str | Backend | None) -> str:
 
 
 def get_backend(spec: str | Backend | None = None) -> Backend:
-    """Instantiate the backend ``spec`` names (default ``auto``)."""
+    """Instantiate the backend ``spec`` names (default ``fused``)."""
     if isinstance(spec, Backend):
         return spec
     return _BACKENDS[resolve_backend_name(spec)]()

@@ -96,21 +96,6 @@ class Adam(Optimizer):
         self._s1 = [np.empty_like(p.data) for p in self.params]
         self._s2 = [np.empty_like(p.data) for p in self.params]
 
-    def reset_moments(self) -> None:
-        """Zero both moment estimates in place (warm-start seeding).
-
-        After a restart's parameters are overwritten with another
-        member's, its accumulated first/second moments describe a
-        trajectory that no longer exists; zeroing them restarts moment
-        estimation from the seeded point.  The step counter and decayed
-        learning rate are deliberately kept — they are shared across
-        members in the stacked optimizer, so resetting them per member
-        would break the per-member ≡ stacked equivalence.
-        """
-        for m, v in zip(self._m, self._v):
-            m.fill(0.0)
-            v.fill(0.0)
-
     def step(self) -> None:
         self._step += 1
         beta1, beta2 = self.betas
@@ -170,17 +155,6 @@ class StackedAdam(Adam):
         """Permanently stop updating model ``index``'s parameter slices."""
         if index not in self._frozen:
             self._frozen.append(index)
-
-    def reset_member(self, index: int) -> None:
-        """Zero model ``index``'s moment slices (warm-start seeding).
-
-        The leading-axis analogue of :meth:`Adam.reset_moments`: only
-        the seeded member's moments restart, the shared step counter
-        and learning rate are untouched.
-        """
-        for m, v in zip(self._m, self._v):
-            m[index] = 0.0
-            v[index] = 0.0
 
     def step(self) -> None:
         self._step += 1

@@ -22,8 +22,8 @@ read them dynamically.
 
 On top of the closure walker sits a *compiled* replay: a
 :mod:`~repro.autodiff.backend` plan lowers the recorded node list into
-straight-line numpy (optionally numba-jitted) code over the same
-buffers, removing the per-op Python dispatch.  The walker remains the
+straight-line numpy code over the same buffers, removing the per-op
+Python dispatch.  The walker remains the
 reference — ``Tape(backend="numpy")`` never compiles, and any graph
 the plan compiler cannot lower silently replays through the walker
 (``stats()["fallback_reason"]`` says why).  If any recorded node lacks
@@ -35,7 +35,6 @@ epoch.  Correctness never depends on replayability or compilability.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -51,10 +50,10 @@ class Tape:
     """Records one scalar-rooted graph and replays it with reused buffers.
 
     Args:
-        backend: replay strategy — ``"auto"`` (default: numba when
-            importable, else the fused numpy plan), ``"numpy"`` (the
-            reference closure walker), ``"fused"``, ``"numba"``, or a
-            :class:`~repro.autodiff.backend.Backend` instance.
+        backend: replay strategy — ``"fused"`` (default: the compiled
+            straight-line numpy plan), ``"numpy"`` (the reference closure
+            walker), or a :class:`~repro.autodiff.backend.Backend`
+            instance.
     """
 
     def __init__(self, backend: str | Backend | None = None) -> None:
@@ -68,12 +67,8 @@ class Tape:
         self.replayable = False
         self.replays = 0
         self.eager_steps = 0
-        # Warm-start observability: cumulative plan-compile wall time
-        # and how often this tape was served from / deposited into a
-        # TapePool (see repro.cln.train).
+        # Cumulative plan-compile wall time.
         self.compile_ms = 0.0
-        self.pool_hits = 0
-        self.pool_misses = 0
 
     @property
     def recorded(self) -> bool:
@@ -126,17 +121,7 @@ class Tape:
             "replayable": self.replayable,
             "replays": self.replays,
             "eager_steps": self.eager_steps,
-            "fused_segments": plan.n_segments if plan is not None else 0,
-            "jitted_segments": plan.n_jitted if plan is not None else 0,
-            "fused_bwd_segments": (
-                plan.n_bwd_segments if plan is not None else 0
-            ),
-            "jitted_bwd_segments": (
-                plan.n_bwd_jitted if plan is not None else 0
-            ),
             "compile_ms": self.compile_ms,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
             "fallback_reason": self.plan_failure,
         }
 
@@ -214,56 +199,3 @@ class Tape:
             node.grad = None
             node._backward_fn(grad)  # type: ignore[misc]
 
-
-class TapePool:
-    """LRU pool of recorded tapes keyed by graph structure.
-
-    The warm-start layer deposits a *payload* (a recorded tape plus
-    whatever leaf bookkeeping the depositor needs to rebind fresh
-    values — see ``repro.cln.train``) under a structural key; a later
-    training call with the same key adopts the payload and skips both
-    graph recording and plan compilation.  The pool is a plain
-    most-recently-used cache: ``get`` promotes, ``put`` evicts the
-    least recently used entry beyond ``max_entries``.  A pool with
-    ``max_entries <= 0`` is permanently disabled (gets always miss,
-    puts are dropped), which is how ``--tape-pool-size 0`` turns the
-    reuse path off without touching call sites.
-    """
-
-    def __init__(self, max_entries: int = 8):
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        """The payload stored under ``key``, or ``None`` (a miss)."""
-        if self.max_entries <= 0:
-            return None
-        payload = self._entries.get(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return payload
-
-    def put(self, key, payload) -> None:
-        """Deposit ``payload`` under ``key``, evicting beyond capacity."""
-        if self.max_entries <= 0:
-            return
-        self._entries[key] = payload
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-        }

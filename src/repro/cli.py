@@ -27,8 +27,8 @@ Commands:
 * ``profile <nla-problem>`` — run one solver and render the per-stage
   wall-clock breakdown (collect/train/extract/check) as a table, so hot
   paths are visible without reading JSON; also prints the resolved
-  tape-replay backend and plan stats (node count, fused/jitted
-  segments, replay vs eager epochs).
+  tape-replay backend and plan stats (node count, replay vs eager
+  epochs, plan compile time).
 * ``enqueue --queue-dir PATH`` — enqueue a suite on a journaled work
   queue (items already journaled are skipped, so re-enqueueing a
   half-finished run is a no-op for the finished part).
@@ -56,8 +56,8 @@ Commands:
 
 ``run``, ``run-all``, and ``profile`` accept ``--cache-dir PATH`` to
 persist traces/term matrices on disk across invocations, and
-``--backend NAME`` to pick the tape-replay backend (``auto`` /
-``numpy`` / ``fused`` / ``numba``).
+``--backend NAME`` to pick the tape-replay backend (``fused``, the
+default, or the reference ``numpy`` walker).
 """
 
 from __future__ import annotations
@@ -204,8 +204,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         InferenceConfig(
             max_epochs=args.epochs,
             backend=args.backend,
-            warm_start=args.warm_start,
-            tape_pool_size=args.tape_pool_size,
         ),
         cache_dir=args.cache_dir,
     )
@@ -241,26 +239,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if tape_stats is not None:
         replay = ", ".join(
             f"{key}={tape_stats[key]}"
-            for key in (
-                "active_backend",
-                "n_nodes",
-                "fused_segments",
-                "jitted_segments",
-                "fused_bwd_segments",
-                "jitted_bwd_segments",
-                "replays",
-                "eager_steps",
-            )
+            for key in ("active_backend", "n_nodes", "replays", "eager_steps")
         )
-        print(f"replay:   {replay}")
-        warm = ", ".join(
-            (
-                f"compile_ms={tape_stats['compile_ms']:.1f}",
-                f"pool_hits={tape_stats['pool_hits']}",
-                f"pool_misses={tape_stats['pool_misses']}",
-            )
-        )
-        print(f"warm:     {warm}")
+        print(f"replay:   {replay}, compile_ms={tape_stats['compile_ms']:.1f}")
         if tape_stats.get("fallback_reason"):
             print(f"fallback: {tape_stats['fallback_reason']}")
     return 0
@@ -288,8 +269,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         InferenceConfig(
             max_epochs=args.epochs,
             backend=args.backend,
-            warm_start=args.warm_start,
-            tape_pool_size=args.tape_pool_size,
         ),
         cache_dir=args.cache_dir,
     )
@@ -393,8 +372,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         InferenceConfig(
             max_epochs=args.epochs,
             backend=args.backend,
-            warm_start=args.warm_start,
-            tape_pool_size=args.tape_pool_size,
         ),
         cache_dir=args.cache_dir,
     )
@@ -721,32 +698,10 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=available_backends(),
-        default="auto",
+        default="fused",
         help=(
-            "tape-replay backend for training (default: auto — numba "
-            "when importable, else the fused numpy plan)"
-        ),
-    )
-
-
-def _add_warm_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help=(
-            "carry gate states across retry attempts and seed worse "
-            "restarts from the best-loss member mid-training (off keeps "
-            "attempts fully independent)"
-        ),
-    )
-    parser.add_argument(
-        "--tape-pool-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help=(
-            "cross-attempt tape/plan pool size; same-shape retries skip "
-            "re-recording and re-compiling (0 disables; default: 8)"
+            "tape-replay backend for training (default: fused — the "
+            "compiled numpy plan; numpy is the reference closure walker)"
         ),
     )
 
@@ -792,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
     _add_backend_arg(run_parser)
-    _add_warm_args(run_parser)
     run_parser.add_argument(
         "--events",
         action="store_true",
@@ -825,7 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
     _add_backend_arg(profile_parser)
-    _add_warm_args(profile_parser)
     profile_parser.add_argument(
         "--cache-dir",
         metavar="PATH",
@@ -927,7 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
     _add_backend_arg(all_parser)
-    _add_warm_args(all_parser)
     all_parser.add_argument(
         "--json",
         metavar="PATH",

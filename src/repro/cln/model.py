@@ -90,18 +90,9 @@ class GCLNConfig:
     # recovers the per-unit eager loops (kept as the reference
     # implementation for equivalence tests and bench_perf baselines).
     vectorized: bool = True
-    # Tape replay backend: "auto" (numba when importable, else the
-    # fused numpy plan), "numpy" (reference closure walker), "fused",
-    # or "numba".  See repro.autodiff.backend.
-    backend: str = "auto"
-    # Warm start (opt-in): carry gate states across retry attempts and
-    # periodically seed worse restarts from the best-loss member during
-    # multi-restart training.  Off keeps every attempt/restart fully
-    # independent — bitwise-identical to training without this field.
-    warm_start: bool = False
-    # Exploit period for best-member seeding (post-anneal epochs between
-    # seeding steps); <= 0 disables seeding even with warm_start on.
-    seed_period: int = 100
+    # Tape replay backend: "fused" (compiled straight-line numpy plan)
+    # or "numpy" (reference closure walker).  See repro.autodiff.backend.
+    backend: str = "fused"
     # Extraction.
     max_denominators: tuple[int, ...] = (10, 15, 30)
 
@@ -422,7 +413,6 @@ class GCLN:
             c.lambda1_schedule, c.lambda2_schedule,
             c.weight_l1, c.weight_regularization,
             c.prune_interval, c.prune_threshold, c.max_epochs,
-            c.warm_start, c.seed_period,
         )
 
     def rebind_storage(
@@ -605,8 +595,7 @@ class GCLNStack:
         mask_values = masks.astype(np.float64)
         and_gates = np.stack([m.and_gates.data for m in models])
         or_gates = np.stack([m.or_gates_stacked.data for m in models])
-        # The bool super-stack (models' unit_masks become row views of
-        # it); the tape pool copies fresh masks into it on reuse.
+        # The bool super-stack; models' unit_masks become row views of it.
         self.unit_masks = masks
         self.unit_weights = Tensor(weights, requires_grad=True)
         self._unit_mask_tensor = Tensor(mask_values)

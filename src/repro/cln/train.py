@@ -40,8 +40,7 @@ from repro.autodiff.optim import (
     clip_grad_norm,
     clip_grad_norm_stacked,
 )
-from repro.autodiff.backend import resolve_backend_name
-from repro.autodiff.tape import Tape, TapePool
+from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.cln.activations import gaussian_equality, pbqu_ge
 from repro.cln.loss import (
@@ -168,192 +167,6 @@ class _RestartState:
         self.c1_box[...] = config.c1 * self.relax_scale
 
 
-# -- warm start: tape/plan reuse across training calls -----------------------
-#
-# Same-shape training calls build structurally identical graphs: the
-# only differences are leaf *values* (weights, masks, data, schedule
-# scalars).  A :class:`TapePool` therefore stores the recorded tape of
-# a finished call together with its leaf objects; a later call with a
-# matching structural key copies its fresh values into the pooled
-# storage, rebinds the caller's models onto it (the same row-view
-# machinery :class:`GCLNStack` uses), and replays from epoch 1 —
-# skipping graph recording and plan compilation entirely.  Replays are
-# bitwise-identical to the eager recording step, so a pooled run
-# produces exactly the parameters a fresh run would.
-#
-# Adoption reuses (and overwrites) the pooled leaf storage, so a
-# deposited entry must no longer be trained through its original
-# owners — the inference engine satisfies this by training, extracting,
-# and discarding models within one attempt batch before the next
-# training call can hit the pool.
-
-
-@dataclass
-class _PooledRestartRun:
-    """Recorded state of one ``_run_restart_epochs`` graph."""
-
-    tape: Tape
-    models: list[GCLN]
-    xs: list[Tensor]
-    loss_nodes: list[Tensor]
-    lam1: list[Tensor]
-    lam2: list[Tensor]
-    sigma: list[np.ndarray]
-    c1: list[np.ndarray]
-
-
-@dataclass
-class _PooledStackedRun:
-    """Recorded state of one ``_run_stacked_epochs`` graph."""
-
-    tape: Tape
-    stack: GCLNStack
-    X: Tensor
-    loss_node: list[Tensor]
-    lam1_vec: Tensor
-    lam2_vec: Tensor
-    sigma_box: np.ndarray
-    c1_box: np.ndarray
-
-
-@dataclass
-class _PooledUnitsRun:
-    """Recorded state of one ``_train_units_batched`` graph."""
-
-    tape: Tape
-    model: GCLN
-    X: Tensor
-    loss_node: list[Tensor]
-    sigma_box: np.ndarray
-    c1_box: np.ndarray
-
-
-def _xs_pattern(xs: Sequence[Tensor]) -> tuple[int, ...]:
-    """Aliasing pattern of a data-leaf list (index of first occurrence).
-
-    A shared-leaf recording (``[x, x, x]`` → ``(0, 0, 0)``) reads one
-    tensor from every subgraph and cannot be adopted by a call with
-    per-state leaves (``(0, 1, 2)``) of the same shapes, and vice
-    versa — the pattern is part of the pool key.
-    """
-    firsts: dict[int, int] = {}
-    return tuple(firsts.setdefault(id(x), i) for i, x in enumerate(xs))
-
-
-def _copy_model_into(dst: GCLN, src: GCLN) -> None:
-    """Copy ``src``'s parameter/mask values into ``dst``'s storage."""
-    dst.unit_weights.data[...] = src.unit_weights.data
-    dst.unit_masks[...] = src.unit_masks
-    dst._unit_mask_tensor.data[...] = src._unit_mask_tensor.data
-    dst.and_gates.data[...] = src.and_gates.data
-    dst.or_gates_stacked.data[...] = src.or_gates_stacked.data
-
-
-def _share_storage(fresh: GCLN, pooled: GCLN) -> None:
-    """Rebind the caller's model onto the pooled (tape-leaf) storage."""
-    fresh.rebind_storage(
-        pooled.unit_weights.data,
-        pooled.unit_masks,
-        pooled._unit_mask_tensor.data,
-        pooled.and_gates.data,
-        pooled.or_gates_stacked.data,
-    )
-
-
-def _restart_pool_key(states: list[_RestartState], xs: list[Tensor]) -> tuple:
-    return (
-        "restarts",
-        resolve_backend_name(states[0].model.config.backend),
-        tuple(s.model.stack_signature() for s in states),
-        tuple(x.data.shape for x in xs),
-        _xs_pattern(xs),
-    )
-
-
-def _adopt_restart_run(
-    entry: _PooledRestartRun, states: list[_RestartState], xs: list[Tensor]
-) -> None:
-    """Bind fresh states onto a pooled recording (fresh values copied in)."""
-    seen: set[int] = set()
-    for pooled_x, fresh_x in zip(entry.xs, xs):
-        if id(pooled_x) in seen:
-            continue
-        seen.add(id(pooled_x))
-        pooled_x.data[...] = fresh_x.data
-    for state, pooled in zip(states, entry.models):
-        _copy_model_into(pooled, state.model)
-        _share_storage(state.model, pooled)
-        config = state.model.config
-        params = pooled.parameters_batched()
-        for p in params:
-            p.grad = None
-        # A fresh Adam over the pooled tensors is bitwise-identical to
-        # the cold-start optimizer: same zero moments, same lr schedule.
-        state.optimizer = Adam(
-            params, lr=config.learning_rate, decay=config.lr_decay
-        )
-    for i, state in enumerate(states):
-        state.lam1_t = entry.lam1[i]
-        state.lam2_t = entry.lam2[i]
-        state.sigma_box = entry.sigma[i]
-        state.c1_box = entry.c1[i]
-    entry.tape.pool_hits += 1
-
-
-# -- warm start: best-member seeding -----------------------------------------
-
-
-def _groups_by_identity(matrices) -> list[list[int]]:
-    """Sibling groups = members trained on the *same* data object."""
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(matrices):
-        groups.setdefault(id(m), []).append(i)
-    return [g for g in groups.values() if len(g) > 1]
-
-
-def _seed_from_best(
-    states: list[_RestartState],
-    groups: list[list[int]],
-    stacked_optimizer: StackedAdam | None = None,
-) -> None:
-    """Exploit step: re-seed worse members from their group's best.
-
-    Copies the best-loss member's weight and gate *values* into every
-    strictly worse active member (dropout masks are kept — each member
-    retains its own support, so the population stays diverse) and
-    restarts the seeded members' Adam moments.  Only meaningful after
-    annealing, when losses are comparable.
-    """
-    for group in groups:
-        active = [
-            i
-            for i in group
-            if not states[i].stopped and states[i].relax_scale == 1.0
-        ]
-        if len(active) < 2:
-            continue
-        best = min(active, key=lambda i: states[i].best_loss)
-        if not np.isfinite(states[best].best_loss):
-            continue
-        src = states[best].model
-        for i in active:
-            if i == best or states[i].best_loss <= states[best].best_loss:
-                continue
-            dst = states[i].model
-            dst.unit_weights.data[...] = src.unit_weights.data
-            dst.and_gates.data[...] = src.and_gates.data
-            if (
-                dst.or_gates_stacked is not None
-                and src.or_gates_stacked is not None
-            ):
-                dst.or_gates_stacked.data[...] = src.or_gates_stacked.data
-            states[i].stale = 0
-            if stacked_optimizer is not None:
-                stacked_optimizer.reset_member(i)
-            elif states[i].optimizer is not None:
-                states[i].optimizer.reset_moments()
-
-
 def _run_restart_epochs(
     states: list[_RestartState],
     X: Tensor | Sequence[Tensor],
@@ -363,8 +176,6 @@ def _run_restart_epochs(
     require_saturation: bool,
     clip_norm: float,
     raise_on_divergence: bool = False,
-    pool: TapePool | None = None,
-    seed_groups: list[list[int]] | None = None,
 ) -> None:
     """Drive the shared epoch loop over every restart simultaneously.
 
@@ -377,27 +188,10 @@ def _run_restart_epochs(
     ``X`` may be one shared data tensor or a per-state sequence of
     data tensors (one leaf per model, e.g. attempts from different
     problems); each state's loss term is built from its own leaf.
-
-    With ``pool``, a same-key recording from an earlier call is adopted
-    (skipping record + plan compile) and this call's recording is
-    deposited for the next one — bitwise-transparent either way.
-    ``seed_groups`` names sibling states for the opt-in warm-start
-    exploit step (default: states sharing one data leaf).
     """
     xs = list(X) if isinstance(X, (list, tuple)) else [X] * len(states)
-    config = states[0].model.config
-    key: tuple | None = None
-    entry: _PooledRestartRun | None = None
-    if pool is not None and all(s.model.batched_capable() for s in states):
-        key = _restart_pool_key(states, xs)
-        entry = pool.get(key)
-    if entry is not None:
-        _adopt_restart_run(entry, states, xs)
-        tape = entry.tape
-        loss_nodes = entry.loss_nodes
-    else:
-        loss_nodes = []
-        tape = Tape(backend=config.backend)
+    loss_nodes: list[Tensor] = []
+    tape = Tape(backend=states[0].model.config.backend)
 
     def build() -> Tensor:
         loss_nodes.clear()
@@ -410,18 +204,6 @@ def _run_restart_epochs(
             loss_nodes.append(term)
             total = term if total is None else total + term
         return total  # type: ignore[return-value]
-
-    seeding = (
-        config.warm_start and config.seed_period > 0 and len(states) > 1
-    )
-    groups: list[list[int]] = []
-    if seeding:
-        groups = (
-            seed_groups
-            if seed_groups is not None
-            else _groups_by_identity(xs)
-        )
-        seeding = bool(groups)
 
     for epoch in range(1, epochs + 1):
         for state in states:
@@ -477,27 +259,10 @@ def _run_restart_epochs(
                 # epoch would have produced; the shared graph keeps
                 # computing its (ignored) forward pass.
                 state.stopped = True
-        if seeding and epoch % config.seed_period == 0:
-            _seed_from_best(states, groups)
         for state in states:
             state.optimizer.zero_grad()
         if all(state.stopped for state in states):
             break
-    if entry is None and key is not None and tape.recorded and tape.replayable:
-        tape.pool_misses += 1
-        pool.put(  # type: ignore[union-attr]
-            key,
-            _PooledRestartRun(
-                tape=tape,
-                models=[s.model for s in states],
-                xs=list(xs),
-                loss_nodes=list(loss_nodes),
-                lam1=[s.lam1_t for s in states],
-                lam2=[s.lam2_t for s in states],
-                sigma=[s.sigma_box for s in states],
-                c1=[s.c1_box for s in states],
-            ),
-        )
     _publish_tape_stats(tape)
 
 
@@ -510,8 +275,6 @@ def _run_stacked_epochs(
     loss_tolerance: float,
     require_saturation: bool,
     clip_norm: float,
-    pool: TapePool | None = None,
-    seed_groups: list[list[int]] | None = None,
 ) -> None:
     """Epoch loop over a model stack: one graph for all models.
 
@@ -536,56 +299,13 @@ def _run_stacked_epochs(
     n_models = len(states)
     anneal_init, anneal_decay = _anneal(config, epochs)
     relax_scale = anneal_init
-    key: tuple | None = None
-    entry: _PooledStackedRun | None = None
-    if pool is not None:
-        key = (
-            "stacked",
-            resolve_backend_name(config.backend),
-            n_models,
-            X.data.shape,
-            stack.models[0].stack_signature(),
-        )
-        entry = pool.get(key)
-    if entry is not None:
-        # Copy the fresh stack's values into the pooled super-arrays and
-        # rebind the caller's models onto them, exactly as GCLNStack
-        # itself rebinds; the pooled stack becomes the live one.
-        pooled = entry.stack
-        pooled.unit_weights.data[...] = stack.unit_weights.data
-        pooled.unit_masks[...] = stack.unit_masks
-        pooled._unit_mask_tensor.data[...] = stack._unit_mask_tensor.data
-        pooled.and_gates.data[...] = stack.and_gates.data
-        pooled.or_gates.data[...] = stack.or_gates.data
-        entry.X.data[...] = X.data
-        for i, model in enumerate(stack.models):
-            model.rebind_storage(
-                pooled.unit_weights.data[i],
-                pooled.unit_masks[i],
-                pooled._unit_mask_tensor.data[i],
-                pooled.and_gates.data[i],
-                pooled.or_gates.data[i],
-            )
-        pooled.models = list(stack.models)
-        stack = pooled
-        lam1_vec, lam2_vec = entry.lam1_vec, entry.lam2_vec
-        lam1_vec.data[...] = 0.0
-        lam2_vec.data[...] = 0.0
-        sigma_box, c1_box = entry.sigma_box, entry.c1_box
-        loss_node = entry.loss_node
-        tape = entry.tape
-        tape.pool_hits += 1
-    else:
-        lam1_vec = Tensor(np.zeros(n_models))
-        lam2_vec = Tensor(np.zeros(n_models))
-        sigma_box = np.array(config.sigma * anneal_init)
-        c1_box = np.array(config.c1 * anneal_init)
-        loss_node = []
-        tape = Tape(backend=config.backend)
+    lam1_vec = Tensor(np.zeros(n_models))
+    lam2_vec = Tensor(np.zeros(n_models))
+    sigma_box = np.array(config.sigma * anneal_init)
+    c1_box = np.array(config.c1 * anneal_init)
+    loss_node: list[Tensor] = []
+    tape = Tape(backend=config.backend)
     stacked_params = [stack.and_gates, stack.or_gates, stack.unit_weights]
-    if entry is not None:
-        for p in stacked_params:
-            p.grad = None
     optimizer = StackedAdam(
         stacked_params,
         lr=config.learning_rate,
@@ -599,13 +319,6 @@ def _run_stacked_epochs(
         )
         loss_node.append(vec)
         return vec.sum()
-
-    seeding = (
-        config.warm_start
-        and config.seed_period > 0
-        and seed_groups is not None
-        and bool(seed_groups)
-    )
 
     for epoch in range(1, epochs + 1):
         for i, state in enumerate(states):
@@ -655,26 +368,9 @@ def _run_stacked_epochs(
             ):
                 state.stopped = True
                 optimizer.freeze(i)
-        if seeding and epoch % config.seed_period == 0:
-            _seed_from_best(states, seed_groups, stacked_optimizer=optimizer)
         optimizer.zero_grad()
         if all(state.stopped for state in states):
             break
-    if entry is None and key is not None and tape.recorded and tape.replayable:
-        tape.pool_misses += 1
-        pool.put(  # type: ignore[union-attr]
-            key,
-            _PooledStackedRun(
-                tape=tape,
-                stack=stack,
-                X=X,
-                loss_node=loss_node,
-                lam1_vec=lam1_vec,
-                lam2_vec=lam2_vec,
-                sigma_box=sigma_box,
-                c1_box=c1_box,
-            ),
-        )
     _publish_tape_stats(tape)
 
 
@@ -713,7 +409,6 @@ def train_gcln_restarts(
     max_epochs: int | None = None,
     early_stop_patience: int = 200,
     loss_tolerance: float = 1e-4,
-    pool: TapePool | None = None,
 ) -> list[RestartOutcome]:
     """Train R independent G-CLN models simultaneously in one graph.
 
@@ -741,8 +436,6 @@ def train_gcln_restarts(
         data: shared matrix, stacked batch, or per-model matrices (all
             already normalized).
         max_epochs: overrides each model's ``config.max_epochs``.
-        pool: optional :class:`TapePool` for cross-call tape/plan reuse
-            (bitwise-transparent; see the warm-start section above).
 
     Returns:
         One :class:`RestartOutcome` per model, in input order.
@@ -763,16 +456,11 @@ def train_gcln_restarts(
         states = [_RestartState(model, epochs) for model in models]
         _run_restart_epochs(
             states, shared, epochs, early_stop_patience, loss_tolerance,
-            require_saturation=True, clip_norm=100.0, pool=pool,
+            require_saturation=True, clip_norm=100.0,
         )
     else:
         signatures = {m.stack_signature() for m in models}
         shapes = {m.shape for m in matrices}
-        # Members trained on the same matrix *object* are siblings
-        # (restarts of one problem) for warm-start seeding; the Tensor
-        # leaves built below don't preserve that identity, so compute
-        # the groups here.
-        seed_groups = _groups_by_identity(matrices)
         if len(signatures) == 1 and len(shapes) == 1:
             # One stacked graph for the whole batch.  The stack rebinds
             # model storage to slice views, so states (whose optimizers
@@ -789,18 +477,13 @@ def train_gcln_restarts(
             _run_stacked_epochs(
                 states, stack, stacked, epochs, early_stop_patience,
                 loss_tolerance, require_saturation=True, clip_norm=100.0,
-                pool=pool, seed_groups=seed_groups,
             )
-            # The stacked data tensor is not rebound on a pool hit, but
-            # its values match the live storage bitwise, so the
-            # convergence checks below read identical numbers.
         else:
             per_model_x = [Tensor(matrix) for matrix in matrices]
             states = [_RestartState(model, epochs) for model in models]
             _run_restart_epochs(
                 states, per_model_x, epochs, early_stop_patience,
                 loss_tolerance, require_saturation=True, clip_norm=100.0,
-                pool=pool, seed_groups=seed_groups,
             )
     outcomes: list[RestartOutcome] = []
     for state, x in zip(states, per_model_x):
@@ -829,7 +512,6 @@ def train_gcln(
     early_stop_patience: int = 200,
     loss_tolerance: float = 1e-4,
     record_history: bool = False,
-    pool: TapePool | None = None,
 ) -> TrainResult:
     """Train ``model`` on the normalized data matrix.
 
@@ -843,8 +525,6 @@ def train_gcln(
         loss_tolerance: minimum improvement counted as progress.
         record_history: keep the per-epoch loss curve (for the
             stability study).
-        pool: optional :class:`TapePool` for cross-call tape/plan reuse
-            (only used on the vectorized path).
 
     Returns:
         A :class:`TrainResult`; ``converged`` is True when the data
@@ -856,7 +536,7 @@ def train_gcln(
     if config.vectorized and model.batched_capable():
         return _train_gcln_vectorized(
             model, data, epochs, early_stop_patience, loss_tolerance,
-            record_history, pool=pool,
+            record_history,
         )
     return _train_gcln_eager(
         model, data, epochs, early_stop_patience, loss_tolerance,
@@ -871,7 +551,6 @@ def _train_gcln_vectorized(
     early_stop_patience: int,
     loss_tolerance: float,
     record_history: bool,
-    pool: TapePool | None = None,
 ) -> TrainResult:
     """Taped single-model training: the one-restart run of the shared loop."""
     X = Tensor(data)
@@ -881,7 +560,6 @@ def _train_gcln_vectorized(
     _run_restart_epochs(
         [state], X, epochs, early_stop_patience, loss_tolerance,
         require_saturation=True, clip_norm=100.0, raise_on_divergence=True,
-        pool=pool,
     )
     _, converged = _data_convergence(model, X, data.shape[0])
     return TrainResult(
@@ -972,7 +650,6 @@ def train_units_independently(
     early_stop_patience: int = 200,
     loss_tolerance: float = 1e-4,
     batched: bool | None = None,
-    pool: TapePool | None = None,
 ) -> TrainResult:
     """Train each atomic unit on its own objective (no gate coupling).
 
@@ -988,8 +665,6 @@ def train_units_independently(
             per-unit loop is the reference the batched path is tested
             against — both produce the same invariants for the same
             seed.
-        pool: optional :class:`TapePool` for cross-call tape/plan reuse
-            (only used on the batched path).
     """
     _validate_data(data)
     config = model.config
@@ -998,8 +673,7 @@ def train_units_independently(
         batched = config.vectorized
     if batched:
         return _train_units_batched(
-            model, data, epochs, early_stop_patience, loss_tolerance,
-            pool=pool,
+            model, data, epochs, early_stop_patience, loss_tolerance
         )
     return _train_units_sequential(
         model, data, epochs, early_stop_patience, loss_tolerance
@@ -1012,7 +686,6 @@ def _train_units_batched(
     epochs: int,
     early_stop_patience: int,
     loss_tolerance: float,
-    pool: TapePool | None = None,
 ) -> TrainResult:
     """One stacked forward + tape replay for all units at once."""
     config = model.config
@@ -1025,39 +698,12 @@ def _train_units_batched(
         i for i, u in enumerate(model.units_flat) if u.kind is AtomicKind.GE
     ]
 
-    key: tuple | None = None
-    entry: _PooledUnitsRun | None = None
-    if pool is not None and model.or_gates_stacked is not None:
-        key = (
-            "units",
-            resolve_backend_name(config.backend),
-            model.stack_signature(),
-            tuple(u.kind.value for u in model.units_flat),
-            data.shape,
-        )
-        entry = pool.get(key)
-    if entry is not None:
-        entry.X.data[...] = data
-        _copy_model_into(entry.model, model)
-        _share_storage(model, entry.model)
-        entry.model.unit_weights.grad = None
-        sigma_box = entry.sigma_box
-        c1_box = entry.c1_box
-        tape = entry.tape
-        loss_node = entry.loss_node
-        X = entry.X
-        weights = entry.model.unit_weights
-        tape.pool_hits += 1
-    else:
-        sigma_box = np.array(config.sigma * anneal_init)
-        c1_box = np.array(config.c1 * anneal_init)
-        tape = Tape(backend=config.backend)
-        loss_node = []
-        weights = model.unit_weights
-    # A fresh Adam over the (possibly pooled) weight tensor is bitwise
-    # identical to the cold-start optimizer: zero moments, same lr.
+    sigma_box = np.array(config.sigma * anneal_init)
+    c1_box = np.array(config.c1 * anneal_init)
+    tape = Tape(backend=config.backend)
+    loss_node: list[Tensor] = []
     optimizer = Adam(
-        [weights], lr=config.learning_rate, decay=config.lr_decay
+        [model.unit_weights], lr=config.learning_rate, decay=config.lr_decay
     )
 
     def build() -> Tensor:
@@ -1103,24 +749,6 @@ def _train_units_batched(
             stale += 1
         if stale >= early_stop_patience:
             break
-    if (
-        entry is None
-        and key is not None
-        and tape.recorded
-        and tape.replayable
-    ):
-        tape.pool_misses += 1
-        pool.put(  # type: ignore[union-attr]
-            key,
-            _PooledUnitsRun(
-                tape=tape,
-                model=model,
-                X=X,
-                loss_node=loss_node,
-                sigma_box=sigma_box,
-                c1_box=c1_box,
-            ),
-        )
     _publish_tape_stats(tape)
     return TrainResult(final_loss=best_loss, epochs=epoch, converged=True)
 

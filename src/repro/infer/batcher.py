@@ -277,10 +277,6 @@ def _train_chunk(
     indistinguishable from sequential solving.  Larger chunks stack
     every member's models into one :func:`train_gcln_restarts` call
     with per-model data matrices; outcomes are sliced back per member.
-
-    Merged chunks train without a tape pool (each engine's pool is keyed
-    to its own request shapes, and a merged stack mixes problems) — only
-    the one-member inline path benefits from cross-attempt tape reuse.
     """
     if len(members) == 1:
         train_one(members[0])

@@ -49,19 +49,8 @@ class InferenceConfig:
     gcln: GCLNConfig = field(default_factory=GCLNConfig)
 
     # Tape replay backend forwarded into every attempt's GCLNConfig
-    # ("auto" / "numpy" / "fused" / "numba"; see repro.autodiff.backend).
-    backend: str = "auto"
-
-    # Warm start (opt-in): carry gate states across retry attempts and
-    # seed worse restarts from the best-loss member mid-training
-    # (forwarded into every attempt's GCLNConfig.warm_start).  Off keeps
-    # attempts fully independent — bitwise-identical to older builds.
-    warm_start: bool = False
-    # Cross-attempt tape/plan reuse: same-shape training calls re-bind
-    # an already-recorded tape instead of re-recording and re-compiling.
-    # Bitwise-transparent (replay == eager record), so it is on by
-    # default; 0 disables the pool entirely.
-    tape_pool_size: int = 8
+    # ("fused" / "numpy"; see repro.autodiff.backend).
+    backend: str = "fused"
 
     # Term-filtering caps.
     growth_ratio_cap: float = 1e8
@@ -77,5 +66,4 @@ class InferenceConfig:
             weight_regularization=self.weight_regularization,
             max_epochs=self.max_epochs,
             backend=self.backend,
-            warm_start=self.gcln.warm_start or self.warm_start,
         )

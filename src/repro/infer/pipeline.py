@@ -34,7 +34,6 @@ from repro.api.events import (
     timed_stage,
 )
 from repro.autodiff.backend import resolve_backend_name
-from repro.autodiff.tape import TapePool
 from repro.checker.result import CheckOutcome
 from repro.checker.trace import make_checker
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
@@ -75,11 +74,6 @@ class TrainRequest:
     loop_index: int
     models: list[GCLN]
     data: np.ndarray
-    # The issuing engine's tape pool (cross-attempt tape/plan reuse).
-    # Drivers that train a request inline pass it through; merged
-    # cross-engine chunks train without it (their stacked graphs span
-    # several engines' pools).
-    pool: TapePool | None = None
 
     @property
     def batchable(self) -> bool:
@@ -93,11 +87,11 @@ def execute_train_request(request: TrainRequest) -> list[RestartOutcome]:
     """Run one training request inline (no cross-problem batching)."""
     models = request.models
     if len(models) > 1 and request.batchable:
-        return train_gcln_restarts(models, request.data, pool=request.pool)
+        return train_gcln_restarts(models, request.data)
     outcomes: list[RestartOutcome] = []
     for model in models:
         try:
-            result = train_gcln(model, request.data, pool=request.pool)
+            result = train_gcln(model, request.data)
             outcomes.append(RestartOutcome(result=result))
         except TrainingError as exc:
             outcomes.append(RestartOutcome(result=None, error=str(exc)))
@@ -148,11 +142,10 @@ class InferenceResult:
     # repro.api.events.STAGES, summed over attempts.
     stage_timings: dict[str, float] = field(default_factory=dict)
     # Resolved tape-replay backend name the training loops used
-    # ("numpy"/"fused"/"numba"; see repro.autodiff.backend).
+    # ("fused"/"numpy"; see repro.autodiff.backend).
     backend: str = ""
     # Total G-CLN training epochs across every attempt/loop/model
-    # (deterministic for a given config; the warm-start CI smoke
-    # compares it between warm and cold runs).
+    # (deterministic for a given config).
     train_epochs: int = 0
     # Checker mode the run used: "symbolic+bounded" (program-backed)
     # or the degraded "bounded-holdout" (trace-only problems; see
@@ -212,11 +205,6 @@ class InferenceEngine:
         self.config = config if config is not None else InferenceConfig()
         self.cache = cache if cache is not None else TraceCache()
         self._events = events
-        # Cross-attempt tape/plan reuse: retries with the same data
-        # shape and model structure replay the first attempt's recorded
-        # tape instead of re-recording and re-compiling (bitwise
-        # transparent; see repro.cln.train).
-        self.tape_pool = TapePool(self.config.tape_pool_size)
         # Program-backed problems get the full hybrid checker;
         # trace-only problems degrade to held-out recorded states.
         self._checker = make_checker(
@@ -275,11 +263,6 @@ class InferenceEngine:
         # Checker rejections accumulated over every attempt (atom -> reason);
         # the per-attempt candidate pool drops them permanently.
         rejections: dict[int, dict[str, str]] = {i: {} for i in range(n_loops)}
-        # Warm start: per loop, the post-training gate state of the best
-        # (lowest final loss) model of the previous attempt batch.
-        # Stored as copies — model storage may live in the tape pool and
-        # be clobbered by the next training call.
-        carried_gates: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         scheduler = AttemptScheduler(config, fractional=problem.fractional)
 
         def accumulate(loop_index: int, atoms) -> None:
@@ -350,10 +333,6 @@ class InferenceEngine:
                             protected_terms=[0],
                             term_weights=weights,
                         )
-                        if gcln_config.warm_start:
-                            _carry_gates_into(
-                                model, carried_gates.get(loop_index)
-                            )
                     except TrainingError as exc:
                         result.notes.append(
                             f"loop {loop_index}: training failed: {exc}"
@@ -370,28 +349,12 @@ class InferenceEngine:
                             loop_index=loop_index,
                             models=models,
                             data=data,
-                            pool=self.tape_pool,
                         )
-                    best_loss = np.inf
                     for model, outcome in zip(models, batch_outcomes):
                         outcomes[id(model)] = outcome
                         if outcome.error is not None or outcome.result is None:
                             continue
                         result.train_epochs += outcome.result.epochs
-                        # Capture gate copies NOW: the pooled storage a
-                        # model may be rebound onto is reused (and
-                        # overwritten) by the next training call.
-                        if (
-                            (config.warm_start or config.gcln.warm_start)
-                            and outcome.result.final_loss < best_loss
-                        ):
-                            best_loss = outcome.result.final_loss
-                            carried_gates[loop_index] = (
-                                model.and_gates.data.copy(),
-                                None
-                                if model.or_gates_stacked is None
-                                else model.or_gates_stacked.data.copy(),
-                            )
 
                 for plan, rng, model in entries:
                     eq_atoms: list[Atom] = []
@@ -521,31 +484,6 @@ class InferenceEngine:
         result.cache_stats = self.cache.stats.to_dict()
         result.stage_timings = totals
         return result
-
-
-def _carry_gates_into(
-    model: GCLN, carried: tuple[np.ndarray, np.ndarray | None] | None
-) -> None:
-    """Warm start a fresh attempt's gates from the previous attempt.
-
-    Copies the carried AND/OR gate values in when their shapes match
-    the new model (dropout re-rolls masks, but gate shapes only depend
-    on clause structure, so a changed basis or clause count safely
-    skips the carry).  Weights keep their fresh random initialization —
-    the retry explores a new support while the gate state resumes from
-    where the best previous member ended.
-    """
-    if carried is None:
-        return
-    and_gates, or_gates = carried
-    if model.and_gates.data.shape == and_gates.shape:
-        model.and_gates.data[...] = and_gates
-    if (
-        or_gates is not None
-        and model.or_gates_stacked is not None
-        and model.or_gates_stacked.data.shape == or_gates.shape
-    ):
-        model.or_gates_stacked.data[...] = or_gates
 
 
 def _reduce_redundant(atoms: list[Atom]) -> list[Atom]:

@@ -46,10 +46,7 @@ def build_schedule(
     (§5.4: 0.5, then 0.25, ...).
 
     Attempts are independent by construction (fresh seed + dropout per
-    plan).  With ``config.warm_start`` the pipeline additionally carries
-    the previous attempt's post-training gate states into the next
-    plan's model — the schedule itself is unchanged; only the model
-    initialization warms up.
+    plan).
     """
     intervals: tuple[float | None, ...] = (
         tuple(config.fractional_intervals) if fractional else (None,)

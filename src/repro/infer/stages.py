@@ -189,9 +189,17 @@ def build_matrix(
 
     Memoized on (dataset, loop, term-construction knobs); the returned
     bundle is shared across attempts and must not be mutated.
+
+    A loop variable absent from some loop-head state (a body temporary
+    such as ``egcd2``'s ``temp``, first assigned inside the loop) is
+    left out of the basis: its terms are undefined on those states.
     """
     states = dataset.states[loop_index]
-    variables = list(problem.loop_variables(loop_index))
+    variables = [
+        v
+        for v in problem.loop_variables(loop_index)
+        if all(v in s for s in states)
+    ]
     frac_vars = [
         v for v in dataset.fractional_vars if states and v in states[0]
     ]

@@ -138,6 +138,14 @@ def test_solve_result_invariant_accessor():
     assert result.invariant(0) == "true"
 
 
+def test_train_epochs_flows_into_solve_result_wire_format():
+    service = InvariantService(InferenceConfig(max_epochs=150))
+    result = service.solve(tiny_problem("epochtoy"))
+    assert result.train_epochs > 0
+    record = result.to_dict()
+    assert record["train_epochs"] == result.train_epochs
+
+
 # -- service: shared cache, events, per-solver config -------------------------
 
 

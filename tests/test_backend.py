@@ -3,11 +3,7 @@
 The closure walker (``backend="numpy"``) is the bitwise oracle: the
 fused plan must reproduce its losses, gradients, and parameter updates
 exactly (``np.array_equal``, not allclose) on random elementwise
-chains and on the real G-CLN training graphs.  The numba backend is
-only required to degrade gracefully — without numba installed it IS
-the fused plan, so it inherits the bitwise guarantee; with numba the
-JITted segments are validated by the same comparisons under allclose
-in the dedicated CI job.
+chains and on the real G-CLN training graphs.
 """
 
 import numpy as np
@@ -23,7 +19,6 @@ from repro.autodiff import (
     log,
     maximum,
     minimum,
-    numba_available,
     pbqu,
     relu,
     resolve_backend_name,
@@ -53,7 +48,7 @@ from repro.sampling import normalize_rows
 
 
 def test_available_backends():
-    assert available_backends() == ("auto", "fused", "numba", "numpy")
+    assert available_backends() == ("fused", "numpy")
 
 
 def test_unknown_backend_raises():
@@ -63,11 +58,19 @@ def test_unknown_backend_raises():
         resolve_backend_name("bogus")
 
 
-def test_resolve_auto_matches_numba_availability():
-    expected = "numba" if numba_available() else "fused"
-    assert resolve_backend_name("auto") == expected
-    assert resolve_backend_name(None) == expected
+@pytest.mark.parametrize("name", ["numba", "auto"])
+def test_removed_backend_names_are_rejected(name):
+    with pytest.raises(UnknownBackendError, match="fused, numpy"):
+        Tape(backend=name)
+    model = GCLN(4, GCLNConfig(backend=name), np.random.default_rng(0))
+    with pytest.raises(UnknownBackendError, match="fused, numpy"):
+        train_gcln(model, _relation_data(), max_epochs=2)
+
+
+def test_resolve_default_is_fused():
+    assert resolve_backend_name(None) == "fused"
     assert resolve_backend_name("fused") == "fused"
+    assert resolve_backend_name("numpy") == "numpy"
 
 
 # -- random elementwise chain fuzz ------------------------------------------
@@ -131,25 +134,6 @@ def test_fused_bitwise_on_random_chains(seed):
             assert np.array_equal(x, y)
     for x, y in zip(pn, pf):
         assert np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_numba_backend_matches_reference(seed):
-    """With numba absent the numba backend IS the fused plan (bitwise);
-    with numba present JITted segments must still agree to allclose."""
-    ln, gn, pn, _ = _train_chain("numpy", seed)
-    lj, gj, pj, sj = _train_chain("numba", seed)
-    assert sj["active_backend"] == "numba"
-    if not numba_available():
-        assert sj["jitted_segments"] == 0
-        assert ln == lj
-        for ga, gb in zip(gn, gj):
-            for x, y in zip(ga, gb):
-                assert np.array_equal(x, y)
-    else:
-        np.testing.assert_allclose(ln, lj, rtol=1e-12, atol=1e-12)
-        for x, y in zip(pn, pj):
-            np.testing.assert_allclose(x, y, rtol=1e-10, atol=1e-12)
 
 
 # -- real training graphs ----------------------------------------------------
@@ -241,7 +225,7 @@ def test_plan_recompiles_after_leaf_storage_swap():
     assert tape.stats()["replays"] == 2
 
 
-def test_tape_stats_keys_and_segments():
+def test_tape_stats_keys():
     a = Tensor(np.ones(6), requires_grad=True)
     tape = Tape(backend="fused")
     tape.step(lambda: (sigmoid(a) * 2.0 + tanh(a)).sum())
@@ -250,15 +234,10 @@ def test_tape_stats_keys_and_segments():
     stats = tape.stats()
     assert set(stats) == {
         "backend", "active_backend", "n_nodes", "replayable", "replays",
-        "eager_steps", "fused_segments", "jitted_segments",
-        "fused_bwd_segments", "jitted_bwd_segments", "compile_ms",
-        "pool_hits", "pool_misses", "fallback_reason",
+        "eager_steps", "compile_ms", "fallback_reason",
     }
-    assert stats["fused_segments"] >= 1
+    assert stats["active_backend"] == "fused"
     assert stats["compile_ms"] > 0.0
-    if not numba_available():
-        assert stats["jitted_segments"] == 0
-        assert stats["jitted_bwd_segments"] == 0
 
 
 def test_compile_plan_reports_failure_reason():
@@ -266,64 +245,3 @@ def test_compile_plan_reports_failure_reason():
     # empty tape cannot compile.
     assert compile_plan([], Tensor(1.0)) is None
     assert compile_plan.last_failure == "empty tape"
-
-
-# -- numba codegen (pure-Python executable source) ---------------------------
-
-
-def test_numba_codegen_source_runs_as_pure_python():
-    """The generated per-element kernel must be valid plain Python that
-    reproduces the recorded forward values — with or without numba."""
-    import math
-
-    from repro.autodiff import backend_numba
-
-    a = Tensor(np.linspace(-2.0, 2.0, 9), requires_grad=True)
-    nodes = []
-    from repro.autodiff import tensor as tensor_mod
-
-    tensor_mod._TAPE_SINK = nodes
-    try:
-        s = sigmoid(a)
-        t = tanh(s)
-        p = pbqu(t, 1.0, 50.0)
-        r = relu(p - 0.25)
-    finally:
-        tensor_mod._TAPE_SINK = None
-    expected = [n.data.copy() for n in (s, t, p, r)]
-
-    persisted = {}
-
-    def persist(node, tag):
-        return persisted.setdefault(
-            (id(node), tag), np.empty_like(node.data)
-        )
-
-    source, arrays, scalars = backend_numba.codegen_forward(
-        [s, t, p, r], persist
-    )
-    ns = {"math": math}
-    exec(compile(source, "<test-segment>", "exec"), ns)
-    for n in (s, t, p, r):
-        n.data.fill(np.nan)
-    ns["_segment"](
-        a.data.size,
-        *[arr.reshape(-1) for arr in arrays],
-        *[float(v) for v in scalars],
-    )
-    for node, want in zip((s, t, p, r), expected):
-        np.testing.assert_allclose(node.data, want, rtol=1e-15)
-    # pbqu's persisted k/denominator were filled for the backward pass.
-    assert (id(p), "k") in persisted and (id(p), "den") in persisted
-    np.testing.assert_allclose(
-        persisted[(id(p), "k")] / persisted[(id(p), "den")], expected[2]
-    )
-
-
-def test_numba_version_consistent_with_availability():
-    from repro.autodiff import numba_version
-
-    if numba_available():
-        assert isinstance(numba_version(), str)
-    else:
-        assert numba_version() is None

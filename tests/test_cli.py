@@ -171,6 +171,20 @@ def test_profile_command(capsys, tmp_path):
         assert stage in out
     assert "TOTAL" in out
     assert "disk_hits" in out
+    assert "compile_ms=" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "ps2", "--warm-start"],
+        ["run-all", "--tape-pool-size", "0"],
+        ["profile", "ps2", "--backend", "auto"],
+    ],
+)
+def test_removed_options_no_longer_parse(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_run_all_cross_batch_validation():

@@ -1,9 +1,12 @@
 """Doc-drift guards: the docs must keep up with the code.
 
-Two invariants, enforced so knobs can no longer land undocumented:
+Three invariants, enforced so knobs can no longer land undocumented
+and removed knobs can no longer linger in the docs:
 
 * every CLI subcommand and every ``--long-flag`` the parser accepts
   appears somewhere in README.md or ``docs/``;
+* every ``--long-flag`` README.md or ``docs/`` mentions is accepted by
+  the ``repro`` parser or by a benchmark script under ``benchmarks/``;
 * every ``REPRO_*`` environment variable read anywhere in the source
   tree appears there too;
 
@@ -65,6 +68,23 @@ def test_every_cli_flag_is_documented():
     assert not missing, (
         "undocumented CLI surface (add to README.md or docs/): "
         + ", ".join(missing)
+    )
+
+
+DOC_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
+BENCH_FLAG = re.compile(r'add_argument\(\s*"(--[a-z0-9-]+)"')
+
+
+def test_every_documented_flag_exists():
+    accepted = {
+        name for kind, name in walk_parser(build_parser()) if kind == "flag"
+    }
+    for path in (REPO_ROOT / "benchmarks").glob("**/*.py"):
+        accepted.update(BENCH_FLAG.findall(path.read_text()))
+    stale = sorted(set(DOC_FLAG.findall(doc_text())) - accepted)
+    assert not stale, (
+        "README.md or docs/ mention flags nothing accepts (remove them "
+        "or restore the option): " + ", ".join(stale)
     )
 
 

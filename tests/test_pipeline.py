@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench import nla_problem, suite_problems
 from repro.infer import InferenceConfig, InferenceEngine, Problem
 from repro.infer.pipeline import _ground_truth_implied, _reduce_redundant
 from repro.infer.problem import parse_ground_truth
+from repro.infer.stages import build_matrix, collect_states
+from repro.sampling.cache import TraceCache
 from repro.smt.formula import Atom
 from tests.test_polynomial import P
 
@@ -118,3 +121,37 @@ def test_problem_helpers():
     atoms = problem.ground_truth_atoms(0)
     assert len(atoms) == 1 and atoms[0].op == ">="
     assert problem.effective_check_inputs == problem.train_inputs
+
+
+@pytest.mark.parametrize("name", ["egcd2", "egcd3"])
+def test_body_local_variable_is_left_out_of_the_basis(name):
+    """``temp`` is first assigned inside the loop body, so the first
+    loop-head state lacks it; the term matrix must build without it."""
+    problem = nla_problem(name)
+    config = InferenceConfig()
+    cache = TraceCache()
+    dataset = collect_states(problem, config, None, cache)
+    for loop_index in range(problem.n_loops):
+        assert "temp" in problem.loop_variables(loop_index)
+        bundle = build_matrix(problem, config, dataset, loop_index, cache)
+        used = {v for m in bundle.basis.monomials for v in m.variables}
+        assert "temp" not in used
+        assert bundle.data.shape[1] == len(bundle.basis)
+
+
+def test_only_body_temporaries_are_missing_from_loop_heads():
+    """Every other suite variable is present at every loop head, so the
+    basis rule changes no other problem's matrix."""
+    config = InferenceConfig()
+    missing = set()
+    for suite in ("nla", "code2inv"):
+        for problem in suite_problems(suite):
+            dataset = collect_states(problem, config, None, TraceCache())
+            for loop_index in range(problem.n_loops):
+                states = dataset.states[loop_index]
+                missing.update(
+                    (problem.name, v)
+                    for v in problem.loop_variables(loop_index)
+                    if not all(v in s for s in states)
+                )
+    assert missing == {("egcd2", "temp"), ("egcd3", "temp")}

@@ -478,6 +478,26 @@ def test_http_basic_endpoints_and_errors():
         assert status == 404
 
 
+def test_http_solve_rejects_unknown_config_key():
+    server, executor = stub_server()
+    body = solve_body(tiny_problem(), config={"warm_start": True})
+    with ServerHarness(server) as h:
+        status, payload = h.request("/v1/solve", body=body)
+    assert status == 400
+    assert "warm_start" in payload["error"]
+    assert executor.calls == 0
+
+
+def test_http_solve_rejects_unknown_gcln_config_key():
+    server, executor = stub_server()
+    body = solve_body(tiny_problem(), config={"gcln": {"max_epoch": 10}})
+    with ServerHarness(server) as h:
+        status, payload = h.request("/v1/solve", body=body)
+    assert status == 400
+    assert "max_epoch" in payload["error"]
+    assert executor.calls == 0
+
+
 def test_http_solve_memo_and_result_store():
     server, executor = stub_server()
     problem = tiny_problem()
