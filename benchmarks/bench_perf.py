@@ -1,26 +1,21 @@
 """Performance microbenchmark: the perf trajectory of the training core.
 
-Measures six things and writes them to ``BENCH_PERF.json``:
+Measures five things and writes them to ``BENCH_PERF.json``:
 
 1. **units** — epochs/sec of ``train_units_independently`` on a bank of
    structured PBQU units: the sequential per-unit reference loop vs the
    batched (stacked matrix + fused kernels + tape) path.
 2. **gcln** — epochs/sec of ``train_gcln`` on an auto-built equality
    model: the eager per-unit graph vs the vectorized taped path.
-3. **suite** — ``suite_epochs_per_sec`` over a multi-problem batch of
-   same-shape models, each with its own data matrix: one taped call
-   per problem (what ``cross_batch=1`` does) vs one models-stacked
-   ``train_gcln_restarts`` call for the whole batch (the
-   ``cross_batch=N`` fast path).
-4. **end_to_end** — wall-clock of full solves on a fixed problem set,
+3. **end_to_end** — wall-clock of full solves on a fixed problem set,
    with every optimization disabled (eager training, no attempt
    batching, no checker memoization) vs the defaults.
-5. **replay** — ``tape.step``-only epochs/sec of the units training
+4. **replay** — ``tape.step``-only epochs/sec of the units training
    graph per replay backend: the reference closure walker (``numpy``)
    vs the compiled fused plan (``fused``).  This isolates the replay engine from
-   optimizer/bookkeeping overhead; sections 1-3 pin ``backend="numpy"``
+   optimizer/bookkeeping overhead; sections 1-2 pin ``backend="numpy"``
    so their trajectory stays comparable with historical records.
-6. **serve** — the HTTP front end under concurrent load: one cold
+5. **serve** — the HTTP front end under concurrent load: one cold
    solve latency vs memoized replays hammered by 8 concurrent clients
    (req/s, p50/p95 latency, and the memo speedup ``check_perf.py``
    gates at >= 10x), plus N concurrent *identical* requests proving
@@ -57,7 +52,6 @@ from repro.cln.model import (
 from repro.cln.train import (
     pbqu_ge,
     train_gcln,
-    train_gcln_restarts,
     train_units_independently,
 )
 from repro.infer import InferenceConfig
@@ -129,59 +123,6 @@ def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
         out[f"{label}_epochs_per_sec"] = result.epochs / elapsed
         out["units"] = len(model.units_flat)
     out["speedup"] = out["vectorized_epochs_per_sec"] / out["eager_epochs_per_sec"]
-    return out
-
-
-def bench_suite(
-    epochs: int, n_problems: int = 12, n_terms: int = 12, samples: int = 40
-) -> dict:
-    """Cross-problem batch: suite epochs/sec, stacked vs per-problem.
-
-    One model per synthetic "problem", each with its *own* data matrix
-    (same shape — the bucket the cross-batcher builds).  The sequential
-    leg trains each model in its own taped ``train_gcln`` call, exactly
-    what ``run_many(cross_batch=1)`` does per first attempt; the
-    stacked leg trains the whole batch in one models-stacked
-    ``train_gcln_restarts`` call.  Both legs are bitwise-equal per
-    model, so the ratio is pure epoch-amortization.
-    """
-
-    def build(seed: int):
-        rng = np.random.default_rng(seed)
-        data = normalize_rows(
-            np.abs(rng.normal(size=(samples, n_terms))) + 0.5
-        )
-        config = GCLNConfig(
-            n_clauses=10, max_epochs=epochs, dropout_rate=0.5,
-            backend="numpy",
-        )
-        model = GCLN(
-            n_terms, config, np.random.default_rng(seed), protected_terms=[0]
-        )
-        return model, data
-
-    total_epochs = n_problems * epochs
-    out: dict = {"problems": n_problems}
-
-    pairs = [build(seed) for seed in range(n_problems)]
-    start = time.perf_counter()
-    for model, data in pairs:
-        train_gcln(model, data, early_stop_patience=_NO_EARLY_STOP)
-    elapsed = time.perf_counter() - start
-    out["cross1_epochs_per_sec"] = total_epochs / elapsed
-
-    pairs = [build(seed) for seed in range(n_problems)]
-    models = [model for model, _ in pairs]
-    matrices = [data for _, data in pairs]
-    start = time.perf_counter()
-    train_gcln_restarts(models, matrices, early_stop_patience=_NO_EARLY_STOP)
-    elapsed = time.perf_counter() - start
-    out["stacked_epochs_per_sec"] = total_epochs / elapsed
-    # The acceptance metric: model-epochs/sec across the suite.
-    out["suite_epochs_per_sec"] = out["stacked_epochs_per_sec"]
-    out["speedup"] = (
-        out["stacked_epochs_per_sec"] / out["cross1_epochs_per_sec"]
-    )
     return out
 
 
@@ -407,9 +348,6 @@ def run(args: argparse.Namespace) -> dict:
         "python": platform.python_version(),
         "units": bench_units(unit_epochs),
         "gcln": bench_gcln(unit_epochs),
-        "suite": bench_suite(
-            unit_epochs, n_problems=(8 if args.quick else 12)
-        ),
         "replay": bench_replay(1500 if args.quick else 3000),
         "end_to_end": bench_end_to_end(args.problems, e2e_epochs),
         "serve": bench_serve(
@@ -422,7 +360,6 @@ def run(args: argparse.Namespace) -> dict:
 
 def report(payload: dict) -> str:
     units, gcln, e2e = payload["units"], payload["gcln"], payload["end_to_end"]
-    suite = payload["suite"]
     replay = payload["replay"]
     rows = [
         [
@@ -436,12 +373,6 @@ def report(payload: dict) -> str:
             f"{gcln['eager_epochs_per_sec']:.0f} ep/s",
             f"{gcln['vectorized_epochs_per_sec']:.0f} ep/s",
             f"{gcln['speedup']:.1f}x",
-        ],
-        [
-            f"suite ({suite['problems']} problems, cross-batch)",
-            f"{suite['cross1_epochs_per_sec']:.0f} ep/s",
-            f"{suite['stacked_epochs_per_sec']:.0f} ep/s",
-            f"{suite['speedup']:.1f}x",
         ],
         [
             f"replay ({replay['nodes']} nodes, tape.step only)",

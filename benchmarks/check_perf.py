@@ -3,15 +3,14 @@
 Two kinds of checks:
 
 * **Relative speedups** (machine-independent): the batched units path
-  must stay >= 3x its sequential reference, the cross-problem suite
-  batch >= 2x per-problem training, the end-to-end solves >= 2x
+  must stay >= 3x its sequential reference, the end-to-end solves >= 2x
   the all-optimizations-off configuration, the compiled (fused)
   tape replay >= 3x the batched training loop's epochs/sec and never
   slower than the reference closure walker, and the HTTP server's
   memoized replays >= 10x faster than a cold solve (with the in-flight
   dedup collapsing N concurrent identical requests to exactly one
   solve) — the acceptance criteria of the vectorized-training-core,
-  cross-batch, compiled-replay, and serve changes.  On loaded or
+  compiled-replay, and serve changes.  On loaded or
   heavily shared runners the ratios themselves get noisy; set
   ``REPRO_PERF_FLOOR_SCALE`` (a float in (0, 1], default 1.0) to scale
   every relative floor down instead of letting the gate flake — e.g.
@@ -34,7 +33,6 @@ import os
 import sys
 
 MIN_UNITS_SPEEDUP = 3.0
-MIN_SUITE_SPEEDUP = 2.0
 MIN_E2E_SPEEDUP = 2.0
 # The compiled fused replay vs the batched epochs/sec recorded in the
 # checked-in baseline — the compiled-replay acceptance criterion.  The
@@ -70,11 +68,6 @@ def check(current: dict, baseline: dict) -> list[str]:
     scale = floor_scale()
     if scale != 1.0:
         print(f"note: relative floors scaled by REPRO_PERF_FLOOR_SCALE={scale}")
-    if "suite" not in current:
-        failures.append(
-            "record has no 'suite' section — regenerate it with the "
-            "current benchmarks/bench_perf.py"
-        )
     if "replay" not in current:
         failures.append(
             "record has no 'replay' section — regenerate it with the "
@@ -89,10 +82,6 @@ def check(current: dict, baseline: dict) -> list[str]:
         ("units", current["units"]["speedup"], MIN_UNITS_SPEEDUP),
         ("end-to-end", current["end_to_end"]["speedup"], MIN_E2E_SPEEDUP),
     ]
-    if "suite" in current:
-        floors.append(
-            ("suite cross-batch", current["suite"]["speedup"], MIN_SUITE_SPEEDUP)
-        )
     if "replay" in current:
         replay = current["replay"]
         floors.append(
@@ -144,7 +133,6 @@ def check(current: dict, baseline: dict) -> list[str]:
     for section, metric in (
         ("units", "batched_epochs_per_sec"),
         ("gcln", "vectorized_epochs_per_sec"),
-        ("suite", "stacked_epochs_per_sec"),
         ("replay", "fused_epochs_per_sec"),
     ):
         if section not in baseline or section not in current:
@@ -175,7 +163,6 @@ def main(argv: list[str]) -> int:
             "perf gate ok: "
             f"units {current['units']['speedup']:.1f}x, "
             f"gcln {current['gcln']['speedup']:.1f}x, "
-            f"suite {current['suite']['speedup']:.1f}x, "
             f"replay {current['replay']['speedup']:.1f}x, "
             f"end-to-end {current['end_to_end']['speedup']:.1f}x, "
             f"serve memo {current['serve']['memo_speedup']:.0f}x"

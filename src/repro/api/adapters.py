@@ -65,11 +65,7 @@ def _silent(_event: Event) -> None:
 
 def solve_result_from_inference(result) -> SolveResult:
     """Package an engine :class:`~repro.infer.pipeline.InferenceResult`
-    as the registry-wide :class:`SolveResult` schema.
-
-    Shared by :class:`GCLNSolver` and the cross-problem batcher
-    (:mod:`repro.infer.batcher`), which drives engines directly.
-    """
+    as the registry-wide :class:`SolveResult` schema."""
     loops = []
     for loop in result.loops:
         loops.append(

@@ -197,7 +197,6 @@ class InvariantService:
         jobs: int = 1,
         timeout_seconds: float | None = None,
         progress: Callable[["ProblemRecord"], None] | None = None,
-        cross_batch: int = 1,
         workers: "int | str" = 1,
         queue_dir: str | None = None,
         min_workers: int = 1,
@@ -218,12 +217,6 @@ class InvariantService:
         Per-stage timings come back inside each record's result, and
         only the completion events stream live.
 
-        ``cross_batch > 1`` (G-CLN only, single process) trains
-        same-shape attempts from *different* problems in one stacked
-        call (:mod:`repro.infer.batcher`), sharing the service cache
-        and streaming the full event feed; the per-problem timeout is
-        then soft (checked between training rounds).
-
         ``workers > 1`` (or any value with ``queue_dir``) fans the
         suite out over the distributed runner (:mod:`repro.dist`):
         local worker processes drain a journaled work queue, each
@@ -243,7 +236,7 @@ class InvariantService:
             workers == "auto" or queue_dir is not None
             or (isinstance(workers, int) and workers > 1)
         )
-        inline = jobs == 1 and cross_batch <= 1 and not distributed
+        inline = jobs == 1 and not distributed
 
         def on_record(record: "ProblemRecord") -> None:
             # Inline ok-records already emitted ProblemSolved via
@@ -278,15 +271,10 @@ class InvariantService:
                 if inline
                 else None
             ),
-            cross_batch=cross_batch,
             cache_dir=(
                 str(self.cache.cache_dir)
                 if self.cache.cache_dir is not None
                 else None
-            ),
-            cache=self.cache if cross_batch > 1 and not distributed else None,
-            events=(
-                self.bus.emit if cross_batch > 1 and not distributed else None
             ),
             workers=workers,
             queue_dir=queue_dir,

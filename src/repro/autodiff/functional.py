@@ -180,9 +180,7 @@ def fused_gated_tnorm(values: Tensor, gates: Tensor, axis: int = -1) -> Tensor:
 
     ``gates`` broadcasts against ``values`` (e.g. per-clause gates of
     shape ``(clauses, literals)`` against ``(samples, clauses,
-    literals)``, or ``(models, 1, clauses, literals)`` against a
-    models-stacked ``(models, samples, clauses, literals)`` batch);
-    gradients are reduced back over broadcast axes.
+    literals)``); gradients are reduced back over broadcast axes.
     """
     axis = axis if axis >= 0 else values.ndim + axis
     inner = np.asarray(1.0 + gates.data * (values.data - 1.0))

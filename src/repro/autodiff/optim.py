@@ -126,99 +126,6 @@ class Adam(Optimizer):
         self.lr *= self.decay
 
 
-class StackedAdam(Adam):
-    """Adam over ``(models, ...)`` stacked parameters with per-model freezing.
-
-    Every Adam intermediate is elementwise, so one update over stacked
-    tensors is bitwise-identical per leading-axis slice to running one
-    Adam per model — as long as all models step in lockstep, which the
-    stacked training loops guarantee (stopped models are *frozen*, not
-    skipped).  :meth:`freeze` zeroes a model's future update slices so
-    its parameters never change again; its moment buffers keep evolving
-    against stale gradients but are never applied (models never
-    unfreeze), preserving the per-model early-stop guarantee without
-    per-model Python loops.
-    """
-
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        decay: float = 1.0,
-    ):
-        super().__init__(params, lr, betas, eps, decay)
-        self._frozen: list[int] = []
-
-    def freeze(self, index: int) -> None:
-        """Permanently stop updating model ``index``'s parameter slices."""
-        if index not in self._frozen:
-            self._frozen.append(index)
-
-    def step(self) -> None:
-        self._step += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1**self._step
-        bias2 = 1.0 - beta2**self._step
-        for p, m, v, s1, s2 in zip(self.params, self._m, self._v, self._s1, self._s2):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            m *= beta1
-            np.multiply(grad, 1.0 - beta1, out=s1)
-            m += s1
-            v *= beta2
-            np.multiply(grad, grad, out=s1)
-            s1 *= 1.0 - beta2
-            v += s1
-            np.divide(v, bias2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += self.eps
-            np.divide(m, bias1, out=s2)
-            s2 *= self.lr
-            s2 /= s1
-            if self._frozen:
-                # x - 0.0 == x bitwise: frozen slices stay untouched.
-                s2[self._frozen] = 0.0
-            p.data -= s2
-        self.lr *= self.decay
-
-
-def clip_grad_norm_stacked(
-    params: list[Tensor], max_norm: float
-) -> np.ndarray:
-    """Per-model global-norm clip over ``(models, ...)`` stacked grads.
-
-    Model m's norm is taken over its leading-axis slices of every
-    parameter, in parameter order — the same accumulation order (and
-    hence bitwise the same norm) as :func:`clip_grad_norm` over that
-    model's own parameter list.  Models under the threshold are scaled
-    by exactly 1.0 (a bitwise no-op), so the result matches per-model
-    clipping without a per-model Python loop.  Returns the pre-clip
-    norms, one per model.
-    """
-    totals: np.ndarray | None = None
-    n_models = params[0].data.shape[0]
-    for p in params:
-        if p.grad is None:
-            continue
-        grad = p.grad
-        sq = (grad.reshape(n_models, -1) ** 2).sum(axis=1)
-        totals = sq if totals is None else totals + sq
-    if totals is None:
-        return np.zeros(n_models)
-    norms = np.sqrt(totals)
-    needs_clip = (norms > max_norm) & (norms > 0)
-    if needs_clip.any():
-        scale = np.ones_like(norms)
-        scale[needs_clip] = max_norm / norms[needs_clip]
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale.reshape((-1,) + (1,) * (p.grad.ndim - 1))
-    return norms
-
-
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Clip the global gradient norm in place; returns the pre-clip norm."""
     total = 0.0

@@ -55,13 +55,3 @@ def equality_inductive_symbolic(
             return CheckOutcome.UNKNOWN
     return CheckOutcome.VALID
 
-
-def conjunction_inductive_symbolic(
-    candidates: Sequence[Polynomial],
-    paths: Sequence[LoopPath],
-) -> list[CheckOutcome]:
-    """Vector version: check each candidate against the whole set."""
-    return [
-        equality_inductive_symbolic(candidate, candidates, paths)
-        for candidate in candidates
-    ]

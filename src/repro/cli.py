@@ -330,19 +330,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
-    if args.cross_batch < 1:
-        raise SystemExit(
-            f"--cross-batch must be >= 1, got {args.cross_batch}"
-        )
-    if args.cross_batch > 1 and args.jobs > 1:
-        raise SystemExit(
-            "--cross-batch and --jobs are mutually exclusive: cross-problem "
-            "batches amortize training within one process"
-        )
-    if args.cross_batch > 1 and args.solver != "gcln":
-        raise SystemExit(
-            f"--cross-batch requires the gcln solver, got {args.solver!r}"
-        )
     distributed = (
         workers == "auto" or args.queue_dir is not None
         or (isinstance(workers, int) and workers > 1)
@@ -408,7 +395,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             timeout_seconds=args.timeout,
             progress=progress,
-            cross_batch=args.cross_batch,
             workers=workers,
             queue_dir=args.queue_dir,
             min_workers=args.min_workers,
@@ -470,7 +456,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 "suite": suite_label,
                 "solver": args.solver,
                 "jobs": args.jobs,
-                "cross_batch": args.cross_batch,
                 "timeout_seconds": args.timeout,
                 "summary": stats,
                 "records": [r.to_dict() for r in records],
@@ -482,14 +467,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _cmd_enqueue(args: argparse.Namespace) -> int:
     from repro.dist import enqueue_suite
 
-    if args.cross_batch < 1:
-        raise SystemExit(
-            f"--cross-batch must be >= 1, got {args.cross_batch}"
-        )
-    if args.cross_batch > 1 and args.solver != "gcln":
-        raise SystemExit(
-            f"--cross-batch requires the gcln solver, got {args.solver!r}"
-        )
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
     try:
@@ -500,7 +477,6 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
             solver=args.solver,
             config=InferenceConfig(max_epochs=args.epochs),
             timeout_seconds=args.timeout,
-            cross_batch=args.cross_batch,
             lease_seconds=args.lease,
         )
     except ReproError as exc:
@@ -534,7 +510,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.dist import Worker, WorkQueue, install_stop_handler
 
     target = _queue_target(args)
-    if args.batch_size is not None and args.batch_size < 1:
+    if args.batch_size < 1:
         raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.max_items is not None and args.max_items < 1:
         raise SystemExit(f"--max-items must be >= 1, got {args.max_items}")
@@ -623,7 +599,6 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     print(f"queue:   {queue.root}")
     print(
         f"run:     solver={meta.get('solver', 'gcln')} "
-        f"cross_batch={meta.get('cross_batch', 1)} "
         f"lease={meta.get('lease_seconds')}s suite={meta.get('suite')}"
     )
     print(
@@ -850,20 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "durable work-queue directory (or queue-server URL) for "
             "--workers; re-running on a half-finished queue resumes it "
-            "(journaled problems are not re-solved; the stored "
-            "cross-batch width must match).  Default: a private "
-            "temporary queue"
-        ),
-    )
-    all_parser.add_argument(
-        "--cross-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "train up to N same-shape models from different problems in "
-            "one stacked call (gcln only, single process; same invariants "
-            "as sequential solving)"
+            "(journaled problems are not re-solved).  Default: a "
+            "private temporary queue"
         ),
     )
     all_parser.add_argument(
@@ -871,10 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help=(
-            "per-problem wall-clock budget (soft — checked between "
-            "training rounds — with --cross-batch > 1)"
-        ),
+        help="per-problem wall-clock budget (enforced with SIGALRM)",
     )
     all_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
@@ -918,13 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-problem wall-clock budget applied by workers",
     )
     enqueue_parser.add_argument(
-        "--cross-batch", type=int, default=1, metavar="N",
-        help=(
-            "workers claim N items at a time and train same-shape models "
-            "in one stacked call (gcln only)"
-        ),
-    )
-    enqueue_parser.add_argument(
         "--lease", type=float, default=300.0, metavar="SECONDS",
         help=(
             "claim lease; items held longer without a renewal are "
@@ -952,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared on-disk trace-cache spill (same value for all workers)",
     )
     worker_parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="items claimed per round (default: the queue's cross-batch, or 1)",
+        "--batch-size", type=int, default=1, metavar="N",
+        help="items claimed per round (default: 1)",
     )
     worker_parser.add_argument(
         "--max-items", type=int, default=None, metavar="N",

@@ -25,7 +25,7 @@ from repro.cln.activations import (
     sigmoid_ge_numpy,
     gaussian_equality_numpy,
 )
-from repro.cln.model import GCLN, GCLNConfig, GCLNStack, AtomicKind
+from repro.cln.model import GCLN, GCLNConfig, AtomicKind
 from repro.cln.train import (
     RestartOutcome,
     TrainResult,
@@ -52,7 +52,6 @@ __all__ = [
     "gaussian_equality_numpy",
     "GCLN",
     "GCLNConfig",
-    "GCLNStack",
     "AtomicKind",
     "TrainResult",
     "RestartOutcome",

@@ -24,53 +24,7 @@ Two implementations share the math:
 from __future__ import annotations
 
 from repro.autodiff.tensor import Tensor
-from repro.cln.model import GCLN, GCLNStack
-
-
-def build_gcln_loss_stacked(
-    stack: GCLNStack,
-    X: Tensor,
-    lam1: Tensor,
-    lam2: Tensor,
-    sigma,
-    c1,
-) -> Tensor:
-    """Per-model loss vector through the models-stacked forward.
-
-    The cross-problem counterpart of :func:`build_gcln_loss_batched`:
-    one graph evaluates every model in the stack on its *own* data
-    matrix (``X`` is the stacked ``(models, samples, terms)`` leaf) and
-    returns the ``(models,)`` loss vector, whose entry m is built by
-    the same op sequence — hence bitwise-equal — as the solo scalar
-    loss of model m.  Callers root the tape at ``loss_vec.sum()``;
-    since the total is a sum of per-model terms, each model's gradient
-    slice is exactly its solo gradient.
-
-    Args:
-        stack: the model stack.
-        X: stacked data leaf, one matrix per model, updated in place
-            between recordings if reused.
-        lam1: per-model λ1 vector leaf (active slots updated in place).
-        lam2: per-model λ2 vector leaf.
-        sigma: annealed σ (float or 0-d box), shared — models only
-            stack when their annealing schedules agree.
-        c1: annealed c1 (float or 0-d box), shared.
-    """
-    n_models = len(stack)
-    output = stack.forward_stacked(X, sigma=sigma, c1=c1)
-    data_term = (1.0 - output).sum(axis=1)
-    and_term = (1.0 - stack.and_gates).sum(axis=1)
-    or_term = stack.or_gates.reshape(n_models, -1).sum(axis=1)
-    loss = data_term + lam1 * and_term + lam2 * or_term
-    if stack.config.weight_l1 > 0.0:
-        l1 = (
-            stack.stacked_effective_weights()
-            .abs()
-            .reshape(n_models, -1)
-            .sum(axis=1)
-        )
-        loss = loss + stack.config.weight_l1 * l1
-    return loss
+from repro.cln.model import GCLN
 
 
 def build_gcln_loss_batched(

@@ -392,63 +392,6 @@ class GCLN:
         clause = gated_tconorm(values, self.or_gates_stacked, axis=2)
         return gated_tnorm(clause, self.and_gates, axis=1)
 
-    def stack_signature(self) -> tuple:
-        """Key under which models may train together in one model stack.
-
-        Two models with equal signatures build structurally identical
-        loss graphs whose training dynamics (activation constants,
-        schedules, regularizers, pruning) coincide, so their parameter
-        tensors can share one ``(models, units, terms)`` stack.  Dropout
-        masks and weight initializations are data, not structure, and
-        deliberately stay out of the key.
-        """
-        c = self.config
-        return (
-            self.units_flat[0].kind.value,
-            self.unit_weights.data.shape,
-            None if self.or_gates_stacked is None else self.or_gates_stacked.data.shape,
-            self.and_gates.data.shape,
-            c.sigma, c.c1, c.c2, c.anneal_init,
-            c.learning_rate, c.lr_decay,
-            c.lambda1_schedule, c.lambda2_schedule,
-            c.weight_l1, c.weight_regularization,
-            c.prune_interval, c.prune_threshold, c.max_epochs,
-        )
-
-    def rebind_storage(
-        self,
-        weights: np.ndarray,
-        masks: np.ndarray,
-        mask_values: np.ndarray,
-        and_gates: np.ndarray,
-        or_gates: np.ndarray,
-    ) -> None:
-        """Rebind all parameter storage onto caller-owned arrays.
-
-        The arrays are typically slice views into a :class:`GCLNStack`'s
-        ``(models, ...)`` super-stack and must already hold this model's
-        current values (the caller copies them in).  After rebinding,
-        every existing code path — eager forward, extraction, pruning,
-        gate projection — reads and writes the caller's memory, exactly
-        as :meth:`_stack_units` does for per-unit row views.
-        """
-        if weights.shape != self.unit_weights.data.shape:
-            raise TrainingError(
-                f"rebind shape mismatch: {weights.shape} vs "
-                f"{self.unit_weights.data.shape}"
-            )
-        self.unit_weights = Tensor(weights, requires_grad=True)
-        self.unit_masks = masks
-        self._unit_mask_tensor = Tensor(mask_values)
-        self.and_gates = Tensor(and_gates, requires_grad=True)
-        for i, unit in enumerate(self.units_flat):
-            unit.bind_row(weights[i], masks[i], mask_values[i])
-        self.or_gates_stacked = Tensor(or_gates, requires_grad=True)
-        self.or_gates = [
-            Tensor(self.or_gates_stacked.data[i], requires_grad=True)
-            for i in range(len(self.clauses))
-        ]
-
     # -- parameters ----------------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
@@ -472,9 +415,6 @@ class GCLN:
         else:
             gates.extend(self.or_gates)
         return [*gates, self.unit_weights]
-
-    def gate_parameters(self) -> list[Tensor]:
-        return [self.and_gates, *self.or_gates]
 
     def project_gates(self) -> None:
         """Clip all gate parameters back into [0, 1] after an update."""
@@ -552,107 +492,6 @@ def complexity_term_weights(
             continue
         weights[j] = 2.0 ** (-(deg - 1))
     return weights
-
-
-class GCLNStack:
-    """R independent G-CLN models stacked along a leading ``models`` axis.
-
-    The cross-problem generalization of :meth:`GCLN._stack_units`: all
-    models' parameters live in ``(models, units, terms)`` /
-    ``(models, clauses[, literals])`` super-tensors, and each model's
-    own tensors are rebound to slice views of them.  One stacked
-    forward then trains every model in a handful of numpy calls —
-    bitwise-identical per slice to the per-model batched forward,
-    because every stacked op (batched matmul, leading-axis reductions,
-    elementwise kernels) reduces to the same per-slice operations.
-
-    Requires every model to be :meth:`GCLN.batched_capable` and to
-    share one :meth:`GCLN.stack_signature`.
-    """
-
-    def __init__(self, models: Sequence[GCLN]):
-        if not models:
-            raise TrainingError("GCLNStack needs at least one model")
-        signature = models[0].stack_signature()
-        for model in models:
-            if not model.batched_capable():
-                raise TrainingError(
-                    "all stacked models must be batched-capable"
-                )
-            if model.stack_signature() != signature:
-                raise TrainingError(
-                    "models with different stack signatures cannot share "
-                    "a model stack; group by GCLN.stack_signature() first"
-                )
-        self.models = list(models)
-        self.config = models[0].config
-        self.kind = models[0].units_flat[0].kind
-        self.n_clauses = len(models[0].clauses)
-        self.literals = len(models[0].clauses[0])
-
-        weights = np.stack([m.unit_weights.data for m in models])
-        masks = np.stack([m.unit_masks for m in models])
-        mask_values = masks.astype(np.float64)
-        and_gates = np.stack([m.and_gates.data for m in models])
-        or_gates = np.stack([m.or_gates_stacked.data for m in models])
-        # The bool super-stack; models' unit_masks become row views of it.
-        self.unit_masks = masks
-        self.unit_weights = Tensor(weights, requires_grad=True)
-        self._unit_mask_tensor = Tensor(mask_values)
-        self.and_gates = Tensor(and_gates, requires_grad=True)
-        self.or_gates = Tensor(or_gates, requires_grad=True)
-        for i, model in enumerate(models):
-            model.rebind_storage(
-                weights[i],
-                masks[i],
-                self._unit_mask_tensor.data[i],
-                and_gates[i],
-                or_gates[i],
-            )
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def stacked_effective_weights(self) -> Tensor:
-        """Masked, optionally slice-normalized (models, units, terms).
-
-        Slice m is exactly ``models[m].stacked_effective_weights()``.
-        """
-        w = self.unit_weights * self._unit_mask_tensor
-        if self.config.weight_regularization:
-            norm = ((w * w).sum(axis=2, keepdims=True) + 1e-12) ** 0.5
-            w = w / norm
-        return w
-
-    def unit_activations(self, X: Tensor, sigma=None, c1=None) -> Tensor:
-        """All models' unit truth values, shape (models, samples, units).
-
-        ``X`` is the stacked (models, samples, terms) data tensor;
-        ``sigma``/``c1`` may be floats or 0-d boxes shared across the
-        stack (models only stack when their annealing schedules agree).
-        """
-        residuals = X @ self.stacked_effective_weights().swapaxes(1, 2)
-        if self.kind is AtomicKind.EQ:
-            return gaussian_equality(
-                residuals, self.config.sigma if sigma is None else sigma
-            )
-        return pbqu_ge(
-            residuals,
-            self.config.c1 if c1 is None else c1,
-            self.config.c2,
-        )
-
-    def forward_stacked(self, X: Tensor, sigma=None, c1=None) -> Tensor:
-        """All models' outputs M_m(x), shape (models, samples)."""
-        acts = self.unit_activations(X, sigma=sigma, c1=c1)
-        n_models, n_samples = acts.shape[0], acts.shape[1]
-        values = acts.reshape(
-            n_models, n_samples, self.n_clauses, self.literals
-        )
-        or_g = self.or_gates.reshape(n_models, 1, self.n_clauses, self.literals)
-        clause = gated_tconorm(values, or_g, axis=3)
-        and_g = self.and_gates.reshape(n_models, 1, self.n_clauses)
-        return gated_tnorm(clause, and_g, axis=2)
 
 
 def structured_inequality_units(

@@ -29,27 +29,16 @@ the parameters sequential training would have produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import (
-    Adam,
-    StackedAdam,
-    clip_grad_norm,
-    clip_grad_norm_stacked,
-)
+from repro.autodiff.optim import Adam, clip_grad_norm
 from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor, no_grad
 from repro.cln.activations import gaussian_equality, pbqu_ge
-from repro.cln.loss import (
-    GateSchedule,
-    build_gcln_loss_batched,
-    build_gcln_loss_stacked,
-    gcln_loss,
-)
-from repro.cln.model import AtomicKind, GCLN, GCLNStack
+from repro.cln.loss import GateSchedule, build_gcln_loss_batched, gcln_loss
+from repro.cln.model import AtomicKind, GCLN
 
 
 @dataclass
@@ -129,20 +118,13 @@ class _RestartState:
         "history",
     )
 
-    def __init__(self, model: GCLN, epochs: int, make_optimizer: bool = True):
+    def __init__(self, model: GCLN, epochs: int):
         config = model.config
         self.model = model
-        # The stacked cross-problem loop optimizes the model-stack
-        # super-tensors with one StackedAdam instead of per-model
-        # optimizers; it passes make_optimizer=False.
-        self.optimizer = (
-            Adam(
-                model.parameters_batched(),
-                lr=config.learning_rate,
-                decay=config.lr_decay,
-            )
-            if make_optimizer
-            else None
+        self.optimizer = Adam(
+            model.parameters_batched(),
+            lr=config.learning_rate,
+            decay=config.lr_decay,
         )
         self.lambda1 = GateSchedule(*config.lambda1_schedule)
         self.lambda2 = GateSchedule(*config.lambda2_schedule)
@@ -169,7 +151,7 @@ class _RestartState:
 
 def _run_restart_epochs(
     states: list[_RestartState],
-    X: Tensor | Sequence[Tensor],
+    X: Tensor,
     epochs: int,
     early_stop_patience: int,
     loss_tolerance: float,
@@ -184,21 +166,16 @@ def _run_restart_epochs(
     comparability, stale/saturation early stop): solo ``train_gcln``
     runs it with one state, so the bitwise restarts==solo guarantee is
     structural rather than maintained by hand.
-
-    ``X`` may be one shared data tensor or a per-state sequence of
-    data tensors (one leaf per model, e.g. attempts from different
-    problems); each state's loss term is built from its own leaf.
     """
-    xs = list(X) if isinstance(X, (list, tuple)) else [X] * len(states)
     loss_nodes: list[Tensor] = []
     tape = Tape(backend=states[0].model.config.backend)
 
     def build() -> Tensor:
         loss_nodes.clear()
         total: Tensor | None = None
-        for state, x in zip(states, xs):
+        for state in states:
             term = build_gcln_loss_batched(
-                state.model, x, state.lam1_t, state.lam2_t,
+                state.model, X, state.lam1_t, state.lam2_t,
                 state.sigma_box, state.c1_box,
             )
             loss_nodes.append(term)
@@ -266,146 +243,9 @@ def _run_restart_epochs(
     _publish_tape_stats(tape)
 
 
-def _run_stacked_epochs(
-    states: list[_RestartState],
-    stack: GCLNStack,
-    X: Tensor,
-    epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-    require_saturation: bool,
-    clip_norm: float,
-) -> None:
-    """Epoch loop over a model stack: one graph for all models.
-
-    Mirrors :func:`_run_restart_epochs` invariant for invariant (anneal
-    gating, prune timing, post-anneal loss comparability, the
-    stale/saturation early stop), but the forward/backward is a single
-    models-stacked graph and the update is a single
-    :class:`StackedAdam` step over the super-tensors — every Adam
-    intermediate is elementwise and the per-model clip norms accumulate
-    in the same order, so each model's slice evolves bitwise as it
-    would under its own optimizer.  A model that early-stops (or
-    diverges) is frozen in the optimizer: its update slices are zeroed
-    from then on, so its parameters never change again — the same
-    guarantee the per-model loop provides.  Gate projection is one
-    ``np.clip`` over the stacked gates; a frozen model's gates are
-    already projected, so re-clipping them is a bitwise no-op.
-
-    Must be called after :class:`GCLNStack` rebinding, with ``states``
-    built from the rebound models (``make_optimizer=False``).
-    """
-    config = stack.config
-    n_models = len(states)
-    anneal_init, anneal_decay = _anneal(config, epochs)
-    relax_scale = anneal_init
-    lam1_vec = Tensor(np.zeros(n_models))
-    lam2_vec = Tensor(np.zeros(n_models))
-    sigma_box = np.array(config.sigma * anneal_init)
-    c1_box = np.array(config.c1 * anneal_init)
-    loss_node: list[Tensor] = []
-    tape = Tape(backend=config.backend)
-    stacked_params = [stack.and_gates, stack.or_gates, stack.unit_weights]
-    optimizer = StackedAdam(
-        stacked_params,
-        lr=config.learning_rate,
-        decay=config.lr_decay,
-    )
-
-    def build() -> Tensor:
-        loss_node.clear()
-        vec = build_gcln_loss_stacked(
-            stack, X, lam1_vec, lam2_vec, sigma_box, c1_box
-        )
-        loss_node.append(vec)
-        return vec.sum()
-
-    for epoch in range(1, epochs + 1):
-        for i, state in enumerate(states):
-            if not state.stopped:
-                lam1_vec.data[i] = state.lambda1.step()
-                lam2_vec.data[i] = state.lambda2.step()
-        sigma_box[...] = config.sigma * relax_scale
-        c1_box[...] = config.c1 * relax_scale
-        tape.step(build)
-        clip_grad_norm_stacked(stacked_params, clip_norm)
-        optimizer.step()
-        np.clip(stack.and_gates.data, 0.0, 1.0, out=stack.and_gates.data)
-        np.clip(stack.or_gates.data, 0.0, 1.0, out=stack.or_gates.data)
-        relax_scale = max(relax_scale * anneal_decay, 1.0)
-        values = loss_node[0].data
-        for i, state in enumerate(states):
-            if state.stopped:
-                continue
-            state.epoch = epoch
-            state.relax_scale = relax_scale
-            if (
-                relax_scale == 1.0
-                and config.prune_interval > 0
-                and epoch % config.prune_interval == 0
-            ):
-                for group in state.model.clauses:
-                    for unit in group:
-                        unit.prune(config.prune_threshold)
-            value = float(values[i])
-            if not np.isfinite(value):
-                state.error = f"loss diverged to {value} at epoch {epoch}"
-                state.stopped = True
-                optimizer.freeze(i)
-                continue
-            if state.history is not None:
-                state.history.append(value)
-            if relax_scale > 1.0:
-                state.best_loss = min(state.best_loss, value)
-                continue
-            if value < state.best_loss - loss_tolerance:
-                state.best_loss = value
-                state.stale = 0
-            else:
-                state.stale += 1
-            if state.stale >= early_stop_patience and (
-                not require_saturation or state.model.gates_saturated()
-            ):
-                state.stopped = True
-                optimizer.freeze(i)
-        optimizer.zero_grad()
-        if all(state.stopped for state in states):
-            break
-    _publish_tape_stats(tape)
-
-
-def _per_model_matrices(
-    models: list[GCLN], data
-) -> list[np.ndarray] | None:
-    """Normalize the ``data`` argument of :func:`train_gcln_restarts`.
-
-    Returns ``None`` for the legacy shared 2-D matrix, else one matrix
-    per model (from a ``(models, samples, terms)`` array or a sequence
-    of 2-D matrices).
-    """
-    if isinstance(data, np.ndarray) and data.ndim == 2:
-        return None
-    if isinstance(data, np.ndarray) and data.ndim == 3:
-        matrices = [data[i] for i in range(data.shape[0])]
-    elif isinstance(data, (list, tuple)):
-        matrices = [np.asarray(d, dtype=np.float64) for d in data]
-    else:
-        raise TrainingError(
-            "data must be a 2-D matrix, a (models, samples, terms) array, "
-            f"or a sequence of 2-D matrices; got {type(data).__name__}"
-        )
-    if len(matrices) != len(models):
-        raise TrainingError(
-            f"got {len(matrices)} data matrices for {len(models)} models"
-        )
-    for matrix in matrices:
-        _validate_data(matrix)
-    return matrices
-
-
 def train_gcln_restarts(
     models: list[GCLN],
-    data,
+    data: np.ndarray,
     max_epochs: int | None = None,
     early_stop_patience: int = 200,
     loss_tolerance: float = 1e-4,
@@ -415,26 +255,14 @@ def train_gcln_restarts(
     Every model trains exactly as it would under :func:`train_gcln`
     alone (decoupled gradients, per-model clipping and Adam state,
     early-stopped models frozen in place), but the epochs run through
-    one taped graph, amortizing the Python interpreter over the whole
-    batch.
-
-    ``data`` selects the batching mode:
-
-    * a 2-D ``(samples, terms)`` matrix — R restarts of one problem
-      sharing one data leaf (the PR 3 mode);
-    * a 3-D ``(models, samples, terms)`` array or a sequence of R 2-D
-      matrices — one data matrix *per model*, e.g. same-shape first
-      attempts from different problems (cross-problem batches).  When
-      every model shares one :meth:`GCLN.stack_signature` the whole
-      batch trains through a single models-stacked forward
-      (:class:`GCLNStack`); otherwise each model keeps its own subgraph
-      with its own data leaf on one shared tape.
+    one taped graph over one shared data leaf, amortizing the Python
+    interpreter over the whole batch.
 
     Args:
         models: batched-capable models (e.g. one per scheduled attempt,
             differing only in dropout masks / seeds).
-        data: shared matrix, stacked batch, or per-model matrices (all
-            already normalized).
+        data: the one 2-D ``(samples, terms)`` matrix every model
+            trains on (already normalized).
         max_epochs: overrides each model's ``config.max_epochs``.
 
     Returns:
@@ -447,52 +275,30 @@ def train_gcln_restarts(
             "all models must be batched-capable; train ragged/mixed models "
             "individually via train_gcln"
         )
-    epochs = max_epochs if max_epochs is not None else models[0].config.max_epochs
-    matrices = _per_model_matrices(models, data)
-    if matrices is None:
-        _validate_data(data)
-        shared = Tensor(data)
-        per_model_x = [shared] * len(models)
-        states = [_RestartState(model, epochs) for model in models]
-        _run_restart_epochs(
-            states, shared, epochs, early_stop_patience, loss_tolerance,
-            require_saturation=True, clip_norm=100.0,
+    if not isinstance(data, np.ndarray) or data.ndim != 2:
+        got = (
+            f"shape {data.shape}"
+            if isinstance(data, np.ndarray)
+            else type(data).__name__
         )
-    else:
-        signatures = {m.stack_signature() for m in models}
-        shapes = {m.shape for m in matrices}
-        if len(signatures) == 1 and len(shapes) == 1:
-            # One stacked graph for the whole batch.  The stack rebinds
-            # model storage to slice views, so states (whose optimizers
-            # capture the parameter tensors) must be built afterwards.
-            stack = GCLNStack(models)
-            stacked = Tensor(np.stack(matrices))
-            per_model_x = [
-                Tensor(stacked.data[i]) for i in range(len(models))
-            ]
-            states = [
-                _RestartState(model, epochs, make_optimizer=False)
-                for model in models
-            ]
-            _run_stacked_epochs(
-                states, stack, stacked, epochs, early_stop_patience,
-                loss_tolerance, require_saturation=True, clip_norm=100.0,
-            )
-        else:
-            per_model_x = [Tensor(matrix) for matrix in matrices]
-            states = [_RestartState(model, epochs) for model in models]
-            _run_restart_epochs(
-                states, per_model_x, epochs, early_stop_patience,
-                loss_tolerance, require_saturation=True, clip_norm=100.0,
-            )
+        raise TrainingError(
+            "train_gcln_restarts needs one 2-D (samples, terms) matrix "
+            f"shared by every model; got {got}"
+        )
+    _validate_data(data)
+    epochs = max_epochs if max_epochs is not None else models[0].config.max_epochs
+    X = Tensor(data)
+    states = [_RestartState(model, epochs) for model in models]
+    _run_restart_epochs(
+        states, X, epochs, early_stop_patience, loss_tolerance,
+        require_saturation=True, clip_norm=100.0,
+    )
     outcomes: list[RestartOutcome] = []
-    for state, x in zip(states, per_model_x):
+    for state in states:
         if state.error is not None:
             outcomes.append(RestartOutcome(result=None, error=state.error))
             continue
-        data_term, converged = _data_convergence(
-            state.model, x, x.data.shape[0]
-        )
+        _, converged = _data_convergence(state.model, X, data.shape[0])
         outcomes.append(
             RestartOutcome(
                 result=TrainResult(

@@ -30,7 +30,6 @@ Everything rides on the wire formats of the earlier PRs:
 """
 
 from repro.dist.coordinator import (
-    check_cross_batch,
     enqueue_suite,
     merge_payload,
     run_distributed,
@@ -66,7 +65,6 @@ __all__ = [
     "WorkItem",
     "WorkQueue",
     "Worker",
-    "check_cross_batch",
     "config_from_dict",
     "config_to_dict",
     "enqueue_suite",

@@ -33,7 +33,7 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.dist.queue import DEFAULT_LEASE_SECONDS, QueueError, WorkQueue
+from repro.dist.queue import DEFAULT_LEASE_SECONDS, WorkQueue
 from repro.dist.transport import TransportNotFound
 from repro.dist.wire import config_to_dict, item_for_problem
 from repro.dist.worker import Worker, worker_main
@@ -56,7 +56,6 @@ def build_meta(
     solver: str = "gcln",
     config: "InferenceConfig | None" = None,
     timeout_seconds: float | None = None,
-    cross_batch: int = 1,
     suite: str | None = None,
     workers: "int | str" = 1,
 ) -> dict:
@@ -65,7 +64,6 @@ def build_meta(
         "solver": solver,
         "config": config_to_dict(config) if config is not None else None,
         "timeout_seconds": timeout_seconds,
-        "cross_batch": cross_batch,
         "suite": suite,
         "workers": workers,
     }
@@ -79,7 +77,6 @@ def enqueue_suite(
     solver: str = "gcln",
     config: "InferenceConfig | None" = None,
     timeout_seconds: float | None = None,
-    cross_batch: int = 1,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
 ) -> tuple[WorkQueue, int, int]:
     """Enqueue a benchmark suite as registry-reference items.
@@ -99,7 +96,6 @@ def enqueue_suite(
             solver=solver,
             config=config,
             timeout_seconds=timeout_seconds,
-            cross_batch=cross_batch,
             suite=suite,
         ),
         lease_seconds=lease_seconds,
@@ -159,7 +155,6 @@ def merge_payload(queue: WorkQueue) -> dict:
         "suite": meta.get("suite"),
         "solver": meta.get("solver", "gcln"),
         "jobs": meta.get("workers", 1),
-        "cross_batch": meta.get("cross_batch", 1),
         "timeout_seconds": meta.get("timeout_seconds"),
         "summary": summarize(ordered),
         "records": [record.to_dict() for record in ordered],
@@ -182,31 +177,6 @@ def _reclaim_dead(queue: WorkQueue, worker_ids: set[str]) -> int:
     return reclaimed
 
 
-def check_cross_batch(queue_target: "str | None", cross_batch: int) -> None:
-    """Reject a cross-batch width that disagrees with an existing queue.
-
-    A queue's ``meta.json`` is authoritative for *how* items are solved
-    (the worker contract), and item ids do not embed ``cross_batch`` —
-    so resuming a queue with a different width would silently re-solve
-    the remainder under different batching than the journaled part.
-    ``run-all --workers`` used to let ``WorkQueue.create`` overwrite
-    the stored width without a word; now it is an error.
-    """
-    if queue_target is None:
-        return
-    try:
-        existing = WorkQueue.open(queue_target).meta
-    except QueueError:
-        return  # fresh directory: nothing to disagree with
-    stored = int(existing.get("cross_batch", 1) or 1)
-    if stored != cross_batch:
-        raise QueueError(
-            f"queue {queue_target} was created with cross_batch={stored}, "
-            f"but this run asked for cross_batch={cross_batch}; re-run with "
-            f"--cross-batch {stored} or point at a fresh queue directory"
-        )
-
-
 def run_distributed(
     problems: Sequence["Problem"],
     config: "InferenceConfig | None" = None,
@@ -215,7 +185,6 @@ def run_distributed(
     queue_dir: str | None = None,
     solver: str = "gcln",
     timeout_seconds: float | None = None,
-    cross_batch: int = 1,
     cache_dir: str | None = None,
     lease_seconds: float | None = None,
     suite: str | None = None,
@@ -239,8 +208,7 @@ def run_distributed(
     With ``queue_dir`` the queue is durable: a re-run on the same
     directory skips everything already journaled and only solves the
     rest (items are matched by stable ids, so the problem list must be
-    the same — and the stored ``cross_batch`` must match, see
-    :func:`check_cross_batch`).  Without it a temporary queue is used
+    the same).  Without it a temporary queue is used
     and removed.  ``queue_dir`` may also be an ``http(s)://`` queue
     server URL, in which case the spawned workers are remote followers
     of that server.
@@ -272,7 +240,6 @@ def run_distributed(
         )
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_cross_batch(queue_dir, cross_batch)
     temp_dir = None
     if queue_dir is None:
         temp_dir = tempfile.mkdtemp(prefix="repro-queue-")
@@ -284,7 +251,6 @@ def run_distributed(
                 solver=solver,
                 config=config,
                 timeout_seconds=timeout_seconds,
-                cross_batch=cross_batch,
                 suite=suite,
                 workers=workers,
             ),

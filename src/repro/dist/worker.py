@@ -7,10 +7,10 @@ process spills to the *same* on-disk store (the spill writes are
 ``mkstemp`` + atomic-rename, so concurrent workers are safe; see PR 3).
 
 The queue's ``meta.json`` is authoritative for *how* to solve (solver,
-config, per-problem timeout, cross-batch width): every worker reads the
-same settings, which is what makes a two-worker drain equivalent to a
-sequential run.  Workers only choose *scheduling* knobs: how many items
-to claim per batch and how often to poll.
+config, per-problem timeout): every worker reads the same settings,
+which is what makes a two-worker drain equivalent to a sequential run.
+Workers only choose *scheduling* knobs: how many items to claim per
+batch and how often to poll.
 
 A worker exits when the queue is fully drained (nothing pending or
 claimed).  While other workers still hold claims it waits — if one of
@@ -60,9 +60,8 @@ class Worker:
         queue: the queue to drain (or a path to one).
         worker_id: identity recorded on claims and journal lines.
         cache_dir: on-disk trace-cache spill shared with other workers.
-        batch_size: items claimed per round; defaults to the queue's
-            ``cross_batch`` width (so cross-problem training batches
-            form naturally within a claim) or 1.
+        batch_size: items claimed per round (default 1); items are
+            always solved one at a time, each under its own timeout.
         poll_seconds: sleep between claim attempts while other workers
             still hold items.
         progress: called with each finished :class:`ProblemRecord`.
@@ -77,7 +76,7 @@ class Worker:
         *,
         worker_id: str | None = None,
         cache_dir: str | None = None,
-        batch_size: int | None = None,
+        batch_size: int = 1,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
         progress: Callable[[ProblemRecord], None] | None = None,
         heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
@@ -92,12 +91,10 @@ class Worker:
         self._started_at = time.time()
         self._last_beat = float("-inf")
         self._stop_requested = False
+        # A legacy "cross_batch" meta key is ignored: items solve one by one.
         meta = self.queue.meta
         self.solver = meta.get("solver", "gcln")
         self.timeout_seconds = meta.get("timeout_seconds")
-        self.cross_batch = int(meta.get("cross_batch", 1) or 1)
-        if batch_size is None:
-            batch_size = self.cross_batch if self.cross_batch > 1 else 1
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
@@ -188,9 +185,9 @@ class Worker:
         """Solve one claim batch; returns the number of items acked.
 
         Items that cannot even be resolved are acked as error records.
-        After a stop request, still-unstarted items are released back
-        to ``pending`` instead of solved (stacked cross-problem batches
-        are indivisible, so those finish whole).
+        Items are solved one at a time, so a stop request between
+        items hands the rest of the claim straight back to ``pending``
+        (no lease-expiry wait for whoever resumes the drain).
         """
         problems = []
         resolved: list[WorkItem] = []
@@ -218,41 +215,18 @@ class Worker:
             for item in resolved:
                 self.queue.renew(item.id)
 
-        cross = (
-            self.cross_batch
-            if len(resolved) > 1 and self.solver == "gcln"
-            else 1
-        )
-        if cross <= 1:
-            # Without stacked training the batch is divisible: solve
-            # one item at a time so a stop request between items hands
-            # the rest of the claim straight back to pending (no
-            # lease-expiry wait for whoever resumes the drain).
-            for position, (item, problem) in enumerate(
-                zip(resolved, problems)
-            ):
-                if self._stop_requested:
-                    for leftover in resolved[position:]:
-                        self.queue.release(leftover.id)
-                    return acked
-                records = self.service.solve_many(
-                    [problem],
-                    solver=self.solver,
-                    timeout_seconds=self.timeout_seconds,
-                    progress=renew_leases,
-                )
-                self._ack(item, records[0])
-                acked += 1
-            return acked
-        records = self.service.solve_many(
-            problems,
-            solver=self.solver,
-            timeout_seconds=self.timeout_seconds,
-            progress=renew_leases,
-            cross_batch=min(cross, len(resolved)),
-        )
-        for item, record in zip(resolved, records):
-            self._ack(item, record)
+        for position, (item, problem) in enumerate(zip(resolved, problems)):
+            if self._stop_requested:
+                for leftover in resolved[position:]:
+                    self.queue.release(leftover.id)
+                return acked
+            records = self.service.solve_many(
+                [problem],
+                solver=self.solver,
+                timeout_seconds=self.timeout_seconds,
+                progress=renew_leases,
+            )
+            self._ack(item, records[0])
             acked += 1
         return acked
 
@@ -289,7 +263,7 @@ def worker_main(
     queue_dir: str,
     cache_dir: str | None = None,
     worker_id: str | None = None,
-    batch_size: int | None = None,
+    batch_size: int = 1,
     max_items: int | None = None,
     poll_seconds: float = DEFAULT_POLL_SECONDS,
     heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,

@@ -39,7 +39,6 @@ from repro.infer.schedule import AttemptPlan, AttemptScheduler, build_schedule
 from repro.infer.pipeline import (
     InferenceEngine,
     InferenceResult,
-    TrainRequest,
     infer_invariants,
 )
 from repro.infer.runner import ProblemRecord, run_many, summarize
@@ -55,7 +54,6 @@ __all__ = [
     "build_schedule",
     "InferenceEngine",
     "InferenceResult",
-    "TrainRequest",
     "infer_invariants",
     "ProblemRecord",
     "run_many",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Generator
 
 import numpy as np
 
@@ -57,41 +56,23 @@ from repro.infer.stages import (
 )
 
 
-@dataclass
-class TrainRequest:
-    """One pending G-CLN training call, yielded by ``run_stepwise``.
+def _train_attempt_models(
+    models: list[GCLN], data: np.ndarray
+) -> list[RestartOutcome]:
+    """Train one attempt batch's models on one loop's data matrix.
 
-    The engine suspends at each training step so a driver can decide
-    *how* to run it: :meth:`InferenceEngine.run` executes requests
-    immediately via :func:`execute_train_request`, while the
-    cross-problem batcher (:mod:`repro.infer.batcher`) collects
-    same-shape requests from several engines and trains them in one
-    stacked call.  The driver responds with one
-    :class:`~repro.cln.train.RestartOutcome` per model, in order.
+    Models the vectorized trainer can run together share one taped
+    graph (:func:`train_gcln_restarts`); otherwise each trains alone.
+    Returns one outcome per model, in order.
     """
-
-    problem: str
-    loop_index: int
-    models: list[GCLN]
-    data: np.ndarray
-
-    @property
-    def batchable(self) -> bool:
-        """Can these models join a cross-problem stacked batch?"""
-        return all(
-            m.batched_capable() and m.config.vectorized for m in self.models
-        )
-
-
-def execute_train_request(request: TrainRequest) -> list[RestartOutcome]:
-    """Run one training request inline (no cross-problem batching)."""
-    models = request.models
-    if len(models) > 1 and request.batchable:
-        return train_gcln_restarts(models, request.data)
+    if len(models) > 1 and all(
+        m.batched_capable() and m.config.vectorized for m in models
+    ):
+        return train_gcln_restarts(models, data)
     outcomes: list[RestartOutcome] = []
     for model in models:
         try:
-            result = train_gcln(model, request.data)
+            result = train_gcln(model, data)
             outcomes.append(RestartOutcome(result=result))
         except TrainingError as exc:
             outcomes.append(RestartOutcome(result=None, error=str(exc)))
@@ -220,30 +201,7 @@ class InferenceEngine:
             self._events(event)
 
     def run(self) -> InferenceResult:
-        """Run the full workflow, executing training steps inline."""
-        gen = self.run_stepwise()
-        try:
-            request = next(gen)
-            while True:
-                request = gen.send(execute_train_request(request))
-        except StopIteration as stop:
-            return stop.value
-
-    def run_stepwise(
-        self,
-    ) -> Generator[TrainRequest, list[RestartOutcome], InferenceResult]:
-        """The workflow as a generator that suspends at training calls.
-
-        Yields a :class:`TrainRequest` for every G-CLN training step
-        and expects the driver to ``send`` back one outcome per model;
-        everything else (trace collection, bound fitting, extraction,
-        checking, scheduling) runs inside the generator.  The return
-        value is the same :class:`InferenceResult` ``run()`` produces.
-        Under the cross-problem batcher the "train" stage timing spans
-        the suspension, so it includes the shared stacked call (which
-        also trains other problems' models): per-problem train timings
-        overlap and may sum to more than wall-clock.
-        """
+        """Run the full workflow for the problem, training inline."""
         problem = self.problem
         config = self.config
         start = time.perf_counter()
@@ -344,12 +302,7 @@ class InferenceEngine:
                 outcomes: dict[int, RestartOutcome] = {}
                 if models:
                     with timed_stage(timings, "train"):
-                        batch_outcomes = yield TrainRequest(
-                            problem=problem.name,
-                            loop_index=loop_index,
-                            models=models,
-                            data=data,
-                        )
+                        batch_outcomes = _train_attempt_models(models, data)
                     for model, outcome in zip(models, batch_outcomes):
                         outcomes[id(model)] = outcome
                         if outcome.error is not None or outcome.result is None:

@@ -24,10 +24,6 @@ With ``cache_dir`` set, every worker opens its own
 so parallel runs share the on-disk trace/matrix store (the spill's
 ``tempfile.mkstemp`` + ``os.replace`` writes are concurrency-safe).
 
-``cross_batch > 1`` switches to single-process cross-problem training
-batches (:func:`repro.infer.batcher.run_cross_batched`): same-shape
-attempts from different problems train in one stacked call.
-
 ``workers > 1`` (or ``queue_dir``) switches to the distributed runner
 (:mod:`repro.dist`): problems are enqueued on a journaled filesystem
 work queue and drained by separate worker processes — the same queue
@@ -237,10 +233,7 @@ def run_many(
     progress: Callable[[ProblemRecord], None] | None = None,
     solver: str = "gcln",
     solve_fn: SolveFn | None = None,
-    cross_batch: int = 1,
     cache_dir: str | None = None,
-    cache: TraceCache | None = None,
-    events=None,
     workers: "int | str" = 1,
     queue_dir: str | None = None,
     min_workers: int = 1,
@@ -253,8 +246,9 @@ def run_many(
         problems: the problems to run.
         config: shared inference config (``None`` = paper defaults).
         jobs: worker processes; ``1`` runs inline in this process.
-        timeout_seconds: per-problem wall-clock budget (soft under
-            ``cross_batch > 1``; see :mod:`repro.infer.batcher`).
+        timeout_seconds: per-problem wall-clock budget, enforced with
+            ``SIGALRM`` around each solve (inline, in every pool
+            process, and in every queue worker).
         progress: called with each record as it completes (completion
             order, which differs from input order when ``jobs > 1``).
         solver: registry name of the strategy to run; unknown names
@@ -267,27 +261,17 @@ def run_many(
         solve_fn: inline-only override of the solve step (used by
             :class:`~repro.api.service.InvariantService` to share its
             cache/event bus); requires ``jobs == 1``.
-        cross_batch: > 1 enables cross-problem training batches: up to
-            this many same-shape models from different problems train
-            in one stacked call.  Single-process and engine-only
-            (requires ``jobs == 1``, ``solver == "gcln"``, and no
-            ``solve_fn``); produces the same invariants as sequential
-            solving.
         cache_dir: on-disk trace/matrix spill directory handed to every
             worker (and to inline registry solves), so parallel runs
-            share the disk cache; ignored when ``solve_fn`` or
-            ``cache`` supplies caching instead.
-        cache: shared in-memory cache for the ``cross_batch`` path
-            (the service passes its own).
-        events: event sink for the ``cross_batch`` path.
+            share the disk cache; ignored when ``solve_fn`` supplies
+            caching instead.
         workers: > 1 (or any value with ``queue_dir``) switches to the
             distributed runner (:mod:`repro.dist`): the problems are
             enqueued on a journaled work queue and drained by this many
             local worker processes.  ``"auto"`` runs an *elastic* fleet
             sized to queue depth between ``min_workers`` and
             ``max_workers``.  Mutually exclusive with ``jobs`` and
-            ``solve_fn``; ``cross_batch`` composes (each worker claims
-            cross-batch-sized item batches).
+            ``solve_fn``.
         queue_dir: durable queue directory for the ``workers`` path —
             or an ``http(s)://`` queue-server URL, making the spawned
             workers remote followers.  Re-running on a half-finished
@@ -310,24 +294,8 @@ def run_many(
         raise ValueError(
             f"timeout_seconds must be positive, got {timeout_seconds}"
         )
-    if cross_batch < 1:
-        raise ValueError(f"cross_batch must be >= 1, got {cross_batch}")
     if solve_fn is not None and jobs != 1:
         raise ValueError("solve_fn requires jobs == 1 (it does not pickle)")
-    if cross_batch > 1:
-        if jobs != 1:
-            raise ValueError(
-                "cross_batch requires jobs == 1: cross-problem batches "
-                "amortize training within one process (use jobs OR "
-                "cross_batch, not both)"
-            )
-        if solver != "gcln":
-            raise ValueError(
-                "cross_batch requires solver='gcln': only the G-CLN "
-                "engine trains models that can batch across problems"
-            )
-        if solve_fn is not None:
-            raise ValueError("cross_batch and solve_fn are mutually exclusive")
     if isinstance(workers, str):
         if workers != "auto":
             raise ValueError(
@@ -350,11 +318,6 @@ def run_many(
                 "workers/queue_dir and solve_fn are mutually exclusive "
                 "(worker processes rebuild solvers from the registry)"
             )
-        if cross_batch > 1 and solver != "gcln":
-            raise ValueError(
-                "cross_batch requires solver='gcln': only the G-CLN "
-                "engine trains models that can batch across problems"
-            )
     if solve_fn is None:
         get_solver(solver)  # fail fast on unknown names
     if not problems:
@@ -370,26 +333,11 @@ def run_many(
             queue_dir=queue_dir,
             solver=solver,
             timeout_seconds=timeout_seconds,
-            cross_batch=cross_batch,
             cache_dir=cache_dir,
             progress=progress,
             min_workers=min_workers,
             max_workers=max_workers,
             fleet_status=fleet_status,
-        )
-
-    if cross_batch > 1:
-        from repro.infer.batcher import run_cross_batched
-
-        return run_cross_batched(
-            problems,
-            config,
-            cross_batch=cross_batch,
-            timeout_seconds=timeout_seconds,
-            progress=progress,
-            cache=cache,
-            cache_dir=cache_dir,
-            events=events,
         )
 
     if jobs == 1:

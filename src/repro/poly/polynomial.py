@@ -72,16 +72,6 @@ class Polynomial:
     def var(cls, name: str) -> "Polynomial":
         return cls({Monomial.var(name): Fraction(1)})
 
-    @classmethod
-    def from_coeffs(
-        cls, coeffs: Mapping[str, object], constant: object = 0
-    ) -> "Polynomial":
-        """Linear polynomial ``sum(c_v * v) + constant``."""
-        terms: dict[Monomial, object] = {Monomial.one(): constant}
-        for var, coeff in coeffs.items():
-            terms[Monomial.var(var)] = coeff
-        return cls(terms)
-
     # -- inspection -------------------------------------------------------
 
     @property

@@ -54,58 +54,6 @@ def growth_rate_filter(
     return keep
 
 
-def growth_order_filter(
-    trace_matrices: list[np.ndarray],
-    degrees: list[int],
-    order_slack: float = 0.75,
-    min_length: int = 6,
-) -> list[int]:
-    """Growth-order heuristic from Sharma et al. [33] (§5.1.3).
-
-    Estimates each term's growth order (the exponent ``k`` in
-    ``|value| ~ iteration^k``) by log-log regression along each trace,
-    and drops terms growing strictly faster than the fastest-growing
-    *single variable* — such terms cannot be balanced in any invariant
-    over the candidate basis.
-
-    Args:
-        trace_matrices: per-trace term matrices (iterations x terms),
-            in iteration order.
-        degrees: total degree of each term.
-        order_slack: tolerance added to the cutoff.
-        min_length: traces shorter than this are ignored (regression
-            would be meaningless).
-
-    Returns:
-        Sorted indices of surviving terms (constant always survives).
-    """
-    n_terms = len(degrees)
-    usable = [m for m in trace_matrices if m.shape[0] >= min_length]
-    if not usable:
-        return list(range(n_terms))
-    orders = np.zeros(n_terms)
-    for j in range(n_terms):
-        estimates = []
-        for matrix in usable:
-            values = np.abs(matrix[:, j])
-            iterations = np.arange(1, len(values) + 1, dtype=float)
-            mask = values > 1e-12
-            if mask.sum() < min_length:
-                continue
-            slope, _ = np.polyfit(
-                np.log(iterations[mask]), np.log(values[mask]), 1
-            )
-            estimates.append(slope)
-        orders[j] = max(estimates) if estimates else 0.0
-    single_var = [
-        j for j in range(n_terms) if degrees[j] == 1
-    ]
-    cutoff = max((orders[j] for j in single_var), default=max(orders)) + order_slack
-    return sorted(
-        j for j in range(n_terms) if degrees[j] == 0 or orders[j] <= cutoff
-    )
-
-
 def duplicate_column_map(matrix: np.ndarray) -> dict[int, int]:
     """Map each duplicate column index to its first occurrence.
 

@@ -49,12 +49,6 @@ def sse_frame(kind: str, payload: dict) -> bytes:
     return f"event: {kind}\ndata: {data}\n\n".encode("utf-8")
 
 
-def event_frame(event: "Event") -> bytes:
-    """The SSE frame for one lifecycle event."""
-    payload = event.to_dict()
-    return sse_frame(payload["event"], payload)
-
-
 class EventStream:
     """One SSE client's bounded, thread-fed event queue.
 

@@ -187,41 +187,17 @@ def test_removed_options_no_longer_parse(argv):
         build_parser().parse_args(argv)
 
 
-def test_run_all_cross_batch_validation():
-    with pytest.raises(SystemExit, match="cross-batch"):
-        main(["run-all", "--cross-batch", "0"])
-    with pytest.raises(SystemExit, match="mutually exclusive"):
-        main(["run-all", "--cross-batch", "2", "--jobs", "2"])
-    with pytest.raises(SystemExit, match="gcln"):
-        main(["run-all", "--cross-batch", "2", "--solver", "numinv"])
-
-
-@pytest.mark.slow
-def test_run_all_cross_batch_command(capsys, tmp_path):
-    import json
-
-    out_path = tmp_path / "records.json"
-    code = main(
-        [
-            "run-all",
-            "--suite",
-            "stability",
-            "--problems",
-            "conj_eq",
-            "disj_eq",
-            "--cross-batch",
-            "2",
-            "--epochs",
-            "300",
-            "--json",
-            str(out_path),
-        ]
-    )
-    assert code in (0, 1)
-    payload = json.loads(out_path.read_text())
-    assert payload["cross_batch"] == 2
-    assert {r["name"] for r in payload["records"]} == {"conj_eq", "disj_eq"}
-    assert all(r["status"] == "ok" for r in payload["records"])
+def test_cross_batch_option_removed(capsys, tmp_path):
+    """``--cross-batch`` is an argparse error on run-all and enqueue."""
+    for argv in (
+        ["run-all", "--cross-batch", "2"],
+        ["enqueue", "--queue-dir", str(tmp_path / "q"), "--cross-batch", "2"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cross-batch 2" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
 
 
 def test_run_all_warns_once_on_unenforceable_timeout(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from repro.dist import (
 from repro.dist.wire import item_for_problem, resolve_item_problem
 from repro.dist.worker import worker_main
 from repro.infer import InferenceConfig, Problem
-from repro.infer.runner import STATUS_OK, run_many
+from repro.infer.runner import STATUS_OK, ProblemRecord, run_many
 
 FAST_CONFIG = InferenceConfig(max_epochs=60, dropout_schedule=(0.6,))
 
@@ -330,7 +330,6 @@ def test_inline_items_resolve_without_registry():
 
 
 def test_record_round_trips_through_wire():
-    from repro.infer.runner import ProblemRecord
 
     [record] = run_many([tiny_problem("wire")], FAST_CONFIG)
     rebuilt = ProblemRecord.from_dict(json.loads(json.dumps(record.to_dict())))
@@ -386,9 +385,10 @@ def test_worker_respects_max_items(tmp_path):
     assert queue.counts()["pending"] == 1
 
 
-def test_worker_cross_batches_within_claim(tmp_path):
-    """A queue with cross_batch > 1 makes workers claim item batches
-    and train them stacked — with the same invariants as sequential."""
+def test_worker_ignores_legacy_cross_batch_meta(tmp_path):
+    """A queue written when meta.json could carry a cross-batch width
+    still drains: the key is ignored, items solve one at a time, and
+    the records equal a sequential run's (modulo timing fields)."""
     problems = [tiny_problem("xa"), tiny_problem("xb", 2)]
     queue = WorkQueue.create(
         tmp_path / "q",
@@ -396,21 +396,14 @@ def test_worker_cross_batches_within_claim(tmp_path):
     )
     queue.enqueue([item_for_problem(p, i) for i, p in enumerate(problems)])
     worker = Worker(queue, worker_id="t")
-    assert worker.batch_size == 2  # defaults to the cross-batch width
+    assert worker.batch_size == 1
     assert worker.run() == 2
+    entries = sorted(queue.journal_entries(), key=lambda e: e["payload"]["index"])
+    journaled = [ProblemRecord.from_dict(e["payload"]["record"]) for e in entries]
     sequential = run_many(problems, FAST_CONFIG)
-    journaled = {
-        e["payload"]["record"]["name"]: e["payload"]["record"]
-        for e in queue.journal_entries()
-    }
-    for record in sequential:
-        got = journaled[record.name]
-        assert got["status"] == STATUS_OK
-        assert got["solved"] == record.solved
-        assert (
-            got["result"]["loops"][0]["invariant"]
-            == record.result.loops[0].invariant
-        )
+    assert [normalized(r) for r in journaled] == [
+        normalized(r) for r in sequential
+    ]
 
 
 def test_worker_main_entry_point(tmp_path):
@@ -594,7 +587,7 @@ def test_merge_payload_matches_run_all_shape(tmp_path):
     run_many(problems, FAST_CONFIG, workers=1, queue_dir=str(tmp_path / "q"))
     payload = merge_payload(WorkQueue.open(tmp_path / "q"))
     assert set(payload) == {
-        "suite", "solver", "jobs", "cross_batch", "timeout_seconds",
+        "suite", "solver", "jobs", "timeout_seconds",
         "summary", "records",
     }
     assert payload["summary"]["problems"] == 2
@@ -627,11 +620,6 @@ def test_run_many_validates_distributed_args():
         run_many(
             [tiny_problem("x")], FAST_CONFIG, workers=2,
             solve_fn=lambda p, c: None,
-        )
-    with pytest.raises(ValueError, match="gcln"):
-        run_many(
-            [tiny_problem("x")], FAST_CONFIG, workers=2, cross_batch=2,
-            solver="numinv",
         )
 
 

@@ -31,7 +31,7 @@ from repro.dist import (
     serve_queue,
     transport_for,
 )
-from repro.dist.coordinator import build_meta, check_cross_batch
+from repro.dist.coordinator import build_meta
 from repro.dist.wire import item_for_problem
 from repro.infer import InferenceConfig, Problem
 from repro.infer.runner import run_many
@@ -683,36 +683,6 @@ def test_run_many_accepts_auto(tmp_path):
     assert len(records) == 1 and records[0].solved
     with pytest.raises(ValueError, match="integer or 'auto'"):
         run_many([tiny_problem("rma")], FAST_CONFIG, workers="soon")
-
-
-# -- cross-batch meta guard ----------------------------------------------------
-
-
-def test_cross_batch_mismatch_rejected(tmp_path):
-    queue_dir = tmp_path / "q"
-    WorkQueue.create(queue_dir, meta=build_meta(cross_batch=2))
-    with pytest.raises(QueueError, match="cross_batch=2"):
-        check_cross_batch(str(queue_dir), 1)
-    check_cross_batch(str(queue_dir), 2)  # matching width: fine
-    check_cross_batch(str(tmp_path / "fresh"), 1)  # no queue yet: fine
-    check_cross_batch(None, 1)  # temporary queue: fine
-    with pytest.raises(QueueError, match="cross_batch=2"):
-        run_distributed(
-            [tiny_problem("cb")], FAST_CONFIG, workers=1,
-            queue_dir=str(queue_dir), cross_batch=1,
-        )
-
-
-def test_cli_run_all_rejects_cross_batch_mismatch(tmp_path):
-    from repro.cli import main
-
-    queue_dir = tmp_path / "q"
-    WorkQueue.create(queue_dir, meta=build_meta(cross_batch=2))
-    with pytest.raises(SystemExit, match="cross_batch=2"):
-        main([
-            "run-all", "--problems", "ps2", "--workers", "1",
-            "--queue-dir", str(queue_dir), "--epochs", "60",
-        ])
 
 
 # -- CLI surface ---------------------------------------------------------------

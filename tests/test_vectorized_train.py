@@ -217,6 +217,18 @@ def test_multi_restart_rejects_incapable_models(rng):
         train_gcln_restarts([model], np.ones((4, 3)))
 
 
+def test_multi_restart_needs_one_shared_matrix():
+    """Restarts share one 2-D data matrix; a 3-D stack or a list of
+    per-model matrices is rejected up front."""
+    from repro.errors import TrainingError
+
+    data = _relation_data()
+    models = [_eq_model(True, seed=1), _eq_model(True, seed=2)]
+    for bad in (np.stack([data, data]), [data, data]):
+        with pytest.raises(TrainingError, match="one 2-D"):
+            train_gcln_restarts(models, bad)
+
+
 def test_ragged_model_falls_back_to_eager_training(rng):
     """Hand-assembled ragged models still train via the legacy path."""
     config = GCLNConfig(max_epochs=50, vectorized=True)
