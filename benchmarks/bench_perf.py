@@ -1,21 +1,19 @@
 """Performance microbenchmark: the perf trajectory of the training core.
 
-Measures five things and writes them to ``BENCH_PERF.json``:
+Measures four things and writes them to ``BENCH_PERF.json``:
 
-1. **units** — epochs/sec of ``train_units_independently`` on a bank of
-   structured PBQU units: the sequential per-unit reference loop vs the
-   batched (stacked matrix + fused kernels + tape) path.
-2. **gcln** — epochs/sec of ``train_gcln`` on an auto-built equality
+1. **gcln** — epochs/sec of ``train_gcln`` on an auto-built equality
    model: the eager per-unit graph vs the vectorized taped path.
-3. **end_to_end** — wall-clock of full solves on a fixed problem set,
+2. **end_to_end** — wall-clock of full solves on a fixed problem set,
    with every optimization disabled (eager training, no attempt
    batching, no checker memoization) vs the defaults.
-4. **replay** — ``tape.step``-only epochs/sec of the units training
-   graph per replay backend: the reference closure walker (``numpy``)
-   vs the compiled fused plan (``fused``).  This isolates the replay engine from
-   optimizer/bookkeeping overhead; sections 1-2 pin ``backend="numpy"``
-   so their trajectory stays comparable with historical records.
-5. **serve** — the HTTP front end under concurrent load: one cold
+3. **replay** — ``tape.step``-only epochs/sec of a PBQU bound-unit
+   training graph per replay backend: the reference closure walker
+   (``numpy``) vs the compiled fused plan (``fused``).  This isolates
+   the replay engine from optimizer/bookkeeping overhead; section 1
+   pins ``backend="numpy"`` so its trajectory stays comparable with
+   historical records.
+4. **serve** — the HTTP front end under concurrent load: one cold
    solve latency vs memoized replays hammered by 8 concurrent clients
    (req/s, p50/p95 latency, and the memo speedup ``check_perf.py``
    gates at >= 10x), plus N concurrent *identical* requests proving
@@ -49,11 +47,8 @@ from repro.cln.model import (
     GCLNConfig,
     structured_inequality_units,
 )
-from repro.cln.train import (
-    pbqu_ge,
-    train_gcln,
-    train_units_independently,
-)
+from repro.cln.activations import pbqu_ge
+from repro.cln.train import train_gcln
 from repro.infer import InferenceConfig
 from repro.sampling import normalize_rows
 from repro.utils import format_table
@@ -71,36 +66,6 @@ def _unit_bank_inputs(n_terms: int, samples: int, seed: int):
     term_vars = [frozenset()] + [frozenset([v]) for v in variables]
     term_degs = [0] + [1] * (n_terms - 1)
     return data, term_vars, term_degs, variables
-
-
-def bench_units(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
-    data, term_vars, term_degs, variables = _unit_bank_inputs(
-        n_terms, samples, seed=0
-    )
-    out: dict = {}
-    for label, batched in (("sequential", False), ("batched", True)):
-        # backend="numpy": this section tracks graph batching, not the
-        # replay engine (the "replay" section owns backend comparisons).
-        config = GCLNConfig(
-            max_epochs=epochs, vectorized=batched, backend="numpy"
-        )
-        units = structured_inequality_units(
-            term_vars, term_degs, variables, config, np.random.default_rng(3)
-        )
-        model = GCLN(
-            n_terms, config, np.random.default_rng(3), units=units,
-            kind=AtomicKind.GE,
-        )
-        start = time.perf_counter()
-        result = train_units_independently(
-            model, data, max_epochs=epochs,
-            early_stop_patience=_NO_EARLY_STOP, batched=batched,
-        )
-        elapsed = time.perf_counter() - start
-        out[f"{label}_epochs_per_sec"] = result.epochs / elapsed
-        out["units"] = len(model.units_flat)
-    out["speedup"] = out["batched_epochs_per_sec"] / out["sequential_epochs_per_sec"]
-    return out
 
 
 def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
@@ -131,9 +96,9 @@ def bench_replay(
 ) -> dict:
     """``tape.step``-only epochs/sec of the units graph per backend.
 
-    Same graph as ``bench_units``'s batched leg (unit residuals →
-    PBQU → loss), but timing pure replays — no optimizer, clipping, or
-    annealing — so the number measures the replay engine itself.
+    A stacked bank of structured GE units (unit residuals → PBQU →
+    loss), timing pure replays — no optimizer, clipping, or annealing —
+    so the number measures the replay engine itself.
     """
     data, term_vars, term_degs, variables = _unit_bank_inputs(
         n_terms, samples, seed=0
@@ -346,7 +311,6 @@ def run(args: argparse.Namespace) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "units": bench_units(unit_epochs),
         "gcln": bench_gcln(unit_epochs),
         "replay": bench_replay(1500 if args.quick else 3000),
         "end_to_end": bench_end_to_end(args.problems, e2e_epochs),
@@ -359,15 +323,9 @@ def run(args: argparse.Namespace) -> dict:
 
 
 def report(payload: dict) -> str:
-    units, gcln, e2e = payload["units"], payload["gcln"], payload["end_to_end"]
+    gcln, e2e = payload["gcln"], payload["end_to_end"]
     replay = payload["replay"]
     rows = [
-        [
-            "units (train_units_independently)",
-            f"{units['sequential_epochs_per_sec']:.0f} ep/s",
-            f"{units['batched_epochs_per_sec']:.0f} ep/s",
-            f"{units['speedup']:.1f}x",
-        ],
         [
             "gcln (train_gcln)",
             f"{gcln['eager_epochs_per_sec']:.0f} ep/s",

@@ -31,8 +31,7 @@ from repro.autodiff.functional import (
     tanh,
     where,
 )
-from repro.autodiff.optim import SGD, Adam, clip_grad_norm, clip_grad_norm_groups
-from repro.autodiff.init import normal_init, uniform_init
+from repro.autodiff.optim import SGD, Adam, clip_grad_norm
 
 __all__ = [
     "Tensor",
@@ -45,7 +44,6 @@ __all__ = [
     "pbqu",
     "fused_gated_tnorm",
     "fused_gated_tconorm",
-    "clip_grad_norm_groups",
     "concat",
     "exp",
     "log",
@@ -60,6 +58,4 @@ __all__ = [
     "SGD",
     "Adam",
     "clip_grad_norm",
-    "normal_init",
-    "uniform_init",
 ]

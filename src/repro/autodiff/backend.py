@@ -18,29 +18,31 @@ list into straight-line Python source over preallocated buffers:
 * ``exclusive_prod`` — the t-norm backward hot spot — runs through an
   allocation-free twin that is bitwise-identical to the reference.
 
+**Lowered op kinds** are exactly the ones a G-CLN training tape
+records (masked linear layer, activation, gated t-norms/t-conorms and
+loss arithmetic): ``add``, ``sub``, ``mul``, ``div``, ``abs``,
+``pow``, ``matmul``, ``T``, ``sum``, ``reshape``, ``gaussian``,
+``pbqu``, ``tnorm`` and ``tconorm``.  Every other op the autodiff
+layer offers replays through the closure walker.
+
 **Oracle guarantee**: the ``numpy`` backend is the untouched closure
 walker, and the ``fused`` plan computes every gradient with the same
 numpy ufunc sequence the closures execute (relying on documented
 identities such as ``x ** 2`` lowering to ``np.square``, scalar
 operands matching uniform-array operands bitwise, and multiply/add
 commuting bitwise), so fused replays are bitwise-identical to walker
-replays with two narrow, value-equal exceptions — values always
-compare equal under ``==``/``np.array_equal``:
+replays with one narrow, value-equal exception — values always
+compare equal under ``==``/``np.array_equal``: the *sign* of
+exactly-zero gradients can differ, because the plan's first
+contribution to a buffer overwrites instead of adding into zeros and
+constant gradient chains fold to Python floats.  A dead subgraph —
+one whose output never receives a gradient — is skipped outright
+rather than fed exact zeros (value-equal unless its data holds
+inf/nan).
 
-* the *sign* of exactly-zero gradients can differ: the plan's first
-  contribution to a buffer overwrites instead of adding into zeros,
-  constant gradient chains fold to Python floats, and masked selects
-  (``where``/``maximum``/``minimum`` backward) use a boolean multiply
-  instead of ``np.where``;
-* those masked selects also assume *finite* gradients (an inf/nan
-  gradient flowing into a masked-out branch would surface as nan here
-  but 0 in the walker), and a dead subgraph — one whose output never
-  receives a gradient — is skipped outright rather than fed exact
-  zeros.
-
-Compilation is conservative: any node without supported ``_op``
-metadata makes :func:`compile_plan` return ``None`` and the tape falls
-back to the walker.  Correctness never depends on compilability.
+Compilation is conservative: any node without a lowered ``_op`` kind
+makes :func:`compile_plan` return ``None`` and the tape falls back to
+the walker.  Correctness never depends on compilability.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import AutodiffError
-from repro.autodiff.functional import _stable_sigmoid
-from repro.autodiff.tensor import Tensor, exclusive_prod
+from repro.autodiff.tensor import Tensor
 
 
 def exclusive_prod_into(
@@ -153,12 +154,7 @@ class _PlanCompiler:
     def __init__(self, nodes: list[Tensor], root: Tensor):
         self.nodes = nodes
         self.root = root
-        self.env: dict = {
-            "np": np,
-            "_sig": _stable_sigmoid,
-            "_xp": exclusive_prod,
-            "_xpi": exclusive_prod_into,
-        }
+        self.env: dict = {"np": np, "_xpi": exclusive_prod_into}
         self.node_ids = {id(n) for n in nodes}
         self._names: dict[int, str] = {}
         self._keepalive: list = []
@@ -172,7 +168,7 @@ class _PlanCompiler:
         # ("unwritten",) — no contribution yet; ("uniform", u) — every
         # element is the Python float u, with no per-epoch line writing
         # the buffer; ("mat",) — per-epoch data.  The root seeds as
-        # uniform 1.0 and constant chains (sum/add/neg/slice backward)
+        # uniform 1.0 and constant chains (sum/add/sub/reshape backward)
         # fold through as Python scalars instead of array traffic.
         self._gstate: dict[int, tuple] = {}
         self._init_fills: list[tuple[str, float]] = []
@@ -439,8 +435,6 @@ class _PlanCompiler:
             out.append(f"np.multiply({self.dname(ps[0])}, {self.dname(ps[1])}, out={y})")
         elif kind == "div":
             out.append(f"np.divide({self.dname(ps[0])}, {self.dname(ps[1])}, out={y})")
-        elif kind == "neg":
-            out.append(f"np.negative({self.dname(ps[0])}, out={y})")
         elif kind == "abs":
             out.append(f"np.abs({self.dname(ps[0])}, out={y})")
         elif kind == "pow":
@@ -460,12 +454,6 @@ class _PlanCompiler:
                 f"axis={params['axis']!r}, "
                 f"keepdims={params['keepdims']!r}, out={y})"
             )
-        elif kind == "prod":
-            out.append(
-                f"np.multiply.reduce({self.dname(ps[0])}, "
-                f"axis={params['axis']!r}, "
-                f"keepdims={params['keepdims']!r}, out={y})"
-            )
         elif kind == "reshape":
             if not params["is_view"]:
                 shape = tuple(node.data.shape)
@@ -475,24 +463,6 @@ class _PlanCompiler:
         elif kind == "T":
             if not params["is_view"]:
                 out.append(f"{y}[...] = {self.dname(ps[0])}.T")
-        elif kind == "swapaxes":
-            pass  # always a view of the parent
-        elif kind == "getitem":
-            if not params["is_view"]:
-                idx = self.const(params["index"])
-                out.append(f"{y}[...] = {self.dname(ps[0])}[{idx}]")
-        elif kind == "exp":
-            out.append(f"np.exp({self.dname(ps[0])}, out={y})")
-        elif kind == "log":
-            out.append(f"np.log({self.dname(ps[0])}, out={y})")
-        elif kind == "sqrt":
-            out.append(f"np.sqrt({self.dname(ps[0])}, out={y})")
-        elif kind == "tanh":
-            out.append(f"np.tanh({self.dname(ps[0])}, out={y})")
-        elif kind == "relu":
-            out.append(f"np.maximum({self.dname(ps[0])}, 0.0, out={y})")
-        elif kind == "sigmoid":
-            out.append(f"{y}[...] = _sig({self.dname(ps[0])})")
         elif kind == "gaussian":
             a = self.dname(ps[0])
             s = self.scal(params["sigma"], out)
@@ -523,26 +493,6 @@ class _PlanCompiler:
             out.append(f"np.divide({k}, {den}, out={y})")
         elif kind in ("tnorm", "tconorm"):
             self._forward_tnorm(node, kind, params)
-        elif kind == "where":
-            a, b = self.dname(ps[0]), self.dname(ps[1])
-            cond = self.const(params["cond"])
-            if params["cond_fn"] is not None:
-                fn = self.const(params["cond_fn"])
-                out.append(f"{cond}[...] = {fn}()")
-            out.append(f"np.copyto({y}, {b})")
-            out.append(f"np.copyto({y}, {a}, where={cond})")
-        elif kind == "maximum":
-            out.append(f"np.maximum({self.dname(ps[0])}, {self.dname(ps[1])}, out={y})")
-        elif kind == "minimum":
-            out.append(f"np.minimum({self.dname(ps[0])}, {self.dname(ps[1])}, out={y})")
-        elif kind == "concat":
-            parts = ", ".join(self.dname(p) for p in ps)
-            out.append(
-                f"np.concatenate(({parts}), axis={params['axis']!r}, out={y})"
-            )
-        elif kind == "stack":
-            parts = ", ".join(self.dname(p) for p in ps)
-            out.append(f"np.stack(({parts}), axis={params['axis']!r}, out={y})")
         else:
             raise _Unsupported(f"unsupported op kind {kind!r}")
 
@@ -597,12 +547,6 @@ class _PlanCompiler:
                 self.accum(out, ps[0], gy, yshape)
             if ps[1].requires_grad:
                 self.accum_neg(out, ps[1], gy, yshape)
-        elif kind == "neg":
-            if u is not None:
-                self.push_uniform(out, ps[0], -u)
-                return
-            if ps[0].requires_grad:
-                self.accum_neg(out, ps[0], self.gy_arr(node), yshape)
         elif kind == "mul":
             a, b = ps
             if a is b:
@@ -704,9 +648,6 @@ class _PlanCompiler:
                     self.push_uniform(out, ps[0], u)
                 else:
                     self._backward_sum(node, params)
-        elif kind == "prod":
-            if ps[0].requires_grad:
-                self._backward_prod(node, params, u)
         elif kind == "reshape":
             if ps[0].requires_grad:
                 if u is not None:
@@ -722,115 +663,6 @@ class _PlanCompiler:
                     return
                 pshape = tuple(ps[0].data.shape)
                 self.accum(out, ps[0], f"{self.gy_arr(node)}.T", pshape)
-        elif kind == "swapaxes":
-            if ps[0].requires_grad:
-                if u is not None:
-                    self.push_uniform(out, ps[0], u)
-                    return
-                a1, a2 = params["axis1"], params["axis2"]
-                pshape = tuple(ps[0].data.shape)
-                self.accum(
-                    out, ps[0],
-                    f"{self.gy_arr(node)}.swapaxes({a1}, {a2})", pshape,
-                )
-        elif kind == "getitem":
-            if ps[0].requires_grad:
-                pshape = tuple(ps[0].data.shape)
-                full = self.persist(node, "scatter", pshape)
-                idx = self.const(params["index"])
-                src = _lit(u) if u is not None else self.gy_arr(node)
-                out.append(f"{full}.fill(0.0)")
-                out.append(f"np.add.at({full}, {idx}, {src})")
-                self.accum(out, ps[0], full, pshape)
-        elif kind == "exp":
-            if ps[0].requires_grad:
-                dest, token = self.contrib_dest(out, ps[0], yshape)
-                if u is not None:
-                    out.append(
-                        f"np.multiply({self.dname(node)}, {_lit(u)}, "
-                        f"out={dest})"
-                    )
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, "
-                        f"{self.dname(node)}, out={dest})"
-                    )
-                self.finish_contrib(out, dest, token)
-        elif kind == "log":
-            if ps[0].requires_grad:
-                dest, token = self.contrib_dest(out, ps[0], yshape)
-                if u is not None:
-                    out.append(
-                        f"np.divide({_lit(u)}, {self.dname(ps[0])}, "
-                        f"out={dest})"
-                    )
-                else:
-                    out.append(
-                        f"np.divide({self.gy_arr(node)}, "
-                        f"{self.dname(ps[0])}, out={dest})"
-                    )
-                self.finish_contrib(out, dest, token)
-        elif kind == "sqrt":
-            if ps[0].requires_grad:
-                s2 = self.tmp(yshape)
-                if u is not None:
-                    out.append(
-                        f"np.maximum({self.dname(node)}, 1e-300, out={s2})"
-                    )
-                    dest, token = self.contrib_dest(out, ps[0], yshape)
-                    out.append(
-                        f"np.divide({_lit(u * 0.5)}, {s2}, out={dest})"
-                    )
-                else:
-                    s = self.tmp(yshape)
-                    out.append(f"np.multiply({self.gy_arr(node)}, 0.5, out={s})")
-                    out.append(
-                        f"np.maximum({self.dname(node)}, 1e-300, out={s2})"
-                    )
-                    dest, token = self.contrib_dest(out, ps[0], yshape)
-                    out.append(f"np.divide({s}, {s2}, out={dest})")
-                self.finish_contrib(out, dest, token)
-        elif kind == "tanh":
-            if ps[0].requires_grad:
-                s = self.tmp(yshape)
-                out.append(f"np.square({self.dname(node)}, out={s})")
-                out.append(f"np.subtract(1.0, {s}, out={s})")
-                dest, token = self.contrib_dest(out, ps[0], yshape)
-                if u is not None:
-                    out.append(f"np.multiply({s}, {_lit(u)}, out={dest})")
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, {s}, out={dest})"
-                    )
-                self.finish_contrib(out, dest, token)
-        elif kind == "relu":
-            if ps[0].requires_grad:
-                mask = self.tmp(yshape, "?")
-                out.append(f"np.greater({self.dname(ps[0])}, 0, out={mask})")
-                dest, token = self.contrib_dest(out, ps[0], yshape)
-                if u is not None:
-                    out.append(f"np.multiply({mask}, {_lit(u)}, out={dest})")
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, {mask}, "
-                        f"out={dest})"
-                    )
-                self.finish_contrib(out, dest, token)
-        elif kind == "sigmoid":
-            if ps[0].requires_grad:
-                y = self.dname(node)
-                s = self.tmp(yshape)
-                s2 = self.tmp(yshape)
-                if u is not None:
-                    out.append(f"np.multiply({y}, {_lit(u)}, out={s})")
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, {y}, out={s})"
-                    )
-                out.append(f"np.subtract(1.0, {y}, out={s2})")
-                dest, token = self.contrib_dest(out, ps[0], yshape)
-                out.append(f"np.multiply({s}, {s2}, out={dest})")
-                self.finish_contrib(out, dest, token)
         elif kind == "gaussian":
             if ps[0].requires_grad:
                 a, y = self.dname(ps[0]), self.dname(node)
@@ -874,56 +706,6 @@ class _PlanCompiler:
                 self.finish_contrib(out, dest, token)
         elif kind in ("tnorm", "tconorm"):
             self._backward_tnorm(node, kind, params, u)
-        elif kind == "where":
-            self._backward_select(node, self.const(params["cond"]), u)
-        elif kind == "maximum":
-            mask = self.tmp(yshape, "?")
-            out.append(
-                f"np.greater_equal({self.dname(ps[0])}, "
-                f"{self.dname(ps[1])}, out={mask})"
-            )
-            self._backward_select(node, mask, u)
-        elif kind == "minimum":
-            mask = self.tmp(yshape, "?")
-            out.append(
-                f"np.less_equal({self.dname(ps[0])}, "
-                f"{self.dname(ps[1])}, out={mask})"
-            )
-            self._backward_select(node, mask, u)
-        elif kind == "concat":
-            axis = params["axis"]
-            offset = 0
-            gy = None if u is not None else self.gy_arr(node)
-            for p, size in zip(ps, params["sizes"]):
-                idx = tuple(
-                    slice(offset, offset + size) if i == axis else slice(None)
-                    for i in range(node.data.ndim)
-                )
-                offset += size
-                if not p.requires_grad:
-                    continue
-                if u is not None:
-                    self.push_uniform(out, p, u)
-                else:
-                    c = self.const(idx)
-                    self.accum(out, p, f"{gy}[{c}]", tuple(p.data.shape))
-        elif kind == "stack":
-            axis = params["axis"] if params["axis"] >= 0 else (
-                node.data.ndim + params["axis"]
-            )
-            gy = None if u is not None else self.gy_arr(node)
-            for i, p in enumerate(ps):
-                if not p.requires_grad:
-                    continue
-                if u is not None:
-                    self.push_uniform(out, p, u)
-                    continue
-                idx = tuple(
-                    i if d == axis else slice(None)
-                    for d in range(node.data.ndim)
-                )
-                c = self.const(idx)
-                self.accum(out, p, f"{gy}[{c}]", tuple(p.data.shape))
         else:  # pragma: no cover - forward pass already rejected it
             raise _Unsupported(f"unsupported op kind {kind!r}")
 
@@ -1059,37 +841,6 @@ class _PlanCompiler:
         self._demote_uniform(self.bwd_lines, parent)
         self.bwd_lines.append(f"np.add({g}, {src}, out={g})")
 
-    def _backward_prod(
-        self, node: Tensor, params: dict, u: float | None
-    ) -> None:
-        # Mirrors the closure verbatim, zero-robust branch included; the
-        # branch is data-dependent so this op allocates like the walker.
-        parent = node._parents[0]
-        a = self.dname(parent)
-        axis, keepdims = params["axis"], params["keepdims"]
-        pshape = tuple(parent.data.shape)
-        if u is not None:
-            gexpr = _lit(u)
-        elif keepdims:
-            gexpr = self.gy_arr(node)
-        else:
-            gy = self.gy_arr(node)
-            ax = axis if axis >= 0 else len(pshape) + axis
-            expanded = tuple(
-                1 if i == ax else d for i, d in enumerate(pshape)
-            )
-            gexpr = f"{gy}.reshape({expanded!r})"
-        contrib = self.tmp(pshape)
-        out = self.bwd_lines
-        out.append(f"if not ({a} == 0.0).any():")
-        out.append(
-            f"    {contrib}[...] = {gexpr} * "
-            f"{a}.prod(axis={axis!r}, keepdims=True) / {a}"
-        )
-        out.append("else:")
-        out.append(f"    {contrib}[...] = {gexpr} * _xp({a}, {axis!r})")
-        self.accum(out, parent, contrib, pshape)
-
     def _backward_tnorm(
         self, node: Tensor, kind: str, params: dict, u: float | None
     ) -> None:
@@ -1128,40 +879,6 @@ class _PlanCompiler:
             else:
                 dest, token = self.contrib_dest(out, gates, ishape)
                 out.append(f"np.multiply({ep}, {v}, out={dest})")
-            self.finish_contrib(out, dest, token)
-
-    def _backward_select(
-        self, node: Tensor, mask: str, u: float | None
-    ) -> None:
-        """where/maximum/minimum: route the gradient through a mask.
-
-        The walker's ``np.where(mask, g, 0)`` select is emitted as a
-        boolean multiply — ``copyto(where=)`` is pathologically slow on
-        small arrays.  Value-equal for finite gradients (the sign of
-        masked-out zeros can differ).
-        """
-        a, b = node._parents
-        yshape = tuple(node.data.shape)
-        out = self.bwd_lines
-        if a.requires_grad:
-            dest, token = self.contrib_dest(out, a, yshape)
-            if u is not None:
-                out.append(f"np.multiply({mask}, {_lit(u)}, out={dest})")
-            else:
-                out.append(
-                    f"np.multiply({self.gy_arr(node)}, {mask}, out={dest})"
-                )
-            self.finish_contrib(out, dest, token)
-        if b.requires_grad:
-            inv = self.tmp(yshape, "?")
-            out.append(f"np.logical_not({mask}, out={inv})")
-            dest, token = self.contrib_dest(out, b, yshape)
-            if u is not None:
-                out.append(f"np.multiply({inv}, {_lit(u)}, out={dest})")
-            else:
-                out.append(
-                    f"np.multiply({self.gy_arr(node)}, {inv}, out={dest})"
-                )
             self.finish_contrib(out, dest, token)
 
 

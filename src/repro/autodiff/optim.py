@@ -13,8 +13,6 @@ each epoch.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import AutodiffError
@@ -139,15 +137,3 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-def clip_grad_norm_groups(
-    groups: Sequence[list[Tensor]], max_norm: float
-) -> list[float]:
-    """Clip each parameter group by its own global norm.
-
-    Used by batched multi-restart training: every restart's parameters
-    form one group, so the clipping a restart experiences is identical
-    to what it would see trained alone.
-    """
-    return [clip_grad_norm(list(group), max_norm) for group in groups]

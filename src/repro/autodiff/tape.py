@@ -23,10 +23,13 @@ read them dynamically.
 On top of the closure walker sits a *compiled* replay: a
 :mod:`~repro.autodiff.backend` plan lowers the recorded node list into
 straight-line numpy code over the same buffers, removing the per-op
-Python dispatch.  The walker remains the
-reference — ``Tape(backend="numpy")`` never compiles, and any graph
-the plan compiler cannot lower silently replays through the walker
-(``stats()["fallback_reason"]`` says why).  If any recorded node lacks
+Python dispatch.  The plan lowers exactly the op kinds G-CLN training
+records — ``add``, ``sub``, ``mul``, ``div``, ``abs``, ``pow``,
+``matmul``, ``T``, ``sum``, ``reshape``, ``gaussian``, ``pbqu``,
+``tnorm`` and ``tconorm``.  The walker remains the reference —
+``Tape(backend="numpy")`` never compiles, and a graph with any other
+op kind replays through the walker (``stats()["fallback_reason"]``
+names the kind).  If any recorded node lacks
 a forward closure the tape degrades one step further, to eager
 re-tracing: ``step`` simply calls the builder and ``backward`` every
 epoch.  Correctness never depends on replayability or compilability.

@@ -31,7 +31,6 @@ from repro.cln.train import (
     TrainResult,
     train_gcln,
     train_gcln_restarts,
-    train_units_independently,
 )
 from repro.cln.extract import extract_formula, extract_equalities, extract_inequalities
 
@@ -57,7 +56,6 @@ __all__ = [
     "RestartOutcome",
     "train_gcln",
     "train_gcln_restarts",
-    "train_units_independently",
     "extract_formula",
     "extract_equalities",
     "extract_inequalities",

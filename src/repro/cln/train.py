@@ -36,9 +36,8 @@ from repro.errors import TrainingError
 from repro.autodiff.optim import Adam, clip_grad_norm
 from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.cln.activations import gaussian_equality, pbqu_ge
 from repro.cln.loss import GateSchedule, build_gcln_loss_batched, gcln_loss
-from repro.cln.model import AtomicKind, GCLN
+from repro.cln.model import GCLN
 
 
 @dataclass
@@ -447,160 +446,3 @@ def _train_gcln_eager(
         converged=converged,
         loss_history=history,
     )
-
-
-def train_units_independently(
-    model: GCLN,
-    data: np.ndarray,
-    max_epochs: int | None = None,
-    early_stop_patience: int = 200,
-    loss_tolerance: float = 1e-4,
-    batched: bool | None = None,
-) -> TrainResult:
-    """Train each atomic unit on its own objective (no gate coupling).
-
-    Used for PBQU bound fitting (§5.2.2): each variable-subset unit
-    maximizes its own mean activation, which is the per-unit restriction
-    of the G-CLN loss.  Joint training through a 20-way gated product
-    starves individual bound units of gradient; independent fitting
-    matches the paper's per-bound convergence analysis (Theorem 4.2).
-
-    Args:
-        batched: run all units as one stacked forward on a tape
-            (default: ``model.config.vectorized``).  The sequential
-            per-unit loop is the reference the batched path is tested
-            against — both produce the same invariants for the same
-            seed.
-    """
-    _validate_data(data)
-    config = model.config
-    epochs = max_epochs if max_epochs is not None else config.max_epochs
-    if batched is None:
-        batched = config.vectorized
-    if batched:
-        return _train_units_batched(
-            model, data, epochs, early_stop_patience, loss_tolerance
-        )
-    return _train_units_sequential(
-        model, data, epochs, early_stop_patience, loss_tolerance
-    )
-
-
-def _train_units_batched(
-    model: GCLN,
-    data: np.ndarray,
-    epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-) -> TrainResult:
-    """One stacked forward + tape replay for all units at once."""
-    config = model.config
-    X = Tensor(data)
-    anneal_init, anneal_decay = _anneal(config, epochs)
-    eq_idx = [
-        i for i, u in enumerate(model.units_flat) if u.kind is AtomicKind.EQ
-    ]
-    ge_idx = [
-        i for i, u in enumerate(model.units_flat) if u.kind is AtomicKind.GE
-    ]
-
-    sigma_box = np.array(config.sigma * anneal_init)
-    c1_box = np.array(config.c1 * anneal_init)
-    tape = Tape(backend=config.backend)
-    loss_node: list[Tensor] = []
-    optimizer = Adam(
-        [model.unit_weights], lr=config.learning_rate, decay=config.lr_decay
-    )
-
-    def build() -> Tensor:
-        loss_node.clear()
-        residuals = model.unit_residuals(X)
-        total: Tensor | None = None
-        for idx, mixed in ((eq_idx, bool(ge_idx)), (ge_idx, bool(eq_idx))):
-            if not idx:
-                continue
-            r = residuals[:, idx] if mixed else residuals
-            if idx is eq_idx:
-                act = gaussian_equality(r, sigma_box)
-            else:
-                act = pbqu_ge(r, c1_box, config.c2)
-            term = (1.0 - act).sum()
-            total = term if total is None else total + term
-        loss_node.append(total)  # type: ignore[arg-type]
-        return total  # type: ignore[return-value]
-
-    best_loss = float("inf")
-    stale = 0
-    relax_scale = anneal_init
-    epoch = 0
-    for epoch in range(1, epochs + 1):
-        sigma_box[...] = config.sigma * relax_scale
-        c1_box[...] = config.c1 * relax_scale
-        optimizer.zero_grad()
-        tape.step(build)
-        clip_grad_norm(optimizer.params, 100.0)
-        optimizer.step()
-        relax_scale = max(relax_scale * anneal_decay, 1.0)
-
-        value = float(loss_node[0].data)
-        if not np.isfinite(value):
-            raise TrainingError(f"loss diverged to {value} at epoch {epoch}")
-        if relax_scale > 1.0:
-            best_loss = min(best_loss, value)
-            continue
-        if value < best_loss - loss_tolerance:
-            best_loss = value
-            stale = 0
-        else:
-            stale += 1
-        if stale >= early_stop_patience:
-            break
-    _publish_tape_stats(tape)
-    return TrainResult(final_loss=best_loss, epochs=epoch, converged=True)
-
-
-def _train_units_sequential(
-    model: GCLN,
-    data: np.ndarray,
-    epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-) -> TrainResult:
-    """Reference implementation: one graph chain per unit per epoch."""
-    config = model.config
-    X = Tensor(data)
-    units = [unit for group in model.clauses for unit in group]
-    optimizer = Adam(
-        [u.weight for u in units], lr=config.learning_rate, decay=config.lr_decay
-    )
-    anneal_init, anneal_decay = _anneal(config, epochs)
-
-    best_loss = float("inf")
-    stale = 0
-    relax_scale = anneal_init
-    epoch = 0
-    for epoch in range(1, epochs + 1):
-        optimizer.zero_grad()
-        loss = None
-        for unit in units:
-            term = (1.0 - unit.forward(X, relax_scale)).sum()
-            loss = term if loss is None else loss + term
-        loss.backward()
-        clip_grad_norm(optimizer.params, 100.0)
-        optimizer.step()
-        relax_scale = max(relax_scale * anneal_decay, 1.0)
-
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"loss diverged to {value} at epoch {epoch}")
-        if relax_scale > 1.0:
-            best_loss = min(best_loss, value)
-            continue
-        if value < best_loss - loss_tolerance:
-            best_loss = value
-            stale = 0
-        else:
-            stale += 1
-        if stale >= early_stop_patience:
-            break
-    return TrainResult(final_loss=best_loss, epochs=epoch, converged=True)

@@ -33,7 +33,6 @@ from repro.dist.coordinator import (
     enqueue_suite,
     merge_payload,
     run_distributed,
-    wait_for_drain,
 )
 from repro.dist.queue import QueueError, WorkItem, WorkQueue
 from repro.dist.server import serve_queue
@@ -75,5 +74,4 @@ __all__ = [
     "run_distributed",
     "serve_queue",
     "transport_for",
-    "wait_for_drain",
 ]

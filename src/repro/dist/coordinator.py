@@ -108,21 +108,6 @@ def enqueue_suite(
     return queue, added, skipped
 
 
-def wait_for_drain(
-    queue: WorkQueue,
-    *,
-    poll_seconds: float = 0.5,
-    timeout: float | None = None,
-) -> bool:
-    """Block until nothing is pending or claimed; False on timeout."""
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while queue.unfinished() > 0:
-        if deadline is not None and time.monotonic() > deadline:
-            return False
-        time.sleep(poll_seconds)
-    return True
-
-
 def records_from_journal(queue: WorkQueue) -> dict[str, "ProblemRecord"]:
     """Journaled records keyed by item id (first ack of an id wins)."""
     from repro.infer.runner import ProblemRecord

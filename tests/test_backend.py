@@ -2,8 +2,9 @@
 
 The closure walker (``backend="numpy"``) is the bitwise oracle: the
 fused plan must reproduce its losses, gradients, and parameter updates
-exactly (``np.array_equal``, not allclose) on random elementwise
-chains and on the real G-CLN training graphs.
+exactly (``np.array_equal``, not allclose) on random chains of the
+lowered op kinds and on the real G-CLN training graphs; graphs with any
+other op kind must replay through the walker.
 """
 
 import numpy as np
@@ -14,19 +15,15 @@ from repro.autodiff import (
     Tape,
     Tensor,
     available_backends,
-    exp,
+    fused_gated_tconorm,
+    fused_gated_tnorm,
     gaussian,
-    log,
-    maximum,
-    minimum,
     pbqu,
-    relu,
     resolve_backend_name,
     sigmoid,
-    sqrt,
-    tanh,
     where,
 )
+from repro.autodiff import backend as backend_mod
 from repro.autodiff.backend import (
     UnknownBackendError,
     compile_plan,
@@ -34,13 +31,9 @@ from repro.autodiff.backend import (
     get_backend,
 )
 from repro.autodiff.tensor import exclusive_prod
-from repro.cln.model import (
-    AtomicKind,
-    GCLN,
-    GCLNConfig,
-    structured_inequality_units,
-)
-from repro.cln.train import train_gcln, train_units_independently
+from repro.cln.bounds import BoundBank, train_bound_bank
+from repro.cln.model import GCLN, GCLNConfig
+from repro.cln.train import train_gcln
 from repro.sampling import normalize_rows
 
 
@@ -73,29 +66,35 @@ def test_resolve_default_is_fused():
     assert resolve_backend_name("numpy") == "numpy"
 
 
-# -- random elementwise chain fuzz ------------------------------------------
+# -- random training-graph fuzz --------------------------------------------
+
+
+def _gated_step(u, w, gates, gate_fn):
+    """The G-CLN clause shape: matmul -> reshape -> gated t-(co)norm."""
+    r = gaussian(u @ w.T, 0.8).reshape(3, 5, 2)
+    return gate_fn(r, gates, axis=-1)
 
 
 def _random_chain_loss(leaves, sigma_box, rng):
-    """A random bounded elementwise chain over the leaves."""
-    a, b = leaves
-    cur = sigmoid(a * 1.5 + b)
+    """A random bounded chain drawn from the lowered op kinds only."""
+    a, b, w, gates = leaves
+    cur = _gated_step(
+        gaussian(a * 1.5 + b, sigma_box), w, gates, fused_gated_tconorm
+    )
     ops = [
-        lambda u: u + sigmoid(b),
-        lambda u: u * (tanh(a) + 2.0),
+        lambda u: u + gaussian(b, sigma_box),
+        lambda u: u * (abs(a) * 0.25 + 1.0),
         lambda u: u - gaussian(a, sigma_box) * 0.5,
         lambda u: u / (u * u + 1.5),
-        lambda u: -u + 1.0,
+        lambda u: 1.0 - u,
         lambda u: abs(u - 0.5),
-        lambda u: exp(-(u * u)),
-        lambda u: log(u * u + 1.0),
-        lambda u: sqrt(u * u + 0.25),
-        lambda u: relu(u - 0.3),
         lambda u: pbqu(u, 1.0, 50.0),
-        lambda u: maximum(u, sigmoid(b)),
-        lambda u: minimum(u, tanh(a) + 1.5),
         lambda u: u ** 2,
-        lambda u: where(lambda: u.data >= 0.4, u, sigmoid(a)),
+        lambda u: (u * 0.5) ** 3,
+        lambda u: (u * u + 0.25) ** 0.5,
+        lambda u: u / ((u * u).sum(axis=1, keepdims=True) + 1.0),
+        lambda u: _gated_step(u, w, gates, fused_gated_tnorm),
+        lambda u: _gated_step(u, w, gates, fused_gated_tconorm),
     ]
     for idx in rng.integers(0, len(ops), size=8):
         cur = ops[int(idx)](cur)
@@ -106,19 +105,22 @@ def _train_chain(backend, seed, steps=4):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(10, 5)), requires_grad=True)
+    gates = Tensor(rng.uniform(0.2, 0.8, size=(5, 2)), requires_grad=True)
+    leaves = [a, b, w, gates]
     sigma_box = np.array(1.2)
     op_rng = np.random.default_rng(seed + 1000)
-    opt = Adam([a, b], lr=0.05)
+    opt = Adam(leaves, lr=0.05)
     tape = Tape(backend=backend)
     losses, grads = [], []
     for i in range(steps):
         opt.zero_grad()
-        loss = tape.step(lambda: _random_chain_loss([a, b], sigma_box, op_rng))
+        loss = tape.step(lambda: _random_chain_loss(leaves, sigma_box, op_rng))
         losses.append(float(loss.data))
-        grads.append([a.grad.copy(), b.grad.copy()])
+        grads.append([t.grad.copy() for t in leaves])
         opt.step()
         sigma_box[...] = 1.2 - 0.05 * i
-    return losses, grads, [a.data.copy(), b.data.copy()], tape.stats()
+    return losses, grads, [t.data.copy() for t in leaves], tape.stats()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -128,12 +130,50 @@ def test_fused_bitwise_on_random_chains(seed):
     assert sn["active_backend"] == "numpy"
     assert sf["active_backend"] == "fused"
     assert sf["fallback_reason"] is None
+    assert np.isfinite(ln).all()
     assert ln == lf
     for ga, gb in zip(gn, gf):
         for x, y in zip(ga, gb):
             assert np.array_equal(x, y)
     for x, y in zip(pn, pf):
         assert np.array_equal(x, y)
+
+
+def _unlowered_kind_graph(kind, a, b):
+    if kind == "sigmoid":
+        return (sigmoid(a * 1.5 + b) * b).sum()
+    g = gaussian(a, 1.0)
+    return (where(lambda: g.data >= 0.5, g, b * 0.5) * a).sum()
+
+
+def _train_unlowered_kind(kind, backend, steps=4):
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    opt = Adam([a, b], lr=0.05)
+    tape = Tape(backend=backend)
+    losses, grads = [], []
+    for _ in range(steps):
+        opt.zero_grad()
+        loss = tape.step(lambda: _unlowered_kind_graph(kind, a, b))
+        losses.append(float(loss.data))
+        grads.append([a.grad.copy(), b.grad.copy()])
+        opt.step()
+    return losses, grads, tape.stats()
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "where"])
+def test_unlowered_kind_replays_through_walker(kind):
+    ln, gn, _ = _train_unlowered_kind(kind, "numpy")
+    lf, gf, sf = _train_unlowered_kind(kind, "fused")
+    assert sf["backend"] == "fused"
+    assert sf["active_backend"] == "numpy"
+    assert sf["replayable"] and sf["replays"] == 3
+    assert sf["fallback_reason"] == f"unsupported op kind {kind!r}"
+    assert ln == lf
+    for ga, gb in zip(gn, gf):
+        for x, y in zip(ga, gb):
+            assert np.array_equal(x, y)
 
 
 # -- real training graphs ----------------------------------------------------
@@ -163,28 +203,34 @@ def test_gcln_training_bitwise_across_backends():
         assert np.array_equal(x, y)
 
 
-def _train_units(backend):
-    rng = np.random.default_rng(5)
+def _train_bank(backend):
     data = normalize_rows(
         np.stack(
             [np.ones(12), np.arange(1.0, 13.0), np.arange(1.0, 13.0) ** 2],
             axis=1,
         )
     )
+    masks = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=bool)
     config = GCLNConfig(max_epochs=120, backend=backend)
-    term_vars = [frozenset(), frozenset({"x"}), frozenset({"x"})]
-    units = structured_inequality_units(
-        term_vars, (0, 1, 2), ["x"], config, np.random.default_rng(3)
-    )
-    model = GCLN(
-        3, config, np.random.default_rng(3), units=units, kind=AtomicKind.GE
-    )
-    train_units_independently(model, data)
-    return model.unit_weights.data.copy()
+    bank = BoundBank(masks, config, np.random.default_rng(3))
+    train_bound_bank(bank, data)
+    return bank.weight.data.copy()
 
 
-def test_unit_training_bitwise_across_backends():
-    assert np.array_equal(_train_units("numpy"), _train_units("fused"))
+def test_bound_bank_training_honors_numpy_backend(monkeypatch):
+    calls = []
+    real = backend_mod.compile_plan
+
+    def spy(nodes, root):
+        calls.append(len(nodes))
+        return real(nodes, root)
+
+    monkeypatch.setattr(backend_mod, "compile_plan", spy)
+    ref = _train_bank("numpy")
+    assert calls == []
+    fused = _train_bank("fused")
+    assert calls, "the fused bound-bank tape never compiled a plan"
+    assert np.array_equal(ref, fused)
 
 
 # -- plan internals ----------------------------------------------------------
@@ -206,7 +252,7 @@ def test_plan_recompiles_after_leaf_storage_swap():
     a = Tensor(np.linspace(-1, 1, 8), requires_grad=True)
 
     def build():
-        return (sigmoid(a) * tanh(a)).sum()
+        return (gaussian(a, 0.7) * abs(a)).sum()
 
     tape = Tape(backend="fused")
     tape.step(build)
@@ -218,8 +264,9 @@ def test_plan_recompiles_after_leaf_storage_swap():
     a.grad = None
     swapped = float(tape.step(build).data)
     expected = float(np.sum(
-        (1.0 / (1.0 + np.exp(-a.data))) * np.tanh(a.data)
+        np.exp(-(a.data ** 2) / (2.0 * 0.7 ** 2)) * np.abs(a.data)
     ))
+    assert tape.stats()["active_backend"] == "fused"
     assert swapped != first
     np.testing.assert_allclose(swapped, expected, rtol=1e-12)
     assert tape.stats()["replays"] == 2
@@ -227,10 +274,14 @@ def test_plan_recompiles_after_leaf_storage_swap():
 
 def test_tape_stats_keys():
     a = Tensor(np.ones(6), requires_grad=True)
+
+    def build():
+        return (gaussian(a, 1.0) * 2.0 + pbqu(a, 1.0, 50.0)).sum()
+
     tape = Tape(backend="fused")
-    tape.step(lambda: (sigmoid(a) * 2.0 + tanh(a)).sum())
+    tape.step(build)
     a.grad = None
-    tape.step(lambda: (sigmoid(a) * 2.0 + tanh(a)).sum())
+    tape.step(build)
     stats = tape.stats()
     assert set(stats) == {
         "backend", "active_backend", "n_nodes", "replayable", "replays",

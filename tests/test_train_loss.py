@@ -6,7 +6,7 @@ import pytest
 from repro.autodiff import Tensor
 from repro.cln.loss import GateSchedule, gcln_loss
 from repro.cln.model import GCLN, GCLNConfig
-from repro.cln.train import train_gcln, train_units_independently
+from repro.cln.train import train_gcln
 from repro.errors import TrainingError
 
 
@@ -64,24 +64,10 @@ def test_train_gcln_reduces_loss(rng):
     assert result.final_loss < result.loss_history[0]
 
 
-def test_train_units_independently_runs(rng):
-    data = np.random.default_rng(0).normal(size=(10, 4))
-    config = GCLNConfig(n_clauses=2, max_epochs=200)
-    from repro.cln.model import AtomicKind, AtomicUnit
-
-    units = [
-        [AtomicUnit(AtomicKind.GE, np.ones(4, dtype=bool), rng, config)]
-        for _ in range(3)
-    ]
-    model = GCLN(4, config, rng, units=units, kind=AtomicKind.GE)
-    result = train_units_independently(model, data, max_epochs=200)
-    assert np.isfinite(result.final_loss)
-
-
 def test_train_rejects_bad_data(rng):
     model = GCLN(3, GCLNConfig(), rng)
     with pytest.raises(TrainingError):
-        train_units_independently(model, np.zeros((0, 3)))
+        train_gcln(model, np.zeros((0, 3)))
 
 
 def test_pruning_happens_during_training(rng):

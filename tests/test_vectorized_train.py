@@ -11,18 +11,9 @@ import pytest
 
 from repro.autodiff import Tensor, fused_gated_tconorm, fused_gated_tnorm, pbqu
 from repro.autodiff.functional import gaussian, sigmoid
-from repro.cln.model import (
-    AtomicKind,
-    GCLN,
-    GCLNConfig,
-    structured_inequality_units,
-)
-from repro.cln.extract import extract_equalities, extract_inequalities
-from repro.cln.train import (
-    train_gcln,
-    train_gcln_restarts,
-    train_units_independently,
-)
+from repro.cln.model import AtomicKind, GCLN, GCLNConfig
+from repro.cln.extract import extract_equalities
+from repro.cln.train import train_gcln, train_gcln_restarts
 from repro.sampling import normalize_rows
 from tests.test_autodiff import check_grad
 
@@ -128,48 +119,6 @@ def test_train_gcln_vectorized_matches_eager_invariants(sqrt1_data):
             str(a) for a in extract_equalities(model, basis, states)
         )
     assert atoms[True] == atoms[False]
-
-
-def test_train_units_seed_equivalence_batched_vs_sequential(sqrt1_data):
-    """Acceptance: identical invariants from batched and sequential.
-
-    The two paths differ only in BLAS kernel choice (per-unit gemv vs
-    one gemm), whose ~1e-16/epoch rounding drift is chaotic under the
-    training dynamics; at 100 epochs the trajectories agree to ~1e-12,
-    so extraction — which rounds to rationals and validates exactly —
-    must produce the same atoms.
-    """
-    states, basis, _raw, data = sqrt1_data
-    term_vars = [m.variables for m in basis.monomials]
-    term_degs = [m.degree for m in basis.monomials]
-    epochs = 100
-    results = {}
-    atoms = {}
-    weights = {}
-    for batched in (False, True):
-        config = GCLNConfig(max_epochs=epochs, vectorized=batched)
-        units = structured_inequality_units(
-            term_vars, term_degs, ["a", "s", "t", "n"], config,
-            np.random.default_rng(5),
-        )
-        model = GCLN(
-            len(basis), config, np.random.default_rng(5), units=units,
-            kind=AtomicKind.GE,
-        )
-        results[batched] = train_units_independently(
-            model, data, max_epochs=epochs, batched=batched
-        )
-        atoms[batched] = sorted(
-            str(a) for a in extract_inequalities(model, basis, states, data)
-        )
-        weights[batched] = model.unit_weights.data.copy()
-    assert atoms[True]  # extraction actually found bounds
-    assert atoms[True] == atoms[False]
-    np.testing.assert_allclose(weights[True], weights[False], atol=1e-9)
-    assert results[True].epochs == results[False].epochs
-    assert results[True].final_loss == pytest.approx(
-        results[False].final_loss, rel=1e-6, abs=1e-8
-    )
 
 
 def test_multi_restart_matches_sequential_training_exactly():
