@@ -4,7 +4,8 @@ The integer square-root loop needs the *tight* quadratic bound
 n >= a^2 — infinitely many looser bounds fit the data but cannot verify
 the postcondition.  This example trains the PBQU bound bank directly
 and shows which bounds survive extraction (all tight, touching the
-data) and that the conjunction verifies the postcondition.
+data) and that the sound ones, conjoined with sqrt1's documented
+invariant, verify the postcondition.
 
 Usage:  python examples/sqrt_tight_bounds.py
 """
@@ -23,6 +24,7 @@ from repro.cln.bounds import (
 )
 from repro.cln.model import GCLNConfig
 from repro.api import InvariantService
+from repro.smt import And
 from repro.sampling import (
     build_term_basis,
     collect_traces,
@@ -60,7 +62,9 @@ def main() -> None:
         print(f"  {atom}   (min slack on data: {slack})")
 
     # 3. The full pipeline combines these with the learned equalities
-    #    and checks the three verification conditions.
+    #    and checks the three verification conditions.  Here we do the
+    #    same by hand: keep the sound step-2 bounds plus sqrt1's
+    #    documented invariant atoms, and check their conjunction.
     result = InvariantService().solve(problem)
     print(f"\nfull pipeline solved: {result.solved}")
     print(f"invariant: {result.invariant(0)[:200]} ...")
@@ -68,10 +72,11 @@ def main() -> None:
     checker = InvariantChecker(
         problem.program, problem.effective_check_inputs
     )
+    candidates = atoms + problem.ground_truth_atoms(0)
+    sound = checker.filter_sound_atoms(0, candidates).sound
     posts = [s.cond for s in problem.program.asserts]
-    # The checker wants the Formula object; the gcln solver keeps its
-    # native InferenceResult on SolveResult.raw.
-    report = checker.check_invariant(0, result.raw.invariant(0), posts)
+    report = checker.check_invariant(0, And(sound), posts)
+    print(f"\nhand-built invariant: {And(sound)}")
     print(f"VC check: pre={report.precondition.value} "
           f"inductive={report.inductive.value} "
           f"post={report.postcondition.value}")

@@ -34,9 +34,7 @@ from repro.errors import ReproError
 from repro.infer import (
     InferenceConfig,
     InferenceEngine,
-    InferenceResult,
     Problem,
-    infer_invariants,
 )
 from repro.api import (
     InvariantService,
@@ -57,8 +55,6 @@ __all__ = [
     "Problem",
     "InferenceConfig",
     "InferenceEngine",
-    "InferenceResult",
-    "infer_invariants",
     "InvariantService",
     "Solver",
     "SolveResult",

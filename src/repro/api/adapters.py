@@ -5,14 +5,15 @@ Each adapter wraps one inference strategy behind the
 runner, and the benchmarks dispatch by registry name and compare
 strategies under one :class:`~repro.api.solver.SolveResult` schema.
 
-The baseline adapters share a skeleton: collect loop-head states
-through the (shared) :class:`~repro.sampling.cache.TraceCache`,
-generate candidate atoms with the strategy, filter them to the sound
-subset with the :class:`~repro.checker.vc.InvariantChecker`, and score
-"solved" exactly like the engine does (documented ground truth implied,
-or a checker-valid conjunction when no ground truth exists).  Each
-step emits the same lifecycle events the engine emits, so per-stage
-profiles are comparable across strategies.
+The G-CLN adapter is a one-line delegation: the engine itself returns
+a :class:`~repro.api.solver.SolveResult`.  The baseline adapters share
+a single-attempt skeleton: collect loop-head states through the
+(shared) :class:`~repro.sampling.cache.TraceCache`, generate candidate
+atoms with the strategy, then hand them to the engine's own
+check-and-score step (:func:`repro.infer.pipeline.check_and_score`),
+which filters them to the sound subset, emits the per-verdict events,
+and decides "solved".  Every strategy is therefore scored by the same
+code, and per-stage profiles are comparable across strategies.
 
 Layering note: :mod:`repro.infer` imports :mod:`repro.api.events`, so
 this module imports the inference runtime lazily (inside functions) to
@@ -27,14 +28,12 @@ from typing import TYPE_CHECKING
 from repro.api.events import (
     STAGES,
     AttemptStarted,
-    Event,
     EventSink,
     StageTimed,
-    emit_check_events,
     timed_stage,
 )
 from repro.api.solver import (
-    LoopReport,
+    GCLN_SOLVER,
     SolveResult,
     SolverCapabilities,
     register_solver,
@@ -46,61 +45,20 @@ from repro.baselines import (
     octahedral_inequalities,
     train_plain_cln,
 )
-from repro.checker.result import CheckOutcome
 from repro.checker.trace import make_checker
 from repro.sampling.cache import TraceCache
 from repro.sampling.termgen import TermBasis, build_term_basis
-from repro.smt.formula import TRUE, And, Atom
-from repro.smt.printer import format_formula
-from repro.smt.simplify import simplify
+from repro.smt.formula import Atom
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
 
 
-def _silent(_event: Event) -> None:
-    """Default event sink: drop everything."""
-
-
-def solve_result_from_inference(result) -> SolveResult:
-    """Package an engine :class:`~repro.infer.pipeline.InferenceResult`
-    as the registry-wide :class:`SolveResult` schema."""
-    loops = []
-    for loop in result.loops:
-        loops.append(
-            LoopReport(
-                loop_index=loop.loop_index,
-                invariant=format_formula(loop.invariant),
-                sound_atoms=[str(a) for a in loop.sound_atoms],
-                candidate_atoms=[str(a) for a in loop.candidate_atoms],
-                rejected_atoms=[
-                    [atom, reason] for atom, reason in loop.rejected_atoms
-                ],
-                ground_truth_implied=loop.ground_truth_implied,
-            )
-        )
-    return SolveResult(
-        solver=GCLNSolver.name,
-        problem=result.problem_name,
-        solved=result.solved,
-        runtime_seconds=result.runtime_seconds,
-        attempts=result.attempts,
-        loops=loops,
-        notes=list(result.notes),
-        stage_timings=dict(result.stage_timings),
-        cache_stats=dict(result.cache_stats),
-        backend=result.backend,
-        train_epochs=result.train_epochs,
-        checking=result.checking,
-        raw=result,
-    )
-
-
 class GCLNSolver:
     """The full G-CLN pipeline (:class:`~repro.infer.pipeline.InferenceEngine`)."""
 
-    name = "gcln"
+    name = GCLN_SOLVER
 
     def solve(
         self,
@@ -112,8 +70,7 @@ class GCLNSolver:
     ) -> SolveResult:
         from repro.infer.pipeline import InferenceEngine
 
-        engine = InferenceEngine(problem, config, cache=cache, events=events)
-        return solve_result_from_inference(engine.run())
+        return InferenceEngine(problem, config, cache=cache, events=events).run()
 
 
 class _BaselineSolver:
@@ -135,10 +92,9 @@ class _BaselineSolver:
         events: EventSink | None = None,
     ) -> SolveResult:
         from repro.infer.config import InferenceConfig
-        from repro.infer.pipeline import _ground_truth_implied, _reduce_redundant
+        from repro.infer.pipeline import check_and_score
         from repro.infer.stages import collect_states
 
-        emit = events if events is not None else _silent
         cache = cache if cache is not None else TraceCache()
         config = config if config is not None else InferenceConfig()
         start = time.perf_counter()
@@ -150,83 +106,45 @@ class _BaselineSolver:
 
             raise InferenceError(f"problem {problem.name!r} has no loops")
 
-        emit(AttemptStarted(problem=problem.name, solver=self.name, attempt=1))
+        if events is not None:
+            events(AttemptStarted(problem=problem.name, solver=self.name, attempt=1))
         with timed_stage(timings, "collect"):
             dataset = collect_states(problem, config, None, cache)
-        checker = make_checker(problem, cache=cache)
+        checker = make_checker(
+            problem, cache=cache, memoize=config.checker_memoization
+        )
 
-        loops: list[LoopReport] = []
-        all_implied = True
-        last_invariant = TRUE
-        last_sound: list[Atom] = []
+        candidates: list[list[Atom]] = []
         for loop_index in range(n_loops):
             states = dataset.states[loop_index]
-            candidates: list[Atom] = []
-            if len(states) >= 3:
-                candidates = self._candidates(
+            candidates.append(
+                self._candidates(
                     problem, config, loop_index, states, cache, timings, notes
                 )
-            with timed_stage(timings, "check"):
-                filtered = checker.filter_sound_atoms(loop_index, candidates)
-            if events is not None:
-                emit_check_events(
-                    emit,
-                    problem.name,
-                    self.name,
-                    loop_index,
-                    filtered.sound,
-                    filtered.rejected,
-                )
-            reduced = _reduce_redundant(filtered.sound)
-            invariant = simplify(And(reduced)) if reduced else TRUE
-            implied = _ground_truth_implied(
-                problem.ground_truth_atoms(loop_index), filtered.sound
+                if len(states) >= 3
+                else []
             )
-            if problem.ground_truth.get(loop_index) and not implied:
-                all_implied = False
-            last_invariant, last_sound = invariant, filtered.sound
-            loops.append(
-                LoopReport(
-                    loop_index=loop_index,
-                    invariant=format_formula(invariant),
-                    sound_atoms=[str(a) for a in filtered.sound],
-                    candidate_atoms=[str(a) for a in candidates],
-                    rejected_atoms=[
-                        [str(a), reason] for a, reason in filtered.rejected
-                    ],
-                    ground_truth_implied=implied,
-                )
-            )
+        loops, solved = check_and_score(
+            problem,
+            checker,
+            candidates,
+            [{} for _ in range(n_loops)],
+            timings,
+            events,
+            solver=self.name,
+        )
 
-        # Solved scoring mirrors InferenceEngine.run: with ground truth,
-        # every documented loop invariant must be implied; without it,
-        # the checker must validate a non-trivial final conjunction.
-        if any(problem.ground_truth.values()):
-            solved = all_implied
-        else:
-            solved = False
-            if last_sound:
-                posts = (
-                    [s.cond for s in problem.program.asserts]
-                    if problem.program_backed
-                    else []
-                )
-                with timed_stage(timings, "check"):
-                    report = checker.check_invariant(
-                        n_loops - 1, last_invariant, posts
+        if events is not None:
+            for stage in STAGES:
+                events(
+                    StageTimed(
+                        problem=problem.name,
+                        solver=self.name,
+                        stage=stage,
+                        seconds=timings[stage],
+                        attempt=1,
                     )
-                solved = report.outcome is CheckOutcome.VALID
-
-        for stage in STAGES:
-            emit(
-                StageTimed(
-                    problem=problem.name,
-                    solver=self.name,
-                    stage=stage,
-                    seconds=timings[stage],
-                    attempt=1,
                 )
-            )
         return SolveResult(
             solver=self.name,
             problem=problem.name,

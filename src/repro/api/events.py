@@ -168,42 +168,6 @@ class EventBus:
                 self.subscriber_errors += 1
 
 
-def emit_check_events(
-    emit: EventSink,
-    problem: str,
-    solver: str,
-    loop_index: int,
-    sound: Iterable[object],
-    rejected: Iterable[tuple[object, str]],
-) -> None:
-    """Emit one :class:`CandidateChecked` per checker verdict.
-
-    Shared by the engine and the baseline adapters so the event payloads
-    stay field-for-field identical across solvers.
-    """
-    for atom in sound:
-        emit(
-            CandidateChecked(
-                problem=problem,
-                solver=solver,
-                loop_index=loop_index,
-                atom=str(atom),
-                sound=True,
-            )
-        )
-    for atom, reason in rejected:
-        emit(
-            CandidateChecked(
-                problem=problem,
-                solver=solver,
-                loop_index=loop_index,
-                atom=str(atom),
-                sound=False,
-                reason=reason,
-            )
-        )
-
-
 @contextmanager
 def timed_stage(timings: dict[str, float], stage: str) -> Iterator[None]:
     """Accumulate the block's wall-clock seconds into ``timings[stage]``.

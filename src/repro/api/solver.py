@@ -5,13 +5,16 @@ baselines — is exposed as a :class:`Solver`: one object with a ``name``
 and a ``solve(problem, ...)`` method returning a :class:`SolveResult`.
 The registry maps names to solver factories so the CLI, the batch
 runner, and the benchmarks dispatch by string and compare strategies
-under one result schema.
+under one result schema.  :class:`SolveResult` is the only result type:
+the G-CLN engine builds it directly, and every solver scores its
+candidates through the same step
+(:func:`repro.infer.pipeline.check_and_score`).
 
 The wire format is deliberately rigid: :data:`RESULT_KEYS` and
 :data:`LOOP_KEYS` enumerate exactly the keys every
 ``SolveResult.to_dict()`` emits, regardless of solver, so downstream
-consumers (JSON records, dashboards, the sharded runner planned in the
-ROADMAP) never branch on the strategy that produced a record.
+consumers (JSON records, the distributed runner's journal, the HTTP
+service) never branch on the strategy that produced a record.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
     from repro.sampling.cache import TraceCache
+
+# Registry name of the G-CLN engine; InferenceEngine stamps it on its
+# results and events, and GCLNSolver registers under it.
+GCLN_SOLVER = "gcln"
 
 
 class UnknownSolverError(ReproError):
@@ -137,9 +144,6 @@ class SolveResult:
             ``"symbolic+bounded"`` for program-backed problems, the
             degraded ``"bounded-holdout"`` for trace-only problems
             (see :mod:`repro.checker.result`).
-        raw: the strategy's native result object when it has one (the
-            G-CLN adapter stores its ``InferenceResult`` here); never
-            serialized.
     """
 
     solver: str
@@ -154,7 +158,6 @@ class SolveResult:
     backend: str = ""
     train_epochs: int = 0
     checking: str = ""
-    raw: object | None = None
 
     def invariant(self, loop_index: int = 0) -> str:
         """Pretty-printed invariant for one loop (``"true"`` if absent)."""
@@ -186,8 +189,7 @@ class SolveResult:
         """Rebuild a result from :meth:`to_dict` output.
 
         This is how results come back over process/host boundaries —
-        e.g. the distributed runner's journal; ``raw`` is never
-        serialized, so round-tripped results carry ``raw=None``.
+        e.g. the distributed runner's journal.
         """
         return cls(
             solver=data["solver"],

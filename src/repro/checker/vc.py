@@ -40,6 +40,10 @@ from repro.checker.symbolic import equality_inductive_symbolic
 # is filtered by an identically-behaved checker.
 DEFAULT_CHECKER_SEED = 10_007
 
+# Interpreter step budget per checking run: InvariantChecker's default,
+# and what record_observations replays on the checking side.
+CHECK_FUEL = 500_000
+
 
 @dataclass
 class AtomFilterResult:
@@ -64,7 +68,7 @@ class InvariantChecker:
         check_inputs: Sequence[Mapping[str, object]],
         externals: Sequence[ExternalTerm] = (),
         rng: np.random.Generator | None = None,
-        fuel: int = 500_000,
+        fuel: int = CHECK_FUEL,
         trace_cache: "TraceCache | None" = None,
         memoize: bool = True,
     ):

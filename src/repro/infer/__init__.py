@@ -1,9 +1,10 @@
 """End-to-end loop invariant inference (Fig. 3 of the paper).
 
-``infer_invariants(problem)`` runs the full workflow: trace collection,
-term expansion and filtering, G-CLN training, formula extraction,
-soundness filtering / specification checking, and retry with adjusted
-dropout and widened sampling on failure.
+``InferenceEngine(problem).run()`` runs the full workflow: trace
+collection, term expansion and filtering, G-CLN training, formula
+extraction, soundness filtering / specification checking, and retry
+with adjusted dropout and widened sampling on failure.  It returns the
+registry-wide :class:`~repro.api.solver.SolveResult`.
 
 The runtime is staged, with one module per stage boundary:
 
@@ -20,7 +21,9 @@ The runtime is staged, with one module per stage boundary:
   never recollect traces or re-evaluate term matrices for an
   unchanged (inputs, interval) pair.
 * :mod:`repro.infer.pipeline` — the per-attempt orchestration:
-  training, extraction, soundness filtering, solved test.
+  training and extraction, then the check-and-score step
+  (:func:`~repro.infer.pipeline.check_and_score`: soundness filtering
+  and the solved test) that every baseline solver reuses.
 * :mod:`repro.infer.runner` — the batch subsystem:
   :func:`~repro.infer.runner.run_many` fans many problems out over a
   process pool with per-problem timeouts and structured records,
@@ -28,19 +31,14 @@ The runtime is staged, with one module per stage boundary:
 
 This package is the *runtime*; the public surface is :mod:`repro.api`
 (the ``Solver`` protocol, registry, and ``InvariantService``), which
-wraps the engine as the ``"gcln"`` solver.  ``infer_invariants`` is
-kept as a deprecated shim that delegates to the service.
+wraps the engine as the ``"gcln"`` solver.
 """
 
 from repro.infer.problem import Problem, parse_ground_truth
 from repro.infer.config import InferenceConfig
 from repro.infer.record import record_observations, record_problem
 from repro.infer.schedule import AttemptPlan, AttemptScheduler, build_schedule
-from repro.infer.pipeline import (
-    InferenceEngine,
-    InferenceResult,
-    infer_invariants,
-)
+from repro.infer.pipeline import InferenceEngine
 from repro.infer.runner import ProblemRecord, run_many, summarize
 
 __all__ = [
@@ -53,8 +51,6 @@ __all__ = [
     "AttemptScheduler",
     "build_schedule",
     "InferenceEngine",
-    "InferenceResult",
-    "infer_invariants",
     "ProblemRecord",
     "run_many",
     "summarize",

@@ -8,6 +8,10 @@ when the checker validates the conjunction).  Failed attempts retry
 with the next dropout rate / seed and, for fractional problems, finer
 sampling intervals.
 
+The filter-and-score half of an attempt is :func:`check_and_score`,
+which every baseline solver calls too, and the engine returns the
+registry-wide :class:`~repro.api.solver.SolveResult` itself.
+
 The engine is a thin orchestrator: the retry policy lives in
 :mod:`repro.infer.schedule`, the (memoized) data stages in
 :mod:`repro.infer.stages`, and trace/matrix reuse in
@@ -18,23 +22,23 @@ redundant trace collection for an unchanged (inputs, interval) pair.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.api.events import (
     STAGES,
     AttemptStarted,
+    CandidateChecked,
     Event,
     EventSink,
     StageTimed,
-    emit_check_events,
     timed_stage,
 )
+from repro.api.solver import GCLN_SOLVER, LoopReport, SolveResult
 from repro.autodiff.backend import resolve_backend_name
 from repro.checker.result import CheckOutcome
-from repro.checker.trace import make_checker
+from repro.checker.trace import RecordedChecker, make_checker
+from repro.checker.vc import InvariantChecker
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
 from repro.cln.extract import extract_equalities
 from repro.cln.model import GCLN, complexity_term_weights
@@ -42,7 +46,7 @@ from repro.cln.train import RestartOutcome, train_gcln, train_gcln_restarts
 from repro.errors import InferenceError, TrainingError
 from repro.poly.reduce import inter_reduce, is_implied_equality, reduce_modulo
 from repro.sampling.cache import TraceCache
-from repro.smt.formula import TRUE, And, Atom, Formula
+from repro.smt.formula import TRUE, And, Atom
 from repro.smt.printer import format_formula
 from repro.smt.simplify import simplify
 from repro.infer.config import InferenceConfig
@@ -79,85 +83,6 @@ def _train_attempt_models(
     return outcomes
 
 
-@dataclass
-class LoopResult:
-    """Inference outcome for one loop.
-
-    ``rejected_atoms`` records every checker rejection across *all*
-    attempts as ``(atom string, reason)`` pairs — rejected atoms are
-    dropped from the candidate pool permanently, so the final attempt's
-    ``candidate_atoms`` alone would under-report them.
-    """
-
-    loop_index: int
-    invariant: Formula
-    sound_atoms: list[Atom] = field(default_factory=list)
-    candidate_atoms: list[Atom] = field(default_factory=list)
-    rejected_atoms: list[tuple[str, str]] = field(default_factory=list)
-    ground_truth_implied: bool = False
-
-    def to_dict(self) -> dict:
-        """JSON-serializable view (formulas/atoms as strings)."""
-        return {
-            "loop_index": self.loop_index,
-            "invariant": format_formula(self.invariant),
-            "sound_atoms": [str(a) for a in self.sound_atoms],
-            "candidate_atoms": [str(a) for a in self.candidate_atoms],
-            "rejected_atoms": [list(pair) for pair in self.rejected_atoms],
-            "ground_truth_implied": self.ground_truth_implied,
-        }
-
-
-@dataclass
-class InferenceResult:
-    """Outcome of :func:`infer_invariants`."""
-
-    problem_name: str
-    solved: bool
-    loops: list[LoopResult] = field(default_factory=list)
-    runtime_seconds: float = 0.0
-    attempts: int = 0
-    notes: list[str] = field(default_factory=list)
-    cache_stats: dict[str, int] = field(default_factory=dict)
-    # Wall-clock seconds per pipeline stage, keyed by
-    # repro.api.events.STAGES, summed over attempts.
-    stage_timings: dict[str, float] = field(default_factory=dict)
-    # Resolved tape-replay backend name the training loops used
-    # ("fused"/"numpy"; see repro.autodiff.backend).
-    backend: str = ""
-    # Total G-CLN training epochs across every attempt/loop/model
-    # (deterministic for a given config).
-    train_epochs: int = 0
-    # Checker mode the run used: "symbolic+bounded" (program-backed)
-    # or the degraded "bounded-holdout" (trace-only problems; see
-    # repro.checker.result).
-    checking: str = ""
-
-    def invariant(self, loop_index: int = 0) -> Formula:
-        for loop in self.loops:
-            if loop.loop_index == loop_index:
-                return loop.invariant
-        return TRUE
-
-    def to_dict(self) -> dict:
-        """JSON-serializable record of the run."""
-        return {
-            "problem": self.problem_name,
-            "solved": self.solved,
-            "attempts": self.attempts,
-            "runtime_seconds": self.runtime_seconds,
-            "notes": list(self.notes),
-            "cache_stats": dict(self.cache_stats),
-            "backend": self.backend,
-            "train_epochs": self.train_epochs,
-            "checking": self.checking,
-            "stage_timings": {
-                s: float(self.stage_timings.get(s, 0.0)) for s in STAGES
-            },
-            "loops": [loop.to_dict() for loop in self.loops],
-        }
-
-
 class InferenceEngine:
     """Runs the full inference workflow for one problem.
 
@@ -172,8 +97,6 @@ class InferenceEngine:
             :class:`~repro.api.service.InvariantService` passes its
             event bus here.
     """
-
-    SOLVER_NAME = "gcln"
 
     def __init__(
         self,
@@ -200,13 +123,14 @@ class InferenceEngine:
         if self._events is not None:
             self._events(event)
 
-    def run(self) -> InferenceResult:
+    def run(self) -> SolveResult:
         """Run the full workflow for the problem, training inline."""
         problem = self.problem
         config = self.config
         start = time.perf_counter()
-        result = InferenceResult(
-            problem_name=problem.name,
+        result = SolveResult(
+            solver=GCLN_SOLVER,
+            problem=problem.name,
             solved=False,
             backend=resolve_backend_name(config.backend),
             checking=self._checker.checking,
@@ -220,7 +144,7 @@ class InferenceEngine:
         accumulated: dict[int, dict[str, Atom]] = {i: {} for i in range(n_loops)}
         # Checker rejections accumulated over every attempt (atom -> reason);
         # the per-attempt candidate pool drops them permanently.
-        rejections: dict[int, dict[str, str]] = {i: {} for i in range(n_loops)}
+        rejections: list[dict[str, str]] = [{} for _ in range(n_loops)]
         scheduler = AttemptScheduler(config, fractional=problem.fractional)
 
         def accumulate(loop_index: int, atoms) -> None:
@@ -241,7 +165,7 @@ class InferenceEngine:
                 self._emit(
                     AttemptStarted(
                         problem=problem.name,
-                        solver=self.SOLVER_NAME,
+                        solver=GCLN_SOLVER,
                         attempt=plan.index + 1,
                         dropout=plan.dropout,
                         fractional_interval=plan.fractional_interval,
@@ -352,77 +276,29 @@ class InferenceEngine:
                             ge_atoms = []
                         accumulate(loop_index, ge_atoms)
 
-            # Soundness filtering + solved test.
-            loop_results = []
-            all_implied = True
-            for loop_index in range(n_loops):
-                candidates = list(accumulated[loop_index].values())
-                with timed_stage(timings, "check"):
-                    filtered = self._checker.filter_sound_atoms(
-                        loop_index, candidates
-                    )
-                if self._events is not None:
-                    emit_check_events(
-                        self._events,
-                        problem.name,
-                        self.SOLVER_NAME,
-                        loop_index,
-                        filtered.sound,
-                        filtered.rejected,
-                    )
-                for atom, reason in filtered.rejected:
-                    rejections[loop_index].setdefault(str(atom), reason)
+            loops, solved = check_and_score(
+                problem,
+                self._checker,
+                [list(accumulated[i].values()) for i in range(n_loops)],
+                rejections,
+                timings,
+                self._events,
+            )
+            for loop in loops:
                 # Drop rejected atoms permanently.
-                sound_keys = {str(a) for a in filtered.sound}
-                accumulated[loop_index] = {
+                sound_keys = set(loop.sound_atoms)
+                accumulated[loop.loop_index] = {
                     k: v
-                    for k, v in accumulated[loop_index].items()
+                    for k, v in accumulated[loop.loop_index].items()
                     if k in sound_keys
                 }
-                reduced = _reduce_redundant(filtered.sound)
-                invariant = simplify(And(reduced)) if reduced else TRUE
-                implied = _ground_truth_implied(
-                    problem.ground_truth_atoms(loop_index), filtered.sound
-                )
-                loop_results.append(
-                    LoopResult(
-                        loop_index=loop_index,
-                        invariant=invariant,
-                        sound_atoms=filtered.sound,
-                        candidate_atoms=candidates,
-                        rejected_atoms=sorted(rejections[loop_index].items()),
-                        ground_truth_implied=implied,
-                    )
-                )
-                if problem.ground_truth.get(loop_index) and not implied:
-                    all_implied = False
-            result.loops = loop_results
-            if all_implied and any(problem.ground_truth.values()):
-                solved = True
-            elif not any(problem.ground_truth.values()):
-                # No ground truth: stop when the checker validates the
-                # conjunction (and something was learned).  Trace-only
-                # problems have no asserts to check against.
-                posts = (
-                    [s.cond for s in problem.program.asserts]
-                    if problem.program_backed
-                    else []
-                )
-                with timed_stage(timings, "check"):
-                    report = self._checker.check_invariant(
-                        n_loops - 1, result.loops[-1].invariant, posts
-                    )
-                if (
-                    report.outcome is CheckOutcome.VALID
-                    and result.loops[-1].sound_atoms
-                ):
-                    solved = True
+            result.loops = loops
             for stage in STAGES:
                 totals[stage] += timings[stage]
                 self._emit(
                     StageTimed(
                         problem=problem.name,
-                        solver=self.SOLVER_NAME,
+                        solver=GCLN_SOLVER,
                         stage=stage,
                         seconds=timings[stage],
                         attempt=attempt,
@@ -437,6 +313,86 @@ class InferenceEngine:
         result.cache_stats = self.cache.stats.to_dict()
         result.stage_timings = totals
         return result
+
+
+def check_and_score(
+    problem: Problem,
+    checker: InvariantChecker | RecordedChecker,
+    candidates: list[list[Atom]],
+    rejections: list[dict[str, str]],
+    timings: dict[str, float],
+    events: EventSink | None,
+    solver: str = GCLN_SOLVER,
+) -> tuple[list[LoopReport], bool]:
+    """Filter each loop's candidates to the sound subset and score the attempt.
+
+    The one scoring step every solver shares.  Per loop: keep the atoms
+    the checker validates (emitting one :class:`CandidateChecked` per
+    verdict), record each rejection in ``rejections[loop]`` (first
+    reason wins, so callers can accumulate across attempts), reduce the
+    sound equalities, and test the documented ground truth.  The attempt
+    is solved when every documented loop invariant is implied, or — for
+    a problem with no ground truth — when the checker validates the last
+    loop's conjunction against the program's asserts and that
+    conjunction is non-empty.  ``check_invariant`` runs whenever there
+    is no ground truth, even on an empty conjunction: the checker's
+    perturbation RNG is shared across calls, so skipping one would shift
+    every later bounded verdict.
+    """
+    loops: list[LoopReport] = []
+    all_implied = True
+    invariant = TRUE
+    for loop_index, loop_candidates in enumerate(candidates):
+        with timed_stage(timings, "check"):
+            filtered = checker.filter_sound_atoms(loop_index, loop_candidates)
+        if events is not None:
+            verdicts = [(atom, None) for atom in filtered.sound]
+            for atom, reason in verdicts + list(filtered.rejected):
+                events(
+                    CandidateChecked(
+                        problem=problem.name,
+                        solver=solver,
+                        loop_index=loop_index,
+                        atom=str(atom),
+                        sound=reason is None,
+                        reason=reason,
+                    )
+                )
+        for atom, reason in filtered.rejected:
+            rejections[loop_index].setdefault(str(atom), reason)
+        reduced = _reduce_redundant(filtered.sound)
+        invariant = simplify(And(reduced)) if reduced else TRUE
+        implied = _ground_truth_implied(
+            problem.ground_truth_atoms(loop_index), filtered.sound
+        )
+        if problem.ground_truth.get(loop_index) and not implied:
+            all_implied = False
+        loops.append(
+            LoopReport(
+                loop_index=loop_index,
+                invariant=format_formula(invariant),
+                sound_atoms=[str(a) for a in filtered.sound],
+                candidate_atoms=[str(a) for a in loop_candidates],
+                rejected_atoms=[
+                    [atom, reason]
+                    for atom, reason in sorted(rejections[loop_index].items())
+                ],
+                ground_truth_implied=implied,
+            )
+        )
+    if any(problem.ground_truth.values()):
+        return loops, all_implied
+    # No ground truth: solved when the checker validates the conjunction
+    # (and something was learned).  Trace-only problems have no asserts
+    # to check against.
+    posts = (
+        [s.cond for s in problem.program.asserts]
+        if problem.program_backed
+        else []
+    )
+    with timed_stage(timings, "check"):
+        report = checker.check_invariant(len(candidates) - 1, invariant, posts)
+    return loops, report.outcome is CheckOutcome.VALID and bool(loops[-1].sound_atoms)
 
 
 def _reduce_redundant(atoms: list[Atom]) -> list[Atom]:
@@ -484,38 +440,3 @@ def _ground_truth_implied(truth: list[Atom], sound: list[Atom]) -> bool:
             if not matched:
                 return False
     return True
-
-
-def infer_invariants(
-    problem: Problem,
-    config: InferenceConfig | None = None,
-    cache: TraceCache | None = None,
-) -> InferenceResult:
-    """Run the G-CLN solver once for ``problem``.
-
-    .. deprecated::
-        Use :class:`repro.api.InvariantService` (or
-        ``repro.api.get_solver("gcln")``) instead; this wrapper now
-        delegates to the service and returns the underlying
-        :class:`InferenceResult` for backward compatibility.
-    """
-    warnings.warn(
-        "infer_invariants() is deprecated; use "
-        "repro.api.InvariantService().solve(problem) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.adapters import GCLNSolver
-    from repro.api.service import InvariantService
-    from repro.api.solver import solver_entries
-
-    entries = {e.name: e for e in solver_entries()}
-    if entries.get("gcln") is None or entries["gcln"].factory is not GCLNSolver:
-        # The "gcln" registration was replaced with a strategy that may
-        # not carry a native InferenceResult; legacy callers need the
-        # real engine output, so run it directly (once).
-        return InferenceEngine(problem, config, cache=cache).run()
-    service = InvariantService(config=config, cache=cache)
-    result = service.solve(problem, solver="gcln")
-    assert isinstance(result.raw, InferenceResult)  # stock adapter sets raw
-    return result.raw

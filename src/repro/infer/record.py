@@ -23,15 +23,10 @@ smoke re-solves ps2 from its recording and asserts invariant equality.
 from __future__ import annotations
 
 from repro.checker.bounded import BoundedChecker
+from repro.checker.vc import CHECK_FUEL
 from repro.infer.problem import Problem
 from repro.sampling.source import LoopTrace, Observation, TraceData
-from repro.sampling.tracegen import collect_traces
-
-# Fuel budgets mirrored from the paths being recorded:
-# TraceCache.traces / collect_traces default (training side) and
-# InvariantChecker's interpreter budget (checking side).
-_TRAIN_FUEL = 100_000
-_CHECK_FUEL = 500_000
+from repro.sampling.tracegen import TRAIN_FUEL, collect_traces
 
 
 def _loop_observations(traces, loop_index: int) -> list[Observation]:
@@ -53,10 +48,10 @@ def record_observations(problem: Problem) -> TraceData:
     """
     program = problem.program
     train_traces = collect_traces(
-        program, problem.train_inputs, fuel=_TRAIN_FUEL
+        program, problem.train_inputs, fuel=TRAIN_FUEL
     )
     check_traces = BoundedChecker(
-        program, externals=problem.externals, fuel=_CHECK_FUEL
+        program, externals=problem.externals, fuel=CHECK_FUEL
     ).run_traces(problem.effective_check_inputs)
     data: TraceData = {}
     for loop_index in range(len(program.loops)):

@@ -220,9 +220,13 @@ def _run_one(
             if previous_handler is not None:
                 signal.signal(signal.SIGALRM, previous_handler)
             if previous_timer[0] > 0:
-                # Re-arm the caller's pre-existing timer with the time
-                # it had remaining when we took over.
-                signal.setitimer(signal.ITIMER_REAL, *previous_timer)
+                # Re-arm the caller's pre-existing timer with what is
+                # left of it after this solve; an already-passed
+                # deadline still fires (setitimer(..., 0) would disarm).
+                remaining = previous_timer[0] - (time.perf_counter() - start)
+                signal.setitimer(
+                    signal.ITIMER_REAL, max(remaining, 1e-6), previous_timer[1]
+                )
 
 
 def run_many(

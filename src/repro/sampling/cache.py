@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.lang.ast import Program
 from repro.lang.interp import ExecutionTrace
-from repro.sampling.tracegen import collect_traces
+from repro.sampling.tracegen import TRAIN_FUEL, collect_traces
 
 # The fingerprint helpers moved to repro.utils.fingerprint (one
 # canonical keying scheme shared with the serving dedup/memo and the
@@ -223,7 +223,7 @@ class TraceCache:
         self,
         program: Program,
         inputs: Sequence[Mapping[str, object]],
-        fuel: int = 100_000,
+        fuel: int = TRAIN_FUEL,
         max_traces: int | None = None,
     ) -> list[ExecutionTrace]:
         """Memoized :func:`~repro.sampling.tracegen.collect_traces`."""

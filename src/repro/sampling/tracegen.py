@@ -30,10 +30,16 @@ def enumerate_inputs(
     return combos
 
 
+# Interpreter step budget per training run: the default of
+# collect_traces and TraceCache.traces, and what record_observations
+# replays on the training side.
+TRAIN_FUEL = 100_000
+
+
 def collect_traces(
     program: Program,
     inputs: Iterable[Mapping[str, object]],
-    fuel: int = 100_000,
+    fuel: int = TRAIN_FUEL,
     max_traces: int | None = None,
 ) -> list[ExecutionTrace]:
     """Run ``program`` on each input assignment, keeping valid traces.

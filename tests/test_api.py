@@ -23,12 +23,12 @@ from repro.api import (
     solver_entries,
     unregister_solver,
 )
-from repro.infer import InferenceConfig, InferenceResult, Problem
+from repro.infer import InferenceConfig, Problem
 
 FAST_CONFIG = InferenceConfig(max_epochs=60, dropout_schedule=(0.6,))
 
 
-def tiny_problem(name: str = "tinyline") -> Problem:
+def tiny_problem(name: str = "tinyline", ground_truth=None) -> Problem:
     return Problem(
         name=name,
         source=f"""
@@ -40,7 +40,7 @@ while (i < n) {{ i = i + 1; x = x + 2; }}
 """,
         train_inputs=[{"n": v} for v in range(0, 8)],
         max_degree=1,
-        ground_truth={0: ["x == 2 * i"]},
+        ground_truth={0: ["x == 2 * i"]} if ground_truth is None else ground_truth,
     )
 
 
@@ -325,45 +325,104 @@ def test_rejected_atoms_mirror_checker_events():
         assert all(reason for _, reason in pairs)
 
 
-# -- deprecation shim ---------------------------------------------------------
+# -- one result type, one scoring step -----------------------------------------
 
 
-def test_infer_invariants_shim_warns_and_delegates():
-    from repro.infer import infer_invariants
+def test_engine_returns_the_registry_result_type():
+    from repro.infer import InferenceEngine
 
-    with pytest.warns(DeprecationWarning, match="InvariantService"):
-        result = infer_invariants(tiny_problem(), FAST_CONFIG)
-    assert isinstance(result, InferenceResult)
-    assert result.solved
-    assert set(result.to_dict()["stage_timings"]) == set(STAGES)
+    result = InferenceEngine(tiny_problem(), FAST_CONFIG).run()
+    assert isinstance(result, SolveResult)
+    assert result.solver == "gcln"
+    assert set(result.to_dict()) == set(RESULT_KEYS)
+    _assert_schema(result.to_dict())
 
 
-def test_shim_survives_replaced_gcln_registration():
-    """A replaced 'gcln' without a native result falls back to the engine."""
-    from repro.infer import infer_invariants
+def test_engine_and_baseline_score_without_ground_truth_the_same_way():
+    """No ground truth: a checker-valid non-empty conjunction solves,
+    for the G-CLN engine and a baseline alike."""
+    problem = tiny_problem("nogt", ground_truth={})
+    service = InvariantService(FAST_CONFIG)
+    for name in ("gcln", "guess_and_check"):
+        result = service.solve(problem, solver=name)
+        assert result.solved, name
+        assert result.loops[0].sound_atoms, name
+        assert result.loops[0].ground_truth_implied, name
 
-    original = {e.name: e for e in solver_entries()}["gcln"]
 
-    class NoRaw:
-        name = "gcln"
+class _SpyChecker:
+    """Rejects the ``refuse`` atoms, accepts the rest; records its calls."""
 
-        def solve(self, problem, *, config=None, cache=None, events=None):
-            return SolveResult(solver="gcln", problem=problem.name, solved=False)
+    def __init__(self, refuse=(), valid: bool = True):
+        from repro.checker.result import CheckOutcome
 
-    register_solver("gcln", NoRaw, replace=True)
-    try:
-        with pytest.warns(DeprecationWarning):
-            result = infer_invariants(tiny_problem(), FAST_CONFIG)
-        assert isinstance(result, InferenceResult)
-        assert result.solved
-    finally:
-        register_solver(
-            "gcln",
-            original.factory,
-            description=original.description,
-            capabilities=original.capabilities,
-            replace=True,
+        self.refuse = {str(a) for a in refuse}
+        self.calls = []
+        self.outcome = CheckOutcome.VALID if valid else CheckOutcome.INVALID
+
+    def filter_sound_atoms(self, loop_index, atoms):
+        from repro.checker.vc import AtomFilterResult
+
+        self.calls.append(("filter", loop_index, [str(a) for a in atoms]))
+        sound = [a for a in atoms if str(a) not in self.refuse]
+        rejected = [(a, "not inductive") for a in atoms if str(a) in self.refuse]
+        return AtomFilterResult(sound=sound, rejected=rejected)
+
+    def check_invariant(self, loop_index, invariant, posts):
+        from repro.checker.result import CheckReport
+
+        self.calls.append(("check", loop_index, str(invariant)))
+        return CheckReport(outcome=self.outcome)
+
+
+def test_check_and_score_without_ground_truth():
+    from repro.infer.pipeline import check_and_score
+    from repro.infer.problem import parse_ground_truth
+
+    problem = tiny_problem("nogt", ground_truth={})
+    good, bad = parse_ground_truth("x == 2 * i"), parse_ground_truth("x == 3 * i")
+
+    def score(candidates, checker):
+        rejections = [{}]
+        loops, solved = check_and_score(
+            problem, checker, [candidates], rejections, {}, None
         )
+        return loops[0], solved
+
+    loop, solved = score([bad, good], _SpyChecker(refuse=[bad]))
+    assert solved
+    assert loop.sound_atoms == [str(good)]
+    assert loop.rejected_atoms == [[str(bad), "not inductive"]]
+
+    # The checker refusing the conjunction means not solved.
+    assert not score([good], _SpyChecker(valid=False))[1]
+
+    # An empty sound set is not solved, but the conjunction is still
+    # checked: the checker's RNG stream must not depend on the outcome.
+    checker = _SpyChecker(refuse=[bad])
+    loop, solved = score([bad], checker)
+    assert not solved
+    assert loop.invariant == "true"
+    assert [c[0] for c in checker.calls] == ["filter", "check"]
+
+
+def test_baselines_honor_checker_memoization(monkeypatch):
+    from repro.api import adapters
+    from repro.checker.trace import make_checker
+
+    seen = []
+
+    def spy(problem, cache=None, memoize=True):
+        seen.append(memoize)
+        return make_checker(problem, cache=cache, memoize=memoize)
+
+    monkeypatch.setattr(adapters, "make_checker", spy)
+    config = InferenceConfig(
+        max_epochs=60, dropout_schedule=(0.6,), checker_memoization=False
+    )
+    result = get_solver("guess_and_check").solve(tiny_problem(), config=config)
+    assert result.solved
+    assert seen == [False]
 
 
 def test_engine_events_flow_without_service():

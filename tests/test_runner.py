@@ -216,3 +216,36 @@ def test_timeout_enforced_defaults_true_without_budget():
     records = run_many([tiny_problem("nobudget")], FAST_CONFIG, jobs=1)
     assert records[0].timeout_enforced is True
     assert records[0].to_dict()["timeout_enforced"] is True
+
+
+def test_inline_solve_does_not_extend_the_callers_alarm():
+    """A pre-existing ITIMER_REAL comes back with the solve's time
+    subtracted, and an already-passed deadline still fires."""
+    import signal
+
+    from repro.api.solver import SolveResult
+
+    def slow_solve(problem, config):
+        time.sleep(0.6)
+        return SolveResult(solver="slow", problem=problem.name, solved=True)
+
+    fired = []
+    previous = signal.signal(signal.SIGALRM, lambda *_: fired.append(True))
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        record = runner_module._run_one(
+            tiny_problem("outer"), FAST_CONFIG, 5, solve_fn=slow_solve
+        )
+        remaining = signal.getitimer(signal.ITIMER_REAL)[0]
+        assert record.status == STATUS_OK
+        assert 0.2 < remaining < 0.45
+
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        runner_module._run_one(
+            tiny_problem("outer"), FAST_CONFIG, 5, solve_fn=slow_solve
+        )
+        time.sleep(0.05)
+        assert fired
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
