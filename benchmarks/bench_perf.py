@@ -2,26 +2,29 @@
 
 Measures four things and writes them to ``BENCH_PERF.json``:
 
-1. **gcln** — epochs/sec of ``train_gcln`` on an auto-built equality
-   model: the eager per-unit graph vs the vectorized taped path.
+1. **gcln** — epochs/sec on an auto-built equality model: the eager
+   per-unit reference trainer (``train_gcln_eager``) vs the vectorized
+   taped ``train_gcln``.
 2. **end_to_end** — wall-clock of full solves on a fixed problem set,
    with every optimization disabled (eager training, no attempt
    batching, no checker memoization) vs the defaults.
 3. **replay** — ``tape.step``-only epochs/sec of a PBQU bound-unit
-   training graph per replay backend: the reference closure walker
-   (``numpy``) vs the compiled fused plan (``fused``).  This isolates
-   the replay engine from optimizer/bookkeeping overhead; section 1
-   pins ``backend="numpy"`` so its trajectory stays comparable with
-   historical records.
+   training graph through the reference closure walker (``numpy``) vs
+   the compiled plan (``fused``).  This isolates the replay engine
+   from optimizer/bookkeeping overhead; section 1 replays through the
+   walker so its trajectory stays comparable with historical records.
 4. **serve** — the HTTP front end under concurrent load: one cold
    solve latency vs memoized replays hammered by 8 concurrent clients
    (req/s, p50/p95 latency, and the memo speedup ``check_perf.py``
    gates at >= 10x), plus N concurrent *identical* requests proving
    the in-flight dedup collapses them to exactly one solve.
 
-Speedups are ratios measured in the same process on the same machine,
-so they are comparable across hosts; the absolute epochs/sec numbers
-are what ``check_perf.py`` gates CI regressions against.
+The walker is reached the way the test suite's ``walker`` fixture
+reaches it: the tape's plan compile is patched to decline, so the tape
+takes its own fallback.  Speedups are ratios measured in the same
+process on the same machine, so they are comparable across hosts; the
+absolute epochs/sec numbers are what ``check_perf.py`` gates CI
+regressions against.
 
 Usage::
 
@@ -32,15 +35,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.api import InvariantService
 from repro.bench import nla_problem
 from repro.autodiff import Tape, Tensor
+from repro.autodiff import tape as tape_module
 from repro.cln.model import (
     AtomicKind,
     GCLN,
@@ -48,7 +54,7 @@ from repro.cln.model import (
     structured_inequality_units,
 )
 from repro.cln.activations import pbqu_ge
-from repro.cln.train import train_gcln
+from repro.cln.train import train_gcln, train_gcln_eager
 from repro.infer import InferenceConfig
 from repro.sampling import normalize_rows
 from repro.utils import format_table
@@ -56,6 +62,15 @@ from repro.utils import format_table
 # Never early-stop inside the microbenchmarks: epochs/sec must divide
 # by a deterministic epoch count.
 _NO_EARLY_STOP = 10**9
+
+
+def _walker_replay():
+    """Every Tape replays through its closure walker inside this block."""
+    return mock.patch.object(
+        tape_module,
+        "compile_plan",
+        lambda nodes, root: (None, "compile declined: walker oracle"),
+    )
 
 
 def _unit_bank_inputs(n_terms: int, samples: int, seed: int):
@@ -72,19 +87,20 @@ def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
     rng = np.random.default_rng(0)
     data = normalize_rows(np.abs(rng.normal(size=(samples, n_terms))) + 0.5)
     out: dict = {}
-    for label, vectorized in (("eager", False), ("vectorized", True)):
-        config = GCLNConfig(
-            n_clauses=10, max_epochs=epochs, dropout_rate=0.5,
-            vectorized=vectorized, backend="numpy",
-        )
+    for label, trainer in (
+        ("eager", train_gcln_eager), ("vectorized", train_gcln)
+    ):
+        config = GCLNConfig(n_clauses=10, max_epochs=epochs, dropout_rate=0.5)
         model = GCLN(
             n_terms, config, np.random.default_rng(7), protected_terms=[0]
         )
-        start = time.perf_counter()
-        result = train_gcln(
-            model, data, max_epochs=epochs, early_stop_patience=_NO_EARLY_STOP
-        )
-        elapsed = time.perf_counter() - start
+        with _walker_replay():
+            start = time.perf_counter()
+            result = trainer(
+                model, data, max_epochs=epochs,
+                early_stop_patience=_NO_EARLY_STOP,
+            )
+            elapsed = time.perf_counter() - start
         out[f"{label}_epochs_per_sec"] = result.epochs / elapsed
         out["units"] = len(model.units_flat)
     out["speedup"] = out["vectorized_epochs_per_sec"] / out["eager_epochs_per_sec"]
@@ -94,7 +110,7 @@ def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
 def bench_replay(
     reps: int, n_terms: int = 15, samples: int = 60
 ) -> dict:
-    """``tape.step``-only epochs/sec of the units graph per backend.
+    """``tape.step``-only epochs/sec of the units graph, walker vs plan.
 
     A stacked bank of structured GE units (unit residuals → PBQU →
     loss), timing pure replays — no optimizer, clipping, or annealing —
@@ -104,8 +120,8 @@ def bench_replay(
         n_terms, samples, seed=0
     )
     out: dict = {"reps": reps}
-    for backend in ("numpy", "fused"):
-        config = GCLNConfig(max_epochs=reps, backend=backend)
+    for label in ("numpy", "fused"):
+        config = GCLNConfig(max_epochs=reps)
         units = structured_inequality_units(
             term_vars, term_degs, variables, config, np.random.default_rng(3)
         )
@@ -121,16 +137,20 @@ def bench_replay(
             act = pbqu_ge(residuals, c1_box, config.c2)
             return (1.0 - act).sum()
 
-        tape = Tape(backend=backend)
-        tape.step(build)  # record (eager)
-        model.unit_weights.grad = None
-        tape.step(build)  # first replay: compiles the plan
-        start = time.perf_counter()
-        for _ in range(reps):
+        tape = Tape()
+        engine = (
+            _walker_replay() if label == "numpy" else contextlib.nullcontext()
+        )
+        with engine:
+            tape.step(build)  # record (eager)
             model.unit_weights.grad = None
-            tape.step(build)
-        elapsed = time.perf_counter() - start
-        out[f"{backend}_epochs_per_sec"] = reps / elapsed
+            tape.step(build)  # first replay: compiles the plan
+            start = time.perf_counter()
+            for _ in range(reps):
+                model.unit_weights.grad = None
+                tape.step(build)
+            elapsed = time.perf_counter() - start
+        out[f"{label}_epochs_per_sec"] = reps / elapsed
         out["nodes"] = tape.stats()["n_nodes"]
     out["speedup"] = (
         out["fused_epochs_per_sec"] / out["numpy_epochs_per_sec"]
@@ -139,12 +159,16 @@ def bench_replay(
 
 
 def bench_end_to_end(problems: list[str], epochs: int) -> dict:
-    """Full solves: all optimizations off vs the defaults."""
+    """Full solves: all optimizations off vs the defaults.
+
+    The baseline trains every model with the eager reference trainer
+    (patched in for ``repro.infer.pipeline.train_gcln``; with
+    ``attempt_batch_size=1`` every model goes through it).
+    """
     baseline_config = InferenceConfig(
         max_epochs=epochs,
         attempt_batch_size=1,
         checker_memoization=False,
-        gcln=GCLNConfig(vectorized=False),
     )
     optimized_config = InferenceConfig(max_epochs=epochs)
     per_problem: dict[str, dict] = {}
@@ -157,9 +181,15 @@ def bench_end_to_end(problems: list[str], epochs: int) -> dict:
         ):
             service = InvariantService(config)
             problem = nla_problem(name)
-            start = time.perf_counter()
-            result = service.solve(problem)
-            elapsed = time.perf_counter() - start
+            trainer = (
+                mock.patch("repro.infer.pipeline.train_gcln", train_gcln_eager)
+                if label == "baseline"
+                else contextlib.nullcontext()
+            )
+            with trainer:
+                start = time.perf_counter()
+                result = service.solve(problem)
+                elapsed = time.perf_counter() - start
             entry[f"{label}_seconds"] = elapsed
             entry[f"{label}_solved"] = result.solved
             totals[label] += elapsed

@@ -135,9 +135,6 @@ class SolveResult:
             profiling").
         cache_stats: the :class:`~repro.sampling.cache.TraceCache`
             counters observed at the end of the solve.
-        backend: resolved tape-replay backend name used for training
-            (``"fused"``/``"numpy"``; empty for solvers that do not
-            train).
         train_epochs: total training epochs spent across attempts
             (0 for solvers that do not train).
         checking: the checker mode the solve ran under —
@@ -155,7 +152,6 @@ class SolveResult:
     notes: list[str] = field(default_factory=list)
     stage_timings: dict[str, float] = field(default_factory=dict)
     cache_stats: dict[str, int] = field(default_factory=dict)
-    backend: str = ""
     train_epochs: int = 0
     checking: str = ""
 
@@ -178,7 +174,6 @@ class SolveResult:
             "notes": list(self.notes),
             "stage_timings": timings,
             "cache_stats": dict(self.cache_stats),
-            "backend": self.backend,
             "train_epochs": self.train_epochs,
             "checking": self.checking,
             "loops": [loop.to_dict() for loop in self.loops],
@@ -189,7 +184,9 @@ class SolveResult:
         """Rebuild a result from :meth:`to_dict` output.
 
         This is how results come back over process/host boundaries —
-        e.g. the distributed runner's journal.
+        e.g. the distributed runner's journal.  Keys outside
+        :data:`RESULT_KEYS` (such as the ``backend`` key older records
+        carry) are ignored, so old journals and memos still load.
         """
         return cls(
             solver=data["solver"],
@@ -201,7 +198,6 @@ class SolveResult:
             notes=list(data.get("notes", [])),
             stage_timings=dict(data.get("stage_timings", {})),
             cache_stats=dict(data.get("cache_stats", {})),
-            backend=data.get("backend", ""),
             train_epochs=int(data.get("train_epochs", 0)),
             checking=data.get("checking", ""),
         )
@@ -218,7 +214,6 @@ RESULT_KEYS = frozenset(
         "notes",
         "stage_timings",
         "cache_stats",
-        "backend",
         "train_epochs",
         "checking",
         "loops",

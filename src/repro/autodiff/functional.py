@@ -1,19 +1,16 @@
 """Elementwise functions, combinators, and fused CLN kernels.
 
 Every op records an in-place forward closure (see
-:mod:`repro.autodiff.tape`) alongside its backward closure — including
-:func:`where`, which recomputes its condition dynamically (a callable
-condition is re-evaluated, an array condition re-read in place), so
-graphs containing it stay replayable.
+:mod:`repro.autodiff.tape`) alongside its backward closure, so graphs
+built from them stay replayable.
 
 The fused kernels at the bottom collapse the hot CLN chains into a
 single graph node each:
 
 * :func:`gaussian` — the equality relaxation (one node already; its σ
   may be a 0-d numpy "box" that an annealing loop updates in place).
-* :func:`pbqu` — the PBQU inequality relaxation as one node (the eager
-  formulation was a ``where`` over two 3-op branches, which is both 7
-  nodes and un-replayable).
+* :func:`pbqu` — the PBQU inequality relaxation as one node (instead
+  of a select over two 3-op rational branches).
 * :func:`fused_gated_tnorm` / :func:`fused_gated_tconorm` — a whole
   gated clause (``prod(1 + g·(v-1))`` / ``1 - prod(1 - g·v)``) as one
   node instead of a sub/mul/add/prod chain.
@@ -30,42 +27,6 @@ import numpy as np
 
 from repro.errors import AutodiffError
 from repro.autodiff.tensor import Tensor, exclusive_prod
-
-
-def exp(x: Tensor) -> Tensor:
-    data = np.asarray(np.exp(x.data))
-
-    def forward() -> None:
-        np.exp(x.data, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._push(grad * data)
-
-    return Tensor._result(data, (x,), backward, forward, ("exp", None))
-
-
-def log(x: Tensor) -> Tensor:
-    data = np.asarray(np.log(x.data))
-
-    def forward() -> None:
-        np.log(x.data, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._push(grad / x.data)
-
-    return Tensor._result(data, (x,), backward, forward, ("log", None))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    data = np.asarray(np.sqrt(x.data))
-
-    def forward() -> None:
-        np.sqrt(x.data, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._push(grad * 0.5 / np.maximum(data, 1e-300))
-
-    return Tensor._result(data, (x,), backward, forward, ("sqrt", None))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -88,30 +49,6 @@ def sigmoid(x: Tensor) -> Tensor:
         x._push(grad * data * (1.0 - data))
 
     return Tensor._result(data, (x,), backward, forward, ("sigmoid", None))
-
-
-def tanh(x: Tensor) -> Tensor:
-    data = np.asarray(np.tanh(x.data))
-
-    def forward() -> None:
-        np.tanh(x.data, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._push(grad * (1.0 - data**2))
-
-    return Tensor._result(data, (x,), backward, forward, ("tanh", None))
-
-
-def relu(x: Tensor) -> Tensor:
-    data = np.asarray(np.maximum(x.data, 0.0))
-
-    def forward() -> None:
-        np.maximum(x.data, 0.0, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._push(grad * (x.data > 0))
-
-    return Tensor._result(data, (x,), backward, forward, ("relu", None))
 
 
 def gaussian(x: Tensor, sigma) -> Tensor:
@@ -145,7 +82,7 @@ def pbqu(t: Tensor, c1, c2) -> Tensor:
         S(t) = c2^2 / (t^2 + c2^2)   if t >= 0  (slow decay)
              = c1^2 / (t^2 + c1^2)   if t <  0  (sharp penalty)
 
-    One graph node instead of a ``where`` over two rational chains; the
+    One graph node instead of a select over two rational chains; the
     branch condition is recomputed from ``t.data`` on every replay, so
     the node is tape-safe.  ``c1``/``c2`` may be floats or 0-d boxes.
     """
@@ -231,45 +168,6 @@ def fused_gated_tconorm(values: Tensor, gates: Tensor, axis: int = -1) -> Tensor
     )
 
 
-def where(condition, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable piecewise selection; ``condition`` is data, not a node.
-
-    ``condition`` may be a boolean array or a zero-argument callable
-    returning one.  Either way the node is tape-replayable: the forward
-    closure recomputes the selection from the parents' *current* data
-    on every replay, and a callable condition is re-evaluated first —
-    so data-dependent branches (``where(lambda: x.data >= 0, ...)``)
-    track the leaves instead of freezing at record time.  An array
-    condition is re-read in place, so updating the caller's boolean
-    buffer between epochs also works.  Prefer :func:`pbqu` (or a
-    dedicated fused kernel) on hot paths.
-    """
-    cond_fn = condition if callable(condition) else None
-    if cond_fn is not None:
-        # Own buffer, refreshed in place on every replay.
-        cond = np.array(cond_fn(), dtype=bool)
-    else:
-        # Shared when already boolean: in-place caller updates track.
-        cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-
-    def forward() -> None:
-        if cond_fn is not None:
-            cond[...] = cond_fn()
-        np.copyto(data, b.data)
-        np.copyto(data, a.data, where=cond)
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.asarray(grad, dtype=np.float64)
-        a._push(np.where(cond, g, 0.0))
-        b._push(np.where(cond, 0.0, g))
-
-    return Tensor._result(
-        data, (a, b), backward, forward,
-        ("where", {"cond": cond, "cond_fn": cond_fn}),
-    )
-
-
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties send the gradient to the first argument."""
     data = np.asarray(np.maximum(a.data, b.data))
@@ -300,31 +198,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
         b._push(np.where(take_a, 0.0, g))
 
     return Tensor._result(data, (a, b), backward, forward, ("minimum", None))
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``."""
-    if not tensors:
-        raise AutodiffError("concat needs at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def forward() -> None:
-        np.concatenate([t.data for t in tensors], axis=axis, out=data)
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.asarray(grad, dtype=np.float64)
-        offset = 0
-        for tensor, size in zip(tensors, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            tensor._push(g[tuple(index)])
-            offset += size
-
-    return Tensor._result(
-        data, tuple(tensors), backward, forward,
-        ("concat", {"axis": axis, "sizes": sizes}),
-    )
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:

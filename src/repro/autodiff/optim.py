@@ -1,14 +1,14 @@
-"""Optimizers: SGD and Adam with multiplicative learning-rate decay.
+"""The Adam optimizer with multiplicative learning-rate decay.
 
 The paper trains with Adam (lr=0.01, decay 0.9996 per epoch, max 5000
 epochs); :class:`Adam` implements the standard Kingma-Ba update with an
 optional per-step decay factor to match.
 
-Both optimizers are allocation-free in steady state: ``zero_grad``
-zeroes the existing gradient buffers in place (``Tensor._accumulate``
-then adds into them), and :meth:`Adam.step` stages every intermediate
-in preallocated scratch buffers instead of allocating fresh arrays
-each epoch.
+It is allocation-free in steady state: ``zero_grad`` zeroes the
+existing gradient buffers in place (``Tensor._accumulate`` then adds
+into them), and :meth:`Adam.step` stages every intermediate in
+preallocated scratch buffers instead of allocating fresh arrays each
+epoch.
 """
 
 from __future__ import annotations
@@ -19,50 +19,7 @@ from repro.errors import AutodiffError
 from repro.autodiff.tensor import Tensor
 
 
-class Optimizer:
-    """Base optimizer over a list of parameter tensors."""
-
-    def __init__(self, params: list[Tensor], lr: float):
-        if lr <= 0:
-            raise AutodiffError(f"learning rate must be positive, got {lr}")
-        self.params = [p for p in params if p.requires_grad]
-        if not self.params:
-            raise AutodiffError("optimizer received no trainable parameters")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        """Zero every parameter gradient, reusing the existing buffers."""
-        for p in self.params:
-            if p.grad is not None and p.grad.shape == p.data.shape:
-                p.grad.fill(0.0)
-            else:
-                p.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba 2015) with multiplicative lr decay."""
 
     def __init__(
@@ -82,7 +39,12 @@ class Adam(Optimizer):
             decay: multiplicative lr decay applied after every step
                 (the paper uses 0.9996).
         """
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise AutodiffError(f"learning rate must be positive, got {lr}")
+        self.params = [p for p in params if p.requires_grad]
+        if not self.params:
+            raise AutodiffError("optimizer received no trainable parameters")
+        self.lr = lr
         self.betas = betas
         self.eps = eps
         self.decay = decay
@@ -93,6 +55,14 @@ class Adam(Optimizer):
         # in place (no per-epoch allocations).
         self._s1 = [np.empty_like(p.data) for p in self.params]
         self._s2 = [np.empty_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        """Zero every parameter gradient, reusing the existing buffers."""
+        for p in self.params:
+            if p.grad is not None and p.grad.shape == p.data.shape:
+                p.grad.fill(0.0)
+            else:
+                p.grad = None
 
     def step(self) -> None:
         self._step += 1

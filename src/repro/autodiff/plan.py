@@ -1,4 +1,4 @@
-"""Replay backends: compile a recorded tape into a fused replay program.
+"""Replay plans: compile a recorded tape into a fused replay program.
 
 The :class:`~repro.autodiff.tape.Tape` replays a graph closure-by-
 closure: per node, a Python call, ``asarray``/``_unbroadcast`` checks,
@@ -25,9 +25,9 @@ loss arithmetic): ``add``, ``sub``, ``mul``, ``div``, ``abs``,
 ``pbqu``, ``tnorm`` and ``tconorm``.  Every other op the autodiff
 layer offers replays through the closure walker.
 
-**Oracle guarantee**: the ``numpy`` backend is the untouched closure
-walker, and the ``fused`` plan computes every gradient with the same
-numpy ufunc sequence the closures execute (relying on documented
+**Oracle guarantee**: the tape's closure walker is the reference, and
+the plan computes every gradient with the same numpy ufunc sequence
+the closures execute (relying on documented
 identities such as ``x ** 2`` lowering to ``np.square``, scalar
 operands matching uniform-array operands bitwise, and multiply/add
 commuting bitwise), so fused replays are bitwise-identical to walker
@@ -41,8 +41,9 @@ rather than fed exact zeros (value-equal unless its data holds
 inf/nan).
 
 Compilation is conservative: any node without a lowered ``_op`` kind
-makes :func:`compile_plan` return ``None`` and the tape falls back to
-the walker.  Correctness never depends on compilability.
+makes :func:`compile_plan` return no plan (with the reason) and the
+tape falls back to the walker.  Correctness never depends on
+compilability.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import AutodiffError
 from repro.autodiff.tensor import Tensor
 
 
@@ -67,7 +67,7 @@ def exclusive_prod_into(
     ``left``/``right``/``out`` are caller-owned scratch of ``x``'s
     shape.  The shifted-cumprod construction multiplies exactly the
     same values in the same order as the reference, so results are
-    bitwise-equal (asserted by the backend test suite).
+    bitwise-equal (asserted by the plan tests).
     """
     ndim = x.ndim
     first = tuple(
@@ -886,84 +886,16 @@ class _Unsupported(Exception):
     """Internal: an op the plan compiler cannot lower."""
 
 
-def compile_plan(nodes: list[Tensor], root: Tensor) -> ReplayProgram | None:
-    """Compile a recorded tape; None (never an error) when unsupported."""
-    compile_plan.last_failure = None  # type: ignore[attr-defined]
+def compile_plan(
+    nodes: list[Tensor], root: Tensor
+) -> tuple[ReplayProgram | None, str | None]:
+    """Compile a recorded tape: ``(plan, None)`` or ``(None, reason)``.
+
+    Never raises for an unsupported graph; the reason names what the
+    compiler could not lower, and the caller replays through the walker.
+    """
     if not nodes:
-        compile_plan.last_failure = "empty tape"  # type: ignore[attr-defined]
-        return None
+        return None, "empty tape"
     compiler = _PlanCompiler(nodes, root)
     program = compiler.compile()
-    if program is None:
-        compile_plan.last_failure = compiler.failure  # type: ignore[attr-defined]
-    return program
-
-
-compile_plan.last_failure = None  # type: ignore[attr-defined]
-
-
-# -- backend registry -------------------------------------------------------
-
-
-class Backend:
-    """Strategy for replaying a recorded tape."""
-
-    name = "backend"
-
-    def prepare(self, nodes: list[Tensor], root: Tensor) -> ReplayProgram | None:
-        """Compile a replay program, or None to use the closure walker."""
-        raise NotImplementedError
-
-
-class NumpyBackend(Backend):
-    """The reference closure walker (the bitwise oracle)."""
-
-    name = "numpy"
-
-    def prepare(self, nodes, root):
-        return None
-
-
-class FusedBackend(Backend):
-    """Fused straight-line numpy plan (bitwise-equal to the walker)."""
-
-    name = "fused"
-
-    def prepare(self, nodes, root):
-        return compile_plan(nodes, root)
-
-
-_BACKENDS = {
-    "fused": FusedBackend,
-    "numpy": NumpyBackend,
-}
-
-
-class UnknownBackendError(AutodiffError):
-    """Raised for a backend name outside the registry."""
-
-
-def available_backends() -> tuple[str, ...]:
-    """Selectable backend names, the default (``fused``) first."""
-    return tuple(_BACKENDS)
-
-
-def resolve_backend_name(spec: str | Backend | None) -> str:
-    """The backend name ``spec`` selects (``None`` means ``fused``)."""
-    if isinstance(spec, Backend):
-        return spec.name
-    if spec is None:
-        return "fused"
-    if spec not in _BACKENDS:
-        raise UnknownBackendError(
-            f"unknown backend {spec!r}; expected one of "
-            f"{', '.join(available_backends())}"
-        )
-    return spec
-
-
-def get_backend(spec: str | Backend | None = None) -> Backend:
-    """Instantiate the backend ``spec`` names (default ``fused``)."""
-    if isinstance(spec, Backend):
-        return spec
-    return _BACKENDS[resolve_backend_name(spec)]()
+    return program, compiler.failure

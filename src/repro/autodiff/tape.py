@@ -16,23 +16,23 @@ order), then subsequent calls
 
 No graph nodes, topological sorts, or gradient arrays are allocated
 after the first epoch.  Values that change between epochs (λ schedules,
-the annealed σ/c1, ``where`` conditions) must live in leaf tensors,
-0-d numpy "boxes" updated *in place*, or condition callables; replays
-read them dynamically.
+the annealed σ/c1) must live in leaf tensors or 0-d numpy "boxes"
+updated *in place*; replays read them dynamically.
 
-On top of the closure walker sits a *compiled* replay: a
-:mod:`~repro.autodiff.backend` plan lowers the recorded node list into
+The compiled plan is the replay engine: on the first replay a
+:mod:`~repro.autodiff.plan` compile lowers the recorded node list into
 straight-line numpy code over the same buffers, removing the per-op
 Python dispatch.  The plan lowers exactly the op kinds G-CLN training
 records — ``add``, ``sub``, ``mul``, ``div``, ``abs``, ``pow``,
 ``matmul``, ``T``, ``sum``, ``reshape``, ``gaussian``, ``pbqu``,
-``tnorm`` and ``tconorm``.  The walker remains the reference —
-``Tape(backend="numpy")`` never compiles, and a graph with any other
-op kind replays through the walker (``stats()["fallback_reason"]``
-names the kind).  If any recorded node lacks
-a forward closure the tape degrades one step further, to eager
-re-tracing: ``step`` simply calls the builder and ``backward`` every
-epoch.  Correctness never depends on replayability or compilability.
+``tnorm`` and ``tconorm``.  Nothing selects the engine: a graph with
+any other op kind does not compile and replays through the closure
+walker, the reference the plan is tested against
+(``stats()["compiled"]`` is then False and ``stats()["fallback_reason"]``
+names the kind).  If any recorded node lacks a forward closure the
+tape degrades one step further, to eager re-tracing: ``step`` simply
+calls the builder and ``backward`` every epoch.  Correctness never
+depends on replayability or compilability.
 """
 
 from __future__ import annotations
@@ -45,23 +45,13 @@ import numpy as np
 from repro.errors import AutodiffError
 from repro.autodiff import tensor as _tensor_mod
 from repro.autodiff.tensor import Tensor
-from repro.autodiff import backend as _backend_mod
-from repro.autodiff.backend import Backend, ReplayProgram, get_backend
+from repro.autodiff.plan import ReplayProgram, compile_plan
 
 
 class Tape:
-    """Records one scalar-rooted graph and replays it with reused buffers.
+    """Records one scalar-rooted graph and replays it with reused buffers."""
 
-    Args:
-        backend: replay strategy — ``"fused"`` (default: the compiled
-            straight-line numpy plan), ``"numpy"`` (the reference closure
-            walker), or a :class:`~repro.autodiff.backend.Backend`
-            instance.
-    """
-
-    def __init__(self, backend: str | Backend | None = None) -> None:
-        self._backend_obj = get_backend(backend)
-        self.backend = self._backend_obj.name
+    def __init__(self) -> None:
         self._root: Tensor | None = None
         self._nodes: list[Tensor] | None = None
         self._plan: ReplayProgram | None = None
@@ -116,10 +106,8 @@ class Tape:
 
     def stats(self) -> dict:
         """Tape/plan observability counters (see ``repro profile``)."""
-        plan = self._plan
         return {
-            "backend": self.backend,
-            "active_backend": self.backend if plan is not None else "numpy",
+            "compiled": self._plan is not None,
             "n_nodes": self.n_nodes,
             "replayable": self.replayable,
             "replays": self.replays,
@@ -163,14 +151,14 @@ class Tape:
                 return self._plan
             self._plan = None
             self._plan_failed = False
-        if self._plan_failed or self.backend == "numpy":
+        if self._plan_failed:
             return None
         started = time.perf_counter()
-        plan = self._backend_obj.prepare(self._nodes, self._root)
+        plan, failure = compile_plan(self._nodes, self._root)  # type: ignore[arg-type]
         self.compile_ms += (time.perf_counter() - started) * 1000.0
         if plan is None:
             self._plan_failed = True
-            self.plan_failure = _backend_mod.compile_plan.last_failure
+            self.plan_failure = failure
             return None
         # The plan owns interior gradient buffers; drop stale references
         # left by the eager recording step (the walker also ends every

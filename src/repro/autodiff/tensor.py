@@ -10,10 +10,9 @@ value **in place** (into the same ``.data`` buffer) from its parents'
 current data.  The :class:`~repro.autodiff.tape.Tape` uses these to
 replay an identically-structured graph epoch after epoch without
 rebuilding any nodes: training loops become a handful of large numpy
-calls instead of thousands of graph-node allocations.  Ops whose
-backward closure froze data-dependent state at build time (``where``
-with a precomputed condition) simply do not provide a forward closure,
-which makes any graph containing them fall back to eager re-tracing.
+calls instead of thousands of graph-node allocations.  A node built
+without a forward closure makes any graph containing it fall back to
+eager re-tracing.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ class Tensor:
 
         ``op`` is structured metadata — ``(kind, params)`` — describing
         the operation the closures implement.  The plan compiler
-        (:mod:`repro.autodiff.backend`) lowers a recorded tape through
+        (:mod:`repro.autodiff.plan`) lowers a recorded tape through
         it; nodes without metadata make the tape fall back to the
         closure walker, never to wrong answers.
         """
@@ -461,26 +460,6 @@ class Tensor:
 
         return Tensor._result(
             data, (self,), backward, forward, ("T", {"is_view": is_view})
-        )
-
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        """Exchange two axes (a view, like ``np.swapaxes``).
-
-        The N-D counterpart of :attr:`T` for stacked batches: e.g.
-        ``(models, units, terms) -> (models, terms, units)`` ahead of a
-        batched matmul.
-        """
-        data = self.data.swapaxes(axis1, axis2)
-
-        def forward() -> None:
-            pass  # always a view of self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._push(np.asarray(grad).swapaxes(axis1, axis2))
-
-        return Tensor._result(
-            data, (self,), backward, forward,
-            ("swapaxes", {"axis1": axis1, "axis2": axis2}),
         )
 
     def __getitem__(self, index) -> "Tensor":

@@ -26,9 +26,9 @@ Commands:
   (the ObservationSource seed-equivalence contract).
 * ``profile <nla-problem>`` — run one solver and render the per-stage
   wall-clock breakdown (collect/train/extract/check) as a table, so hot
-  paths are visible without reading JSON; also prints the resolved
-  tape-replay backend and plan stats (node count, replay vs eager
-  epochs, plan compile time).
+  paths are visible without reading JSON; also prints the tape-replay
+  stats (whether the plan compiled and why not, node count, replay vs
+  eager epochs, plan compile time).
 * ``enqueue --queue-dir PATH`` — enqueue a suite on a journaled work
   queue (items already journaled are skipped, so re-enqueueing a
   half-finished run is a no-op for the finished part).
@@ -55,9 +55,7 @@ Commands:
   one input assignment and dump the loop-head trace.
 
 ``run``, ``run-all``, and ``profile`` accept ``--cache-dir PATH`` to
-persist traces/term matrices on disk across invocations, and
-``--backend NAME`` to pick the tape-replay backend (``fused``, the
-default, or the reference ``numpy`` walker).
+persist traces/term matrices on disk across invocations.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ import sys
 from fractions import Fraction
 
 from repro.api import InvariantService, solver_entries
-from repro.autodiff import available_backends
 from repro.bench import NLA_PROBLEMS, nla_problem, suite_problems, SUITES
 from repro.errors import ReproError
 from repro.infer import InferenceConfig
@@ -201,10 +198,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     problem = nla_problem(args.problem)
     service = InvariantService(
-        InferenceConfig(
-            max_epochs=args.epochs,
-            backend=args.backend,
-        ),
+        InferenceConfig(max_epochs=args.epochs),
         cache_dir=args.cache_dir,
     )
     try:
@@ -233,13 +227,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     stats = ", ".join(f"{k}={v}" for k, v in service.cache_stats.items())
     print(f"cache:    {stats}")
-    if result.backend:
-        print(f"backend:  {result.backend}")
     tape_stats = _last_tape_stats()
     if tape_stats is not None:
         replay = ", ".join(
             f"{key}={tape_stats[key]}"
-            for key in ("active_backend", "n_nodes", "replays", "eager_steps")
+            for key in ("compiled", "n_nodes", "replays", "eager_steps")
         )
         print(f"replay:   {replay}, compile_ms={tape_stats['compile_ms']:.1f}")
         if tape_stats.get("fallback_reason"):
@@ -266,10 +258,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("run needs a problem name or --traces FILE")
     service = InvariantService(
-        InferenceConfig(
-            max_epochs=args.epochs,
-            backend=args.backend,
-        ),
+        InferenceConfig(max_epochs=args.epochs),
         cache_dir=args.cache_dir,
     )
     if args.events:
@@ -282,8 +271,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"solver:   {result.solver}")
     if result.checking:
         print(f"checking: {result.checking}")
-    if result.backend:
-        print(f"backend:  {result.backend}")
     print(f"solved:   {result.solved} "
           f"({result.runtime_seconds:.1f}s, {result.attempts} attempt(s))")
     stages = ", ".join(
@@ -356,10 +343,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     if not problems:
         raise SystemExit(f"no problems selected from suite {args.suite!r}")
     service = InvariantService(
-        InferenceConfig(
-            max_epochs=args.epochs,
-            backend=args.backend,
-        ),
+        InferenceConfig(max_epochs=args.epochs),
         cache_dir=args.cache_dir,
     )
 
@@ -669,18 +653,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="fused",
-        help=(
-            "tape-replay backend for training (default: fused — the "
-            "compiled numpy plan; numpy is the reference closure walker)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -721,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
-    _add_backend_arg(run_parser)
     run_parser.add_argument(
         "--events",
         action="store_true",
@@ -753,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
-    _add_backend_arg(profile_parser)
     profile_parser.add_argument(
         "--cache-dir",
         metavar="PATH",
@@ -839,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
-    _add_backend_arg(all_parser)
     all_parser.add_argument(
         "--json",
         metavar="PATH",
@@ -978,7 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
-    _add_backend_arg(serve_parser)
     serve_parser.add_argument(
         "--cache-dir", metavar="PATH",
         help="persist traces/term matrices on disk across solves",

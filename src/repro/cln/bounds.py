@@ -146,7 +146,7 @@ def train_bound_bank(
     anneal_decay = anneal_init ** (-1.0 / anneal_epochs)
 
     c1_box = np.array(config.c1 * anneal_init)
-    tape = Tape(backend=config.backend)
+    tape = Tape()
     loss_node: list[Tensor] = []
 
     def build() -> Tensor:

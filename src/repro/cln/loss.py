@@ -12,13 +12,13 @@ Both λ schedules adapt during training (see ``train.GateSchedule``).
 
 Two implementations share the math:
 
-* :func:`build_gcln_loss_batched` — the vectorized builder the training
+* :func:`build_gcln_loss_batched` — the batched builder the training
   loops tape and replay.  λ values arrive as leaf tensors and σ/c1 as
   0-d numpy boxes, all updated in place by the schedule, so a recorded
   tape stays valid across epochs.
-* :func:`gcln_loss` — the float-argument wrapper (tests, one-off eager
-  evaluation); it dispatches to the batched builder when the model
-  supports it and otherwise walks units eagerly.
+* :func:`gcln_loss` — the per-unit eager loss with float knobs that
+  :func:`~repro.cln.train.train_gcln_eager`, the reference trainer,
+  rebuilds every epoch.
 """
 
 from __future__ import annotations
@@ -62,16 +62,7 @@ def gcln_loss(
     lambda2: float,
     relax_scale: float = 1.0,
 ) -> Tensor:
-    """Compute the training loss on a full batch (eager, float knobs)."""
-    if model.config.vectorized and model.batched_capable():
-        return build_gcln_loss_batched(
-            model,
-            X,
-            Tensor(lambda1),
-            Tensor(lambda2),
-            model.config.sigma * relax_scale,
-            model.config.c1 * relax_scale,
-        )
+    """Compute the training loss on a full batch, unit by unit."""
     output = model.forward(X, relax_scale)
     data_term = (1.0 - output).sum()
     and_term = (1.0 - model.and_gates).sum()

@@ -85,14 +85,6 @@ class GCLNConfig:
     # multimodal and extraction validates/discards, so extra units only
     # cost training time.
     ineq_restarts: int = 2
-    # Vectorized training core: batched (units, terms) forward through
-    # the stacked weight matrix, fused kernels, and tape replay.  Off
-    # recovers the per-unit eager loops (kept as the reference
-    # implementation for equivalence tests and bench_perf baselines).
-    vectorized: bool = True
-    # Tape replay backend: "fused" (compiled straight-line numpy plan)
-    # or "numpy" (reference closure walker).  See repro.autodiff.backend.
-    backend: str = "fused"
     # Extraction.
     max_denominators: tuple[int, ...] = (10, 15, 30)
 
@@ -403,7 +395,7 @@ class GCLN:
         return params
 
     def parameters_batched(self) -> list[Tensor]:
-        """The stacked parameters the vectorized trainers optimize.
+        """The stacked parameters the batched trainers optimize.
 
         Elementwise they are exactly :meth:`parameters` (the per-unit
         tensors are row views of the stacked ones), so Adam and global

@@ -4,18 +4,21 @@ Full-batch Adam with multiplicative learning-rate decay, adaptive gate
 regularization schedules, gate projection back into [0, 1] after every
 step, and early stopping when the loss plateaus with saturated gates.
 
-Two execution strategies share the same math:
+Two execution strategies share the same math, and the model picks
+between them — nothing else does:
 
-* **Vectorized** (default, ``GCLNConfig.vectorized``): one batched
-  forward through the stacked ``(units, terms)`` weight matrix with
-  fused kernels, recorded once on a :class:`~repro.autodiff.tape.Tape`
-  and replayed with preallocated gradient buffers — an epoch is a
-  handful of large numpy calls.  Schedule values (λ1, λ2, annealed
-  σ/c1) live in leaf tensors / 0-d boxes updated in place.
-* **Eager reference** (``vectorized=False``, or models the stacked
-  forward cannot express): the original per-unit graph-building loops,
-  kept as the ground truth for equivalence tests and as the baseline
-  that ``benchmarks/bench_perf.py`` measures speedups against.
+* **Vectorized** (every :meth:`~repro.cln.model.GCLN.batched_capable`
+  model): one batched forward through the stacked ``(units, terms)``
+  weight matrix with fused kernels, recorded once on a
+  :class:`~repro.autodiff.tape.Tape` and replayed with preallocated
+  gradient buffers — an epoch is a handful of large numpy calls.
+  Schedule values (λ1, λ2, annealed σ/c1) live in leaf tensors / 0-d
+  boxes updated in place.
+* **Eager reference** (:func:`train_gcln_eager`; :func:`train_gcln`
+  uses it for models the stacked forward cannot express): the original
+  per-unit graph-building loop, kept as the ground truth for
+  equivalence tests and as the baseline that
+  ``benchmarks/bench_perf.py`` measures speedups against.
 
 :func:`train_gcln_restarts` trains R independent restarts
 simultaneously in one graph.  Restart gradients are decoupled (the
@@ -160,14 +163,14 @@ def _run_restart_epochs(
 ) -> None:
     """Drive the shared epoch loop over every restart simultaneously.
 
-    This is the *single* copy of the vectorized training-loop
+    This is the *single* copy of the batched training-loop
     invariants (anneal gating, prune timing, post-anneal loss
     comparability, stale/saturation early stop): solo ``train_gcln``
     runs it with one state, so the bitwise restarts==solo guarantee is
     structural rather than maintained by hand.
     """
     loss_nodes: list[Tensor] = []
-    tape = Tape(backend=states[0].model.config.backend)
+    tape = Tape()
 
     def build() -> Tensor:
         loss_nodes.clear()
@@ -335,29 +338,13 @@ def train_gcln(
         A :class:`TrainResult`; ``converged`` is True when the data
         term of the loss is small (every sample close to truth value 1).
     """
-    _validate_data(data)
-    config = model.config
-    epochs = max_epochs if max_epochs is not None else config.max_epochs
-    if config.vectorized and model.batched_capable():
-        return _train_gcln_vectorized(
-            model, data, epochs, early_stop_patience, loss_tolerance,
+    if not model.batched_capable():
+        return train_gcln_eager(
+            model, data, max_epochs, early_stop_patience, loss_tolerance,
             record_history,
         )
-    return _train_gcln_eager(
-        model, data, epochs, early_stop_patience, loss_tolerance,
-        record_history,
-    )
-
-
-def _train_gcln_vectorized(
-    model: GCLN,
-    data: np.ndarray,
-    epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-    record_history: bool,
-) -> TrainResult:
-    """Taped single-model training: the one-restart run of the shared loop."""
+    _validate_data(data)
+    epochs = max_epochs if max_epochs is not None else model.config.max_epochs
     X = Tensor(data)
     state = _RestartState(model, epochs)
     if record_history:
@@ -375,16 +362,24 @@ def _train_gcln_vectorized(
     )
 
 
-def _train_gcln_eager(
+def train_gcln_eager(
     model: GCLN,
     data: np.ndarray,
-    epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-    record_history: bool,
+    max_epochs: int | None = None,
+    early_stop_patience: int = 200,
+    loss_tolerance: float = 1e-4,
+    record_history: bool = False,
 ) -> TrainResult:
-    """Reference implementation: rebuild the graph every epoch."""
+    """Reference trainer: rebuild the per-unit graph every epoch.
+
+    Same arguments, math and result as :func:`train_gcln`, without the
+    stacked forward, the tape or the compiled plan.  :func:`train_gcln`
+    falls back to it for models that are not batched-capable; tests
+    and ``benchmarks/bench_perf.py`` call it directly as the oracle.
+    """
+    _validate_data(data)
     config = model.config
+    epochs = max_epochs if max_epochs is not None else config.max_epochs
     X = Tensor(data)
     optimizer = Adam(
         model.parameters(), lr=config.learning_rate, decay=config.lr_decay

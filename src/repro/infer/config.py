@@ -48,12 +48,15 @@ class InferenceConfig:
     # rate and ablation switches applied).
     gcln: GCLNConfig = field(default_factory=GCLNConfig)
 
-    # Tape replay backend forwarded into every attempt's GCLNConfig
-    # ("fused" / "numpy"; see repro.autodiff.backend).
-    backend: str = "fused"
-
     # Term-filtering caps.
     growth_ratio_cap: float = 1e8
+
+    def __post_init__(self) -> None:
+        # An empty schedule would run zero attempts (or divide by zero
+        # cycling seeds) instead of solving.
+        for name in ("dropout_schedule", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
 
     def gcln_for_attempt(self, dropout_rate: float) -> GCLNConfig:
         """GCLNConfig for one attempt, honoring ablation switches."""
@@ -65,5 +68,4 @@ class InferenceConfig:
             dropout_rate=rate,
             weight_regularization=self.weight_regularization,
             max_epochs=self.max_epochs,
-            backend=self.backend,
         )

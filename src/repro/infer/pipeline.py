@@ -35,7 +35,6 @@ from repro.api.events import (
     timed_stage,
 )
 from repro.api.solver import GCLN_SOLVER, LoopReport, SolveResult
-from repro.autodiff.backend import resolve_backend_name
 from repro.checker.result import CheckOutcome
 from repro.checker.trace import RecordedChecker, make_checker
 from repro.checker.vc import InvariantChecker
@@ -65,13 +64,11 @@ def _train_attempt_models(
 ) -> list[RestartOutcome]:
     """Train one attempt batch's models on one loop's data matrix.
 
-    Models the vectorized trainer can run together share one taped
-    graph (:func:`train_gcln_restarts`); otherwise each trains alone.
+    Batched-capable models share one taped graph
+    (:func:`train_gcln_restarts`); otherwise each trains alone.
     Returns one outcome per model, in order.
     """
-    if len(models) > 1 and all(
-        m.batched_capable() and m.config.vectorized for m in models
-    ):
+    if len(models) > 1 and all(m.batched_capable() for m in models):
         return train_gcln_restarts(models, data)
     outcomes: list[RestartOutcome] = []
     for model in models:
@@ -132,7 +129,6 @@ class InferenceEngine:
             solver=GCLN_SOLVER,
             problem=problem.name,
             solved=False,
-            backend=resolve_backend_name(config.backend),
             checking=self._checker.checking,
         )
         totals = {stage: 0.0 for stage in STAGES}

@@ -487,7 +487,7 @@ def build_server(args) -> tuple[InvariantServer, InvariantService]:
     """Construct the service + executor + server from parsed CLI args."""
     from repro.infer.config import InferenceConfig
 
-    config = InferenceConfig(max_epochs=args.epochs, backend=args.backend)
+    config = InferenceConfig(max_epochs=args.epochs)
     service = InvariantService(config, cache_dir=args.cache_dir)
     if args.queue_dir:
         executor = QueueExecutor(

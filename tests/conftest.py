@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.autodiff import tape as tape_module
 from repro.lang import parse_program
 from repro.sampling import (
     build_term_basis,
@@ -59,3 +62,25 @@ def sqrt1_data(sqrt1_program):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _decline_compile(nodes, root):
+    return None, "compile declined: walker oracle"
+
+
+@pytest.fixture
+def walker(monkeypatch):
+    """Context manager under which every Tape replays through its walker.
+
+    It makes the plan compile decline, exactly as it does for a graph
+    it cannot lower, so the tape takes its own fallback: the closure
+    walker, the reference the compiled plan is tested against.
+    """
+
+    @contextlib.contextmanager
+    def replay_through_walker():
+        with monkeypatch.context() as patch:
+            patch.setattr(tape_module, "compile_plan", _decline_compile)
+            yield
+
+    return replay_through_walker

@@ -138,6 +138,40 @@ def test_solve_result_invariant_accessor():
     assert result.invariant(0) == "true"
 
 
+def test_solve_result_loads_records_that_still_carry_a_backend_key():
+    """Journals and memos written before the replay-engine choice was
+    removed carry ``"backend": "fused"``; they must still load."""
+    old = {
+        "solver": "gcln",
+        "problem": "ps2",
+        "solved": True,
+        "runtime_seconds": 1.5,
+        "attempts": 2,
+        "notes": [],
+        "stage_timings": {stage: 0.25 for stage in STAGES},
+        "cache_stats": {"trace_hits": 3},
+        "backend": "fused",
+        "train_epochs": 812,
+        "checking": "symbolic+bounded",
+        "loops": [
+            {
+                "loop_index": 0,
+                "invariant": "x == y",
+                "sound_atoms": ["x == y"],
+                "candidate_atoms": ["x == y"],
+                "rejected_atoms": [],
+                "ground_truth_implied": True,
+            }
+        ],
+    }
+    result = SolveResult.from_dict(old)
+    assert result.solved and result.attempts == 2
+    assert result.train_epochs == 812
+    assert result.invariant(0) == "x == y"
+    assert "backend" not in result.to_dict()
+    _assert_schema(result.to_dict())
+
+
 def test_train_epochs_flows_into_solve_result_wire_format():
     service = InvariantService(InferenceConfig(max_epochs=150))
     result = service.solve(tiny_problem("epochtoy"))

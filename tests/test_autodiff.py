@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AutodiffError
-from repro.autodiff import Adam, SGD, Tensor, exp, gaussian, log, no_grad, sigmoid, where
-from repro.autodiff.functional import concat, maximum, minimum, relu, sqrt, stack, tanh
+from repro.autodiff import Adam, Tensor, gaussian, no_grad, sigmoid
+from repro.autodiff.functional import maximum, minimum, stack
 from repro.autodiff.optim import clip_grad_norm
 
 
@@ -58,15 +58,7 @@ def test_broadcast_grad():
 def test_elementwise_functions_grad():
     x = Tensor(np.array([0.3, -0.7, 1.2]), requires_grad=True)
     check_grad(lambda: sigmoid(x).sum(), x)
-    check_grad(lambda: tanh(x).sum(), x)
-    check_grad(lambda: exp(x).sum(), x)
     check_grad(lambda: gaussian(x, 0.8).sum(), x)
-
-
-def test_log_sqrt_grad():
-    x = Tensor(np.array([0.5, 2.0]), requires_grad=True)
-    check_grad(lambda: log(x).sum(), x)
-    check_grad(lambda: sqrt(x).sum(), x)
 
 
 def test_abs_grad():
@@ -85,31 +77,21 @@ def test_prod_grad_with_zero():
     np.testing.assert_allclose(x.grad, [6.0, 0.0, 0.0])
 
 
-def test_where_selects_gradients():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    where(np.array([True, False]), a, b).sum().backward()
-    np.testing.assert_allclose(a.grad, [1.0, 0.0])
-    np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
-
-def test_max_min_relu():
+def test_maximum_minimum():
     a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     b = Tensor(np.array([0.0, 0.0]))
     assert maximum(a, b).data.tolist() == [1.0, 0.0]
     assert minimum(a, b).data.tolist() == [0.0, -2.0]
-    assert relu(a).data.tolist() == [1.0, 0.0]
 
 
-def test_stack_concat():
+def test_stack_grad():
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
     s = stack([a, b], axis=1)
     assert s.shape == (3, 2)
-    c = concat([a, b], axis=0)
-    assert c.shape == (6,)
-    (s.sum() + c.sum()).backward()
-    np.testing.assert_allclose(a.grad, [2.0, 2.0, 2.0])
+    (s * np.array([1.0, 2.0])).sum().backward()
+    np.testing.assert_allclose(a.grad, [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
 
 
 def test_getitem_grad():
@@ -145,16 +127,6 @@ def test_deep_graph_does_not_recurse():
         y = y + 0.0
     y.sum().backward()
     np.testing.assert_allclose(x.grad, [1.0])
-
-
-def test_sgd_momentum_descends():
-    w = Tensor(np.array([5.0]), requires_grad=True)
-    opt = SGD([w], lr=0.1, momentum=0.5)
-    for _ in range(100):
-        opt.zero_grad()
-        (w * w).sum().backward()
-        opt.step()
-    assert abs(w.data[0]) < 1e-2
 
 
 def test_adam_descends_and_decays():

@@ -1,10 +1,12 @@
-"""Cross-backend equivalence tests for the compiled tape replay.
+"""Walker-vs-plan equivalence tests for the compiled tape replay.
 
-The closure walker (``backend="numpy"``) is the bitwise oracle: the
-fused plan must reproduce its losses, gradients, and parameter updates
-exactly (``np.array_equal``, not allclose) on random chains of the
-lowered op kinds and on the real G-CLN training graphs; graphs with any
-other op kind must replay through the walker.
+The tape's closure walker is the bitwise oracle: the compiled plan
+must reproduce its losses, gradients, and parameter updates exactly
+(``np.array_equal``, not allclose) on random chains of the lowered op
+kinds and on the real G-CLN training graphs; graphs with any other op
+kind must replay through the walker.  The ``walker`` fixture reaches
+the oracle the way that fallback does: it makes the plan compile
+decline.
 """
 
 import numpy as np
@@ -14,56 +16,31 @@ from repro.autodiff import (
     Adam,
     Tape,
     Tensor,
-    available_backends,
     fused_gated_tconorm,
     fused_gated_tnorm,
     gaussian,
     pbqu,
-    resolve_backend_name,
     sigmoid,
-    where,
 )
-from repro.autodiff import backend as backend_mod
-from repro.autodiff.backend import (
-    UnknownBackendError,
-    compile_plan,
-    exclusive_prod_into,
-    get_backend,
-)
+from repro.autodiff import tape as tape_module
+from repro.autodiff.plan import compile_plan, exclusive_prod_into
 from repro.autodiff.tensor import exclusive_prod
 from repro.cln.bounds import BoundBank, train_bound_bank
 from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.train import train_gcln
+from repro.infer import InferenceConfig
 from repro.sampling import normalize_rows
-
-
-# -- registry ----------------------------------------------------------------
-
-
-def test_available_backends():
-    assert available_backends() == ("fused", "numpy")
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(UnknownBackendError):
-        get_backend("bogus")
-    with pytest.raises(UnknownBackendError):
-        resolve_backend_name("bogus")
 
 
 @pytest.mark.parametrize("name", ["numba", "auto"])
 def test_removed_backend_names_are_rejected(name):
-    with pytest.raises(UnknownBackendError, match="fused, numpy"):
+    """No replay engine can be picked any more, by name or keyword."""
+    with pytest.raises(TypeError):
         Tape(backend=name)
-    model = GCLN(4, GCLNConfig(backend=name), np.random.default_rng(0))
-    with pytest.raises(UnknownBackendError, match="fused, numpy"):
-        train_gcln(model, _relation_data(), max_epochs=2)
-
-
-def test_resolve_default_is_fused():
-    assert resolve_backend_name(None) == "fused"
-    assert resolve_backend_name("fused") == "fused"
-    assert resolve_backend_name("numpy") == "numpy"
+    with pytest.raises(TypeError):
+        GCLNConfig(backend=name)
+    with pytest.raises(TypeError):
+        InferenceConfig(backend=name)
 
 
 # -- random training-graph fuzz --------------------------------------------
@@ -101,7 +78,7 @@ def _random_chain_loss(leaves, sigma_box, rng):
     return (cur.sum() + (a * b).sum()) * 0.5
 
 
-def _train_chain(backend, seed, steps=4):
+def _train_chain(seed, steps=4):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -111,7 +88,7 @@ def _train_chain(backend, seed, steps=4):
     sigma_box = np.array(1.2)
     op_rng = np.random.default_rng(seed + 1000)
     opt = Adam(leaves, lr=0.05)
-    tape = Tape(backend=backend)
+    tape = Tape()
     losses, grads = [], []
     for i in range(steps):
         opt.zero_grad()
@@ -124,11 +101,12 @@ def _train_chain(backend, seed, steps=4):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_fused_bitwise_on_random_chains(seed):
-    ln, gn, pn, sn = _train_chain("numpy", seed)
-    lf, gf, pf, sf = _train_chain("fused", seed)
-    assert sn["active_backend"] == "numpy"
-    assert sf["active_backend"] == "fused"
+def test_fused_bitwise_on_random_chains(seed, walker):
+    with walker():
+        ln, gn, pn, sn = _train_chain(seed)
+    lf, gf, pf, sf = _train_chain(seed)
+    assert not sn["compiled"]
+    assert sf["compiled"]
     assert sf["fallback_reason"] is None
     assert np.isfinite(ln).all()
     assert ln == lf
@@ -142,16 +120,15 @@ def test_fused_bitwise_on_random_chains(seed):
 def _unlowered_kind_graph(kind, a, b):
     if kind == "sigmoid":
         return (sigmoid(a * 1.5 + b) * b).sum()
-    g = gaussian(a, 1.0)
-    return (where(lambda: g.data >= 0.5, g, b * 0.5) * a).sum()
+    return (gaussian(a, 1.0) + b * 0.5).prod(axis=1).sum()
 
 
-def _train_unlowered_kind(kind, backend, steps=4):
+def _train_unlowered_kind(kind, steps=4):
     rng = np.random.default_rng(11)
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     opt = Adam([a, b], lr=0.05)
-    tape = Tape(backend=backend)
+    tape = Tape()
     losses, grads = [], []
     for _ in range(steps):
         opt.zero_grad()
@@ -162,12 +139,12 @@ def _train_unlowered_kind(kind, backend, steps=4):
     return losses, grads, tape.stats()
 
 
-@pytest.mark.parametrize("kind", ["sigmoid", "where"])
-def test_unlowered_kind_replays_through_walker(kind):
-    ln, gn, _ = _train_unlowered_kind(kind, "numpy")
-    lf, gf, sf = _train_unlowered_kind(kind, "fused")
-    assert sf["backend"] == "fused"
-    assert sf["active_backend"] == "numpy"
+@pytest.mark.parametrize("kind", ["sigmoid", "prod"])
+def test_unlowered_kind_replays_through_walker(kind, walker):
+    with walker():
+        ln, gn, _ = _train_unlowered_kind(kind)
+    lf, gf, sf = _train_unlowered_kind(kind)
+    assert not sf["compiled"]
     assert sf["replayable"] and sf["replays"] == 3
     assert sf["fallback_reason"] == f"unsupported op kind {kind!r}"
     assert ln == lf
@@ -186,24 +163,23 @@ def _relation_data():
     )
 
 
-def _train_eq(backend):
-    config = GCLNConfig(
-        n_clauses=3, max_epochs=150, dropout_rate=0.2, backend=backend
-    )
+def _train_eq():
+    config = GCLNConfig(n_clauses=3, max_epochs=150, dropout_rate=0.2)
     model = GCLN(4, config, np.random.default_rng(7), protected_terms=[0])
     train_gcln(model, _relation_data())
     return [p.data.copy() for p in model.parameters()]
 
 
-def test_gcln_training_bitwise_across_backends():
-    ref = _train_eq("numpy")
-    fused = _train_eq("fused")
+def test_gcln_training_bitwise_across_backends(walker):
+    with walker():
+        ref = _train_eq()
+    fused = _train_eq()
     assert len(ref) == len(fused)
     for x, y in zip(ref, fused):
         assert np.array_equal(x, y)
 
 
-def _train_bank(backend):
+def _train_bank():
     data = normalize_rows(
         np.stack(
             [np.ones(12), np.arange(1.0, 13.0), np.arange(1.0, 13.0) ** 2],
@@ -211,25 +187,27 @@ def _train_bank(backend):
         )
     )
     masks = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=bool)
-    config = GCLNConfig(max_epochs=120, backend=backend)
+    config = GCLNConfig(max_epochs=120)
     bank = BoundBank(masks, config, np.random.default_rng(3))
     train_bound_bank(bank, data)
     return bank.weight.data.copy()
 
 
-def test_bound_bank_training_honors_numpy_backend(monkeypatch):
-    calls = []
-    real = backend_mod.compile_plan
+def test_bound_bank_training_honors_numpy_backend(monkeypatch, walker):
+    """The bound bank's tape reaches the numpy walker and the plan alike."""
+    with walker():
+        ref = _train_bank()
+    compiled = []
+    real = tape_module.compile_plan
 
     def spy(nodes, root):
-        calls.append(len(nodes))
-        return real(nodes, root)
+        plan, failure = real(nodes, root)
+        compiled.append(plan is not None)
+        return plan, failure
 
-    monkeypatch.setattr(backend_mod, "compile_plan", spy)
-    ref = _train_bank("numpy")
-    assert calls == []
-    fused = _train_bank("fused")
-    assert calls, "the fused bound-bank tape never compiled a plan"
+    monkeypatch.setattr(tape_module, "compile_plan", spy)
+    fused = _train_bank()
+    assert compiled and all(compiled), "the bound-bank tape never compiled"
     assert np.array_equal(ref, fused)
 
 
@@ -254,11 +232,11 @@ def test_plan_recompiles_after_leaf_storage_swap():
     def build():
         return (gaussian(a, 0.7) * abs(a)).sum()
 
-    tape = Tape(backend="fused")
+    tape = Tape()
     tape.step(build)
     a.grad = None
     first = float(tape.step(build).data)
-    assert tape.stats()["active_backend"] == "fused"
+    assert tape.stats()["compiled"]
     # Swap the leaf's storage: the data guard must drop the stale plan.
     a.data = np.linspace(0.5, 2.0, 8)
     a.grad = None
@@ -266,7 +244,7 @@ def test_plan_recompiles_after_leaf_storage_swap():
     expected = float(np.sum(
         np.exp(-(a.data ** 2) / (2.0 * 0.7 ** 2)) * np.abs(a.data)
     ))
-    assert tape.stats()["active_backend"] == "fused"
+    assert tape.stats()["compiled"]
     assert swapped != first
     np.testing.assert_allclose(swapped, expected, rtol=1e-12)
     assert tape.stats()["replays"] == 2
@@ -278,21 +256,22 @@ def test_tape_stats_keys():
     def build():
         return (gaussian(a, 1.0) * 2.0 + pbqu(a, 1.0, 50.0)).sum()
 
-    tape = Tape(backend="fused")
+    tape = Tape()
     tape.step(build)
     a.grad = None
     tape.step(build)
     stats = tape.stats()
     assert set(stats) == {
-        "backend", "active_backend", "n_nodes", "replayable", "replays",
+        "compiled", "n_nodes", "replayable", "replays",
         "eager_steps", "compile_ms", "fallback_reason",
     }
-    assert stats["active_backend"] == "fused"
+    assert stats["compiled"]
+    assert stats["fallback_reason"] is None
     assert stats["compile_ms"] > 0.0
 
 
 def test_compile_plan_reports_failure_reason():
-    # A root that does not require grad is never replayable, and an
-    # empty tape cannot compile.
-    assert compile_plan([], Tensor(1.0)) is None
-    assert compile_plan.last_failure == "empty tape"
+    # The reason comes back with the (missing) plan, not through
+    # process-global state another tape could overwrite.
+    assert compile_plan([], Tensor(1.0)) == (None, "empty tape")
+    assert not hasattr(compile_plan, "last_failure")

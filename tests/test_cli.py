@@ -172,6 +172,8 @@ def test_profile_command(capsys, tmp_path):
     assert "TOTAL" in out
     assert "disk_hits" in out
     assert "compile_ms=" in out
+    assert "compiled=True" in out
+    assert "backend" not in out
 
 
 @pytest.mark.parametrize(
@@ -180,6 +182,9 @@ def test_profile_command(capsys, tmp_path):
         ["run", "ps2", "--warm-start"],
         ["run-all", "--tape-pool-size", "0"],
         ["profile", "ps2", "--backend", "auto"],
+        ["run", "ps2", "--backend", "fused"],
+        ["run-all", "--backend", "numpy"],
+        ["serve", "--backend", "fused"],
     ],
 )
 def test_removed_options_no_longer_parse(argv):

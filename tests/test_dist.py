@@ -306,6 +306,23 @@ def test_config_round_trips_through_json():
     assert rebuilt.gcln.n_clauses == 4
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # Replay-engine options that no longer exist.
+        ({"backend": "fused"}, "backend"),
+        ({"gcln": {"vectorized": False}}, "vectorized"),
+        ({"gcln": {"backend": "numpy"}}, "backend"),
+        # Empty schedules would run zero attempts, or divide by zero.
+        ({"seeds": []}, "seeds must not be empty"),
+        ({"dropout_schedule": []}, "dropout_schedule must not be empty"),
+    ],
+)
+def test_config_from_dict_refuses_bad_payloads(payload, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(payload)
+
+
 def test_suite_items_resolve_from_registry():
     from repro.bench import nla_problem
 

@@ -9,18 +9,23 @@ and removed knobs can no longer linger in the docs:
   the ``repro`` parser or by a benchmark script under ``benchmarks/``;
 * every ``REPRO_*`` environment variable read anywhere in the source
   tree appears there too;
+* every ``InferenceConfig.<name>`` / ``GCLNConfig.<name>`` they write
+  is a field of that dataclass;
 
 plus an intra-repo link check over the same markdown set, so the docs
 never point at files that moved.
 """
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser
+from repro.cln.model import GCLNConfig
+from repro.infer import InferenceConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,6 +105,27 @@ def test_every_env_var_is_documented():
     assert not missing, (
         "undocumented REPRO_* env vars (add to docs/operations.md): "
         + ", ".join(missing)
+    )
+
+
+CONFIG_FIELD = re.compile(r"\b(InferenceConfig|GCLNConfig)\.([A-Za-z_]\w*)")
+
+
+def test_every_documented_config_field_exists():
+    fields = {
+        cls.__name__: {f.name for f in dataclasses.fields(cls)}
+        for cls in (InferenceConfig, GCLNConfig)
+    }
+    stale = sorted(
+        {
+            f"{cls}.{name}"
+            for cls, name in CONFIG_FIELD.findall(doc_text())
+            if name not in fields[cls]
+        }
+    )
+    assert not stale, (
+        "README.md or docs/ mention config fields that do not exist "
+        "(remove them or restore the field): " + ", ".join(stale)
     )
 
 

@@ -34,7 +34,7 @@ def test_theorem_4_2_tightness_shape():
     c1*c2 >= 8*sqrt(n)*l^2, maximizing PBQU over unit-norm (w, b) on 1-D
     data learns a bound within c1/sqrt(3) of the desired (touching)
     bound."""
-    from repro.autodiff import Tensor
+    from repro.autodiff import Tensor, pbqu
     from repro.autodiff.optim import Adam
 
     rng = np.random.default_rng(0)
@@ -49,12 +49,7 @@ def test_theorem_4_2_tightness_shape():
     for _ in range(1500):
         opt.zero_grad()
         norm = ((w * w).sum() + 1e-12) ** 0.5
-        r = Xt @ (w / norm)
-        below = (c1 * c1) / (r * r + c1 * c1)
-        above = (c2 * c2) / (r * r + c2 * c2)
-        from repro.autodiff.functional import where
-
-        act = where(r.data >= 0, above, below)
+        act = pbqu(Xt @ (w / norm), c1, c2)
         loss = (1.0 - act).sum()
         loss.backward()
         opt.step()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tape, Tensor, gaussian, pbqu, sigmoid, where
+from repro.autodiff import Tape, Tensor, gaussian, pbqu, sigmoid
 from repro.errors import AutodiffError
 
 
@@ -73,49 +73,6 @@ def test_tape_pbqu_branch_condition_tracks_data():
     expected.backward()
     np.testing.assert_allclose(loss.data, expected.data)
     np.testing.assert_allclose(t.grad, ref.grad)
-
-
-def test_tape_replays_where_with_dynamic_condition():
-    """A callable ``where`` condition is re-evaluated on every replay."""
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([3.0, 4.0]))
-    tape = Tape()
-
-    def build():
-        return where(lambda: a.data >= 1.5, a, b).sum()
-
-    loss = tape.step(build)
-    assert tape.replayable
-    np.testing.assert_allclose(loss.data, 3.0 + 2.0)
-    np.testing.assert_allclose(a.grad, [0.0, 1.0])
-    # Flip the condition by mutating the leaf; the replayed graph must
-    # recompute the branch, not reuse the recorded mask.
-    a.data[...] = [2.0, 1.0]
-    a.grad = None
-    loss = tape.step(build)
-    assert tape.replays == 1
-    np.testing.assert_allclose(loss.data, 2.0 + 4.0)
-    np.testing.assert_allclose(a.grad, [1.0, 0.0])
-
-
-def test_tape_replays_where_with_array_condition():
-    """An array condition is re-read in place across replays."""
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([3.0, 4.0]))
-    cond = np.array([True, False])
-    tape = Tape()
-
-    def build():
-        return where(cond, a, b).sum()
-
-    loss = tape.step(build)
-    assert tape.replayable
-    np.testing.assert_allclose(loss.data, 1.0 + 4.0)
-    cond[...] = [False, True]
-    a.grad = None
-    loss = tape.step(build)
-    np.testing.assert_allclose(loss.data, 3.0 + 2.0)
-    np.testing.assert_allclose(a.grad, [0.0, 1.0])
 
 
 def test_tape_rejects_non_scalar_root():

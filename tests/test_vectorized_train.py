@@ -13,7 +13,7 @@ from repro.autodiff import Tensor, fused_gated_tconorm, fused_gated_tnorm, pbqu
 from repro.autodiff.functional import gaussian, sigmoid
 from repro.cln.model import AtomicKind, GCLN, GCLNConfig
 from repro.cln.extract import extract_equalities
-from repro.cln.train import train_gcln, train_gcln_restarts
+from repro.cln.train import train_gcln, train_gcln_eager, train_gcln_restarts
 from repro.sampling import normalize_rows
 from tests.test_autodiff import check_grad
 
@@ -81,15 +81,13 @@ def _relation_data():
     )
 
 
-def _eq_model(vectorized: bool, seed: int = 7) -> GCLN:
-    config = GCLNConfig(
-        n_clauses=3, max_epochs=300, dropout_rate=0.2, vectorized=vectorized
-    )
+def _eq_model(seed: int = 7) -> GCLN:
+    config = GCLNConfig(n_clauses=3, max_epochs=300, dropout_rate=0.2)
     return GCLN(4, config, np.random.default_rng(seed), protected_terms=[0])
 
 
 def test_batched_forward_matches_eager(rng):
-    model = _eq_model(True)
+    model = _eq_model()
     X = Tensor(np.random.default_rng(0).normal(size=(6, 4)))
     np.testing.assert_allclose(
         model.forward_batched(X).data, model.forward(X, 1.0).data, atol=1e-12
@@ -97,7 +95,7 @@ def test_batched_forward_matches_eager(rng):
 
 
 def test_stacked_storage_is_shared_with_units():
-    model = _eq_model(True)
+    model = _eq_model()
     model.unit_weights.data[0, 0] = 42.0
     assert model.units_flat[0].weight.data[0] == 42.0
     model.units_flat[1].weight.data[:] = 0.5
@@ -107,18 +105,16 @@ def test_stacked_storage_is_shared_with_units():
 def test_train_gcln_vectorized_matches_eager_invariants(sqrt1_data):
     states, basis, _raw, data = sqrt1_data
     atoms = {}
-    for vectorized in (False, True):
-        config = GCLNConfig(
-            n_clauses=6, max_epochs=400, dropout_rate=0.4, vectorized=vectorized
-        )
+    for trainer in (train_gcln_eager, train_gcln):
+        config = GCLNConfig(n_clauses=6, max_epochs=400, dropout_rate=0.4)
         model = GCLN(
             len(basis), config, np.random.default_rng(11), protected_terms=[0]
         )
-        train_gcln(model, data)
-        atoms[vectorized] = sorted(
+        trainer(model, data)
+        atoms[trainer] = sorted(
             str(a) for a in extract_equalities(model, basis, states)
         )
-    assert atoms[True] == atoms[False]
+    assert atoms[train_gcln] == atoms[train_gcln_eager]
 
 
 def test_multi_restart_matches_sequential_training_exactly():
@@ -126,8 +122,8 @@ def test_multi_restart_matches_sequential_training_exactly():
     parameters as training each model alone."""
     data = _relation_data()
     seeds = (1, 2, 3)
-    batch_models = [_eq_model(True, seed=s) for s in seeds]
-    solo_models = [_eq_model(True, seed=s) for s in seeds]
+    batch_models = [_eq_model(seed=s) for s in seeds]
+    solo_models = [_eq_model(seed=s) for s in seeds]
     outcomes = train_gcln_restarts(batch_models, data)
     for outcome, solo, batched in zip(
         outcomes, solo_models, batch_models
@@ -148,7 +144,7 @@ def test_multi_restart_matches_sequential_training_exactly():
 
 
 def test_multi_restart_rejects_incapable_models(rng):
-    config = GCLNConfig(vectorized=True)
+    config = GCLNConfig()
     from repro.cln.model import AtomicUnit
 
     ragged = [
@@ -172,7 +168,7 @@ def test_multi_restart_needs_one_shared_matrix():
     from repro.errors import TrainingError
 
     data = _relation_data()
-    models = [_eq_model(True, seed=1), _eq_model(True, seed=2)]
+    models = [_eq_model(seed=1), _eq_model(seed=2)]
     for bad in (np.stack([data, data]), [data, data]):
         with pytest.raises(TrainingError, match="one 2-D"):
             train_gcln_restarts(models, bad)
@@ -180,7 +176,7 @@ def test_multi_restart_needs_one_shared_matrix():
 
 def test_ragged_model_falls_back_to_eager_training(rng):
     """Hand-assembled ragged models still train via the legacy path."""
-    config = GCLNConfig(max_epochs=50, vectorized=True)
+    config = GCLNConfig(max_epochs=50)
     from repro.cln.model import AtomicUnit
 
     ragged = [
