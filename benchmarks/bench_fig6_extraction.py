@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cln.extract import extract_formula
-from repro.cln.model import AtomicKind, AtomicUnit, GCLN, GCLNConfig
+from repro.cln.model import AtomicUnit, GCLN, GCLNConfig
 from repro.sampling import build_term_basis
 from repro.smt import format_formula
 
@@ -39,7 +39,7 @@ def test_fig6_gated_formula_recovery(benchmark, emit):
 
     def unit(coeffs: dict[str, float]) -> AtomicUnit:
         mask = np.array([n in coeffs for n in names])
-        u = AtomicUnit(AtomicKind.EQ, mask, rng, config)
+        u = AtomicUnit(mask, rng, config)
         u.weight.data[:] = 0.0
         for name, value in coeffs.items():
             u.weight.data[names.index(name)] = value

@@ -8,9 +8,10 @@ Measures four things and writes them to ``BENCH_PERF.json``:
 2. **end_to_end** — wall-clock of full solves on a fixed problem set,
    with every optimization disabled (eager training, no attempt
    batching, no checker memoization) vs the defaults.
-3. **replay** — ``tape.step``-only epochs/sec of a PBQU bound-unit
-   training graph through the reference closure walker (``numpy``) vs
-   the compiled plan (``fused``).  This isolates the replay engine
+3. **replay** — ``tape.step``-only epochs/sec of a PBQU
+   :class:`~repro.cln.bounds.BoundBank` training graph through the
+   reference closure walker (``numpy``) vs the compiled plan
+   (``fused``).  This isolates the replay engine
    from optimizer/bookkeeping overhead; section 1 replays through the
    walker so its trajectory stays comparable with historical records.
 4. **serve** — the HTTP front end under concurrent load: one cold
@@ -47,13 +48,8 @@ from repro.api import InvariantService
 from repro.bench import nla_problem
 from repro.autodiff import Tape, Tensor
 from repro.autodiff import tape as tape_module
-from repro.cln.model import (
-    AtomicKind,
-    GCLN,
-    GCLNConfig,
-    structured_inequality_units,
-)
-from repro.cln.activations import pbqu_ge
+from repro.cln.bounds import BoundBank, enumerate_bound_masks
+from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.train import train_gcln, train_gcln_eager
 from repro.infer import InferenceConfig
 from repro.sampling import normalize_rows
@@ -74,13 +70,12 @@ def _walker_replay():
 
 
 def _unit_bank_inputs(n_terms: int, samples: int, seed: int):
-    """Synthetic data + structured GE units, deterministic in ``seed``."""
+    """Synthetic data + a linear term basis, deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
     data = normalize_rows(np.abs(rng.normal(size=(samples, n_terms))) + 0.5)
-    variables = [f"v{i}" for i in range(1, n_terms)]
-    term_vars = [frozenset()] + [frozenset([v]) for v in variables]
+    term_vars = [frozenset()] + [frozenset([f"v{i}"]) for i in range(1, n_terms)]
     term_degs = [0] + [1] * (n_terms - 1)
-    return data, term_vars, term_degs, variables
+    return data, term_vars, term_degs
 
 
 def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
@@ -110,32 +105,26 @@ def bench_gcln(epochs: int, n_terms: int = 15, samples: int = 60) -> dict:
 def bench_replay(
     reps: int, n_terms: int = 15, samples: int = 60
 ) -> dict:
-    """``tape.step``-only epochs/sec of the units graph, walker vs plan.
+    """``tape.step``-only epochs/sec of the bound-bank graph, walker vs plan.
 
-    A stacked bank of structured GE units (unit residuals → PBQU →
-    loss), timing pure replays — no optimizer, clipping, or annealing —
-    so the number measures the replay engine itself.
+    A :class:`BoundBank` over every one- and two-variable bound mask,
+    each twice (unit residuals → PBQU → loss), timing pure replays — no
+    optimizer, clipping, or annealing — so the number measures the
+    replay engine itself.
     """
-    data, term_vars, term_degs, variables = _unit_bank_inputs(
-        n_terms, samples, seed=0
-    )
+    data, term_vars, term_degs = _unit_bank_inputs(n_terms, samples, seed=0)
     out: dict = {"reps": reps}
     for label in ("numpy", "fused"):
         config = GCLNConfig(max_epochs=reps)
-        units = structured_inequality_units(
-            term_vars, term_degs, variables, config, np.random.default_rng(3)
+        masks = np.repeat(
+            enumerate_bound_masks(term_vars, term_degs, config), 2, axis=0
         )
-        model = GCLN(
-            n_terms, config, np.random.default_rng(3), units=units,
-            kind=AtomicKind.GE,
-        )
+        bank = BoundBank(masks, config, np.random.default_rng(3))
         X = Tensor(np.asarray(data, dtype=np.float64))
         c1_box = np.array(config.c1 * 10.0)
 
         def build():
-            residuals = model.unit_residuals(X)
-            act = pbqu_ge(residuals, c1_box, config.c2)
-            return (1.0 - act).sum()
+            return (1.0 - bank.forward(X, c1=c1_box)).sum()
 
         tape = Tape()
         engine = (
@@ -143,11 +132,11 @@ def bench_replay(
         )
         with engine:
             tape.step(build)  # record (eager)
-            model.unit_weights.grad = None
+            bank.weight.grad = None
             tape.step(build)  # first replay: compiles the plan
             start = time.perf_counter()
             for _ in range(reps):
-                model.unit_weights.grad = None
+                bank.weight.grad = None
                 tape.step(build)
             elapsed = time.perf_counter() - start
         out[f"{label}_epochs_per_sec"] = reps / elapsed

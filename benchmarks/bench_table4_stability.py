@@ -63,10 +63,7 @@ def _gcln_run(problem, states, basis, data, seed) -> bool:
 
     config = GCLNConfig(max_epochs=_EPOCHS)
     rng = np.random.default_rng(seed)
-    weights = complexity_term_weights(
-        [m.degree for m in basis.monomials],
-        [len(m.variables) for m in basis.monomials],
-    )
+    weights = complexity_term_weights([m.degree for m in basis.monomials])
     model = GCLN(
         len(basis), config, rng, protected_terms=[0], term_weights=weights
     )

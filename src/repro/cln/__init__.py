@@ -1,10 +1,12 @@
 """Gated Continuous Logic Networks — the paper's core contribution.
 
-Exports the G-CLN model (Fig. 9 architecture), the activation functions
-(Gaussian equality relaxation, PBQU inequality relaxation, the original
-CLN sigmoid relaxation), gated t-norms/t-conorms (§4.1), the training
-loop with gate regularization (§5.2.1), and formula extraction
-(Algorithm 1).
+Exports the G-CLN model (Fig. 9 architecture; its atomic units learn
+equalities), the activation functions (Gaussian equality relaxation,
+PBQU inequality relaxation, the original CLN sigmoid relaxation), gated
+t-norms/t-conorms (§4.1), the training loop with gate regularization
+(§5.2.1), and formula extraction (Algorithm 1).  Tight bounds are
+learned by one PBQU learner, :class:`repro.cln.bounds.BoundBank`
+(§5.2.2).
 """
 
 from repro.cln.tnorms import (
@@ -25,14 +27,14 @@ from repro.cln.activations import (
     sigmoid_ge_numpy,
     gaussian_equality_numpy,
 )
-from repro.cln.model import GCLN, GCLNConfig, AtomicKind
+from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.train import (
     RestartOutcome,
     TrainResult,
     train_gcln,
     train_gcln_restarts,
 )
-from repro.cln.extract import extract_formula, extract_equalities, extract_inequalities
+from repro.cln.extract import extract_formula, extract_equalities
 
 __all__ = [
     "product_tnorm",
@@ -51,12 +53,10 @@ __all__ = [
     "gaussian_equality_numpy",
     "GCLN",
     "GCLNConfig",
-    "AtomicKind",
     "TrainResult",
     "RestartOutcome",
     "train_gcln",
     "train_gcln_restarts",
     "extract_formula",
     "extract_equalities",
-    "extract_inequalities",
 ]

@@ -30,7 +30,8 @@ from repro.cln.extract import (
     make_exact_validator,
     make_touch_checker,
 )
-from repro.cln.model import AtomicKind, GCLNConfig
+from repro.cln.model import GCLNConfig
+from repro.cln.train import _anneal
 from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
 
@@ -141,9 +142,7 @@ def train_bound_bank(
     epochs = max_epochs if max_epochs is not None else config.max_epochs
     X = Tensor(data)
     optimizer = Adam([bank.weight], lr=config.learning_rate, decay=config.lr_decay)
-    anneal_init = max(config.anneal_init, 1.0)
-    anneal_epochs = max(1, epochs // 2)
-    anneal_decay = anneal_init ** (-1.0 / anneal_epochs)
+    anneal_init, anneal_decay = _anneal(config, epochs)
 
     c1_box = np.array(config.c1 * anneal_init)
     tape = Tape()
@@ -207,7 +206,7 @@ def extract_bound_atoms(
             basis,
             validator,
             bank.config.max_denominators,
-            AtomicKind.GE,
+            ">=",
             touch,
         )
         if atom is None:

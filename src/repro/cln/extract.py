@@ -21,7 +21,7 @@ from repro.sampling.termgen import TermBasis, extend_state
 from repro.smt.formula import TRUE, And, Atom, Formula, Or
 from repro.smt.simplify import simplify
 from repro.utils.rational import round_coefficient_vector
-from repro.cln.model import GCLN, AtomicKind, AtomicUnit
+from repro.cln.model import GCLN, AtomicUnit
 
 Validator = Callable[[Polynomial, str], bool]
 
@@ -81,8 +81,8 @@ def _round_and_validate(
     basis: TermBasis,
     validator: Validator,
     max_denominators: Sequence[int],
-    kind: AtomicKind,
-    touch: Callable[[Polynomial], bool] | None,
+    op: str,
+    touch: Callable[[Polynomial], bool] | None = None,
 ) -> Atom | None:
     """Round a weight vector to integer coefficients and validate.
 
@@ -90,6 +90,9 @@ def _round_and_validate(
     rounding; besides the max-magnitude reference we rescale by *each*
     significant weight in turn, which rescues directions whose largest
     coordinate converged slightly off (e.g. 0.94 instead of 1).
+
+    ``op`` is ``"=="`` for an equality unit or ``">="`` for a PBQU bound
+    row, whose atom must also pass ``touch`` (Eq. 4) when one is given.
     """
     top = float(np.abs(weights).max()) if len(weights) else 0.0
     if top == 0.0 or not np.isfinite(top):
@@ -114,7 +117,7 @@ def _round_and_validate(
             )
             if poly.is_zero() or poly.is_constant():
                 continue
-            if kind is AtomicKind.EQ:
+            if op == "==":
                 if validator(poly, "=="):
                     return Atom(poly.primitive(), "==")
             else:
@@ -133,39 +136,22 @@ def unit_to_atom(
     basis: TermBasis,
     validator: Validator,
     max_denominators: Sequence[int],
-    data: np.ndarray | None = None,
-    activation_threshold: float = 0.0,
-    touch: Callable[[Polynomial], bool] | None = None,
 ) -> Atom | None:
-    """BuildAtomicFormula: recover a validated atom from one unit.
+    """BuildAtomicFormula: recover a validated equality from one unit.
 
     Args:
         unit: trained atomic unit.
         basis: term basis giving each weight's monomial.
         validator: exact data-fit check.
         max_denominators: denominators to try, in order.
-        data: normalized data matrix; when given with a positive
-            ``activation_threshold``, units whose mean activation is
-            below the threshold are rejected (used to discard loose
-            inequality bounds, §5.2.2).
-        activation_threshold: minimum mean truth value.
-        touch: tightness check for inequality atoms (Eq. 4).
 
     Returns:
         A validated :class:`Atom` or ``None``.
     """
-    if data is not None and activation_threshold > 0.0:
-        from repro.autodiff.tensor import Tensor, no_grad
-
-        with no_grad():
-            activation = unit.forward(Tensor(data)).data
-        if float(activation.mean()) < activation_threshold:
-            return None
-
     mask_idx = [int(i) for i in np.flatnonzero(unit.mask)]
     weights = unit.weight_numpy()[mask_idx]
     return _round_and_validate(
-        weights, mask_idx, basis, validator, max_denominators, unit.kind, touch
+        weights, mask_idx, basis, validator, max_denominators, "=="
     )
 
 
@@ -193,8 +179,6 @@ def refine_unit_atoms(
     """
     from repro.poly.nullspace import rational_nullspace
 
-    if unit.kind is not AtomicKind.EQ:
-        return []
     mask_idx = [int(i) for i in np.flatnonzero(unit.mask)]
     weights = unit.weight_numpy()[mask_idx]
     if not len(weights):
@@ -244,12 +228,10 @@ def extract_formula(
     model: GCLN,
     basis: TermBasis,
     states: Sequence[Mapping[str, object]],
-    data: np.ndarray | None = None,
     gate_threshold: float = 0.5,
 ) -> Formula:
     """Algorithm 1: extract the CNF formula from a trained model."""
     validator = make_exact_validator(states, basis)
-    touch = make_touch_checker(states, basis)
     exact_states = _extend_exact(states, basis)
     config = model.config
     clauses: list[Formula] = []
@@ -264,17 +246,7 @@ def extract_formula(
             if gate <= gate_threshold:
                 continue
             atom = unit_to_atom(
-                unit,
-                basis,
-                validator,
-                config.max_denominators,
-                data=data,
-                activation_threshold=(
-                    config.ineq_activation_threshold
-                    if unit.kind is AtomicKind.GE
-                    else 0.0
-                ),
-                touch=touch,
+                unit, basis, validator, config.max_denominators
             )
             if atom is None and multi_literal:
                 # A literal of a genuine disjunction need not fit every
@@ -330,8 +302,6 @@ def extract_equalities(
 
     for group in model.clauses:
         for unit in group:
-            if unit.kind is not AtomicKind.EQ:
-                continue
             atom = unit_to_atom(
                 unit, basis, validator, model.config.max_denominators
             )
@@ -342,38 +312,4 @@ def extract_equalities(
                     unit, basis, exact_rows, validator
                 ):
                     add(refined)
-    return atoms
-
-
-def extract_inequalities(
-    model: GCLN,
-    basis: TermBasis,
-    states: Sequence[Mapping[str, object]],
-    data: np.ndarray,
-) -> list[Atom]:
-    """All distinct validated, tight inequality atoms over every unit."""
-    validator = make_exact_validator(states, basis)
-    touch = make_touch_checker(states, basis)
-    seen: set[str] = set()
-    atoms: list[Atom] = []
-    for group in model.clauses:
-        for unit in group:
-            if unit.kind is not AtomicKind.GE:
-                continue
-            atom = unit_to_atom(
-                unit,
-                basis,
-                validator,
-                model.config.max_denominators,
-                data=data,
-                activation_threshold=model.config.ineq_activation_threshold,
-                touch=touch,
-            )
-            if atom is None:
-                continue
-            key = str(atom.poly)
-            if key in seen:
-                continue
-            seen.add(key)
-            atoms.append(atom)
     return atoms

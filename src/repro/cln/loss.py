@@ -13,8 +13,8 @@ Both λ schedules adapt during training (see ``train.GateSchedule``).
 Two implementations share the math:
 
 * :func:`build_gcln_loss_batched` — the batched builder the training
-  loops tape and replay.  λ values arrive as leaf tensors and σ/c1 as
-  0-d numpy boxes, all updated in place by the schedule, so a recorded
+  loops tape and replay.  λ values arrive as leaf tensors and σ as a
+  0-d numpy box, all updated in place by the schedule, so a recorded
   tape stays valid across epochs.
 * :func:`gcln_loss` — the per-unit eager loss with float knobs that
   :func:`~repro.cln.train.train_gcln_eager`, the reference trainer,
@@ -33,7 +33,6 @@ def build_gcln_loss_batched(
     lam1: Tensor,
     lam2: Tensor,
     sigma,
-    c1,
 ) -> Tensor:
     """The full loss through the stacked forward (~15 graph nodes).
 
@@ -43,9 +42,8 @@ def build_gcln_loss_batched(
         lam1: λ1 as a (non-grad) leaf tensor, updated in place.
         lam2: λ2 leaf tensor.
         sigma: annealed σ (float or 0-d box).
-        c1: annealed c1 (float or 0-d box).
     """
-    output = model.forward_batched(X, sigma=sigma, c1=c1)
+    output = model.forward_batched(X, sigma=sigma)
     data_term = (1.0 - output).sum()
     and_term = (1.0 - model.and_gates).sum()
     loss = data_term + lam1 * and_term + lam2 * model.or_gates_stacked.sum()

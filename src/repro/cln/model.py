@@ -5,12 +5,11 @@ Architecture, bottom to top:
 1. **Input**: the normalized samples-by-terms matrix (terms include the
    constant-1 column, so bias is an ordinary weight).
 2. **Term dropout** (§5.1.3): each atomic unit owns a fixed binary mask
-   over terms, drawn before training.  Equality units use random masks;
-   inequality units use structured masks over variable subsets
-   (§5.2.2).
+   over terms, drawn at random before training.
 3. **Atomic units**: a linear layer with unit-L2 weight constraint
-   (§5.1.2) followed by the Gaussian activation (equalities) or the
-   PBQU activation (inequalities).
+   (§5.1.2) followed by the Gaussian equality activation.  Tight bounds
+   (the PBQU units with structured dropout of §5.2.2) are learned
+   separately, by :class:`~repro.cln.bounds.BoundBank`.
 4. **Gated disjunction layer**: each clause is a gated t-conorm of up
    to ``literals_per_clause`` atomic units.
 5. **Gated conjunction layer**: a gated t-norm over the clause outputs.
@@ -21,9 +20,7 @@ The extracted SMT formula is therefore in CNF, a conjunction of up to
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +28,8 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.autodiff.functional import stack
 from repro.autodiff.tensor import Tensor
-from repro.cln.activations import gaussian_equality, pbqu_ge
+from repro.cln.activations import gaussian_equality
 from repro.cln.tnorms import gated_tconorm, gated_tnorm
-
-
-class AtomicKind(enum.Enum):
-    """What predicate an atomic unit relaxes."""
-
-    EQ = "eq"
-    GE = "ge"
 
 
 @dataclass
@@ -67,8 +57,9 @@ class GCLNConfig:
     learning_rate: float = 0.01
     lr_decay: float = 0.9996
     max_epochs: int = 5000
-    # Relaxation annealing (see train.train_gcln): σ and c1 start
-    # multiplied by this factor and tighten to 1x by mid-training.
+    # Relaxation annealing (see train.train_gcln and
+    # bounds.train_bound_bank): σ and c1 start multiplied by this
+    # factor and tighten to 1x by mid-training.
     anneal_init: float = 100.0
     # Sparsity pressure: L1 penalty on the normalized unit weights and
     # periodic magnitude pruning (post-anneal).  Both push a unit toward
@@ -77,24 +68,19 @@ class GCLNConfig:
     weight_l1: float = 0.02
     prune_interval: int = 100
     prune_threshold: float = 0.05
-    # Inequality learning (§5.2.2).
+    # Inequality learning (§5.2.2, see cln.bounds).
     max_ineq_vars: int = 2
     ineq_degree: int = 2
     ineq_activation_threshold: float = 0.5
-    # Independent random restarts per variable subset; PBQU training is
-    # multimodal and extraction validates/discards, so extra units only
-    # cost training time.
-    ineq_restarts: int = 2
     # Extraction.
     max_denominators: tuple[int, ...] = (10, 15, 30)
 
 
 class AtomicUnit:
-    """One linear-plus-activation unit with a fixed dropout mask."""
+    """One linear-plus-Gaussian equality unit with a fixed dropout mask."""
 
     def __init__(
         self,
-        kind: AtomicKind,
         mask: np.ndarray,
         rng: np.random.Generator,
         config: GCLNConfig,
@@ -103,7 +89,6 @@ class AtomicUnit:
             raise TrainingError("dropout mask must be boolean")
         if not mask.any():
             raise TrainingError("dropout mask dropped every term")
-        self.kind = kind
         # Own copy: prune() mutates the mask in place (so that row views
         # into a parent GCLN's stacked matrices stay bound).
         self.mask = np.array(mask, dtype=bool)
@@ -146,7 +131,7 @@ class AtomicUnit:
 
         Args:
             X: normalized data tensor.
-            relax_scale: multiplier (>= 1) applied to σ and c1 during
+            relax_scale: multiplier (>= 1) applied to σ during
                 annealed training; 1.0 recovers the paper's constants.
                 With σ = 0.1 and rows normalized to L2 norm 10, random
                 initial weights give residuals ~100σ where the Gaussian
@@ -154,10 +139,9 @@ class AtomicUnit:
                 the training signal without changing the converged
                 semantics.
         """
-        r = self.residual(X)
-        if self.kind is AtomicKind.EQ:
-            return gaussian_equality(r, self.config.sigma * relax_scale)
-        return pbqu_ge(r, self.config.c1 * relax_scale, self.config.c2)
+        return gaussian_equality(
+            self.residual(X), self.config.sigma * relax_scale
+        )
 
     def prune(self, threshold: float) -> bool:
         """Drop mask entries whose scaled weight is below ``threshold``.
@@ -208,7 +192,6 @@ class GCLN:
         config: GCLNConfig,
         rng: np.random.Generator,
         units: Sequence[Sequence[AtomicUnit]] | None = None,
-        kind: AtomicKind = AtomicKind.EQ,
         protected_terms: Sequence[int] = (),
         term_weights: np.ndarray | None = None,
     ):
@@ -220,7 +203,6 @@ class GCLN:
             units: pre-built clause structure; when ``None``, builds
                 ``config.n_clauses`` clauses of ``literals_per_clause``
                 equality units with random dropout.
-            kind: activation family used when auto-building units.
             protected_terms: term indices never dropped (e.g. the
                 constant column stays available to every unit).
             term_weights: relative keep-probability per term during
@@ -228,6 +210,12 @@ class GCLN:
                 low-degree few-variable monomials, so the pipeline
                 passes weights decaying with term complexity.
         """
+        if not 0.0 <= config.dropout_rate < 1.0:
+            # At rate 1 only protected terms survive the draw, so the
+            # two-term redraw loop in _random_mask would never end.
+            raise TrainingError(
+                f"dropout_rate must be in [0, 1), got {config.dropout_rate}"
+            )
         self.config = config
         self.n_terms = n_terms
         # Scale clause count with basis size: large bases need more
@@ -237,7 +225,6 @@ class GCLN:
             units = [
                 [
                     AtomicUnit(
-                        kind,
                         _random_mask(
                             n_terms,
                             config.dropout_rate,
@@ -324,13 +311,11 @@ class GCLN:
         """Can this model run the stacked (units, terms) forward?
 
         Requires a uniform literal count per clause (for the reshape
-        into ``(samples, clauses, literals)``) and a single activation
-        family across units.  Auto-built equality models and structured
-        inequality models both qualify; hand-assembled ragged or mixed
-        models fall back to the per-unit eager path.
+        into ``(samples, clauses, literals)``).  Auto-built models
+        qualify; hand-assembled ragged models fall back to the
+        per-unit eager path.
         """
-        kinds = {unit.kind for unit in self.units_flat}
-        return self.uniform_literals and len(kinds) == 1
+        return self.uniform_literals
 
     def stacked_effective_weights(self) -> Tensor:
         """Masked, optionally row-normalized (units, terms) weight matrix.
@@ -350,34 +335,25 @@ class GCLN:
         """All units' linear responses at once, shape (samples, units)."""
         return X @ self.stacked_effective_weights().T
 
-    def unit_activations(self, X: Tensor, sigma=None, c1=None, c2=None) -> Tensor:
+    def unit_activations(self, X: Tensor, sigma=None) -> Tensor:
         """Batched unit truth values, shape (samples, units).
 
-        ``sigma``/``c1``/``c2`` may be floats or 0-d numpy boxes (for
-        tape-compatible annealing); defaults come from the config.
+        ``sigma`` may be a float or a 0-d numpy box (for tape-compatible
+        annealing); the default comes from the config.
         """
-        kinds = {unit.kind for unit in self.units_flat}
-        if len(kinds) != 1:
-            raise TrainingError("unit_activations requires a single unit kind")
-        residuals = self.unit_residuals(X)
-        if next(iter(kinds)) is AtomicKind.EQ:
-            return gaussian_equality(
-                residuals, self.config.sigma if sigma is None else sigma
-            )
-        return pbqu_ge(
-            residuals,
-            self.config.c1 if c1 is None else c1,
-            self.config.c2 if c2 is None else c2,
+        return gaussian_equality(
+            self.unit_residuals(X),
+            self.config.sigma if sigma is None else sigma,
         )
 
-    def forward_batched(self, X: Tensor, sigma=None, c1=None) -> Tensor:
+    def forward_batched(self, X: Tensor, sigma=None) -> Tensor:
         """Model output M(x) via the stacked forward, shape (samples,).
 
         Callers must check :meth:`batched_capable` first.  A whole
         epoch's forward is ~10 graph nodes: mask/normalize, one matmul,
         one fused activation, one reshape, and two fused gated t-norms.
         """
-        acts = self.unit_activations(X, sigma=sigma, c1=c1)
+        acts = self.unit_activations(X, sigma=sigma)
         values = acts.reshape(
             acts.shape[0], len(self.clauses), len(self.clauses[0])
         )
@@ -466,65 +442,17 @@ def _random_mask(
             return mask
 
 
-def complexity_term_weights(
-    degrees: Sequence[int], variable_counts: Sequence[int]
-) -> np.ndarray:
+def complexity_term_weights(degrees: Sequence[int]) -> np.ndarray:
     """Dropout keep-weights decaying with monomial degree.
 
     Weight ``2^-(degree - 1)`` for non-constant terms: plain variables
     get 1, quadratics (squares and two-variable products alike) 1/2,
     cubics 1/4.  The NLA invariants' supports are dominated by
-    low-degree monomials, which is what makes this prior effective;
-    ``variable_counts`` is accepted for future variants but unused.
+    low-degree monomials, which is what makes this prior effective.
     """
-    del variable_counts
     weights = np.ones(len(degrees))
     for j, deg in enumerate(degrees):
         if deg == 0:
             continue
         weights[j] = 2.0 ** (-(deg - 1))
     return weights
-
-
-def structured_inequality_units(
-    term_variable_sets: Sequence[frozenset[str]],
-    term_degrees: Sequence[int],
-    variables: Sequence[str],
-    config: GCLNConfig,
-    rng: np.random.Generator,
-) -> list[list[AtomicUnit]]:
-    """Build GE units over all small variable subsets (§5.2.2).
-
-    One single-literal clause per subset of at most ``max_ineq_vars``
-    variables; the unit's mask keeps the constant term plus every
-    candidate monomial of degree <= ``ineq_degree`` whose variables all
-    lie in the subset.
-
-    Args:
-        term_variable_sets: per term, the set of variables it mentions.
-        term_degrees: per term, its total degree.
-        variables: the loop's variable names.
-        config: hyperparameters.
-        rng: weight-init RNG.
-    """
-    n_terms = len(term_variable_sets)
-    units: list[list[AtomicUnit]] = []
-    subsets: list[frozenset[str]] = []
-    for size in range(1, config.max_ineq_vars + 1):
-        subsets.extend(frozenset(c) for c in combinations(variables, size))
-    for subset in subsets:
-        mask = np.zeros(n_terms, dtype=bool)
-        for j in range(n_terms):
-            if term_degrees[j] > config.ineq_degree:
-                continue
-            if term_variable_sets[j] <= subset:
-                mask[j] = True
-        # Need at least one non-constant term to express a bound.
-        nonconstant = [
-            j for j in range(n_terms) if mask[j] and term_variable_sets[j]
-        ]
-        if not nonconstant:
-            continue
-        for _ in range(max(1, config.ineq_restarts)):
-            units.append([AtomicUnit(AtomicKind.GE, mask.copy(), rng, config)])
-    return units

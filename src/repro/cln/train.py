@@ -12,7 +12,7 @@ between them — nothing else does:
   weight matrix with fused kernels, recorded once on a
   :class:`~repro.autodiff.tape.Tape` and replayed with preallocated
   gradient buffers — an epoch is a handful of large numpy calls.
-  Schedule values (λ1, λ2, annealed σ/c1) live in leaf tensors / 0-d
+  Schedule values (λ1, λ2, annealed σ) live in leaf tensors / 0-d
   boxes updated in place.
 * **Eager reference** (:func:`train_gcln_eager`; :func:`train_gcln`
   uses it for models the stacked forward cannot express): the original
@@ -109,7 +109,6 @@ class _RestartState:
         "lam1_t",
         "lam2_t",
         "sigma_box",
-        "c1_box",
         "relax_scale",
         "anneal_decay",
         "best_loss",
@@ -135,7 +134,6 @@ class _RestartState:
         anneal_init, self.anneal_decay = _anneal(config, epochs)
         self.relax_scale = anneal_init
         self.sigma_box = np.array(config.sigma * anneal_init)
-        self.c1_box = np.array(config.c1 * anneal_init)
         self.best_loss = float("inf")
         self.stale = 0
         self.epoch = 0
@@ -148,7 +146,6 @@ class _RestartState:
         self.lam1_t.data[...] = self.lambda1.step()
         self.lam2_t.data[...] = self.lambda2.step()
         self.sigma_box[...] = config.sigma * self.relax_scale
-        self.c1_box[...] = config.c1 * self.relax_scale
 
 
 def _run_restart_epochs(
@@ -177,8 +174,7 @@ def _run_restart_epochs(
         total: Tensor | None = None
         for state in states:
             term = build_gcln_loss_batched(
-                state.model, X, state.lam1_t, state.lam2_t,
-                state.sigma_box, state.c1_box,
+                state.model, X, state.lam1_t, state.lam2_t, state.sigma_box
             )
             loss_nodes.append(term)
             total = term if total is None else total + term
@@ -274,7 +270,7 @@ def train_gcln_restarts(
         raise TrainingError("train_gcln_restarts needs at least one model")
     if not all(m.batched_capable() for m in models):
         raise TrainingError(
-            "all models must be batched-capable; train ragged/mixed models "
+            "all models must be batched-capable; train ragged models "
             "individually via train_gcln"
         )
     if not isinstance(data, np.ndarray) or data.ndim != 2:
@@ -387,7 +383,7 @@ def train_gcln_eager(
     lambda1 = GateSchedule(*config.lambda1_schedule)
     lambda2 = GateSchedule(*config.lambda2_schedule)
 
-    # Relaxation annealing: start with σ (and c1) widened by
+    # Relaxation annealing: start with σ widened by
     # ``anneal_init`` and tighten geometrically to the paper's constants
     # by mid-training, so initial residuals (~data norm) still produce
     # gradients.  relax_scale = 1.0 from the midpoint on.

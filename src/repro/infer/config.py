@@ -57,6 +57,12 @@ class InferenceConfig:
         for name in ("dropout_schedule", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        # A rate of 1 drops every unprotected term, and GCLN refuses it.
+        for rate in self.dropout_schedule:
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(
+                    f"dropout_schedule entries must be in [0, 1), got {rate}"
+                )
 
     def gcln_for_attempt(self, dropout_rate: float) -> GCLNConfig:
         """GCLNConfig for one attempt, honoring ablation switches."""

@@ -194,8 +194,7 @@ class InferenceEngine:
                     ),
                 )
                 weights = complexity_term_weights(
-                    [m.degree for m in basis.monomials],
-                    [len(m.variables) for m in basis.monomials],
+                    [m.degree for m in basis.monomials]
                 )
 
                 # Build one model per scheduled attempt in the batch.

@@ -316,6 +316,12 @@ def test_config_round_trips_through_json():
         # Empty schedules would run zero attempts, or divide by zero.
         ({"seeds": []}, "seeds must not be empty"),
         ({"dropout_schedule": []}, "dropout_schedule must not be empty"),
+        # An inequality option that no longer exists: bounds come only
+        # from the bound bank.
+        ({"gcln": {"ineq_restarts": 2}}, "ineq_restarts"),
+        # At rate 1 no unprotected term survives dropout, and the mask
+        # redraw would never end.
+        ({"dropout_schedule": [1.0]}, "dropout"),
     ],
 )
 def test_config_from_dict_refuses_bad_payloads(payload, message):

@@ -8,7 +8,6 @@ from repro.autodiff import Tensor
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
 from repro.cln.extract import extract_equalities, extract_formula, make_exact_validator, make_touch_checker
 from repro.cln.model import (
-    AtomicKind,
     AtomicUnit,
     GCLN,
     GCLNConfig,
@@ -40,7 +39,7 @@ def test_random_mask_protects_and_caps(rng):
 
 
 def test_complexity_term_weights():
-    weights = complexity_term_weights([0, 1, 2, 3], [0, 1, 1, 2])
+    weights = complexity_term_weights([0, 1, 2, 3])
     assert weights[0] == 1.0 and weights[1] == 1.0
     assert weights[2] == 0.5
     assert weights[3] == 0.25
@@ -48,16 +47,16 @@ def test_complexity_term_weights():
 
 def test_atomic_unit_rejects_empty_mask(rng):
     with pytest.raises(TrainingError):
-        AtomicUnit(AtomicKind.EQ, np.zeros(4, dtype=bool), rng, small_config())
+        AtomicUnit(np.zeros(4, dtype=bool), rng, small_config())
 
 
 def test_unit_weight_normalized(rng):
-    unit = AtomicUnit(AtomicKind.EQ, np.ones(4, dtype=bool), rng, small_config())
+    unit = AtomicUnit(np.ones(4, dtype=bool), rng, small_config())
     assert np.linalg.norm(unit.weight_numpy()) == pytest.approx(1.0)
 
 
 def test_unit_prune(rng):
-    unit = AtomicUnit(AtomicKind.EQ, np.ones(4, dtype=bool), rng, small_config())
+    unit = AtomicUnit(np.ones(4, dtype=bool), rng, small_config())
     unit.weight.data[:] = np.array([1.0, 0.001, 0.5, 0.002])
     assert unit.prune(threshold=0.05)
     assert unit.mask.tolist() == [True, False, True, False]
@@ -69,6 +68,13 @@ def test_model_forward_shape(rng):
     out = model.forward(X)
     assert out.shape == (7,)
     assert np.all(out.data >= 0) and np.all(out.data <= 1)
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.5])
+def test_gcln_refuses_dropout_rate_outside_unit_interval(rng, rate):
+    # At rate 1 the two-term mask redraw would loop forever.
+    with pytest.raises(TrainingError, match="dropout_rate"):
+        GCLN(5, small_config(dropout_rate=rate), rng, protected_terms=[0])
 
 
 def test_gate_projection(rng):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.autodiff import Tensor, fused_gated_tconorm, fused_gated_tnorm, pbqu
 from repro.autodiff.functional import gaussian, sigmoid
-from repro.cln.model import AtomicKind, GCLN, GCLNConfig
+from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.extract import extract_equalities
 from repro.cln.train import train_gcln, train_gcln_eager, train_gcln_restarts
 from repro.sampling import normalize_rows
@@ -148,10 +148,10 @@ def test_multi_restart_rejects_incapable_models(rng):
     from repro.cln.model import AtomicUnit
 
     ragged = [
-        [AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config)],
+        [AtomicUnit(np.ones(3, dtype=bool), rng, config)],
         [
-            AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config),
-            AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config),
+            AtomicUnit(np.ones(3, dtype=bool), rng, config),
+            AtomicUnit(np.ones(3, dtype=bool), rng, config),
         ],
     ]
     model = GCLN(3, config, rng, units=ragged)
@@ -180,10 +180,10 @@ def test_ragged_model_falls_back_to_eager_training(rng):
     from repro.cln.model import AtomicUnit
 
     ragged = [
-        [AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config)],
+        [AtomicUnit(np.ones(3, dtype=bool), rng, config)],
         [
-            AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config),
-            AtomicUnit(AtomicKind.EQ, np.ones(3, dtype=bool), rng, config),
+            AtomicUnit(np.ones(3, dtype=bool), rng, config),
+            AtomicUnit(np.ones(3, dtype=bool), rng, config),
         ],
     ]
     model = GCLN(3, config, rng, units=ragged)
