@@ -20,7 +20,6 @@ counterexamples that drive retraining / atom pruning.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +30,24 @@ from repro.lang.interp import ExecutionTrace, Interpreter
 from repro.sampling.termgen import ExternalTerm, extend_state
 from repro.smt.formula import Formula
 from repro.checker.result import CheckOutcome
+
+
+def holds(
+    formula: Formula,
+    state: Mapping[str, object],
+    externals: Sequence[ExternalTerm] = (),
+) -> bool:
+    """Evaluate ``formula`` exactly on a program state.
+
+    The state is extended with the external terms' values and its bool
+    flags are dropped, so a polynomial over a flag raises ``PolyError``.
+    Ints stay ints: on an all-int state every atom takes the integer
+    path of :meth:`~repro.poly.polynomial.Polynomial.evaluate_scaled`.
+    """
+    extended = extend_state(state, externals) if externals else state
+    return formula.evaluate(
+        {k: v for k, v in extended.items() if not isinstance(v, bool)}
+    )
 
 
 class BoundedChecker:
@@ -68,15 +85,6 @@ class BoundedChecker:
         self._interp = Interpreter(program, fuel=fuel)
 
     # -- helpers ---------------------------------------------------------
-
-    def _evaluate(self, formula: Formula, state: Mapping[str, object]) -> bool:
-        extended = extend_state(state, self.externals) if self.externals else state
-        exact = {}
-        for key, value in extended.items():
-            if isinstance(value, bool):
-                continue
-            exact[key] = Fraction(value)
-        return formula.evaluate(exact)
 
     def run_traces(
         self, inputs: Sequence[Mapping[str, object]]
@@ -124,7 +132,7 @@ class BoundedChecker:
             for snapshot in trace.snapshots:
                 if snapshot.loop_id != loop_id:
                     continue
-                if not self._evaluate(invariant, snapshot.state):
+                if not holds(invariant, snapshot.state, self.externals):
                     return CheckOutcome.INVALID, dict(snapshot.state)
                 checked += 1
                 if checked >= 50_000:
@@ -181,10 +189,10 @@ class BoundedChecker:
                 try:
                     if not guard(candidate):
                         continue
-                    if not self._evaluate(invariant, candidate):
+                    if not holds(invariant, candidate, self.externals):
                         continue
                     after = self._interp.execute_block(loop.body, candidate)
-                    if not self._evaluate(target, after):
+                    if not holds(target, after, self.externals):
                         return CheckOutcome.INVALID, dict(candidate)
                 except (InterpError, FuelExhausted, ZeroDivisionError):
                     continue
@@ -213,7 +221,7 @@ class BoundedChecker:
                 try:
                     if guard(candidate):
                         continue
-                    if not self._evaluate(invariant, candidate):
+                    if not holds(invariant, candidate, self.externals):
                         continue
                     if not post_fn(candidate):
                         return CheckOutcome.INVALID, dict(candidate)

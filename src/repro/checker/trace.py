@@ -18,11 +18,11 @@ program-backed/trace-only nature never leaks into solver code.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.checker.bounded import holds
 from repro.checker.result import (
     CHECKING_RECORDED,
     CheckOutcome,
@@ -34,7 +34,7 @@ from repro.checker.vc import (
     InvariantChecker,
 )
 from repro.sampling.source import Observation, RecordedTraceSource
-from repro.sampling.termgen import ExternalTerm, extend_state
+from repro.sampling.termgen import ExternalTerm
 from repro.smt.formula import Atom, Formula
 from repro.smt.simplify import simplify
 
@@ -76,21 +76,12 @@ class RecordedChecker:
 
     # -- helpers ---------------------------------------------------------
 
-    def _evaluate(self, formula: Formula, state: Mapping[str, object]) -> bool:
-        extended = extend_state(state, self.externals) if self.externals else state
-        exact = {}
-        for key, value in extended.items():
-            if isinstance(value, bool):
-                continue
-            exact[key] = Fraction(value)
-        return formula.evaluate(exact)
-
     def _holds_on_recorded(
         self, formula: Formula, observations: Sequence[Observation]
     ) -> tuple[CheckOutcome, dict | None]:
         checked = 0
         for ob in observations:
-            if not self._evaluate(formula, ob.state):
+            if not holds(formula, ob.state, self.externals):
                 return CheckOutcome.INVALID, dict(ob.state)
             checked += 1
             if checked >= _MAX_CHECKED_STATES:

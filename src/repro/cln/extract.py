@@ -26,33 +26,29 @@ from repro.cln.model import GCLN, AtomicUnit
 Validator = Callable[[Polynomial, str], bool]
 
 
-def _extend_exact(
+def _extend(
     states: Sequence[Mapping[str, object]], basis: TermBasis
-) -> list[dict[str, Fraction]]:
-    extended: list[dict[str, Fraction]] = []
-    for state in states:
-        ext = extend_state(state, basis.externals) if basis.externals else dict(state)
-        extended.append({k: Fraction(v) for k, v in ext.items()})
-    return extended
+) -> list[Mapping[str, object]]:
+    """The samples with their external-term values; ints stay ints."""
+    if not basis.externals:
+        return list(states)
+    return [extend_state(state, basis.externals) for state in states]
 
 
 def make_exact_validator(
     states: Sequence[Mapping[str, object]],
     basis: TermBasis,
 ) -> Validator:
-    """Build a validator checking atoms exactly on the raw samples."""
-    extended = _extend_exact(states, basis)
+    """Build a validator checking atoms exactly on the raw samples.
+
+    ``validate(poly, op)`` holds when ``poly op 0`` is true on every
+    sample; an unknown ``op`` raises ``FormulaError``.
+    """
+    extended = _extend(states, basis)
 
     def validate(poly: Polynomial, op: str) -> bool:
-        for assignment in extended:
-            value = poly.evaluate(assignment)
-            if op == "==" and value != 0:
-                return False
-            if op == ">=" and value < 0:
-                return False
-            if op == "<=" and value > 0:
-                return False
-        return True
+        atom = Atom(poly, op)
+        return all(atom.evaluate(point) for point in extended)
 
     return validate
 
@@ -67,7 +63,7 @@ def make_touch_checker(
     bounds that never touch the data are loose fits (e.g. globally
     positive quadratics) and are discarded.
     """
-    extended = _extend_exact(states, basis)
+    extended = _extend(states, basis)
 
     def touches(poly: Polynomial) -> bool:
         return any(poly.evaluate(assignment) == 0 for assignment in extended)
@@ -232,7 +228,7 @@ def extract_formula(
 ) -> Formula:
     """Algorithm 1: extract the CNF formula from a trained model."""
     validator = make_exact_validator(states, basis)
-    exact_states = _extend_exact(states, basis)
+    exact_states = _extend(states, basis)
     config = model.config
     clauses: list[Formula] = []
     for group, gates, and_gate in zip(

@@ -12,7 +12,6 @@ once per attempt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -304,9 +303,6 @@ def instantiate_fractional(
         if any(v.endswith(FRACTIONAL_SUFFIX) for v in poly.variables):
             continue
         candidate = Atom(poly.primitive(), atom.op)
-        if all(
-            candidate.evaluate({k: Fraction(v) for k, v in s.items()})
-            for s in base_states
-        ):
+        if all(candidate.evaluate(s) for s in base_states):
             out.append(candidate)
     return out

@@ -1,15 +1,23 @@
-"""Exact rational nullspace computation.
+"""Exact rational nullspace computation, fraction-free.
 
 The Guess-and-Check baseline [Sharma et al. 2013] learns polynomial
 equality invariants by computing the nullspace of the data matrix whose
 columns are candidate monomial terms evaluated on the samples: every
 nullspace vector is an equality that holds on all samples.  We compute
-the nullspace exactly over ``Fraction`` via Gauss-Jordan elimination so
-the recovered coefficients are integral, never floating-point guesses.
+the nullspace exactly so the recovered coefficients are integral, never
+floating-point guesses.
+
+The elimination is fraction-free Gauss-Jordan: each row is scaled to
+ints by the lcm of its denominators, a pivot row eliminates a column
+from another row by cross-multiplication, and every updated row is
+divided by the gcd of its entries.  Each row stays a nonzero multiple
+of the corresponding row of the reduced row echelon form, which is
+unique, so the basis is the one ``Fraction`` Gauss-Jordan would give.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,13 +38,14 @@ def rational_nullspace(rows: Sequence[Sequence[object]]) -> list[list[Fraction]]
     if not rows:
         return []
     ncols = len(rows[0])
-    matrix: list[list[Fraction]] = []
+    matrix: list[list[int]] = []
     for row in rows:
         if len(row) != ncols:
             raise PolyError("ragged matrix passed to rational_nullspace")
-        matrix.append([_frac(x) for x in row])
+        matrix.append(_integer_row([_frac(x) for x in row]))
 
-    # Gauss-Jordan to reduced row echelon form.
+    # Gauss-Jordan: the pivot is the first nonzero entry of the column
+    # at or below row r, as in the Fraction elimination.
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -48,12 +57,14 @@ def rational_nullspace(rows: Sequence[Sequence[object]]) -> list[list[Fraction]]
         if pivot_row is None:
             continue
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        pivot = matrix[r][c]
-        matrix[r] = [x / pivot for x in matrix[r]]
+        pivot_vec = matrix[r]
+        pivot = pivot_vec[c]
         for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+            factor = matrix[i][c]
+            if i != r and factor != 0:
+                matrix[i] = _reduced(
+                    [pivot * a - factor * b for a, b in zip(matrix[i], pivot_vec)]
+                )
         pivot_cols.append(c)
         r += 1
         if r == len(matrix):
@@ -65,9 +76,25 @@ def rational_nullspace(rows: Sequence[Sequence[object]]) -> list[list[Fraction]]
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for row_idx, pivot_col in enumerate(pivot_cols):
-            vec[pivot_col] = -matrix[row_idx][free]
+            row = matrix[row_idx]
+            vec[pivot_col] = Fraction(-row[free], row[pivot_col])
         basis.append(vec)
     return basis
+
+
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """``row`` times the lcm of its denominators, divided by its gcd."""
+    scale = 1
+    for x in row:
+        scale = math.lcm(scale, x.denominator)
+    return _reduced([x.numerator * (scale // x.denominator) for x in row])
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
 
 
 def _frac(value: object) -> Fraction:

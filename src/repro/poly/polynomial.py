@@ -5,13 +5,22 @@
 polynomials for variables (the key operation for checking inductiveness
 of equality invariants under loop-body updates), evaluation on rational
 points, and leading-term queries under graded lex order.
+
+Evaluation is fraction-free whenever it can be: each polynomial lazily
+caches an integer form, a positive common denominator ``D`` and the
+``(coeff·D, powers)`` pairs, so on a point where every variable read
+holds a plain ``int`` (every checking state of an integer program) the
+value is an int sum over ``D``.  Any other point (``Fraction`` samples
+from fractional sampling, floats, a missing variable) takes the
+``Fraction`` loop.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.errors import PolyError
 from repro.poly.monomial import Monomial
@@ -37,7 +46,7 @@ def _as_fraction(value: object) -> Fraction:
 class Polynomial:
     """Immutable multivariate polynomial over the rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_ints")
 
     def __init__(
         self,
@@ -57,6 +66,7 @@ class Polynomial:
             else:
                 collected[mono] = acc
         self._terms: dict[Monomial, Fraction] = collected
+        self._ints: _IntegerForm | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -189,8 +199,6 @@ class Polynomial:
         """
         if not self._terms:
             return self
-        import math
-
         lcm = 1
         for c in self._terms.values():
             lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -226,8 +234,32 @@ class Polynomial:
             result = result + term
         return result
 
+    def evaluate_scaled(self, assignment: Mapping[str, object]) -> int | None:
+        """``D * self(assignment)`` in ints, or None off the integer path.
+
+        ``D`` is the positive common denominator of the coefficients, so
+        the result has the sign of the value.  None means some variable
+        the polynomial reads is missing or holds anything but a plain
+        ``int`` (a ``bool`` included); use :meth:`evaluate` there.
+        """
+        form = self._ints
+        if form is None:
+            form = self._ints = _integer_form(self._terms)
+        total = 0
+        for coeff, powers in form.terms:
+            for var, exp in powers:
+                value = assignment.get(var)
+                if type(value) is not int:
+                    return None
+                coeff *= value if exp == 1 else value**exp
+            total += coeff
+        return total
+
     def evaluate(self, assignment: Mapping[str, object]) -> Fraction:
         """Evaluate on an exact rational point."""
+        scaled = self.evaluate_scaled(assignment)
+        if scaled is not None:
+            return Fraction(scaled, self._ints.denominator)
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             value = coeff
@@ -293,7 +325,28 @@ def _raw(terms: dict[Monomial, Fraction]) -> Polynomial:
     """Build a Polynomial from an already-normalized term dict."""
     poly = Polynomial.__new__(Polynomial)
     poly._terms = terms
+    poly._ints = None
     return poly
+
+
+class _IntegerForm(NamedTuple):
+    """A polynomial times its positive common denominator, in ints."""
+
+    denominator: int
+    terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
+
+
+def _integer_form(terms: dict[Monomial, Fraction]) -> _IntegerForm:
+    denominator = 1
+    for coeff in terms.values():
+        denominator = math.lcm(denominator, coeff.denominator)
+    return _IntegerForm(
+        denominator,
+        tuple(
+            (coeff.numerator * (denominator // coeff.denominator), tuple(mono))
+            for mono, coeff in terms.items()
+        ),
+    )
 
 
 def _coerce(value: object) -> Polynomial | None:

@@ -94,7 +94,11 @@ class Atom(Formula):
             raise FormulaError(f"unknown comparison {self.op!r}")
 
     def evaluate(self, assignment: Mapping[str, object]) -> bool:
-        value = self.poly.evaluate(assignment)
+        # On an all-int point compare the int sum D*p (D > 0, so the
+        # sign is p's) without building a Fraction.
+        value = self.poly.evaluate_scaled(assignment)
+        if value is None:
+            value = self.poly.evaluate(assignment)
         return _compare(value, self.op)
 
     def evaluate_float(self, assignment: Mapping[str, float], tol: float = 1e-7) -> bool:
@@ -122,7 +126,7 @@ class Atom(Formula):
         return f"{self.poly} {self.op} 0"
 
 
-def _compare(value: Fraction, op: str) -> bool:
+def _compare(value: Fraction | int, op: str) -> bool:
     if op == "==":
         return value == 0
     if op == "!=":

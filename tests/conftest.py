@@ -9,6 +9,7 @@ import pytest
 
 from repro.autodiff import tape as tape_module
 from repro.lang import parse_program
+from repro.poly.polynomial import Polynomial
 from repro.sampling import (
     build_term_basis,
     collect_traces,
@@ -84,3 +85,26 @@ def walker(monkeypatch):
             yield
 
     return replay_through_walker
+
+
+def _decline_integer_path(poly, assignment):
+    return None
+
+
+@pytest.fixture
+def fraction_path(monkeypatch):
+    """Context manager under which every polynomial evaluates over Fractions.
+
+    It makes the integer form decline, exactly as it does on a point
+    holding a non-int value, so ``Polynomial.evaluate`` and
+    ``Atom.evaluate`` take their own fallback: the Fraction loop, the
+    reference the integer path is tested against.
+    """
+
+    @contextlib.contextmanager
+    def evaluate_over_fractions():
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "evaluate_scaled", _decline_integer_path)
+            yield
+
+    return evaluate_over_fractions

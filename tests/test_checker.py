@@ -153,3 +153,64 @@ def test_filter_sound_atoms_memo_disabled_matches(sqrt1_program):
     b = plain.filter_sound_atoms(0, atoms)
     assert [str(x) for x in a.sound] == [str(x) for x in b.sound]
     assert plain.memo_hits == 0
+
+
+# Candidate pools mixing true invariants, atoms that fail on a reachable
+# state, and atoms that hold on every reachable state but are not
+# inductive (their companions are missing from the pool).
+_FILTER_POOLS = {
+    "sqrt1": [
+        "t == 2*a + 1",
+        "n >= a * a",
+        "t == 2*a",
+        "a <= 7",
+        "s <= 3 * t + 10",
+        "t <= 2 * n + 1",
+        "s >= 1",
+    ],
+    "ps2": [
+        "x >= y",
+        "k >= y",
+        "y <= 29",
+        "x == y * y",
+        "x <= 2 * k",
+        "x <= k * k",
+        "y * y <= x * x",
+    ],
+    "cohencu": [
+        "x == n * n * n",
+        "z == 6 * n + 6",
+        "z == 6 * n",
+        "y >= z",
+        "x >= n",
+        "y >= 1",
+        "y <= x + 1",
+        "z <= 6 * a + 6",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILTER_POOLS))
+def test_filter_sound_atoms_integer_path_matches_fraction_path(name, fraction_path):
+    """Same sound atoms, rejections and counterexamples over Fractions."""
+    from repro.bench.nla import nla_problem
+
+    problem = nla_problem(name)
+    atoms = [parse_ground_truth(s) for s in _FILTER_POOLS[name]]
+
+    def filtered():
+        checker = InvariantChecker(
+            problem.program,
+            problem.effective_check_inputs,
+            rng=np.random.default_rng(7),
+        )
+        return checker.filter_sound_atoms(0, atoms)
+
+    fast = filtered()
+    with fraction_path():
+        exact = filtered()
+    assert fast.sound == exact.sound
+    assert fast.rejected == exact.rejected
+    assert fast.counterexamples == exact.counterexamples
+    reasons = {reason for _, reason in fast.rejected}
+    assert reasons == {"fails on reachable state", "not inductive"}

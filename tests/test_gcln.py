@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TrainingError
+from repro.errors import FormulaError, TrainingError
 from repro.autodiff import Tensor
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
 from repro.cln.extract import extract_equalities, extract_formula, make_exact_validator, make_touch_checker
@@ -140,6 +140,22 @@ def test_validator_and_touch(sqrt1_data):
     assert touch(P("n - a*a"))
     assert validator(P("n + 1"), ">=")
     assert not touch(P("n + 1"))
+
+
+def test_validator_applies_every_comparison(sqrt1_data):
+    """``>``, ``<`` and ``!=`` are checked, and an unknown op is refused."""
+    states, basis, _raw, _data = sqrt1_data
+    validator = make_exact_validator(states, basis)
+    from tests.test_polynomial import P
+
+    assert validator(P("n + 1"), ">")
+    assert not validator(P("n - a*a"), ">")  # n == a*a on some sample
+    assert validator(P("-n - 1"), "<")
+    assert not validator(P("a*a - n"), "<")
+    assert validator(P("t"), "!=")  # t == 2*a + 1 is odd
+    assert not validator(P("t - 2*a - 1"), "!=")
+    with pytest.raises(FormulaError):
+        validator(P("t"), "=<")
 
 
 def test_bound_bank_learns_tight_bound(rng, sqrt1_data):

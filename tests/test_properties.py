@@ -6,19 +6,28 @@ These check the semantic contracts the pipeline relies on:
   body (the foundation of the symbolic inductiveness check);
 * formula simplification preserves evaluation;
 * fractional relaxation with zero offsets is semantics-preserving;
-* normalization never changes which homogeneous constraints fit.
+* normalization never changes which homogeneous constraints fit;
+* the integer evaluation path and fraction-free nullspace agree with
+  their Fraction counterparts.
 """
 
+import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import PolyError
 from repro.lang import parse_program
 from repro.lang.analysis import extract_loop_paths
 from repro.lang.interp import Interpreter
+from repro.poly.monomial import Monomial
+from repro.poly.nullspace import rational_nullspace
+from repro.poly.polynomial import Polynomial
 from repro.sampling import normalize_rows, relax_initializers
-from repro.smt.formula import And, Atom, Not, Or
+from repro.smt.formula import COMPARISONS, And, Atom, Not, Or
 from repro.smt.simplify import simplify
 from tests.test_polynomial import P
 
@@ -166,3 +175,172 @@ def test_normalization_preserves_constraint_satisfaction(rows, w):
 
     mask = np.linalg.norm(matrix, axis=1) > 1e-9
     assert np.array_equal(signs(matrix)[mask], signs(normalized)[mask])
+
+
+# -- integer evaluation path ≡ Fraction path --------------------------------
+
+_VARS = ("x", "y", "z")
+_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_monomials = st.dictionaries(st.sampled_from(_VARS), st.integers(0, 3)).map(Monomial)
+_polys = st.lists(st.tuples(_monomials, _coefficients), max_size=6).map(Polynomial)
+# Small values make zeros (and so ==/!= splits) common; huge ones pass 2^63.
+_ints = st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80))
+_int_points = st.fixed_dictionaries({v: _ints for v in _VARS})
+_mixed_points = st.fixed_dictionaries(
+    {
+        v: st.one_of(_ints, st.fractions(-9, 9, max_denominator=7), st.booleans())
+        for v in _VARS
+    }
+)
+
+
+def _over_fractions(point):
+    """The same point with every value a Fraction: the Fraction loop's input."""
+    return {k: Fraction(v) for k, v in point.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _int_points)
+def test_integer_evaluation_matches_fraction_path(poly, point):
+    exact = poly.evaluate(_over_fractions(point))
+    if poly.variables:
+        assert poly.evaluate_scaled(_over_fractions(point)) is None
+    value = poly.evaluate(point)
+    assert type(value) is Fraction and value == exact
+    scaled = poly.evaluate_scaled(point)
+    assert type(scaled) is int
+    assert (scaled > 0, scaled == 0) == (exact > 0, exact == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _int_points, st.sampled_from(COMPARISONS))
+def test_atom_integer_path_matches_fraction_path(poly, point, op):
+    atom = Atom(poly, op)
+    exact = poly.evaluate(_over_fractions(point))
+    assert atom.evaluate(point) is _OPS[op](exact, 0)
+    assert atom.evaluate(_over_fractions(point)) is _OPS[op](exact, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _mixed_points, st.sampled_from(COMPARISONS))
+def test_mixed_points_take_the_fraction_path(poly, point, op):
+    """Any non-int value read (Fraction, bool) declines the integer form."""
+    all_ints = all(type(point[v]) is int for v in poly.variables)
+    assert (poly.evaluate_scaled(point) is not None) is all_ints
+    exact = poly.evaluate(_over_fractions(point))
+    assert poly.evaluate(point) == exact
+    assert Atom(poly, op).evaluate(point) is _OPS[op](exact, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_polys, _int_points, st.sampled_from(COMPARISONS))
+def test_missing_variable_raises_on_both_paths(poly, point, op):
+    if not poly.variables:
+        return
+    del point[min(poly.variables)]
+    assert poly.evaluate_scaled(point) is None
+    with pytest.raises(PolyError):
+        poly.evaluate(point)
+    with pytest.raises(PolyError):
+        Atom(poly, op).evaluate(point)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_polys, _int_points)
+def test_polynomial_pickles_with_its_integer_form(poly, point):
+    fresh = pickle.loads(pickle.dumps(poly))
+    assert fresh == poly and fresh.evaluate(point) == poly.evaluate(point)
+    value = poly.evaluate(point)  # the integer form is now cached
+    restored = pickle.loads(pickle.dumps(poly))
+    assert restored == poly and hash(restored) == hash(poly)
+    assert restored._ints == poly._ints
+    assert restored.evaluate(point) == value
+    assert restored.evaluate_scaled(point) == poly.evaluate_scaled(point)
+
+
+# -- fraction-free nullspace ≡ Fraction Gauss-Jordan ------------------------
+
+
+def _fraction_nullspace(rows):
+    """Gauss-Jordan over Fractions: the oracle for ``rational_nullspace``."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(matrix)):
+            if matrix[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        pivot = matrix[r][c]
+        matrix[r] = [x / pivot for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c] != 0:
+                factor = matrix[i][c]
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, pivot_col in enumerate(pivot_cols):
+            vec[pivot_col] = -matrix[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def _rank_deficient_matrices(draw):
+    """Rows that are integer combinations of fewer base rows."""
+    ncols = draw(st.integers(1, 6))
+    entries = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(-9, 9, max_denominator=6),
+        st.integers(-(2**70), 2**70),
+    )
+    base = draw(
+        st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=max(1, ncols - 1),
+        )
+    )
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    rows = []
+    for combo in draw(st.lists(weights, min_size=1, max_size=7)):
+        row = [
+            sum((w * Fraction(b[j]) for w, b in zip(combo, base)), Fraction(0))
+            for j in range(ncols)
+        ]
+        # Mix int and Fraction entries, as exact term rows do.
+        rows.append(
+            [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row]
+        )
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_deficient_matrices())
+def test_fraction_free_nullspace_matches_fraction_gauss_jordan(rows):
+    basis = rational_nullspace(rows)
+    assert basis == _fraction_nullspace(rows)
+    for vec in basis:
+        for row in rows:
+            assert sum(Fraction(a) * v for a, v in zip(row, vec)) == 0
