@@ -61,13 +61,7 @@ class InvariantService:
             they win over ``config`` for that solver.
         cache: inject an existing :class:`TraceCache` to share with
             other components; by default the service owns a fresh one
-            bounded to ``max_cache_entries``.
-        max_cache_entries: LRU bound for the owned cache (ignored when
-            ``cache`` is injected).
-        cache_dir: spill directory for the owned cache (ignored when
-            ``cache`` is injected): traces and term matrices persist
-            across processes keyed by content fingerprint, so reruns
-            skip interpretation entirely.
+            bounded to ``DEFAULT_CACHE_ENTRIES``.
         memo_size: opt-in finished-result memo.  With ``memo_size=N``
             the service keeps the last N :class:`SolveResult`\\ s keyed
             by canonical problem fingerprint and :meth:`solve` returns
@@ -84,14 +78,12 @@ class InvariantService:
         *,
         solver_configs: Mapping[str, "InferenceConfig"] | None = None,
         cache: TraceCache | None = None,
-        max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        cache_dir: str | None = None,
         memo_size: int = 0,
     ):
         self.cache = (
             cache
             if cache is not None
-            else TraceCache(max_entries=max_cache_entries, cache_dir=cache_dir)
+            else TraceCache(max_entries=DEFAULT_CACHE_ENTRIES)
         )
         self.bus = EventBus()
         self.memo: ResultMemo[SolveResult] | None = (
@@ -212,16 +204,13 @@ class InvariantService:
         :meth:`solve`, sharing the service cache and streaming the full
         event feed.  With ``jobs > 1`` the problems fan out over a
         process pool; each worker builds its own solver and in-memory
-        cache, but when the service cache spills to disk
-        (``cache_dir``) every worker shares that on-disk store.
-        Per-stage timings come back inside each record's result, and
-        only the completion events stream live.
+        cache.  Per-stage timings come back inside each record's
+        result, and only the completion events stream live.
 
         ``workers > 1`` (or any value with ``queue_dir``) fans the
         suite out over the distributed runner (:mod:`repro.dist`):
         local worker processes drain a journaled work queue, each
-        running its own service over the same on-disk cache spill as
-        this one (when this service has a ``cache_dir``).
+        running its own service and cache.
         ``workers="auto"`` makes the fleet elastic (sized to queue
         depth between ``min_workers`` and ``max_workers``), and
         ``fleet_status`` receives live fleet/health snapshots.  With a
@@ -269,11 +258,6 @@ class InvariantService:
             solve_fn=(
                 (lambda problem, _config: self.solve(problem, solver))
                 if inline
-                else None
-            ),
-            cache_dir=(
-                str(self.cache.cache_dir)
-                if self.cache.cache_dir is not None
                 else None
             ),
             workers=workers,

@@ -53,9 +53,6 @@ Commands:
 * ``list`` — list the available benchmark problems with metadata.
 * ``trace <nla-problem> --inputs k=5`` — execute a benchmark program on
   one input assignment and dump the loop-head trace.
-
-``run``, ``run-all``, and ``profile`` accept ``--cache-dir PATH`` to
-persist traces/term matrices on disk across invocations.
 """
 
 from __future__ import annotations
@@ -176,10 +173,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.infer.record import record_problem
 
     problem = nla_problem(args.problem)
-    try:
-        recorded = record_problem(problem)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    recorded = record_problem(problem)
     _write_json(args.json, problem_to_dict(recorded))
     if args.json != "-":
         assert recorded.traces is not None
@@ -197,14 +191,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     problem = nla_problem(args.problem)
-    service = InvariantService(
-        InferenceConfig(max_epochs=args.epochs),
-        cache_dir=args.cache_dir,
-    )
-    try:
-        result = service.solve(problem, solver=args.solver)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    service = InvariantService(InferenceConfig(max_epochs=args.epochs))
+    result = service.solve(problem, solver=args.solver)
     timings = result.to_dict()["stage_timings"]
     staged = sum(timings.values())
     other = max(result.runtime_seconds - staged, 0.0)
@@ -257,16 +245,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         problem = nla_problem(args.problem)
     else:
         raise SystemExit("run needs a problem name or --traces FILE")
-    service = InvariantService(
-        InferenceConfig(max_epochs=args.epochs),
-        cache_dir=args.cache_dir,
-    )
+    service = InvariantService(InferenceConfig(max_epochs=args.epochs))
     if args.events:
         service.subscribe(_print_event)
-    try:
-        result = service.solve(problem, solver=args.solver)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    result = service.solve(problem, solver=args.solver)
     print(f"problem:  {problem.name}")
     print(f"solver:   {result.solver}")
     if result.checking:
@@ -335,17 +317,11 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         problems = [_load_trace_problem(path) for path in args.traces]
         suite_label = "recorded traces"
     else:
-        try:
-            problems = suite_problems(args.suite, args.problems or None)
-        except ReproError as exc:
-            raise SystemExit(str(exc)) from exc
+        problems = suite_problems(args.suite, args.problems or None)
         suite_label = args.suite
     if not problems:
         raise SystemExit(f"no problems selected from suite {args.suite!r}")
-    service = InvariantService(
-        InferenceConfig(max_epochs=args.epochs),
-        cache_dir=args.cache_dir,
-    )
+    service = InvariantService(InferenceConfig(max_epochs=args.epochs))
 
     def progress(record) -> None:
         detail = (
@@ -372,21 +348,18 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    try:
-        records = service.solve_many(
-            problems,
-            solver=args.solver,
-            jobs=args.jobs,
-            timeout_seconds=args.timeout,
-            progress=progress,
-            workers=workers,
-            queue_dir=args.queue_dir,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            fleet_status=fleet_tail if distributed else None,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    records = service.solve_many(
+        problems,
+        solver=args.solver,
+        jobs=args.jobs,
+        timeout_seconds=args.timeout,
+        progress=progress,
+        workers=workers,
+        queue_dir=args.queue_dir,
+        min_workers=args.min_workers,
+        max_workers=args.max_workers,
+        fleet_status=fleet_tail if distributed else None,
+    )
     if args.timeout is not None and any(
         not r.timeout_enforced for r in records
     ):
@@ -453,18 +426,15 @@ def _cmd_enqueue(args: argparse.Namespace) -> int:
 
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
-    try:
-        queue, added, skipped = enqueue_suite(
-            args.queue_dir,
-            args.suite,
-            args.problems or None,
-            solver=args.solver,
-            config=InferenceConfig(max_epochs=args.epochs),
-            timeout_seconds=args.timeout,
-            lease_seconds=args.lease,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    queue, added, skipped = enqueue_suite(
+        args.queue_dir,
+        args.suite,
+        args.problems or None,
+        solver=args.solver,
+        config=InferenceConfig(max_epochs=args.epochs),
+        timeout_seconds=args.timeout,
+        lease_seconds=args.lease,
+    )
     counts = queue.counts()
     print(
         f"enqueued {added} item(s) to {queue.root} "
@@ -508,19 +478,15 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    try:
-        worker = Worker(
-            WorkQueue.open(target),
-            worker_id=args.worker_id,
-            cache_dir=args.cache_dir,
-            batch_size=args.batch_size,
-            poll_seconds=args.poll,
-            progress=progress,
-        )
-        install_stop_handler(worker)  # SIGTERM = finish current item, release rest
-        processed = worker.run(max_items=args.max_items)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    worker = Worker(
+        WorkQueue.open(target),
+        worker_id=args.worker_id,
+        batch_size=args.batch_size,
+        poll_seconds=args.poll,
+        progress=progress,
+    )
+    install_stop_handler(worker)  # SIGTERM = finish current item, release rest
+    processed = worker.run(max_items=args.max_items)
     if worker.stop_requested:
         print(
             f"worker {worker.worker_id}: stop requested; processed "
@@ -562,13 +528,10 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     from repro.dist import WorkQueue
 
     target = _queue_target(args)
-    try:
-        queue = WorkQueue.open(target)
-        counts = queue.counts()
-        fleet = queue.worker_health()
-        meta = queue.meta
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    queue = WorkQueue.open(target)
+    counts = queue.counts()
+    fleet = queue.worker_health()
+    meta = queue.meta
     if args.json:
         _write_json(
             args.json,
@@ -629,10 +592,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--memo must be >= 0, got {args.memo}")
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
-    try:
-        return serve_main(args)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    return serve_main(args)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -703,11 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the structured result as JSON ('-' for stdout)",
     )
-    run_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="persist traces/term matrices on disk across invocations",
-    )
     run_parser.set_defaults(func=_cmd_run)
 
     profile_parser = sub.add_parser(
@@ -723,11 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "--epochs", type=int, default=2000, help="training epochs per attempt"
-    )
-    profile_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="persist traces/term matrices on disk across invocations",
     )
     profile_parser.set_defaults(func=_cmd_profile)
 
@@ -814,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write all records as JSON ('-' for stdout)",
     )
-    all_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="persist traces/term matrices on disk across invocations",
-    )
     all_parser.set_defaults(func=_cmd_run_all)
 
     enqueue_parser = sub.add_parser(
@@ -868,10 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
             "follow a remote queue served by 'queue-server' over HTTP "
             "instead of a local --queue-dir (no shared filesystem needed)"
         ),
-    )
-    worker_parser.add_argument(
-        "--cache-dir", metavar="PATH",
-        help="shared on-disk trace-cache spill (same value for all workers)",
     )
     worker_parser.add_argument(
         "--batch-size", type=int, default=1, metavar="N",
@@ -948,10 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=2000, help="training epochs per attempt"
     )
     serve_parser.add_argument(
-        "--cache-dir", metavar="PATH",
-        help="persist traces/term matrices on disk across solves",
-    )
-    serve_parser.add_argument(
         "--queue-dir", metavar="PATH",
         help=(
             "solve via the distributed work queue at PATH instead of "
@@ -1022,7 +959,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # One line, not a traceback: unknown problems/solvers, bad
+        # queues, and unsupported solver/problem pairs are user errors.
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

@@ -170,7 +170,6 @@ def run_distributed(
     queue_dir: str | None = None,
     solver: str = "gcln",
     timeout_seconds: float | None = None,
-    cache_dir: str | None = None,
     lease_seconds: float | None = None,
     suite: str | None = None,
     progress: Callable[["ProblemRecord"], None] | None = None,
@@ -289,7 +288,6 @@ def run_distributed(
                 target=worker_main,
                 args=(str(queue.root),),
                 kwargs={
-                    "cache_dir": cache_dir,
                     "worker_id": worker_id,
                     "poll_seconds": poll_seconds,
                 },
@@ -364,7 +362,6 @@ def run_distributed(
             Worker(
                 queue,
                 worker_id="coordinator-inline",
-                cache_dir=cache_dir,
                 poll_seconds=poll_seconds,
             ).run()
         journaled = records_from_journal(queue)

@@ -179,8 +179,8 @@ def item_for_problem(
     restores input order), the problem name (so humans can read the
     queue), and a prefix of the canonical :func:`~repro.utils.
     fingerprint.problem_fingerprint` over (problem, solver, config) —
-    the same keying scheme the trace-cache disk spill and the serving
-    dedup use.  Re-enqueueing the same suite with the same settings
+    the same keying scheme the serving dedup and result memo use.
+    Re-enqueueing the same suite with the same settings
     yields the same ids (resume dedups on them); changing the problem,
     solver, or config changes the ids, so a resumed queue never serves
     stale records solved under different settings.  With ``suite``

@@ -1,10 +1,8 @@
 """The distributed worker: claim → solve → ack, until the queue drains.
 
 A worker owns one :class:`~repro.api.service.InvariantService` for its
-whole life, so every claim batch shares the same bounded trace cache —
-and when the queue's coordinator supplied a ``cache_dir``, every worker
-process spills to the *same* on-disk store (the spill writes are
-``mkstemp`` + atomic-rename, so concurrent workers are safe; see PR 3).
+whole life, so every claim batch shares the same bounded in-memory
+trace cache.
 
 The queue's ``meta.json`` is authoritative for *how* to solve (solver,
 config, per-problem timeout): every worker reads the same settings,
@@ -59,7 +57,6 @@ class Worker:
     Args:
         queue: the queue to drain (or a path to one).
         worker_id: identity recorded on claims and journal lines.
-        cache_dir: on-disk trace-cache spill shared with other workers.
         batch_size: items claimed per round (default 1); items are
             always solved one at a time, each under its own timeout.
         poll_seconds: sleep between claim attempts while other workers
@@ -75,7 +72,6 @@ class Worker:
         queue: WorkQueue | str,
         *,
         worker_id: str | None = None,
-        cache_dir: str | None = None,
         batch_size: int = 1,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
         progress: Callable[[ProblemRecord], None] | None = None,
@@ -91,7 +87,6 @@ class Worker:
         self._started_at = time.time()
         self._last_beat = float("-inf")
         self._stop_requested = False
-        # A legacy "cross_batch" meta key is ignored: items solve one by one.
         meta = self.queue.meta
         self.solver = meta.get("solver", "gcln")
         self.timeout_seconds = meta.get("timeout_seconds")
@@ -102,7 +97,7 @@ class Worker:
         config = (
             config_from_dict(config_data) if config_data is not None else None
         )
-        self.service = InvariantService(config, cache_dir=cache_dir)
+        self.service = InvariantService(config)
 
     def request_stop(self) -> None:
         """Ask the worker to stop gracefully (signal-handler safe).
@@ -261,7 +256,6 @@ def install_stop_handler(worker: Worker) -> bool:
 
 def worker_main(
     queue_dir: str,
-    cache_dir: str | None = None,
     worker_id: str | None = None,
     batch_size: int = 1,
     max_items: int | None = None,
@@ -277,7 +271,6 @@ def worker_main(
     worker = Worker(
         WorkQueue.open(queue_dir),
         worker_id=worker_id,
-        cache_dir=cache_dir,
         batch_size=batch_size,
         poll_seconds=poll_seconds,
         heartbeat_seconds=heartbeat_seconds,

@@ -19,11 +19,6 @@ budget and every affected record carries ``timeout_enforced=False`` so
 callers (e.g. the CLI) can surface the degradation instead of silently
 pretending the budget was applied.
 
-With ``cache_dir`` set, every worker opens its own
-:class:`~repro.sampling.cache.TraceCache` spilling to that directory,
-so parallel runs share the on-disk trace/matrix store (the spill's
-``tempfile.mkstemp`` + ``os.replace`` writes are concurrency-safe).
-
 ``workers > 1`` (or ``queue_dir``) switches to the distributed runner
 (:mod:`repro.dist`): problems are enqueued on a journaled filesystem
 work queue and drained by separate worker processes — the same queue
@@ -44,7 +39,6 @@ from typing import Callable, Sequence
 from repro.api.solver import SolveResult, get_solver, require_solver_supports
 from repro.infer.config import InferenceConfig
 from repro.infer.problem import Problem
-from repro.sampling.cache import TraceCache
 
 # A pluggable solve step: (problem, config) -> SolveResult.  The
 # default goes through the solver registry; InvariantService passes a
@@ -124,11 +118,10 @@ def _solve_via_registry(
     solver: str,
     problem: Problem,
     config: InferenceConfig | None,
-    cache: TraceCache | None = None,
 ) -> SolveResult:
     """Default solve step: instantiate the named solver and run it."""
     require_solver_supports(solver, problem)
-    return get_solver(solver).solve(problem, config=config, cache=cache)
+    return get_solver(solver).solve(problem, config=config)
 
 
 def _run_one(
@@ -137,16 +130,12 @@ def _run_one(
     timeout_seconds: float | None,
     solver: str = "gcln",
     solve_fn: SolveFn | None = None,
-    cache_dir: str | None = None,
 ) -> ProblemRecord:
     """Run one problem with an optional SIGALRM-enforced timeout.
 
     This is the unit of work shipped to pool workers; it must stay a
     module-level function so it pickles (``solve_fn`` closures are
     inline-only — pool workers always dispatch via ``solver`` name).
-    With ``cache_dir`` set (and no ``solve_fn``), the solver gets a
-    fresh :class:`TraceCache` spilling to that directory, so workers
-    share the on-disk store even though each has its own memory cache.
     """
     start = time.perf_counter()
     timeout_requested = timeout_seconds is not None
@@ -182,12 +171,7 @@ def _run_one(
             if solve_fn is not None:
                 result = solve_fn(problem, config)
             else:
-                cache = (
-                    TraceCache(cache_dir=cache_dir)
-                    if cache_dir is not None
-                    else None
-                )
-                result = _solve_via_registry(solver, problem, config, cache)
+                result = _solve_via_registry(solver, problem, config)
             _disarm()
             return ProblemRecord(
                 name=problem.name,
@@ -237,7 +221,6 @@ def run_many(
     progress: Callable[[ProblemRecord], None] | None = None,
     solver: str = "gcln",
     solve_fn: SolveFn | None = None,
-    cache_dir: str | None = None,
     workers: "int | str" = 1,
     queue_dir: str | None = None,
     min_workers: int = 1,
@@ -265,10 +248,6 @@ def run_many(
         solve_fn: inline-only override of the solve step (used by
             :class:`~repro.api.service.InvariantService` to share its
             cache/event bus); requires ``jobs == 1``.
-        cache_dir: on-disk trace/matrix spill directory handed to every
-            worker (and to inline registry solves), so parallel runs
-            share the disk cache; ignored when ``solve_fn`` supplies
-            caching instead.
         workers: > 1 (or any value with ``queue_dir``) switches to the
             distributed runner (:mod:`repro.dist`): the problems are
             enqueued on a journaled work queue and drained by this many
@@ -337,7 +316,6 @@ def run_many(
             queue_dir=queue_dir,
             solver=solver,
             timeout_seconds=timeout_seconds,
-            cache_dir=cache_dir,
             progress=progress,
             min_workers=min_workers,
             max_workers=max_workers,
@@ -347,9 +325,7 @@ def run_many(
     if jobs == 1:
         records = []
         for problem in problems:
-            record = _run_one(
-                problem, config, timeout_seconds, solver, solve_fn, cache_dir
-            )
+            record = _run_one(problem, config, timeout_seconds, solver, solve_fn)
             if progress is not None:
                 progress(record)
             records.append(record)
@@ -359,8 +335,7 @@ def run_many(
     with ProcessPoolExecutor(max_workers=min(jobs, len(problems))) as pool:
         futures = {
             pool.submit(
-                _run_one, problem, config, timeout_seconds, solver, None,
-                cache_dir,
+                _run_one, problem, config, timeout_seconds, solver
             ): index
             for index, problem in enumerate(problems)
         }

@@ -111,7 +111,7 @@ class Monomial:
     def __getstate__(self) -> tuple[tuple[tuple[str, int], ...]]:
         # Never serialize the cached hash: str hashing is randomized
         # per process (PYTHONHASHSEED), so a pickled hash from another
-        # process (e.g. the TraceCache disk spill) would disagree with
+        # process (e.g. a pool worker's result) would disagree with
         # freshly built equal monomials here, silently breaking every
         # dict/set lookup that mixes the two.  The state is wrapped in
         # a 1-tuple so it is never falsy — pickle protocols 0/1 skip

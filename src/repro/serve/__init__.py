@@ -14,7 +14,7 @@
 
 Three request-collapsing layers sit in front of the solver, all keyed
 by the canonical :func:`~repro.utils.fingerprint.problem_fingerprint`
-(the same key the trace-cache disk spill and the distributed queue
+(the same key the service result memo and the distributed queue
 use):
 
 1. **admission** (:mod:`repro.serve.admission`) — per-client token

@@ -488,7 +488,7 @@ def build_server(args) -> tuple[InvariantServer, InvariantService]:
     from repro.infer.config import InferenceConfig
 
     config = InferenceConfig(max_epochs=args.epochs)
-    service = InvariantService(config, cache_dir=args.cache_dir)
+    service = InvariantService(config)
     if args.queue_dir:
         executor = QueueExecutor(
             args.queue_dir,

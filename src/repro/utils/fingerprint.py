@@ -2,7 +2,7 @@
 
 One keying scheme for every layer that identifies work by content
 rather than by object identity: the :class:`~repro.sampling.cache.
-TraceCache` disk spill, the serving front end's request dedup/memo
+TraceCache` entries, the serving front end's request dedup/memo
 (:mod:`repro.serve.dedup`), the :class:`~repro.api.service.
 InvariantService` solved-result memo, and the distributed queue's item
 ids (:mod:`repro.dist.wire`).  Two structurally identical requests —

@@ -108,3 +108,23 @@ def fraction_path(monkeypatch):
             yield
 
     return evaluate_over_fractions
+
+
+def _normalized_record(record) -> dict:
+    data = record.to_dict()
+    data.pop("runtime_seconds")
+    if data["result"] is not None:
+        data["result"].pop("runtime_seconds")
+        data["result"].pop("stage_timings")
+        data["result"].pop("cache_stats")
+    return data
+
+
+@pytest.fixture
+def normalized():
+    """A record's wire dict minus timing/host-dependent fields.
+
+    Records from two execution paths (inline, process pool, work
+    queue) must be equal under it.
+    """
+    return _normalized_record

@@ -3,11 +3,8 @@
 from repro.infer import InferenceConfig, InferenceEngine, Problem
 from repro.infer.stages import build_matrix, collect_states
 from repro.lang import parse_program
-from repro.sampling.cache import (
-    TraceCache,
-    fingerprint_inputs,
-    fingerprint_program,
-)
+from repro.sampling.cache import TraceCache
+from repro.utils.fingerprint import fingerprint_inputs, fingerprint_program
 
 TINY_SOURCE = """
 program tiny;
@@ -154,55 +151,3 @@ def test_shared_cache_across_engines():
     misses_after_first = cache.stats.trace_misses
     InferenceEngine(tiny_problem(), config, cache=cache).run()
     assert cache.stats.trace_misses == misses_after_first
-
-
-def test_disk_persistence_across_cache_instances(tmp_path):
-    """A fresh process pointed at the same cache_dir skips computation."""
-    program = parse_program(TINY_SOURCE)
-    inputs = [{"n": 3}, {"n": 5}]
-    first = TraceCache(cache_dir=tmp_path)
-    traces = first.traces(program, inputs)
-    assert first.stats.trace_misses == 1
-    assert first.stats.disk_hits == 0
-
-    second = TraceCache(cache_dir=tmp_path)
-    recovered = second.traces(parse_program(TINY_SOURCE), inputs)
-    assert second.stats.disk_hits == 1
-    assert second.stats.trace_misses == 0
-    assert len(recovered) == len(traces)
-    # Different inputs still compute (and spill for next time).
-    second.traces(program, [{"n": 4}])
-    assert second.stats.trace_misses == 1
-    assert second.stats.to_dict()["disk_hits"] == 1
-
-
-def test_disk_cache_tolerates_corrupt_spill(tmp_path):
-    program = parse_program(TINY_SOURCE)
-    cache = TraceCache(cache_dir=tmp_path)
-    cache.traces(program, [{"n": 3}])
-    for spill in tmp_path.iterdir():
-        spill.write_bytes(b"not a pickle")
-    fresh = TraceCache(cache_dir=tmp_path)
-    traces = fresh.traces(parse_program(TINY_SOURCE), [{"n": 3}])
-    assert fresh.stats.disk_hits == 0
-    assert fresh.stats.trace_misses == 1
-    assert traces
-
-
-def test_engine_reruns_hit_disk_instead_of_interpreting(tmp_path):
-    """Acceptance: a rerun with --cache-dir performs zero trace misses."""
-    config = InferenceConfig(max_epochs=40, dropout_schedule=(0.6,))
-    first = InferenceEngine(
-        tiny_problem(), config, cache=TraceCache(cache_dir=tmp_path)
-    )
-    first.run()
-    assert first.cache.stats.trace_misses > 0
-
-    rerun = InferenceEngine(
-        tiny_problem(), config, cache=TraceCache(cache_dir=tmp_path)
-    )
-    result = rerun.run()
-    assert rerun.cache.stats.trace_misses == 0
-    assert rerun.cache.stats.matrix_misses == 0
-    assert rerun.cache.stats.disk_hits > 0
-    assert result.cache_stats["disk_hits"] == rerun.cache.stats.disk_hits

@@ -24,6 +24,13 @@ def test_trace_assume_violation(capsys):
     assert "assume violated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "profile", "record", "trace"])
+def test_unknown_problem_is_one_line_exit(command):
+    """A library error exits with its message, not a traceback."""
+    with pytest.raises(SystemExit, match="nosuch"):
+        main([command, "nosuch"])
+
+
 def test_parse_assignment():
     parsed = _parse_assignment(["k=5", "r=3/2"])
     assert parsed["k"] == 5
@@ -154,23 +161,14 @@ def test_run_json_output(capsys, tmp_path):
 
 
 @pytest.mark.slow
-def test_profile_command(capsys, tmp_path):
-    code = main(
-        [
-            "profile",
-            "ps2",
-            "--epochs",
-            "120",
-            "--cache-dir",
-            str(tmp_path / "cache"),
-        ]
-    )
+def test_profile_command(capsys):
+    code = main(["profile", "ps2", "--epochs", "120"])
     out = capsys.readouterr().out
     assert code == 0
     for stage in ("collect", "train", "extract", "check"):
         assert stage in out
     assert "TOTAL" in out
-    assert "disk_hits" in out
+    assert "trace_hits" in out
     assert "compile_ms=" in out
     assert "compiled=True" in out
     assert "backend" not in out

@@ -48,17 +48,6 @@ def make_item(item_id: str, index: int = 0) -> dict:
     return {"id": item_id, "index": index, "name": item_id, "problem": {}}
 
 
-def normalized(record) -> dict:
-    """A record's wire dict minus timing/host-dependent fields."""
-    data = record.to_dict()
-    data.pop("runtime_seconds")
-    if data["result"] is not None:
-        data["result"].pop("runtime_seconds")
-        data["result"].pop("stage_timings")
-        data["result"].pop("cache_stats")
-    return data
-
-
 # -- queue mechanics -----------------------------------------------------------
 
 
@@ -408,7 +397,7 @@ def test_worker_respects_max_items(tmp_path):
     assert queue.counts()["pending"] == 1
 
 
-def test_worker_ignores_legacy_cross_batch_meta(tmp_path):
+def test_worker_ignores_legacy_cross_batch_meta(tmp_path, normalized):
     """A queue written when meta.json could carry a cross-batch width
     still drains: the key is ignored, items solve one at a time, and
     the records equal a sequential run's (modulo timing fields)."""
@@ -442,14 +431,14 @@ def test_worker_main_entry_point(tmp_path):
 # -- coordinator / run_many(workers=N) ----------------------------------------
 
 
-def test_two_workers_match_sequential_run(tmp_path):
+def test_two_workers_match_sequential_run(tmp_path, normalized):
     """The acceptance bar: two workers draining one queue produce the
     exact records (modulo timing fields) of a sequential run."""
     problems = [tiny_problem("eq1"), tiny_problem("eq2", 2), tiny_problem("eq3", 3)]
     sequential = run_many(problems, FAST_CONFIG, jobs=1)
     distributed = run_many(
         problems, FAST_CONFIG, workers=2,
-        queue_dir=str(tmp_path / "q"), cache_dir=str(tmp_path / "spill"),
+        queue_dir=str(tmp_path / "q"),
     )
     assert [r.name for r in distributed] == [r.name for r in sequential]
     assert [normalized(r) for r in distributed] == [

@@ -106,10 +106,10 @@ def test_pickle_roundtrip_rehashes_across_hash_seeds(tmp_path):
     hash like a freshly built equal monomial here.
 
     Regression: Monomial cached ``hash(self._powers)`` in a slot and
-    the default slot pickling preserved it, so TraceCache disk spills
-    written by another process carried stale hashes — equal monomials
-    then missed every dict/set lookup and cached benchmark reruns
-    silently produced different invariants.
+    the default slot pickling preserved it, so monomials pickled by
+    another process (a pool worker's result, a cached trace) carried
+    stale hashes — equal monomials then missed every dict/set lookup
+    and silently produced different invariants.
     """
     import os
     import pickle

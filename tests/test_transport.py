@@ -59,17 +59,6 @@ def make_item(item_id: str, index: int = 0) -> dict:
     return {"id": item_id, "index": index, "name": item_id, "problem": {}}
 
 
-def normalized(record) -> dict:
-    """A record's wire dict minus timing/host-dependent fields."""
-    data = record.to_dict()
-    data.pop("runtime_seconds")
-    if data["result"] is not None:
-        data["result"].pop("runtime_seconds")
-        data["result"].pop("stage_timings")
-        data["result"].pop("cache_stats")
-    return data
-
-
 @pytest.fixture
 def http_queue(tmp_path):
     """A live queue server over a tmp directory: (url, queue_dir, server)."""
@@ -262,7 +251,7 @@ def test_queue_open_rejects_server_with_no_meta(http_queue):
         WorkQueue.open(url)
 
 
-def test_two_http_workers_match_sequential(http_queue):
+def test_two_http_workers_match_sequential(http_queue, normalized):
     url, _queue_dir, _server = http_queue
     problems = [tiny_problem("ta"), tiny_problem("tb", step=2),
                 tiny_problem("tc", step=3)]
@@ -312,7 +301,7 @@ def test_two_http_workers_match_sequential(http_queue):
     assert sum(w["items_done"] for w in fleet.values()) == len(items)
 
 
-def test_killed_http_follower_claim_is_reaped_and_resumed(http_queue):
+def test_killed_http_follower_claim_is_reaped_and_resumed(http_queue, normalized):
     """A follower that dies mid-claim (SIGKILL: no release, no ack) loses
     its lease; a second follower re-claims and the records still match
     sequential solving exactly."""
@@ -520,7 +509,7 @@ class FlakyTransport(Transport):
         return f"flaky({self.inner.describe()})"
 
 
-def test_flaky_transport_drain_matches_sequential(tmp_path):
+def test_flaky_transport_drain_matches_sequential(tmp_path, normalized):
     """A worker on a dropping/duplicating/delaying transport still
     produces exactly the sequential records: claims never double-solve
     into the journal and no journal line tears."""
@@ -623,7 +612,7 @@ def test_ack_journals_even_when_winner_crashed_before_journaling(tmp_path):
 # -- elastic fleet -------------------------------------------------------------
 
 
-def test_run_distributed_auto_matches_sequential(tmp_path):
+def test_run_distributed_auto_matches_sequential(tmp_path, normalized):
     problems = [tiny_problem("ea"), tiny_problem("eb", step=2),
                 tiny_problem("ec", step=3)]
     records = run_distributed(
