@@ -110,9 +110,7 @@ class _BaselineSolver:
             events(AttemptStarted(problem=problem.name, solver=self.name, attempt=1))
         with timed_stage(timings, "collect"):
             dataset = collect_states(problem, config, None, cache)
-        checker = make_checker(
-            problem, cache=cache, memoize=config.checker_memoization
-        )
+        checker = make_checker(problem, cache=cache)
 
         candidates: list[list[Atom]] = []
         for loop_index in range(n_loops):

@@ -218,14 +218,10 @@ class InvariantService:
         resumes: journaled problems are not re-solved.  Mutually
         exclusive with ``jobs``.
         """
-        from repro.infer.runner import STATUS_OK, run_many
+        from repro.infer.runner import STATUS_OK, is_distributed, run_many
 
         get_solver(solver)  # fail fast on unknown names, before any work
-        distributed = (
-            workers == "auto" or queue_dir is not None
-            or (isinstance(workers, int) and workers > 1)
-        )
-        inline = jobs == 1 and not distributed
+        inline = jobs == 1 and not is_distributed(workers, queue_dir)
 
         def on_record(record: "ProblemRecord") -> None:
             # Inline ok-records already emitted ProblemSolved via

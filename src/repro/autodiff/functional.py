@@ -2,7 +2,7 @@
 
 Every op records an in-place forward closure (see
 :mod:`repro.autodiff.tape`) alongside its backward closure, so graphs
-built from them stay replayable.
+built from them can be replayed.
 
 The fused kernels at the bottom collapse the hot CLN chains into a
 single graph node each:

@@ -29,10 +29,8 @@ records — ``add``, ``sub``, ``mul``, ``div``, ``abs``, ``pow``,
 any other op kind does not compile and replays through the closure
 walker, the reference the plan is tested against
 (``stats()["compiled"]`` is then False and ``stats()["fallback_reason"]``
-names the kind).  If any recorded node lacks a forward closure the
-tape degrades one step further, to eager re-tracing: ``step`` simply
-calls the builder and ``backward`` every epoch.  Correctness never
-depends on replayability or compilability.
+names the kind).  Every op records a forward closure, so every
+recorded graph replays; correctness never depends on compilability.
 """
 
 from __future__ import annotations
@@ -57,9 +55,7 @@ class Tape:
         self._plan: ReplayProgram | None = None
         self._plan_failed = False
         self.plan_failure: str | None = None
-        self.replayable = False
         self.replays = 0
-        self.eager_steps = 0
         # Cumulative plan-compile wall time.
         self.compile_ms = 0.0
 
@@ -76,8 +72,7 @@ class Tape:
 
         Args:
             build: zero-argument closure constructing the scalar loss
-                graph from leaf tensors.  Called once to record (and on
-                every step if the graph is not replayable).
+                graph from leaf tensors.  Called once, to record.
 
         Returns:
             The root (loss) tensor with gradients accumulated into the
@@ -86,12 +81,6 @@ class Tape:
         if self._nodes is None:
             root = self._record(build)
             root.backward()
-            self.eager_steps += 1
-            return root
-        if not self.replayable:
-            root = build()
-            root.backward()
-            self.eager_steps += 1
             return root
         plan = self._ensure_plan()
         if plan is None:
@@ -109,9 +98,7 @@ class Tape:
         return {
             "compiled": self._plan is not None,
             "n_nodes": self.n_nodes,
-            "replayable": self.replayable,
             "replays": self.replays,
-            "eager_steps": self.eager_steps,
             "compile_ms": self.compile_ms,
             "fallback_reason": self.plan_failure,
         }
@@ -131,11 +118,10 @@ class Tape:
             raise AutodiffError(
                 f"Tape.step requires a scalar root, got shape {root.data.shape}"
             )
+        if not root.requires_grad:
+            raise AutodiffError("Tape.step requires a gradient-tracked root")
         self._root = root
         self._nodes = nodes
-        self.replayable = root.requires_grad and all(
-            node._forward_fn is not None for node in nodes
-        )
         return root
 
     def _ensure_plan(self) -> ReplayProgram | None:

@@ -10,9 +10,7 @@ value **in place** (into the same ``.data`` buffer) from its parents'
 current data.  The :class:`~repro.autodiff.tape.Tape` uses these to
 replay an identically-structured graph epoch after epoch without
 rebuilding any nodes: training loops become a handful of large numpy
-calls instead of thousands of graph-node allocations.  A node built
-without a forward closure makes any graph containing it fall back to
-eager re-tracing.
+calls instead of thousands of graph-node allocations.
 """
 
 from __future__ import annotations
@@ -131,10 +129,13 @@ class Tensor:
         data: np.ndarray,
         parents: Iterable["Tensor"],
         backward_fn: Callable[[np.ndarray], None],
-        forward_fn: Callable[[], None] | None = None,
+        forward_fn: Callable[[], None],
         op: tuple[str, dict | None] | None = None,
     ) -> "Tensor":
         """Build a graph node.
+
+        ``forward_fn`` recomputes the node's value in place from its
+        parents' current data; the tape replays it every epoch.
 
         ``op`` is structured metadata — ``(kind, params)`` — describing
         the operation the closures implement.  The plan compiler

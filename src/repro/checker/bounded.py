@@ -32,6 +32,22 @@ from repro.smt.formula import Formula
 from repro.checker.result import CheckOutcome
 
 
+# Interpreter step budget per checking run: every checking-side
+# execution (checking traces, one-step inductiveness runs, and
+# record_observations' checking replay) uses it.
+CHECK_FUEL = 500_000
+
+# Reachability checks stop (VALID) after validating this many states.
+MAX_CHECKED_STATES = 50_000
+
+# Perturbation sampling for the inductiveness and postcondition VCs:
+# perturbed states tried per base state, the largest absolute integer
+# offset applied to a variable, and the cap on base states per VC.
+_PERTURBATIONS_PER_STATE = 8
+_PERTURBATION_RADIUS = 3
+_MAX_BASE_STATES = 200
+
+
 def holds(
     formula: Formula,
     state: Mapping[str, object],
@@ -58,10 +74,6 @@ class BoundedChecker:
         program: Program,
         externals: Sequence[ExternalTerm] = (),
         rng: np.random.Generator | None = None,
-        perturbations_per_state: int = 8,
-        perturbation_radius: int = 3,
-        max_base_states: int = 200,
-        fuel: int = 200_000,
     ):
         """
         Args:
@@ -69,20 +81,11 @@ class BoundedChecker:
             externals: external-function terms the invariant may use;
                 states are extended with their values before evaluation.
             rng: randomness source for perturbations.
-            perturbations_per_state: perturbed states tried per base
-                state during inductiveness/postcondition sampling.
-            perturbation_radius: max absolute integer offset applied to
-                each variable when perturbing.
-            max_base_states: cap on base states used per VC.
-            fuel: interpreter step budget per execution.
         """
         self.program = program
         self.externals = list(externals)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.perturbations_per_state = perturbations_per_state
-        self.perturbation_radius = perturbation_radius
-        self.max_base_states = max_base_states
-        self._interp = Interpreter(program, fuel=fuel)
+        self._interp = Interpreter(program, fuel=CHECK_FUEL)
 
     # -- helpers ---------------------------------------------------------
 
@@ -108,7 +111,7 @@ class BoundedChecker:
         chosen = self.rng.choice(len(names), size=min(k, len(names)), replace=False)
         for idx in chosen:
             offset = int(
-                self.rng.integers(-self.perturbation_radius, self.perturbation_radius + 1)
+                self.rng.integers(-_PERTURBATION_RADIUS, _PERTURBATION_RADIUS + 1)
             )
             name = names[int(idx)]
             perturbed[name] = perturbed[name] + offset
@@ -135,7 +138,7 @@ class BoundedChecker:
                 if not holds(invariant, snapshot.state, self.externals):
                     return CheckOutcome.INVALID, dict(snapshot.state)
                 checked += 1
-                if checked >= 50_000:
+                if checked >= MAX_CHECKED_STATES:
                     return CheckOutcome.VALID, None
         if checked == 0:
             return CheckOutcome.UNKNOWN, None
@@ -179,11 +182,11 @@ class BoundedChecker:
         """
         guard = self.guard_fn(loop)
         tested = 0
-        for state in list(base_states)[: self.max_base_states]:
+        for state in list(base_states)[:_MAX_BASE_STATES]:
             candidates = [dict(state)]
             candidates.extend(
                 self._perturb(dict(state))
-                for _ in range(self.perturbations_per_state)
+                for _ in range(_PERTURBATIONS_PER_STATE)
             )
             for candidate in candidates:
                 try:
@@ -211,11 +214,11 @@ class BoundedChecker:
         """Check ``I ∧ ¬LC ⇒ Q`` on exit states and perturbations."""
         guard = self.guard_fn(loop)
         tested = 0
-        for state in list(exit_states)[: self.max_base_states]:
+        for state in list(exit_states)[:_MAX_BASE_STATES]:
             candidates = [dict(state)]
             candidates.extend(
                 self._perturb(dict(state))
-                for _ in range(self.perturbations_per_state)
+                for _ in range(_PERTURBATIONS_PER_STATE)
             )
             for candidate in candidates:
                 try:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.checker.bounded import holds
+from repro.checker.bounded import MAX_CHECKED_STATES, holds
 from repro.checker.result import (
     CHECKING_RECORDED,
     CheckOutcome,
@@ -42,11 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.problem import Problem
     from repro.sampling.cache import TraceCache
 
-# Mirror of the bounded checker's reachability cap: stop after this
-# many recorded states have been validated.
-_MAX_CHECKED_STATES = 50_000
-
-
 class RecordedChecker:
     """Reachability-only checking against held-out recorded states.
 
@@ -65,11 +60,9 @@ class RecordedChecker:
         self,
         source: RecordedTraceSource,
         externals: Sequence[ExternalTerm] = (),
-        memoize: bool = True,
     ):
         self.source = source
         self.externals = list(externals)
-        self.memoize = memoize
         self._reach_memo: dict[tuple[int, str], CheckOutcome] = {}
         # Observability: same counter the full checker exposes.
         self.memo_hits = 0
@@ -84,7 +77,7 @@ class RecordedChecker:
             if not holds(formula, ob.state, self.externals):
                 return CheckOutcome.INVALID, dict(ob.state)
             checked += 1
-            if checked >= _MAX_CHECKED_STATES:
+            if checked >= MAX_CHECKED_STATES:
                 return CheckOutcome.VALID, None
         if checked == 0:
             return CheckOutcome.UNKNOWN, None
@@ -105,13 +98,12 @@ class RecordedChecker:
         observations = self.source.check_observations(loop_index)
         for atom in atoms:
             memo_key = (loop_index, str(atom))
-            if self.memoize and memo_key in self._reach_memo:
+            if memo_key in self._reach_memo:
                 outcome, cex = self._reach_memo[memo_key], None
                 self.memo_hits += 1
             else:
                 outcome, cex = self._holds_on_recorded(atom, observations)
-                if self.memoize:
-                    self._reach_memo[memo_key] = outcome
+                self._reach_memo[memo_key] = outcome
             if outcome is CheckOutcome.INVALID:
                 result.rejected.append((atom, "fails on reachable state"))
                 if cex:
@@ -163,7 +155,6 @@ class RecordedChecker:
 def make_checker(
     problem: "Problem",
     cache: "TraceCache | None" = None,
-    memoize: bool = True,
 ) -> InvariantChecker | RecordedChecker:
     """The right checker for a problem's observation source.
 
@@ -180,10 +171,7 @@ def make_checker(
             externals=problem.externals,
             rng=np.random.default_rng(DEFAULT_CHECKER_SEED),
             trace_cache=cache,
-            memoize=memoize,
         )
     source = problem.observations()
     assert isinstance(source, RecordedTraceSource)
-    return RecordedChecker(
-        source, externals=problem.externals, memoize=memoize
-    )
+    return RecordedChecker(source, externals=problem.externals)

@@ -30,7 +30,7 @@ from repro.lang.interp import ExecutionTrace
 from repro.sampling.termgen import ExternalTerm
 from repro.smt.formula import And, Atom, Formula
 from repro.smt.simplify import simplify
-from repro.checker.bounded import BoundedChecker
+from repro.checker.bounded import CHECK_FUEL, BoundedChecker
 from repro.checker.result import CHECKING_FULL, CheckOutcome, CheckReport
 from repro.checker.symbolic import equality_inductive_symbolic
 
@@ -39,11 +39,6 @@ from repro.checker.symbolic import equality_inductive_symbolic
 # the inference engine and the baseline solver adapters so every solver
 # is filtered by an identically-behaved checker.
 DEFAULT_CHECKER_SEED = 10_007
-
-# Interpreter step budget per checking run: InvariantChecker's default,
-# and what record_observations replays on the checking side.
-CHECK_FUEL = 500_000
-
 
 @dataclass
 class AtomFilterResult:
@@ -68,7 +63,6 @@ class InvariantChecker:
         check_inputs: Sequence[Mapping[str, object]],
         externals: Sequence[ExternalTerm] = (),
         rng: np.random.Generator | None = None,
-        fuel: int = CHECK_FUEL,
         trace_cache: "TraceCache | None" = None,
         memoize: bool = True,
     ):
@@ -79,7 +73,6 @@ class InvariantChecker:
                 should be wider than the training inputs.
             externals: external-function terms usable in invariants.
             rng: randomness for perturbation sampling.
-            fuel: interpreter budget per run.
             trace_cache: optional :class:`~repro.sampling.cache.
                 TraceCache`; when given, checking traces are memoized
                 there and reused across checker instances for the same
@@ -95,12 +88,9 @@ class InvariantChecker:
                 premise ⊆ P (the counterexample still satisfies it).
         """
         self.program = program
-        self.bounded = BoundedChecker(
-            program, externals=externals, rng=rng, fuel=fuel
-        )
+        self.bounded = BoundedChecker(program, externals=externals, rng=rng)
         self._traces: list[ExecutionTrace] | None = None
         self._check_inputs = list(check_inputs)
-        self._fuel = fuel
         self._trace_cache = trace_cache
         self._paths_cache: dict[int, object] = {}
         self.memoize = memoize
@@ -119,7 +109,7 @@ class InvariantChecker:
                 self._traces = self._trace_cache.checker_traces(
                     self.program,
                     self._check_inputs,
-                    self._fuel,
+                    CHECK_FUEL,
                     lambda: self.bounded.run_traces(self._check_inputs),
                 )
             else:

@@ -66,7 +66,7 @@ from repro.api import InvariantService, solver_entries
 from repro.bench import NLA_PROBLEMS, nla_problem, suite_problems, SUITES
 from repro.errors import ReproError
 from repro.infer import InferenceConfig
-from repro.infer.runner import summarize
+from repro.infer.runner import is_distributed, summarize
 from repro.lang import run_program
 from repro.utils import format_table
 
@@ -219,7 +219,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if tape_stats is not None:
         replay = ", ".join(
             f"{key}={tape_stats[key]}"
-            for key in ("compiled", "n_nodes", "replays", "eager_steps")
+            for key in ("compiled", "n_nodes", "replays")
         )
         print(f"replay:   {replay}, compile_ms={tape_stats['compile_ms']:.1f}")
         if tape_stats.get("fallback_reason"):
@@ -299,10 +299,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
-    distributed = (
-        workers == "auto" or args.queue_dir is not None
-        or (isinstance(workers, int) and workers > 1)
-    )
+    distributed = is_distributed(workers, args.queue_dir)
     if distributed and args.jobs > 1:
         raise SystemExit(
             "--workers/--queue-dir and --jobs are mutually exclusive: the "

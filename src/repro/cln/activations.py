@@ -46,7 +46,7 @@ def pbqu_ge(t: Tensor, c1=1.0, c2=50.0) -> Tensor:
         c1: below-bound sharpness (small = strong violation penalty).
         c2: above-bound tolerance (large = slow decay above the bound).
 
-    One fused, tape-replayable graph node; ``c1``/``c2`` may be floats
+    One fused graph node the tape replays; ``c1``/``c2`` may be floats
     or 0-d numpy boxes annealed in place.
     """
     return pbqu(t, c1, c2)

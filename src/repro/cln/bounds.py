@@ -35,17 +35,25 @@ from repro.cln.train import _anneal
 from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
 
+# Terms per bound unit, constant included (§5.2.2: up to three), and
+# the cap on bound units per bank.
+_MAX_BOUND_TERMS = 3
+_MAX_BOUND_UNITS = 600
+
+# Early stop: halt once the post-anneal loss has not improved by
+# _LOSS_TOLERANCE for _EARLY_STOP_PATIENCE epochs.
+_EARLY_STOP_PATIENCE = 150
+_LOSS_TOLERANCE = 1e-4
+
 
 def enumerate_bound_masks(
     term_variable_sets: Sequence[frozenset[str]],
     term_degrees: Sequence[int],
     config: GCLNConfig,
-    max_terms: int = 3,
-    max_units: int = 600,
 ) -> np.ndarray:
     """Masks for every small term combination.
 
-    Each mask keeps the constant term plus 1..(max_terms-1) non-constant
+    Each mask keeps the constant term plus up to two non-constant
     monomials of degree <= ``config.ineq_degree`` drawn from a common
     variable subset of size <= ``config.max_ineq_vars``.
 
@@ -66,7 +74,7 @@ def enumerate_bound_masks(
     ]
     masks: list[np.ndarray] = []
     seen: set[frozenset[int]] = set()
-    for size in range(1, max_terms):
+    for size in range(1, _MAX_BOUND_TERMS):
         for combo in combinations(eligible, size):
             all_vars: set[str] = set()
             for j in combo:
@@ -82,7 +90,7 @@ def enumerate_bound_masks(
             for j in combo:
                 mask[j] = True
             masks.append(mask)
-            if len(masks) >= max_units:
+            if len(masks) >= _MAX_BOUND_UNITS:
                 return np.stack(masks)
     if not masks:
         raise TrainingError("no eligible inequality term combinations")
@@ -134,8 +142,6 @@ def train_bound_bank(
     bank: BoundBank,
     data: np.ndarray,
     max_epochs: int | None = None,
-    early_stop_patience: int = 150,
-    loss_tolerance: float = 1e-4,
 ) -> float:
     """Fit every bound unit; returns the final loss."""
     config = bank.config
@@ -171,12 +177,12 @@ def train_bound_bank(
         if relax_scale > 1.0:
             best = min(best, value)
             continue
-        if value < best - loss_tolerance:
+        if value < best - _LOSS_TOLERANCE:
             best = value
             stale = 0
         else:
             stale += 1
-        if stale >= early_stop_patience:
+        if stale >= _EARLY_STOP_PATIENCE:
             break
     return value
 

@@ -37,7 +37,7 @@ def build_gcln_loss_batched(
     """The full loss through the stacked forward (~15 graph nodes).
 
     Args:
-        model: a :meth:`GCLN.batched_capable` model.
+        model: the G-CLN being trained.
         X: normalized data tensor.
         lam1: λ1 as a (non-grad) leaf tensor, updated in place.
         lam2: λ2 leaf tensor.

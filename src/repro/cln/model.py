@@ -200,7 +200,8 @@ class GCLN:
             n_terms: number of candidate terms (input width).
             config: hyperparameters.
             rng: RNG for dropout masks and weight initialization.
-            units: pre-built clause structure; when ``None``, builds
+            units: pre-built clause structure, every clause with the
+                same number of literals; when ``None``, builds
                 ``config.n_clauses`` clauses of ``literals_per_clause``
                 equality units with random dropout.
             protected_terms: term indices never dropped (e.g. the
@@ -243,6 +244,13 @@ class GCLN:
         self.clauses: list[list[AtomicUnit]] = [list(group) for group in units]
         if not self.clauses:
             raise TrainingError("G-CLN needs at least one clause")
+        sizes = sorted({len(group) for group in self.clauses})
+        if len(sizes) != 1:
+            # The stacked forward reshapes unit activations into
+            # (samples, clauses, literals).
+            raise TrainingError(
+                f"every clause needs the same literal count, got {sizes}"
+            )
         self.and_gates = Tensor(np.full(len(self.clauses), 0.95), requires_grad=True)
         self._stack_units()
 
@@ -252,9 +260,8 @@ class GCLN:
         The stacked tensors are the parameters the batched training
         path optimizes; each unit's ``weight``/``mask`` are rebound to
         row views, so the per-unit eager path (extraction, pruning,
-        legacy training) shares the same storage with no syncing.  OR
-        gates stack the same way when every clause has the same literal
-        count (always true for auto-built models).
+        reference training) shares the same storage with no syncing.
+        OR gates stack the same way into a (clauses, literals) matrix.
         """
         flat = [unit for group in self.clauses for unit in group]
         self.units_flat: list[AtomicUnit] = flat
@@ -269,24 +276,12 @@ class GCLN:
                 self.unit_masks[i],
                 self._unit_mask_tensor.data[i],
             )
-        sizes = {len(group) for group in self.clauses}
-        self.uniform_literals = len(sizes) == 1
-        if self.uniform_literals:
-            per_clause = next(iter(sizes))
-            stacked = np.full((len(self.clauses), per_clause), 0.95)
-            self.or_gates_stacked: Tensor | None = Tensor(
-                stacked, requires_grad=True
-            )
-            self.or_gates = [
-                Tensor(self.or_gates_stacked.data[i], requires_grad=True)
-                for i in range(len(self.clauses))
-            ]
-        else:
-            self.or_gates_stacked = None
-            self.or_gates = [
-                Tensor(np.full(len(group), 0.95), requires_grad=True)
-                for group in self.clauses
-            ]
+        stacked = np.full((len(self.clauses), len(self.clauses[0])), 0.95)
+        self.or_gates_stacked = Tensor(stacked, requires_grad=True)
+        self.or_gates = [
+            Tensor(self.or_gates_stacked.data[i], requires_grad=True)
+            for i in range(len(self.clauses))
+        ]
 
     # -- forward ---------------------------------------------------------
 
@@ -306,16 +301,6 @@ class GCLN:
         return gated_tnorm(values, self.and_gates, axis=1)
 
     # -- batched forward ------------------------------------------------------
-
-    def batched_capable(self) -> bool:
-        """Can this model run the stacked (units, terms) forward?
-
-        Requires a uniform literal count per clause (for the reshape
-        into ``(samples, clauses, literals)``).  Auto-built models
-        qualify; hand-assembled ragged models fall back to the
-        per-unit eager path.
-        """
-        return self.uniform_literals
 
     def stacked_effective_weights(self) -> Tensor:
         """Masked, optionally row-normalized (units, terms) weight matrix.
@@ -349,9 +334,9 @@ class GCLN:
     def forward_batched(self, X: Tensor, sigma=None) -> Tensor:
         """Model output M(x) via the stacked forward, shape (samples,).
 
-        Callers must check :meth:`batched_capable` first.  A whole
-        epoch's forward is ~10 graph nodes: mask/normalize, one matmul,
-        one fused activation, one reshape, and two fused gated t-norms.
+        A whole epoch's forward is ~10 graph nodes: mask/normalize, one
+        matmul, one fused activation, one reshape, and two fused gated
+        t-norms.
         """
         acts = self.unit_activations(X, sigma=sigma)
         values = acts.reshape(
@@ -377,22 +362,13 @@ class GCLN:
         tensors are row views of the stacked ones), so Adam and global
         gradient clipping behave identically on either set.
         """
-        gates: list[Tensor] = [self.and_gates]
-        if self.or_gates_stacked is not None:
-            gates.append(self.or_gates_stacked)
-        else:
-            gates.extend(self.or_gates)
-        return [*gates, self.unit_weights]
+        return [self.and_gates, self.or_gates_stacked, self.unit_weights]
 
     def project_gates(self) -> None:
         """Clip all gate parameters back into [0, 1] after an update."""
         np.clip(self.and_gates.data, 0.0, 1.0, out=self.and_gates.data)
-        if self.or_gates_stacked is not None:
-            data = self.or_gates_stacked.data
-            np.clip(data, 0.0, 1.0, out=data)
-        else:
-            for g in self.or_gates:
-                np.clip(g.data, 0.0, 1.0, out=g.data)
+        data = self.or_gates_stacked.data
+        np.clip(data, 0.0, 1.0, out=data)
 
     def gates_saturated(self, tolerance: float = 0.05) -> bool:
         """True when every gate is within ``tolerance`` of 0 or 1."""

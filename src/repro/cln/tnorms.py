@@ -53,8 +53,8 @@ def gated_tnorm(values: Tensor, gates: Tensor, axis: int = -1) -> Tensor:
 
     With the product t-norm this is ``prod(1 + g*(v - 1))`` along
     ``axis``; gate 1 passes the value through, gate 0 contributes the
-    t-norm identity 1.  Implemented as one fused, tape-replayable
-    graph node (see :func:`repro.autodiff.functional.fused_gated_tnorm`).
+    t-norm identity 1.  Implemented as one fused graph node the tape
+    replays (see :func:`repro.autodiff.functional.fused_gated_tnorm`).
     """
     return fused_gated_tnorm(values, gates, axis=axis)
 

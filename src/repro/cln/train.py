@@ -4,21 +4,18 @@ Full-batch Adam with multiplicative learning-rate decay, adaptive gate
 regularization schedules, gate projection back into [0, 1] after every
 step, and early stopping when the loss plateaus with saturated gates.
 
-Two execution strategies share the same math, and the model picks
-between them — nothing else does:
+Two execution strategies share the same math:
 
-* **Vectorized** (every :meth:`~repro.cln.model.GCLN.batched_capable`
-  model): one batched forward through the stacked ``(units, terms)``
-  weight matrix with fused kernels, recorded once on a
+* **Vectorized** (:func:`train_gcln`, :func:`train_gcln_restarts`):
+  one batched forward through the stacked ``(units, terms)`` weight
+  matrix with fused kernels, recorded once on a
   :class:`~repro.autodiff.tape.Tape` and replayed with preallocated
   gradient buffers — an epoch is a handful of large numpy calls.
   Schedule values (λ1, λ2, annealed σ) live in leaf tensors / 0-d
   boxes updated in place.
-* **Eager reference** (:func:`train_gcln_eager`; :func:`train_gcln`
-  uses it for models the stacked forward cannot express): the original
-  per-unit graph-building loop, kept as the ground truth for
-  equivalence tests and as the baseline that
-  ``benchmarks/bench_perf.py`` measures speedups against.
+* **Eager reference** (:func:`train_gcln_eager`): the original
+  per-unit graph-building loop, kept as the ground truth for the
+  equivalence tests.  Nothing in the pipeline calls it.
 
 :func:`train_gcln_restarts` trains R independent restarts
 simultaneously in one graph.  Restart gradients are decoupled (the
@@ -31,7 +28,7 @@ the parameters sequential training would have produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +39,12 @@ from repro.autodiff.tensor import Tensor, no_grad
 from repro.cln.loss import GateSchedule, build_gcln_loss_batched, gcln_loss
 from repro.cln.model import GCLN
 
+# Early stop: halt once the post-anneal loss has not improved by
+# _LOSS_TOLERANCE for _EARLY_STOP_PATIENCE epochs and the gates have
+# saturated.
+_EARLY_STOP_PATIENCE = 200
+_LOSS_TOLERANCE = 1e-4
+
 
 @dataclass
 class TrainResult:
@@ -50,7 +53,6 @@ class TrainResult:
     final_loss: float
     epochs: int
     converged: bool
-    loss_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -116,7 +118,6 @@ class _RestartState:
         "epoch",
         "stopped",
         "error",
-        "history",
     )
 
     def __init__(self, model: GCLN, epochs: int):
@@ -139,7 +140,6 @@ class _RestartState:
         self.epoch = 0
         self.stopped = False
         self.error: str | None = None
-        self.history: list[float] | None = None
 
     def begin_epoch(self) -> None:
         config = self.model.config
@@ -152,10 +152,6 @@ def _run_restart_epochs(
     states: list[_RestartState],
     X: Tensor,
     epochs: int,
-    early_stop_patience: int,
-    loss_tolerance: float,
-    require_saturation: bool,
-    clip_norm: float,
     raise_on_divergence: bool = False,
 ) -> None:
     """Drive the shared epoch loop over every restart simultaneously.
@@ -187,7 +183,7 @@ def _run_restart_epochs(
         tape.step(build)
         for state in states:
             if not state.stopped:
-                clip_grad_norm(state.optimizer.params, clip_norm)
+                clip_grad_norm(state.optimizer.params, 100.0)
                 state.optimizer.step()
                 state.model.project_gates()
         for state, node in zip(states, loss_nodes):
@@ -214,19 +210,18 @@ def _run_restart_epochs(
                 state.error = message
                 state.stopped = True
                 continue
-            if state.history is not None:
-                state.history.append(value)
             if state.relax_scale > 1.0:
                 # Still annealing: loss values are not yet comparable.
                 state.best_loss = min(state.best_loss, value)
                 continue
-            if value < state.best_loss - loss_tolerance:
+            if value < state.best_loss - _LOSS_TOLERANCE:
                 state.best_loss = value
                 state.stale = 0
             else:
                 state.stale += 1
-            if state.stale >= early_stop_patience and (
-                not require_saturation or state.model.gates_saturated()
+            if (
+                state.stale >= _EARLY_STOP_PATIENCE
+                and state.model.gates_saturated()
             ):
                 # Once stopped, the restart's parameters never change
                 # again (no clip/step/project/prune), so it finishes
@@ -245,8 +240,6 @@ def train_gcln_restarts(
     models: list[GCLN],
     data: np.ndarray,
     max_epochs: int | None = None,
-    early_stop_patience: int = 200,
-    loss_tolerance: float = 1e-4,
 ) -> list[RestartOutcome]:
     """Train R independent G-CLN models simultaneously in one graph.
 
@@ -257,8 +250,8 @@ def train_gcln_restarts(
     interpreter over the whole batch.
 
     Args:
-        models: batched-capable models (e.g. one per scheduled attempt,
-            differing only in dropout masks / seeds).
+        models: the models (e.g. one per scheduled attempt, differing
+            only in dropout masks / seeds).
         data: the one 2-D ``(samples, terms)`` matrix every model
             trains on (already normalized).
         max_epochs: overrides each model's ``config.max_epochs``.
@@ -268,11 +261,6 @@ def train_gcln_restarts(
     """
     if not models:
         raise TrainingError("train_gcln_restarts needs at least one model")
-    if not all(m.batched_capable() for m in models):
-        raise TrainingError(
-            "all models must be batched-capable; train ragged models "
-            "individually via train_gcln"
-        )
     if not isinstance(data, np.ndarray) or data.ndim != 2:
         got = (
             f"shape {data.shape}"
@@ -287,10 +275,7 @@ def train_gcln_restarts(
     epochs = max_epochs if max_epochs is not None else models[0].config.max_epochs
     X = Tensor(data)
     states = [_RestartState(model, epochs) for model in models]
-    _run_restart_epochs(
-        states, X, epochs, early_stop_patience, loss_tolerance,
-        require_saturation=True, clip_norm=100.0,
-    )
+    _run_restart_epochs(states, X, epochs)
     outcomes: list[RestartOutcome] = []
     for state in states:
         if state.error is not None:
@@ -313,48 +298,30 @@ def train_gcln(
     model: GCLN,
     data: np.ndarray,
     max_epochs: int | None = None,
-    early_stop_patience: int = 200,
-    loss_tolerance: float = 1e-4,
-    record_history: bool = False,
 ) -> TrainResult:
     """Train ``model`` on the normalized data matrix.
+
+    Training stops early once the best loss has not improved for
+    ``_EARLY_STOP_PATIENCE`` post-anneal epochs and the gates have
+    saturated.
 
     Args:
         model: the G-CLN to train (modified in place).
         data: samples-by-terms float matrix (already normalized).
         max_epochs: overrides ``model.config.max_epochs`` when given.
-        early_stop_patience: stop when the best loss has not improved
-            by ``loss_tolerance`` for this many epochs and the gates
-            have saturated.
-        loss_tolerance: minimum improvement counted as progress.
-        record_history: keep the per-epoch loss curve (for the
-            stability study).
 
     Returns:
         A :class:`TrainResult`; ``converged`` is True when the data
         term of the loss is small (every sample close to truth value 1).
     """
-    if not model.batched_capable():
-        return train_gcln_eager(
-            model, data, max_epochs, early_stop_patience, loss_tolerance,
-            record_history,
-        )
     _validate_data(data)
     epochs = max_epochs if max_epochs is not None else model.config.max_epochs
     X = Tensor(data)
     state = _RestartState(model, epochs)
-    if record_history:
-        state.history = []
-    _run_restart_epochs(
-        [state], X, epochs, early_stop_patience, loss_tolerance,
-        require_saturation=True, clip_norm=100.0, raise_on_divergence=True,
-    )
+    _run_restart_epochs([state], X, epochs, raise_on_divergence=True)
     _, converged = _data_convergence(model, X, data.shape[0])
     return TrainResult(
-        final_loss=state.best_loss,
-        epochs=state.epoch,
-        converged=converged,
-        loss_history=state.history or [],
+        final_loss=state.best_loss, epochs=state.epoch, converged=converged
     )
 
 
@@ -362,16 +329,12 @@ def train_gcln_eager(
     model: GCLN,
     data: np.ndarray,
     max_epochs: int | None = None,
-    early_stop_patience: int = 200,
-    loss_tolerance: float = 1e-4,
-    record_history: bool = False,
 ) -> TrainResult:
     """Reference trainer: rebuild the per-unit graph every epoch.
 
     Same arguments, math and result as :func:`train_gcln`, without the
-    stacked forward, the tape or the compiled plan.  :func:`train_gcln`
-    falls back to it for models that are not batched-capable; tests
-    and ``benchmarks/bench_perf.py`` call it directly as the oracle.
+    stacked forward, the tape or the compiled plan.  The equivalence
+    tests call it directly as the oracle.
     """
     _validate_data(data)
     config = model.config
@@ -389,7 +352,6 @@ def train_gcln_eager(
     # gradients.  relax_scale = 1.0 from the midpoint on.
     anneal_init, anneal_decay = _anneal(config, epochs)
 
-    history: list[float] = []
     best_loss = float("inf")
     stale = 0
     epoch = 0
@@ -415,25 +377,18 @@ def train_gcln_eager(
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingError(f"loss diverged to {value} at epoch {epoch}")
-        if record_history:
-            history.append(value)
         if relax_scale > 1.0:
             # Still annealing: loss values are not yet comparable (and
             # the gate-saturation scan is skipped entirely).
             best_loss = min(best_loss, value)
             continue
-        if value < best_loss - loss_tolerance:
+        if value < best_loss - _LOSS_TOLERANCE:
             best_loss = value
             stale = 0
         else:
             stale += 1
-        if stale >= early_stop_patience and model.gates_saturated():
+        if stale >= _EARLY_STOP_PATIENCE and model.gates_saturated():
             break
 
     _, converged = _data_convergence(model, X, data.shape[0])
-    return TrainResult(
-        final_loss=best_loss,
-        epochs=epoch,
-        converged=converged,
-        loss_history=history,
-    )
+    return TrainResult(final_loss=best_loss, epochs=epoch, converged=converged)

@@ -32,18 +32,6 @@ class InferenceConfig:
     # Fractional-sampling interval schedule (§5.4: 0.5, then 0.25, ...).
     fractional_intervals: tuple[float, ...] = (0.5, 0.25)
 
-    # Batched retries: after the first attempt (which always runs alone,
-    # preserving the fast path for problems solved immediately), up to
-    # this many consecutive same-interval attempts train simultaneously
-    # as stacked restarts in one taped graph (cln.train_gcln_restarts).
-    # 1 disables grouping.
-    attempt_batch_size: int = 2
-    # Memoize checker verdicts across attempts: reachability per atom,
-    # inductiveness per (atom, premise set) with monotone reuse.  The
-    # candidate pool grows cumulatively across attempts, so without
-    # this every retry re-checks every previously validated atom.
-    checker_memoization: bool = True
-
     # Base G-CLN hyperparameters (copied per attempt with the dropout
     # rate and ablation switches applied).
     gcln: GCLNConfig = field(default_factory=GCLNConfig)

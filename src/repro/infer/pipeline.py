@@ -22,6 +22,7 @@ redundant trace collection for an unchanged (inputs, interval) pair.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,25 +60,28 @@ from repro.infer.stages import (
 )
 
 
+# Batched retries: after the first attempt (which always runs alone,
+# preserving the fast path for problems solved immediately), up to this
+# many consecutive same-interval attempts train simultaneously as
+# stacked restarts in one taped graph (cln.train_gcln_restarts).
+_ATTEMPT_BATCH_SIZE = 2
+
+
 def _train_attempt_models(
     models: list[GCLN], data: np.ndarray
 ) -> list[RestartOutcome]:
     """Train one attempt batch's models on one loop's data matrix.
 
-    Batched-capable models share one taped graph
-    (:func:`train_gcln_restarts`); otherwise each trains alone.
-    Returns one outcome per model, in order.
+    Several models share one taped graph (:func:`train_gcln_restarts`);
+    a lone model trains through :func:`train_gcln`.  Returns one
+    outcome per model, in order.
     """
-    if len(models) > 1 and all(m.batched_capable() for m in models):
+    if len(models) > 1:
         return train_gcln_restarts(models, data)
-    outcomes: list[RestartOutcome] = []
-    for model in models:
-        try:
-            result = train_gcln(model, data)
-            outcomes.append(RestartOutcome(result=result))
-        except TrainingError as exc:
-            outcomes.append(RestartOutcome(result=None, error=str(exc)))
-    return outcomes
+    try:
+        return [RestartOutcome(result=train_gcln(models[0], data))]
+    except TrainingError as exc:
+        return [RestartOutcome(result=None, error=str(exc))]
 
 
 class InferenceEngine:
@@ -108,11 +112,7 @@ class InferenceEngine:
         self._events = events
         # Program-backed problems get the full hybrid checker;
         # trace-only problems degrade to held-out recorded states.
-        self._checker = make_checker(
-            problem,
-            cache=self.cache,
-            memoize=self.config.checker_memoization,
-        )
+        self._checker = make_checker(problem, cache=self.cache)
 
     # -- main loop -------------------------------------------------------------
 
@@ -155,7 +155,7 @@ class InferenceEngine:
                     pool.setdefault(key, atom)
 
         solved = False
-        for batch in scheduler.iter_batches(config.attempt_batch_size):
+        for batch in scheduler.iter_batches(_ATTEMPT_BATCH_SIZE):
             attempt = batch[-1].index + 1
             for plan in batch:
                 self._emit(
@@ -410,8 +410,8 @@ def _ground_truth_implied(truth: list[Atom], sound: list[Atom]) -> bool:
     """Is every ground-truth atom implied by the sound learned atoms?
 
     Equalities use graded-lex reduction modulo the learned equality
-    polynomials; inequalities require a syntactically matching learned
-    atom (same primitive polynomial and compatible operator).
+    polynomials; inequalities need one learned atom that implies them
+    (:func:`_implies_inequality`).
     """
     if not truth:
         return True
@@ -420,18 +420,44 @@ def _ground_truth_implied(truth: list[Atom], sound: list[Atom]) -> bool:
         if atom.op == "==":
             if not is_implied_equality(atom.poly, eq_basis):
                 return False
-        else:
-            target = str(atom.poly)
-            matched = False
-            for candidate in sound:
-                if candidate.op == atom.op and str(candidate.poly) == target:
-                    matched = True
-                    break
-                if candidate.op == "==" and (
-                    str(candidate.poly.primitive()) == str(atom.poly.primitive())
-                ):
-                    matched = True
-                    break
-            if not matched:
-                return False
+        elif not any(_implies_inequality(c, atom) for c in sound):
+            return False
     return True
+
+
+_NON_STRICT = (">=", "<=")
+
+
+def _implies_inequality(learned: Atom, truth: Atom) -> bool:
+    """Does one learned atom imply a ground-truth inequality?
+
+    A learned equality does when its primitive polynomial matches.  Two
+    non-strict atoms compare in ``L + c >= 0`` form: the learned bound
+    implies the truth when the ``L`` parts match and its constant is at
+    least as tight.  Strict truths need the same operator and
+    polynomial.
+    """
+    if learned.op == "==":
+        return str(learned.poly.primitive()) == str(truth.poly.primitive())
+    if learned.op in _NON_STRICT and truth.op in _NON_STRICT:
+        part, constant = _as_lower_bound(learned)
+        truth_part, truth_constant = _as_lower_bound(truth)
+        return part == truth_part and constant <= truth_constant
+    return learned.op == truth.op and str(learned.poly) == str(truth.poly)
+
+
+def _as_lower_bound(atom: Atom) -> tuple[str, Fraction]:
+    """A non-strict atom as ``L + c >= 0``: ``(str(L), c)``.
+
+    ``<=`` atoms are negated first, and ``L + c`` is scaled by the
+    positive factor that makes ``L`` primitive, so bounds with the same
+    ``L`` compare by their constants alone.
+    """
+    poly = atom.poly if atom.op == ">=" else -atom.poly
+    constant = poly.constant_term()
+    part = poly - constant
+    if part.is_zero():
+        return str(part), constant
+    scaled = part.primitive(preserve_sign=True)
+    mono, coeff = next(iter(part.terms.items()))
+    return str(scaled), constant * (scaled.coefficient(mono) / coeff)

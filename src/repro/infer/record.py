@@ -23,7 +23,6 @@ smoke re-solves ps2 from its recording and asserts invariant equality.
 from __future__ import annotations
 
 from repro.checker.bounded import BoundedChecker
-from repro.checker.vc import CHECK_FUEL
 from repro.infer.problem import Problem
 from repro.sampling.source import LoopTrace, Observation, TraceData
 from repro.sampling.tracegen import TRAIN_FUEL, collect_traces
@@ -51,7 +50,7 @@ def record_observations(problem: Problem) -> TraceData:
         program, problem.train_inputs, fuel=TRAIN_FUEL
     )
     check_traces = BoundedChecker(
-        program, externals=problem.externals, fuel=CHECK_FUEL
+        program, externals=problem.externals
     ).run_traces(problem.effective_check_inputs)
     data: TraceData = {}
     for loop_index in range(len(program.loops)):

@@ -213,6 +213,16 @@ def _run_one(
                 )
 
 
+def is_distributed(workers: int | str, queue_dir: str | None) -> bool:
+    """Does this ``workers``/``queue_dir`` pair select the distributed
+    runner?  True for ``"auto"``, for more than one worker, and for any
+    value with a queue directory or URL."""
+    return (
+        workers == "auto" or queue_dir is not None
+        or (isinstance(workers, int) and workers > 1)
+    )
+
+
 def run_many(
     problems: Sequence[Problem],
     config: InferenceConfig | None = None,
@@ -286,10 +296,7 @@ def run_many(
             )
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    distributed = (
-        workers == "auto" or queue_dir is not None
-        or (isinstance(workers, int) and workers > 1)
-    )
+    distributed = is_distributed(workers, queue_dir)
     if distributed:
         if jobs != 1:
             raise ValueError(

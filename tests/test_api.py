@@ -440,25 +440,6 @@ def test_check_and_score_without_ground_truth():
     assert [c[0] for c in checker.calls] == ["filter", "check"]
 
 
-def test_baselines_honor_checker_memoization(monkeypatch):
-    from repro.api import adapters
-    from repro.checker.trace import make_checker
-
-    seen = []
-
-    def spy(problem, cache=None, memoize=True):
-        seen.append(memoize)
-        return make_checker(problem, cache=cache, memoize=memoize)
-
-    monkeypatch.setattr(adapters, "make_checker", spy)
-    config = InferenceConfig(
-        max_epochs=60, dropout_schedule=(0.6,), checker_memoization=False
-    )
-    result = get_solver("guess_and_check").solve(tiny_problem(), config=config)
-    assert result.solved
-    assert seen == [False]
-
-
 def test_engine_events_flow_without_service():
     """The engine emits to any sink, not just the service bus."""
     from repro.infer import InferenceEngine

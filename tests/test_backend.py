@@ -145,7 +145,7 @@ def test_unlowered_kind_replays_through_walker(kind, walker):
         ln, gn, _ = _train_unlowered_kind(kind)
     lf, gf, sf = _train_unlowered_kind(kind)
     assert not sf["compiled"]
-    assert sf["replayable"] and sf["replays"] == 3
+    assert sf["replays"] == 3
     assert sf["fallback_reason"] == f"unsupported op kind {kind!r}"
     assert ln == lf
     for ga, gb in zip(gn, gf):
@@ -262,8 +262,7 @@ def test_tape_stats_keys():
     tape.step(build)
     stats = tape.stats()
     assert set(stats) == {
-        "compiled", "n_nodes", "replayable", "replays",
-        "eager_steps", "compile_ms", "fallback_reason",
+        "compiled", "n_nodes", "replays", "compile_ms", "fallback_reason",
     }
     assert stats["compiled"]
     assert stats["fallback_reason"] is None

@@ -6,7 +6,8 @@ and removed knobs can no longer linger in the docs:
 * every CLI subcommand and every ``--long-flag`` the parser accepts
   appears somewhere in README.md or ``docs/``;
 * every ``--long-flag`` README.md or ``docs/`` mentions is accepted by
-  the ``repro`` parser or by a benchmark script under ``benchmarks/``;
+  the ``repro`` parser or by a benchmark script under ``benchmarks/``
+  or ``perfbench/``;
 * every ``REPRO_*`` environment variable read anywhere in the source
   tree appears there too;
 * every ``InferenceConfig.<name>`` / ``GCLNConfig.<name>`` they write
@@ -84,8 +85,9 @@ def test_every_documented_flag_exists():
     accepted = {
         name for kind, name in walk_parser(build_parser()) if kind == "flag"
     }
-    for path in (REPO_ROOT / "benchmarks").glob("**/*.py"):
-        accepted.update(BENCH_FLAG.findall(path.read_text()))
+    for root in ("benchmarks", "perfbench"):
+        for path in (REPO_ROOT / root).glob("**/*.py"):
+            accepted.update(BENCH_FLAG.findall(path.read_text()))
     stale = sorted(set(DOC_FLAG.findall(doc_text())) - accepted)
     assert not stale, (
         "README.md or docs/ mention flags nothing accepts (remove them "

@@ -43,6 +43,23 @@ def test_ground_truth_implied_inequality_matching():
     assert _ground_truth_implied(truth, [Atom(P("n - a*a"), "==")])
 
 
+@pytest.mark.parametrize(
+    "learned, implied",
+    [
+        ("-x + N", True),  # c2i_bound_110: learned -x + N >= 0, truth x - N <= 0
+        ("-x + N - 1", True),  # a tighter constant still implies the truth
+        ("-2*x + 2*N", True),  # a positive multiple of the truth
+        ("-x + N + 1", False),  # a looser constant does not
+        ("-x + 2*N", False),  # nor does a different linear part
+    ],
+)
+def test_ground_truth_matches_non_strict_bounds_as_lower_bounds(
+    learned, implied
+):
+    truth = [parse_ground_truth("x <= N")]
+    assert _ground_truth_implied(truth, [Atom(P(learned), ">=")]) is implied
+
+
 def test_ground_truth_empty_is_trivially_implied():
     assert _ground_truth_implied([], [])
 

@@ -26,7 +26,6 @@ def test_tape_replay_matches_eager_gradients():
         np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12)
         # Mutate the leaf in place; the replayed graph must track it.
         w.data -= 0.1 * w.grad
-    assert tape.replayable
     assert tape.replays == 3
 
 
@@ -79,6 +78,13 @@ def test_tape_rejects_non_scalar_root():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(AutodiffError):
         Tape().step(lambda: x * 2.0)
+
+
+def test_tape_rejects_untracked_root():
+    """A graph with no gradient-tracked leaf records nothing to replay."""
+    x = Tensor(np.ones(3))
+    with pytest.raises(AutodiffError, match="gradient-tracked"):
+        Tape().step(lambda: (x * 2.0).sum())
 
 
 def test_in_place_zero_grad_accumulates_correctly():

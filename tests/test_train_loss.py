@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.cln.loss import GateSchedule, gcln_loss
 from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.train import train_gcln
@@ -59,9 +59,15 @@ def test_train_gcln_reduces_loss(rng):
 
     config = GCLNConfig(n_clauses=4, max_epochs=500, dropout_rate=0.2)
     model = GCLN(3, config, rng, protected_terms=[0])
-    result = train_gcln(model, normalize_rows(data), record_history=True)
-    assert result.loss_history, "history requested"
-    assert result.final_loss < result.loss_history[0]
+    X = Tensor(normalize_rows(data))
+
+    def data_term() -> float:
+        with no_grad():
+            return float((1.0 - model.forward(X).data).sum())
+
+    before = data_term()
+    train_gcln(model, X.data)
+    assert data_term() < before
 
 
 def test_train_rejects_bad_data(rng):

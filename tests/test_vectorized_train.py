@@ -11,9 +11,14 @@ import pytest
 
 from repro.autodiff import Tensor, fused_gated_tconorm, fused_gated_tnorm, pbqu
 from repro.autodiff.functional import gaussian, sigmoid
-from repro.cln.model import GCLN, GCLNConfig
+from repro.checker.bounded import BoundedChecker
+from repro.cln.model import GCLN, AtomicUnit, GCLNConfig
 from repro.cln.extract import extract_equalities
 from repro.cln.train import train_gcln, train_gcln_eager, train_gcln_restarts
+from repro.dist.wire import config_from_dict
+from repro.errors import TrainingError
+from repro.infer import InferenceConfig
+from repro.lang import parse_program
 from repro.sampling import normalize_rows
 from tests.test_autodiff import check_grad
 
@@ -81,6 +86,14 @@ def _relation_data():
     )
 
 
+_LOOP = """
+program count;
+input n;
+x = 0;
+while (x < n) { x = x + 1; }
+"""
+
+
 def _eq_model(seed: int = 7) -> GCLN:
     config = GCLNConfig(n_clauses=3, max_epochs=300, dropout_rate=0.2)
     return GCLN(4, config, np.random.default_rng(seed), protected_terms=[0])
@@ -143,25 +156,6 @@ def test_multi_restart_matches_sequential_training_exactly():
         )
 
 
-def test_multi_restart_rejects_incapable_models(rng):
-    config = GCLNConfig()
-    from repro.cln.model import AtomicUnit
-
-    ragged = [
-        [AtomicUnit(np.ones(3, dtype=bool), rng, config)],
-        [
-            AtomicUnit(np.ones(3, dtype=bool), rng, config),
-            AtomicUnit(np.ones(3, dtype=bool), rng, config),
-        ],
-    ]
-    model = GCLN(3, config, rng, units=ragged)
-    assert not model.batched_capable()
-    from repro.errors import TrainingError
-
-    with pytest.raises(TrainingError):
-        train_gcln_restarts([model], np.ones((4, 3)))
-
-
 def test_multi_restart_needs_one_shared_matrix():
     """Restarts share one 2-D data matrix; a 3-D stack or a list of
     per-model matrices is rejected up front."""
@@ -174,18 +168,47 @@ def test_multi_restart_needs_one_shared_matrix():
             train_gcln_restarts(models, bad)
 
 
-def test_ragged_model_falls_back_to_eager_training(rng):
-    """Hand-assembled ragged models still train via the legacy path."""
-    config = GCLNConfig(max_epochs=50)
-    from repro.cln.model import AtomicUnit
-
-    ragged = [
-        [AtomicUnit(np.ones(3, dtype=bool), rng, config)],
-        [
-            AtomicUnit(np.ones(3, dtype=bool), rng, config),
-            AtomicUnit(np.ones(3, dtype=bool), rng, config),
-        ],
+def _ragged_model():
+    rng = np.random.default_rng(0)
+    config = GCLNConfig()
+    units = [
+        [AtomicUnit(np.ones(3, dtype=bool), rng, config) for _ in range(n)]
+        for n in (1, 2)
     ]
-    model = GCLN(3, config, rng, units=ragged)
-    result = train_gcln(model, np.ones((4, 3)) * 0.1, max_epochs=50)
-    assert np.isfinite(result.final_loss)
+    return GCLN(3, config, rng, units=units)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: InferenceConfig(attempt_batch_size=1), TypeError,
+         "attempt_batch_size"),
+        (lambda: InferenceConfig(checker_memoization=False), TypeError,
+         "checker_memoization"),
+        (lambda: config_from_dict({"attempt_batch_size": 1}), ValueError,
+         "attempt_batch_size"),
+        (lambda: config_from_dict({"checker_memoization": False}), ValueError,
+         "checker_memoization"),
+        (lambda: train_gcln(_eq_model(), _relation_data(),
+                            early_stop_patience=10), TypeError,
+         "early_stop_patience"),
+        (lambda: BoundedChecker(parse_program(_LOOP),
+                                perturbations_per_state=2), TypeError,
+         "perturbations_per_state"),
+        # Every clause must share one literal count: the stacked
+        # forward is the only training path.
+        (_ragged_model, TrainingError, "same literal count"),
+    ],
+    ids=[
+        "config-attempt_batch_size",
+        "config-checker_memoization",
+        "wire-attempt_batch_size",
+        "wire-checker_memoization",
+        "train_gcln-early_stop_patience",
+        "BoundedChecker-perturbations_per_state",
+        "ragged-GCLN",
+    ],
+)
+def test_removed_knobs_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
