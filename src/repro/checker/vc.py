@@ -7,11 +7,17 @@ combines the exact symbolic equality check with bounded sampling:
   iterate to the greatest subset that is (a) true on every reachable
   loop-head state over the *checking* input space, and (b) inductive
   relative to the surviving conjunction (symbolically for equalities
-  when the loop body is polynomial; bounded otherwise).  This realizes
-  the paper's "check and remove unsound constraints" step.
+  when the loop body is polynomial; bounded otherwise, over the loop's
+  step pool).  This realizes the paper's "check and remove unsound
+  constraints" step.
 * :meth:`check_invariant` — full three-VC report for a formula,
   including postcondition sufficiency, used to decide whether the
   CEGIS loop can stop.
+
+The checker draws every loop's perturbation pools once, on the first
+bounded check (:meth:`~repro.checker.bounded.BoundedChecker.draw_pools`),
+and keeps them for its lifetime, across attempts: every bounded verdict
+reads the same states, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 import numpy as np
 
-from repro.lang.ast import Expr, Program, While
+from repro.lang.ast import Expr, Program
 from repro.lang.analysis import extract_loop_paths
 from repro.lang.interp import ExecutionTrace
 from repro.sampling.termgen import ExternalTerm
 from repro.smt.formula import And, Atom, Formula
 from repro.smt.simplify import simplify
-from repro.checker.bounded import CHECK_FUEL, BoundedChecker
+from repro.checker.bounded import CHECK_FUEL, BoundedChecker, StatePool
 from repro.checker.result import CHECKING_FULL, CheckOutcome, CheckReport
 from repro.checker.symbolic import equality_inductive_symbolic
 
@@ -83,8 +89,8 @@ class InvariantChecker:
                 attempt; memoization makes re-checks of unchanged atoms
                 free.  Reachability verdicts are absolute; inductiveness
                 verdicts are reused monotonically — VALID under premise
-                set P is reused for any premise ⊇ P (more assumptions
-                only shrink the states tested), INVALID under P for any
+                set P is reused for any premise ⊇ P (it admits a subset
+                of the same pool states), INVALID under P for any
                 premise ⊆ P (the counterexample still satisfies it).
         """
         self.program = program
@@ -93,6 +99,7 @@ class InvariantChecker:
         self._check_inputs = list(check_inputs)
         self._trace_cache = trace_cache
         self._paths_cache: dict[int, object] = {}
+        self._pools: list[tuple[StatePool, StatePool]] | None = None
         self.memoize = memoize
         self._reach_memo: dict[tuple[int, str], CheckOutcome] = {}
         self._inductive_memo: dict[
@@ -116,32 +123,19 @@ class InvariantChecker:
                 self._traces = self.bounded.run_traces(self._check_inputs)
         return self._traces
 
-    def _loop(self, loop_index: int) -> While:
-        return self.program.loops[loop_index]
-
     def _paths(self, loop_index: int):
         if loop_index not in self._paths_cache:
-            self._paths_cache[loop_index] = extract_loop_paths(self._loop(loop_index))
+            self._paths_cache[loop_index] = extract_loop_paths(
+                self.program.loops[loop_index]
+            )
         return self._paths_cache[loop_index]
 
-    def _loop_states(self, loop_index: int, include_exit: bool) -> list[dict]:
-        states = []
-        for trace in self.traces:
-            for snapshot in trace.snapshots:
-                if snapshot.loop_id != loop_index:
-                    continue
-                if not include_exit and not snapshot.guard_value:
-                    continue
-                states.append(dict(snapshot.state))
-        return states
-
-    def _exit_states(self, loop_index: int) -> list[dict]:
-        return [
-            dict(s.state)
-            for t in self.traces
-            for s in t.snapshots
-            if s.loop_id == loop_index and not s.guard_value
-        ]
+    def pool(self, loop_index: int, exit_: bool = False) -> StatePool:
+        """The loop's head pool (or exit pool); the first call draws
+        every loop's pools."""
+        if self._pools is None:
+            self._pools = self.bounded.draw_pools(self.traces)
+        return self._pools[loop_index][exit_]
 
     # -- atom filtering ----------------------------------------------------------
 
@@ -150,8 +144,7 @@ class InvariantChecker:
     ) -> AtomFilterResult:
         """Greatest sound subset of candidate atoms for one loop."""
         result = AtomFilterResult()
-        loop = self._loop(loop_index)
-        head_states = self._loop_states(loop_index, include_exit=True)
+        traces = self.traces
 
         # Phase 1: reachability soundness (absolute per atom; memoized).
         surviving: list[Atom] = []
@@ -162,7 +155,7 @@ class InvariantChecker:
                 self.memo_hits += 1
             else:
                 outcome, cex = self.bounded.holds_on_reachable(
-                    atom, loop_index, self.traces
+                    atom, loop_index, traces
                 )
                 if self.memoize:
                     self._reach_memo[memo_key] = outcome
@@ -178,9 +171,6 @@ class InvariantChecker:
         changed = True
         while changed and surviving:
             changed = False
-            conjunction: Formula = (
-                And(surviving) if len(surviving) > 1 else surviving[0]
-            )
             eq_polys = [a.poly for a in surviving if a.op == "=="]
             premise = frozenset(str(a) for a in surviving)
             keep: list[Atom] = []
@@ -199,7 +189,7 @@ class InvariantChecker:
                     verdict = equality_inductive_symbolic(atom.poly, eq_polys, paths)
                 if verdict is not CheckOutcome.VALID:
                     verdict, cex = self.bounded.inductive_bounded(
-                        conjunction, loop, atom, head_states
+                        self.pool(loop_index), surviving, atom
                     )
                     if verdict is CheckOutcome.INVALID:
                         self._inductive_record(loop_index, atom, premise, False)
@@ -248,7 +238,6 @@ class InvariantChecker:
     ) -> CheckReport:
         """Full three-VC report for a candidate invariant formula."""
         report = CheckReport(outcome=CheckOutcome.UNKNOWN)
-        loop = self._loop(loop_index)
         invariant = simplify(invariant)
 
         # P => I plus consistency along executions.
@@ -261,7 +250,6 @@ class InvariantChecker:
             report.notes.append(f"invariant fails at reachable state {cex}")
 
         # Inductiveness.
-        head_states = self._loop_states(loop_index, include_exit=True)
         paths = self._paths(loop_index)
         inductive = CheckOutcome.UNKNOWN
         atoms = invariant.atoms()
@@ -279,7 +267,7 @@ class InvariantChecker:
                 inductive = CheckOutcome.VALID
         if inductive is not CheckOutcome.VALID:
             inductive, cex = self.bounded.inductive_bounded(
-                invariant, loop, invariant, head_states
+                self.pool(loop_index), [invariant], invariant
             )
             if cex:
                 report.counterexamples.append(cex)
@@ -288,11 +276,12 @@ class InvariantChecker:
 
         # Postcondition sufficiency.
         if post_exprs:
-            exit_states = self._exit_states(loop_index)
             post_outcome = CheckOutcome.VALID
             for expr in post_exprs:
                 outcome, cex = self.bounded.postcondition_bounded(
-                    invariant, loop, self.bounded.expr_fn(expr), exit_states
+                    self.pool(loop_index, exit_=True),
+                    invariant,
+                    self.bounded.expr_fn(expr),
                 )
                 if outcome is CheckOutcome.INVALID:
                     post_outcome = CheckOutcome.INVALID

@@ -329,10 +329,7 @@ def check_and_score(
     is solved when every documented loop invariant is implied, or — for
     a problem with no ground truth — when the checker validates the last
     loop's conjunction against the program's asserts and that
-    conjunction is non-empty.  ``check_invariant`` runs whenever there
-    is no ground truth, even on an empty conjunction: the checker's
-    perturbation RNG is shared across calls, so skipping one would shift
-    every later bounded verdict.
+    conjunction is non-empty.
     """
     loops: list[LoopReport] = []
     all_implied = True

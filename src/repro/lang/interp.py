@@ -10,7 +10,10 @@ Instrumentation records a snapshot of the full variable environment at
 every loop-head evaluation — i.e. each time a ``while`` guard is tested,
 including the final failing test — tagged with the loop id and iteration
 number.  This matches the paper's trace collection (Fig. 4a logs inside
-the loop every iteration and once after exit).
+the loop every iteration and once after exit).  A run also records the
+most interpreter steps one iteration of each loop's body took, which the
+bounded checker turns into a step budget.  :meth:`Interpreter.
+execute_block` records nothing.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ class ExecutionTrace:
     final_state: dict[str, object] = field(default_factory=dict)
     assume_violated: bool = False
     assertion_failures: list[str] = field(default_factory=list)
+    # Loop id -> the most interpreter steps one iteration of its body
+    # took (inner loops included).
+    max_body_steps: dict[int, int] = field(default_factory=dict)
 
     def loop_states(self, loop_id: int, include_exit: bool = True) -> list[dict]:
         """States logged at the head of ``loop_id``."""
@@ -128,7 +134,7 @@ class Interpreter:
             raise InterpError(f"unknown inputs: {sorted(extra)}")
 
         trace = ExecutionTrace(inputs={k: _coerce_input(v) for k, v in inputs.items()})
-        self._fuel = self._fuel_limit
+        self._budget = self._fuel = self._fuel_limit
         try:
             self._exec_block(self._program.body, env, trace)
         except _AssumeViolation:
@@ -137,23 +143,30 @@ class Interpreter:
         trace.final_state = {k: _normalize(v) for k, v in env.items()}
         return trace
 
-    def execute_block(self, block: Block, state: Mapping[str, object]) -> dict[str, object]:
+    def execute_block(
+        self,
+        block: Block,
+        state: Mapping[str, object],
+        budget: int | None = None,
+    ) -> dict[str, object]:
         """Execute a statement block from an arbitrary state.
 
         Used by the bounded checker to take one loop-body step from a
-        (possibly unreachable) state when testing inductiveness.
+        (possibly unreachable) state when testing inductiveness.  No
+        trace is kept: inner loops log no snapshots.
 
         Args:
             block: statements to run (e.g. ``loop.body``).
             state: starting environment (not mutated).
+            budget: step budget for this block; the interpreter's fuel
+                when omitted.  Running out raises :class:`FuelExhausted`.
 
         Returns:
             The environment after execution.
         """
         env = {k: _normalize(_coerce_input(v)) for k, v in state.items()}
-        trace = ExecutionTrace(inputs={})
-        self._fuel = self._fuel_limit
-        self._exec_block(block, env, trace)
+        self._budget = self._fuel = self._fuel_limit if budget is None else budget
+        self._exec_block(block, env, None)
         return {k: _normalize(v) for k, v in env.items()}
 
     # -- statement execution -------------------------------------------------
@@ -162,14 +175,18 @@ class Interpreter:
         self._fuel -= 1
         if self._fuel <= 0:
             raise FuelExhausted(
-                f"program {self._program.name!r} exceeded {self._fuel_limit} steps"
+                f"program {self._program.name!r} exceeded {self._budget} steps"
             )
 
-    def _exec_block(self, block: Block, env: dict, trace: ExecutionTrace) -> None:
+    def _exec_block(
+        self, block: Block, env: dict, trace: ExecutionTrace | None
+    ) -> None:
         for stmt in block.statements:
             self._exec_stmt(stmt, env, trace)
 
-    def _exec_stmt(self, stmt: Stmt, env: dict, trace: ExecutionTrace) -> None:
+    def _exec_stmt(
+        self, stmt: Stmt, env: dict, trace: ExecutionTrace | None
+    ) -> None:
         self._spend_fuel()
         if isinstance(stmt, Assign):
             env[stmt.name] = _normalize(self._eval(stmt.value, env))
@@ -182,24 +199,30 @@ class Interpreter:
             iteration = 0
             while True:
                 guard = self._eval_bool(stmt.cond, env)
-                trace.snapshots.append(
-                    LoopSnapshot(
-                        loop_id=stmt.loop_id,
-                        iteration=iteration,
-                        state={k: _normalize(v) for k, v in env.items()},
-                        guard_value=guard,
+                if trace is not None:
+                    trace.snapshots.append(
+                        LoopSnapshot(
+                            loop_id=stmt.loop_id,
+                            iteration=iteration,
+                            state={k: _normalize(v) for k, v in env.items()},
+                            guard_value=guard,
+                        )
                     )
-                )
                 if not guard:
                     break
+                fuel = self._fuel
                 self._exec_block(stmt.body, env, trace)
+                if trace is not None:
+                    steps = fuel - self._fuel
+                    if steps > trace.max_body_steps.get(stmt.loop_id, 0):
+                        trace.max_body_steps[stmt.loop_id] = steps
                 iteration += 1
                 self._spend_fuel()
         elif isinstance(stmt, Assume):
             if not self._eval_bool(stmt.cond, env):
                 raise _AssumeViolation()
         elif isinstance(stmt, Assert):
-            if not self._eval_bool(stmt.cond, env):
+            if not self._eval_bool(stmt.cond, env) and trace is not None:
                 trace.assertion_failures.append(
                     f"assertion failed in {self._program.name!r}"
                 )

@@ -431,8 +431,8 @@ def test_check_and_score_without_ground_truth():
     # The checker refusing the conjunction means not solved.
     assert not score([good], _SpyChecker(valid=False))[1]
 
-    # An empty sound set is not solved, but the conjunction is still
-    # checked: the checker's RNG stream must not depend on the outcome.
+    # An empty sound set is not solved; the empty conjunction is still
+    # checked.
     checker = _SpyChecker(refuse=[bad])
     loop, solved = score([bad], checker)
     assert not solved

@@ -214,3 +214,145 @@ def test_filter_sound_atoms_integer_path_matches_fraction_path(name, fraction_pa
     assert fast.counterexamples == exact.counterexamples
     reasons = {reason for _, reason in fast.rejected}
     assert reasons == {"fails on reachable state", "not inductive"}
+
+
+def _reference_inductive(checker, pool, premise, target):
+    """Brute force over the same pool: evaluate the premise, step the
+    body and evaluate the target per state, caching nothing."""
+    from repro.checker.bounded import CHECK_FUEL, holds
+    from repro.errors import InterpError
+    from repro.lang.interp import Interpreter
+
+    interp = Interpreter(checker.program, fuel=CHECK_FUEL)
+    body = checker.program.loops[0].body
+    tested = False
+    for state in pool.states:
+        try:
+            if not holds(And(premise), state):
+                continue
+            after = interp.execute_block(body, state, pool.budget)
+            if not holds(target, after):
+                return CheckOutcome.INVALID, state
+        except (InterpError, ZeroDivisionError):
+            continue
+        tested = True
+    return (CheckOutcome.VALID if tested else CheckOutcome.UNKNOWN), None
+
+
+@pytest.mark.parametrize("name", sorted(_FILTER_POOLS))
+def test_pooled_inductiveness_matches_brute_force(name):
+    """Cached truth vectors and post states give the verdicts and
+    counterexamples of re-evaluating everything per premise."""
+    import random
+
+    from repro.bench.nla import nla_problem
+
+    problem = nla_problem(name)
+    atoms = [parse_ground_truth(s) for s in _FILTER_POOLS[name]]
+    checker = InvariantChecker(
+        problem.program, problem.effective_check_inputs,
+        rng=np.random.default_rng(7),
+    )
+    pool = checker.pool(0)
+    assert len(pool) > 0
+    pick = random.Random(3)
+    outcomes = set()
+    for _ in range(8):
+        premise = pick.sample(atoms, pick.randint(1, len(atoms)))
+        for target in premise:
+            got = checker.bounded.inductive_bounded(pool, premise, target)
+            assert got == _reference_inductive(checker, pool, premise, target)
+            outcomes.add(got[0])
+    assert CheckOutcome.INVALID in outcomes and CheckOutcome.VALID in outcomes
+
+
+_DIVBIN_POOLS = {
+    0: ["q == 0", "r == A", "b >= B", "r >= 1", "b <= 2 * r", "b >= 1"],
+    1: ["A == q * b + r", "r >= 0", "b >= B", "r <= b", "q >= 0", "b <= A"],
+}
+
+
+def _divbin_verdicts(order, invariant_first):
+    from repro.bench.nla import nla_problem
+
+    problem = nla_problem("divbin")
+    checker = InvariantChecker(
+        problem.program, problem.effective_check_inputs,
+        rng=np.random.default_rng(7),
+    )
+    if invariant_first:
+        truth = And([parse_ground_truth("A == q * b + r"),
+                     parse_ground_truth("r >= 0")])
+        checker.check_invariant(
+            1, truth, [s.cond for s in problem.program.asserts]
+        )
+    verdicts = {}
+    for loop_index in order:
+        atoms = [parse_ground_truth(s) for s in _DIVBIN_POOLS[loop_index]]
+        result = checker.filter_sound_atoms(loop_index, atoms)
+        verdicts[loop_index] = (
+            result.sound, result.rejected, result.counterexamples
+        )
+    return verdicts
+
+
+def test_bounded_verdicts_do_not_depend_on_check_order():
+    """Every loop's pools are drawn up front, so neither the loop order
+    nor a preceding check_invariant moves a verdict."""
+    default = _divbin_verdicts([0, 1], invariant_first=False)
+    assert any(
+        reason == "not inductive"
+        for loop in default.values()
+        for _, reason in loop[1]
+    )
+    assert _divbin_verdicts([1, 0], invariant_first=False) == default
+    assert _divbin_verdicts([0, 1], invariant_first=True) == default
+
+
+_SPIN_SOURCE = """
+program spin;
+input n;
+assume (n >= 1);
+i = 0; d = 1; s = 0; j = 0;
+while (i < n) {
+  j = 0;
+  while (j < 3) { j = j + d; }
+  i = i + 1; s = s + j;
+}
+"""
+
+
+def test_spinning_inner_loop_is_not_tested(monkeypatch):
+    """A perturbed state whose inner loop never ends (d <= 0) stops at
+    the body budget from the traces and counts as not tested."""
+    from repro.checker.bounded import _BODY_BUDGET_FACTOR, CHECK_FUEL
+    from repro.lang.interp import Interpreter
+
+    program = parse_program(_SPIN_SOURCE)
+    checker = InvariantChecker(
+        program, [{"n": v} for v in range(1, 12)],
+        rng=np.random.default_rng(7),
+    )
+    observed = max(t.max_body_steps[0] for t in checker.traces)
+    pool = checker.pool(0)
+    assert pool.budget == _BODY_BUDGET_FACTOR * observed < CHECK_FUEL // 1000
+    spinning = [i for i, s in enumerate(pool.states) if s["d"] <= 0]
+    assert spinning
+
+    steps = 0
+    spend = Interpreter._spend_fuel
+
+    def counting(self):
+        nonlocal steps
+        steps += 1
+        spend(self)
+
+    monkeypatch.setattr(Interpreter, "_spend_fuel", counting)
+    target = parse_ground_truth("s >= 0")
+    assert pool.holds_after(spinning[0], target) is None
+    assert steps <= pool.budget
+    outcome, cex = checker.bounded.inductive_bounded(
+        pool, [parse_ground_truth("d <= 0")], target
+    )
+    assert outcome is CheckOutcome.UNKNOWN and cex is None
+    assert steps <= len(spinning) * pool.budget

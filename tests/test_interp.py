@@ -133,3 +133,33 @@ while (i < n) {
     assert len(outer) == 4  # i = 0,1,2 pass + exit
     assert len(inner) == 6  # entries at i=0,1,2 log 1, 2, 3 snapshots
     assert trace.final_state["total"] == 3
+
+
+def test_run_records_most_body_steps_per_loop(sqrt1_program):
+    trace = run_program(sqrt1_program, {"n": 20})
+    # One step per assignment of the three-statement body.
+    assert trace.max_body_steps == {0: 3}
+
+
+def test_execute_block_appends_no_snapshots(monkeypatch):
+    program = parse_program(
+        """
+program nested;
+input n;
+i = 0; j = 0; s = 0;
+while (i < n) {
+  j = 0;
+  while (j < i) { j = j + 1; s = s + 1; }
+  i = i + 1;
+}
+"""
+    )
+
+    def no_snapshot(**kwargs):
+        raise AssertionError("execute_block logged a loop snapshot")
+
+    monkeypatch.setattr("repro.lang.interp.LoopSnapshot", no_snapshot)
+    after = Interpreter(program).execute_block(
+        program.loops[0].body, {"n": 5, "i": 3, "j": 0, "s": 0}
+    )
+    assert after == {"n": 5, "i": 4, "j": 3, "s": 3}
