@@ -3,8 +3,10 @@
 This module discharges the verification conditions that the symbolic
 checker cannot, by sampling:
 
-* **reachability soundness** — the candidate must hold at every
-  loop-head state over a *wider* input space than training used;
+* **reachability soundness** — over the loop's *reach pool*: the
+  candidate must hold at every loop-head state of the checking traces
+  (up to ``MAX_CHECKED_STATES``), which run over a *wider* input space
+  than training used;
 * **bounded inductiveness** — over the loop's *head pool*: the
   loop-head states of the checking traces plus integer perturbations of
   them (generally unreachable), kept where the loop guard holds.  Every
@@ -14,14 +16,19 @@ checker cannot, by sampling:
   recipe on exit states kept where the guard fails: every state
   satisfying ``I`` must satisfy the postcondition ``Q``.
 
-:meth:`BoundedChecker.draw_pools` draws every loop's two pools at once,
-in loop order, and the caller keeps them for its lifetime.  A
-:class:`StatePool` caches, lazily, one truth vector per formula over
-its states, one post state per index (the body runs at most once per
-state, and only once some premise admits it), and one truth vector per
-target over those post states.  A verdict therefore depends only on the
-pool, the premise and the target, never on which check ran first, and a
-larger premise tests a subset of the same states.
+:meth:`BoundedChecker.draw_pools` draws every loop's two perturbation
+pools at once, in loop order, and :meth:`BoundedChecker.reach_pool`
+builds one loop's reach pool (no randomness); the caller keeps them for
+its lifetime.  A :class:`StatePool` caches, lazily, one truth vector per
+formula over its states, one post state per index (the body runs at most
+once per state, and only once some premise admits it), and one truth
+vector per target over those post states.  A verdict therefore depends
+only on the pool, the premise and the target, never on which check ran
+first, and a larger premise tests a subset of the same states.
+Re-checking an atom on a later attempt reads its cached truth vector;
+that cache is the checker's only verdict memo.  :func:`holds_on_pool`
+reads a reachability verdict off a pool; the recorded-trace checker
+(:mod:`repro.checker.trace`) uses it on a pool of held-out states.
 
 A body step runs on a budget: the most interpreter steps one iteration
 of the loop's body took in the checking traces, times
@@ -36,6 +43,7 @@ counterexamples that drive retraining / atom pruning.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +61,8 @@ from repro.checker.result import CheckOutcome
 # of a loop that no checking trace entered.
 CHECK_FUEL = 500_000
 
-# Reachability checks stop (VALID) after validating this many states.
+# A reach pool holds at most this many loop-head states (the first ones,
+# in trace order); a failure past them is not seen.
 MAX_CHECKED_STATES = 50_000
 
 # Perturbation pools for the inductiveness and postcondition VCs:
@@ -74,34 +83,25 @@ _UNTESTABLE = (InterpError, ZeroDivisionError)
 _UNSET = object()
 
 
-def holds(
-    formula: Formula,
-    state: Mapping[str, object],
-    externals: Sequence[ExternalTerm] = (),
-) -> bool:
-    """Evaluate ``formula`` exactly on a program state.
-
-    The state is extended with the external terms' values and its bool
-    flags are dropped, so a polynomial over a flag raises ``PolyError``.
-    Ints stay ints: on an all-int state every atom takes the integer
-    path of :meth:`~repro.poly.polynomial.Polynomial.evaluate_scaled`.
-    """
-    return formula.evaluate(_evaluation_env(state, externals))
-
-
 def _evaluation_env(
     state: Mapping[str, object], externals: Sequence[ExternalTerm]
 ) -> dict[str, object]:
+    """The state extended with the external terms' values, bool flags
+    dropped (a polynomial over a flag raises ``PolyError``).  Ints stay
+    ints: on an all-int state every atom takes the integer path of
+    :meth:`~repro.poly.polynomial.Polynomial.evaluate_scaled`."""
     extended = extend_state(state, externals) if externals else state
     return {k: v for k, v in extended.items() if not isinstance(v, bool)}
 
 
 class StatePool:
-    """Perturbed states at one loop head, with cached truth vectors.
+    """States at one loop head, with cached truth vectors.
 
     Attributes:
-        states: the pool's states, in draw order (duplicates dropped).
+        states: the pool's states, in draw order (perturbation pools
+            drop duplicates; a reach pool keeps trace order).
         budget: step budget of one loop-body step (head pools).
+        hits: truth vectors served from the cache.
     """
 
     def __init__(
@@ -120,6 +120,7 @@ class StatePool:
         """
         self.states = states
         self.budget = budget
+        self.hits = 0
         self._externals = externals
         self._step = step
         self._envs: list[dict | None] | None = None
@@ -150,6 +151,8 @@ class StatePool:
                 count=len(self.states),
             )
             self._truth[key] = vector
+        else:
+            self.hits += 1
         return vector
 
     def admitted(self, premise: Sequence[Formula]) -> np.ndarray:
@@ -189,6 +192,23 @@ def _evaluate(formula: Formula, env: dict | None) -> bool | None:
         return formula.evaluate(env)
     except _UNTESTABLE:
         return None
+
+
+def holds_on_pool(
+    pool: StatePool, formula: Formula
+) -> tuple[CheckOutcome, dict | None]:
+    """Reachability verdict of ``formula`` on a pool of reachable states.
+
+    INVALID at the first state where it is False (a state where it
+    cannot be evaluated counts), and that state is the counterexample;
+    UNKNOWN on an empty pool; VALID otherwise.
+    """
+    if not len(pool):
+        return CheckOutcome.UNKNOWN, None
+    failing = np.flatnonzero(~pool.truth(formula))
+    if failing.size:
+        return CheckOutcome.INVALID, dict(pool.states[failing[0]])
+    return CheckOutcome.VALID, None
 
 
 class BoundedChecker:
@@ -245,29 +265,17 @@ class BoundedChecker:
     # -- verification conditions --------------------------------------------
 
     def holds_on_reachable(
-        self,
-        invariant: Formula,
-        loop_id: int,
-        traces: Sequence[ExecutionTrace],
+        self, pool: StatePool, invariant: Formula
     ) -> tuple[CheckOutcome, dict | None]:
-        """Check the invariant on every reachable loop-head state.
+        """Check the invariant on every state of a loop's reach pool.
 
         Covers both ``P ⇒ I`` (iteration-0 snapshots) and consistency
-        along real executions.
+        along real executions; see :func:`holds_on_pool`, which the
+        recorded-trace checker calls directly.  The full checker's
+        reach checks all pass through this method, so one wrapper on it
+        traces them.
         """
-        checked = 0
-        for trace in traces:
-            for snapshot in trace.snapshots:
-                if snapshot.loop_id != loop_id:
-                    continue
-                if not holds(invariant, snapshot.state, self.externals):
-                    return CheckOutcome.INVALID, dict(snapshot.state)
-                checked += 1
-                if checked >= MAX_CHECKED_STATES:
-                    return CheckOutcome.VALID, None
-        if checked == 0:
-            return CheckOutcome.UNKNOWN, None
-        return CheckOutcome.VALID, None
+        return holds_on_pool(pool, invariant)
 
     def guard_fn(self, loop: While):
         """Boolean evaluator for a loop guard on raw states.
@@ -291,6 +299,17 @@ class BoundedChecker:
             return bool(self._interp._eval(expr, env))
 
         return evaluate
+
+    def reach_pool(
+        self, traces: Sequence[ExecutionTrace], loop_id: int
+    ) -> StatePool:
+        """The loop's reach pool: its first ``MAX_CHECKED_STATES``
+        logged head states, in trace order.  The pool refers to the
+        snapshots' states rather than copying them."""
+        states = (
+            s.state for t in traces for s in t.snapshots if s.loop_id == loop_id
+        )
+        return StatePool(list(islice(states, MAX_CHECKED_STATES)), self.externals)
 
     def draw_pools(
         self, traces: Sequence[ExecutionTrace]

@@ -46,3 +46,15 @@ class CheckReport:
     @property
     def is_valid(self) -> bool:
         return self.outcome is CheckOutcome.VALID
+
+    def conclude(self) -> "CheckReport":
+        """Set ``outcome`` from the three VC verdicts and return the
+        report: INVALID if any VC is, VALID if all are, else UNKNOWN."""
+        verdicts = (self.precondition, self.inductive, self.postcondition)
+        if CheckOutcome.INVALID in verdicts:
+            self.outcome = CheckOutcome.INVALID
+        elif all(v is CheckOutcome.VALID for v in verdicts):
+            self.outcome = CheckOutcome.VALID
+        else:
+            self.outcome = CheckOutcome.UNKNOWN
+        return self

@@ -6,10 +6,13 @@ cannot run.  What *can* run is the reachability half of the bounded
 checker: every candidate must hold on every held-out recorded state
 (the ``check`` sequences of the recording, which play the role of the
 wider checking input space).  :class:`RecordedChecker` implements
-exactly that, duck-typing the :class:`~repro.checker.vc.
-InvariantChecker` surface the engine and the baseline adapters use,
-and reports itself as the degraded ``bounded-holdout`` mode so
-``SolveResult.checking`` makes the downgrade visible.
+exactly that: each loop's held-out states form a reach
+:class:`~repro.checker.bounded.StatePool`, and verdicts come from the
+full checker's own :func:`~repro.checker.bounded.holds_on_pool`.  It
+duck-types the :class:`~repro.checker.vc.InvariantChecker` surface the
+engine and the baseline adapters use, and reports itself as the
+degraded ``bounded-holdout`` mode so ``SolveResult.checking`` makes
+the downgrade visible.
 
 :func:`make_checker` is the one place that picks between the two —
 every solver builds its checker through it, so a problem's
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.checker.bounded import MAX_CHECKED_STATES, holds
+from repro.checker.bounded import MAX_CHECKED_STATES, StatePool, holds_on_pool
 from repro.checker.result import (
     CHECKING_RECORDED,
     CheckOutcome,
@@ -33,7 +36,7 @@ from repro.checker.vc import (
     AtomFilterResult,
     InvariantChecker,
 )
-from repro.sampling.source import Observation, RecordedTraceSource
+from repro.sampling.source import RecordedTraceSource
 from repro.sampling.termgen import ExternalTerm
 from repro.smt.formula import Atom, Formula
 from repro.smt.simplify import simplify
@@ -63,25 +66,25 @@ class RecordedChecker:
     ):
         self.source = source
         self.externals = list(externals)
-        self._reach_memo: dict[tuple[int, str], CheckOutcome] = {}
-        # Observability: same counter the full checker exposes.
-        self.memo_hits = 0
+        self._reach_pools: dict[int, StatePool] = {}
 
-    # -- helpers ---------------------------------------------------------
+    @property
+    def memo_hits(self) -> int:
+        """Truth vectors the pools served from their caches (the same
+        counter the full checker exposes)."""
+        return sum(pool.hits for pool in self._reach_pools.values())
 
-    def _holds_on_recorded(
-        self, formula: Formula, observations: Sequence[Observation]
-    ) -> tuple[CheckOutcome, dict | None]:
-        checked = 0
-        for ob in observations:
-            if not holds(formula, ob.state, self.externals):
-                return CheckOutcome.INVALID, dict(ob.state)
-            checked += 1
-            if checked >= MAX_CHECKED_STATES:
-                return CheckOutcome.VALID, None
-        if checked == 0:
-            return CheckOutcome.UNKNOWN, None
-        return CheckOutcome.VALID, None
+    def reach_pool(self, loop_index: int) -> StatePool:
+        """The loop's reach pool: its first ``MAX_CHECKED_STATES``
+        held-out states, in recording order."""
+        pool = self._reach_pools.get(loop_index)
+        if pool is None:
+            observations = self.source.check_observations(loop_index)
+            pool = self._reach_pools[loop_index] = StatePool(
+                [ob.state for ob in observations[:MAX_CHECKED_STATES]],
+                self.externals,
+            )
+        return pool
 
     # -- checker surface -------------------------------------------------
 
@@ -95,15 +98,9 @@ class RecordedChecker:
         of a program-backed problem reproduces its rejection records.
         """
         result = AtomFilterResult()
-        observations = self.source.check_observations(loop_index)
+        pool = self.reach_pool(loop_index)
         for atom in atoms:
-            memo_key = (loop_index, str(atom))
-            if memo_key in self._reach_memo:
-                outcome, cex = self._reach_memo[memo_key], None
-                self.memo_hits += 1
-            else:
-                outcome, cex = self._holds_on_recorded(atom, observations)
-                self._reach_memo[memo_key] = outcome
+            outcome, cex = holds_on_pool(pool, atom)
             if outcome is CheckOutcome.INVALID:
                 result.rejected.append((atom, "fails on reachable state"))
                 if cex:
@@ -127,9 +124,7 @@ class RecordedChecker:
         """
         invariant = simplify(invariant)
         report = CheckReport(outcome=CheckOutcome.UNKNOWN)
-        outcome, cex = self._holds_on_recorded(
-            invariant, self.source.check_observations(loop_index)
-        )
+        outcome, cex = holds_on_pool(self.reach_pool(loop_index), invariant)
         report.precondition = outcome
         if outcome is CheckOutcome.INVALID and cex:
             report.counterexamples.append(cex)
@@ -142,14 +137,7 @@ class RecordedChecker:
             "trace-only problem: checked against held-out recorded states "
             "(no symbolic/perturbation inductiveness)"
         )
-        verdicts = (report.precondition, report.inductive, report.postcondition)
-        if any(v is CheckOutcome.INVALID for v in verdicts):
-            report.outcome = CheckOutcome.INVALID
-        elif all(v is CheckOutcome.VALID for v in verdicts):
-            report.outcome = CheckOutcome.VALID
-        else:
-            report.outcome = CheckOutcome.UNKNOWN
-        return report
+        return report.conclude()
 
 
 def make_checker(

@@ -5,19 +5,23 @@ combines the exact symbolic equality check with bounded sampling:
 
 * :meth:`filter_sound_atoms` — given candidate atoms for one loop,
   iterate to the greatest subset that is (a) true on every reachable
-  loop-head state over the *checking* input space, and (b) inductive
-  relative to the surviving conjunction (symbolically for equalities
-  when the loop body is polynomial; bounded otherwise, over the loop's
-  step pool).  This realizes the paper's "check and remove unsound
-  constraints" step.
+  loop-head state over the *checking* input space (the loop's reach
+  pool), and (b) inductive relative to the surviving conjunction
+  (symbolically for equalities when the loop body is polynomial;
+  bounded otherwise, over the loop's head pool).  This realizes the
+  paper's "check and remove unsound constraints" step.
 * :meth:`check_invariant` — full three-VC report for a formula,
   including postcondition sufficiency, used to decide whether the
   CEGIS loop can stop.
 
-The checker draws every loop's perturbation pools once, on the first
-bounded check (:meth:`~repro.checker.bounded.BoundedChecker.draw_pools`),
-and keeps them for its lifetime, across attempts: every bounded verdict
-reads the same states, whatever ran before it.
+The checker builds a loop's reach pool on its first check, and draws
+every loop's perturbation pools once, on the first bounded check
+(:meth:`~repro.checker.bounded.BoundedChecker.draw_pools`).  It keeps
+them for its lifetime, across attempts: every verdict reads the same
+states, whatever ran before it.  The CEGIS retry loop re-submits its
+growing candidate pool every attempt; a re-checked atom reads its
+truth vectors from the pools' caches (counted in ``memo_hits``), and
+there is no other verdict memo.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class InvariantChecker:
         externals: Sequence[ExternalTerm] = (),
         rng: np.random.Generator | None = None,
         trace_cache: "TraceCache | None" = None,
-        memoize: bool = True,
     ):
         """
         Args:
@@ -80,18 +83,9 @@ class InvariantChecker:
             externals: external-function terms usable in invariants.
             rng: randomness for perturbation sampling.
             trace_cache: optional :class:`~repro.sampling.cache.
-                TraceCache`; when given, checking traces are memoized
+                TraceCache`; when given, checking traces are cached
                 there and reused across checker instances for the same
                 (program, inputs).
-            memoize: cache per-atom verdicts across
-                :meth:`filter_sound_atoms` calls.  The CEGIS retry loop
-                re-submits its whole (growing) candidate pool every
-                attempt; memoization makes re-checks of unchanged atoms
-                free.  Reachability verdicts are absolute; inductiveness
-                verdicts are reused monotonically — VALID under premise
-                set P is reused for any premise ⊇ P (it admits a subset
-                of the same pool states), INVALID under P for any
-                premise ⊆ P (the counterexample still satisfies it).
         """
         self.program = program
         self.bounded = BoundedChecker(program, externals=externals, rng=rng)
@@ -100,13 +94,14 @@ class InvariantChecker:
         self._trace_cache = trace_cache
         self._paths_cache: dict[int, object] = {}
         self._pools: list[tuple[StatePool, StatePool]] | None = None
-        self.memoize = memoize
-        self._reach_memo: dict[tuple[int, str], CheckOutcome] = {}
-        self._inductive_memo: dict[
-            tuple[int, str], list[tuple[frozenset[str], bool]]
-        ] = {}
-        # Observability: how many bounded checks the memo skipped.
-        self.memo_hits = 0
+        self._reach_pools: dict[int, StatePool] = {}
+
+    @property
+    def memo_hits(self) -> int:
+        """Truth vectors the pools served from their caches."""
+        pools = [p for loop in self._pools or () for p in loop]
+        pools.extend(self._reach_pools.values())
+        return sum(pool.hits for pool in pools)
 
     @property
     def traces(self) -> list[ExecutionTrace]:
@@ -137,6 +132,15 @@ class InvariantChecker:
             self._pools = self.bounded.draw_pools(self.traces)
         return self._pools[loop_index][exit_]
 
+    def reach_pool(self, loop_index: int) -> StatePool:
+        """The loop's reach pool (built on first use)."""
+        pool = self._reach_pools.get(loop_index)
+        if pool is None:
+            pool = self._reach_pools[loop_index] = self.bounded.reach_pool(
+                self.traces, loop_index
+            )
+        return pool
+
     # -- atom filtering ----------------------------------------------------------
 
     def filter_sound_atoms(
@@ -144,21 +148,12 @@ class InvariantChecker:
     ) -> AtomFilterResult:
         """Greatest sound subset of candidate atoms for one loop."""
         result = AtomFilterResult()
-        traces = self.traces
+        reach = self.reach_pool(loop_index)
 
-        # Phase 1: reachability soundness (absolute per atom; memoized).
+        # Phase 1: reachability soundness (absolute per atom).
         surviving: list[Atom] = []
         for atom in atoms:
-            memo_key = (loop_index, str(atom))
-            if self.memoize and memo_key in self._reach_memo:
-                outcome, cex = self._reach_memo[memo_key], None
-                self.memo_hits += 1
-            else:
-                outcome, cex = self.bounded.holds_on_reachable(
-                    atom, loop_index, traces
-                )
-                if self.memoize:
-                    self._reach_memo[memo_key] = outcome
+            outcome, cex = self.bounded.holds_on_reachable(reach, atom)
             if outcome is CheckOutcome.INVALID:
                 result.rejected.append((atom, "fails on reachable state"))
                 if cex:
@@ -172,18 +167,8 @@ class InvariantChecker:
         while changed and surviving:
             changed = False
             eq_polys = [a.poly for a in surviving if a.op == "=="]
-            premise = frozenset(str(a) for a in surviving)
             keep: list[Atom] = []
             for atom in surviving:
-                cached = self._inductive_cached(loop_index, atom, premise)
-                if cached is not None:
-                    self.memo_hits += 1
-                    if cached:
-                        keep.append(atom)
-                    else:
-                        result.rejected.append((atom, "not inductive"))
-                        changed = True
-                    continue
                 verdict = CheckOutcome.UNKNOWN
                 if atom.op == "==" and paths is not None:
                     verdict = equality_inductive_symbolic(atom.poly, eq_polys, paths)
@@ -192,41 +177,15 @@ class InvariantChecker:
                         self.pool(loop_index), surviving, atom
                     )
                     if verdict is CheckOutcome.INVALID:
-                        self._inductive_record(loop_index, atom, premise, False)
                         result.rejected.append((atom, "not inductive"))
                         if cex:
                             result.counterexamples.append(cex)
                         changed = True
                         continue
-                self._inductive_record(loop_index, atom, premise, True)
                 keep.append(atom)
             surviving = keep
         result.sound = surviving
         return result
-
-    def _inductive_cached(
-        self, loop_index: int, atom: Atom, premise: frozenset[str]
-    ) -> bool | None:
-        """Reuse an inductiveness verdict if monotonicity allows it."""
-        if not self.memoize:
-            return None
-        for cached_premise, valid in self._inductive_memo.get(
-            (loop_index, str(atom)), ()
-        ):
-            if valid and cached_premise <= premise:
-                return True
-            if not valid and premise <= cached_premise:
-                return False
-        return None
-
-    def _inductive_record(
-        self, loop_index: int, atom: Atom, premise: frozenset[str], valid: bool
-    ) -> None:
-        if not self.memoize:
-            return
-        self._inductive_memo.setdefault((loop_index, str(atom)), []).append(
-            (premise, valid)
-        )
 
     # -- full check -------------------------------------------------------------
 
@@ -242,7 +201,7 @@ class InvariantChecker:
 
         # P => I plus consistency along executions.
         outcome, cex = self.bounded.holds_on_reachable(
-            invariant, loop_index, self.traces
+            self.reach_pool(loop_index), invariant
         )
         report.precondition = outcome
         if outcome is CheckOutcome.INVALID and cex:
@@ -294,12 +253,4 @@ class InvariantChecker:
             report.postcondition = post_outcome
         else:
             report.postcondition = CheckOutcome.VALID
-
-        verdicts = (report.precondition, report.inductive, report.postcondition)
-        if any(v is CheckOutcome.INVALID for v in verdicts):
-            report.outcome = CheckOutcome.INVALID
-        elif all(v is CheckOutcome.VALID for v in verdicts):
-            report.outcome = CheckOutcome.VALID
-        else:
-            report.outcome = CheckOutcome.UNKNOWN
-        return report
+        return report.conclude()

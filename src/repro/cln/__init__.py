@@ -22,7 +22,6 @@ from repro.cln.activations import (
     pbqu_ge,
     pbqu_le,
     sigmoid_ge,
-    sigmoid_gt,
     pbqu_ge_numpy,
     sigmoid_ge_numpy,
     gaussian_equality_numpy,
@@ -47,7 +46,6 @@ __all__ = [
     "pbqu_ge",
     "pbqu_le",
     "sigmoid_ge",
-    "sigmoid_gt",
     "pbqu_ge_numpy",
     "sigmoid_ge_numpy",
     "gaussian_equality_numpy",

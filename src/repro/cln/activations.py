@@ -62,11 +62,6 @@ def sigmoid_ge(t: Tensor, B: float = 5.0, eps: float = 0.5) -> Tensor:
     return sigmoid((t + eps) * B)
 
 
-def sigmoid_gt(t: Tensor, B: float = 5.0, eps: float = 0.5) -> Tensor:
-    """Original CLN relaxation of ``t > 0``: ``σ(B(t - ε))``."""
-    return sigmoid((t - eps) * B)
-
-
 # -- numpy twins (no autodiff graph) ---------------------------------------
 
 

@@ -31,7 +31,6 @@ from repro.lang.interp import Interpreter, ExecutionTrace, LoopSnapshot, run_pro
 from repro.lang.pretty import pretty_program, pretty_expr
 from repro.lang.analysis import (
     assigned_variables,
-    collect_loops,
     expr_variables,
     extract_loop_paths,
     expr_to_polynomial,
@@ -65,7 +64,6 @@ __all__ = [
     "pretty_program",
     "pretty_expr",
     "assigned_variables",
-    "collect_loops",
     "expr_variables",
     "extract_loop_paths",
     "expr_to_polynomial",

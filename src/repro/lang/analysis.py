@@ -82,11 +82,6 @@ def program_variables(program: Program) -> list[str]:
     return seen
 
 
-def collect_loops(program: Program) -> list[While]:
-    """All loops of the program in parse order (same as ``program.loops``)."""
-    return [s for s in walk_statements(program.body) if isinstance(s, While)]
-
-
 def expr_to_polynomial(
     expr: Expr, env: dict[str, Polynomial] | None = None
 ) -> Polynomial | None:

@@ -1,4 +1,4 @@
-"""Shared utilities: rational rounding, fingerprints, timing, tables."""
+"""Shared utilities: rational rounding, fingerprints, tables."""
 
 from repro.utils.rational import (
     round_to_rational,
@@ -11,7 +11,6 @@ from repro.utils.fingerprint import (
     fingerprint_traces,
     problem_fingerprint,
 )
-from repro.utils.timing import Stopwatch
 from repro.utils.table import format_table
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "fingerprint_program",
     "fingerprint_traces",
     "problem_fingerprint",
-    "Stopwatch",
     "format_table",
 ]

@@ -45,7 +45,7 @@ def test_symbolic_inductive_needs_companions(sqrt1_program):
 def test_reachable_check_accepts_truth(sqrt1_checker):
     atom = parse_ground_truth("t == 2*a + 1")
     outcome, cex = sqrt1_checker.bounded.holds_on_reachable(
-        atom, 0, sqrt1_checker.traces
+        sqrt1_checker.reach_pool(0), atom
     )
     assert outcome is CheckOutcome.VALID and cex is None
 
@@ -53,7 +53,7 @@ def test_reachable_check_accepts_truth(sqrt1_checker):
 def test_reachable_check_rejects_falsehood(sqrt1_checker):
     atom = parse_ground_truth("t == 2*a")
     outcome, cex = sqrt1_checker.bounded.holds_on_reachable(
-        atom, 0, sqrt1_checker.traces
+        sqrt1_checker.reach_pool(0), atom
     )
     assert outcome is CheckOutcome.INVALID
     assert cex is not None and cex["t"] != 2 * cex["a"]
@@ -122,7 +122,8 @@ while (mod(x, 2) == 0) { x = x / 2; }
 
 
 def test_filter_sound_atoms_memoizes_repeat_checks(sqrt1_program):
-    """Re-submitting a grown candidate pool reuses prior verdicts."""
+    """Re-submitting a candidate pool reads every truth vector from the
+    pools' caches and gives the same verdicts."""
     checker = InvariantChecker(
         sqrt1_program,
         [{"n": v} for v in range(0, 60)],
@@ -130,29 +131,22 @@ def test_filter_sound_atoms_memoizes_repeat_checks(sqrt1_program):
     )
     good = parse_ground_truth("t == 2*a + 1")
     bad = parse_ground_truth("a == n")
-    first = checker.filter_sound_atoms(0, [good, bad])
+    shaky = parse_ground_truth("s <= 3 * t + 10")
+    first = checker.filter_sound_atoms(0, [good, bad, shaky])
     assert [str(a) for a in first.sound] == [str(good)]
-    hits_after_first = checker.memo_hits
+    pools = [checker.reach_pool(0), checker.pool(0), checker.pool(0, exit_=True)]
+    before = [(pool.hits, len(pool._truth)) for pool in pools]
 
-    again = checker.filter_sound_atoms(0, [good, bad])
-    assert [str(a) for a in again.sound] == [str(good)]
-    assert [r for a, r in again.rejected] == [r for a, r in first.rejected]
-    assert checker.memo_hits > hits_after_first
-
-
-def test_filter_sound_atoms_memo_disabled_matches(sqrt1_program):
-    inputs = [{"n": v} for v in range(0, 60)]
-    atoms = [parse_ground_truth("t == 2*a + 1"), parse_ground_truth("a >= 0")]
-    memoized = InvariantChecker(
-        sqrt1_program, inputs, rng=np.random.default_rng(7)
-    )
-    plain = InvariantChecker(
-        sqrt1_program, inputs, rng=np.random.default_rng(7), memoize=False
-    )
-    a = memoized.filter_sound_atoms(0, atoms)
-    b = plain.filter_sound_atoms(0, atoms)
-    assert [str(x) for x in a.sound] == [str(x) for x in b.sound]
-    assert plain.memo_hits == 0
+    again = checker.filter_sound_atoms(0, [good, bad, shaky])
+    assert again.sound == first.sound
+    assert again.rejected == first.rejected
+    assert again.counterexamples == first.counterexamples
+    # No truth vector was computed again; each reach verdict (one per
+    # atom) was served from the reach pool's cache.
+    after = [(pool.hits, len(pool._truth)) for pool in pools]
+    assert [n for _, n in after] == [n for _, n in before]
+    assert after[0][0] == before[0][0] + 3
+    assert checker.memo_hits == sum(pool.hits for pool in pools)
 
 
 # Candidate pools mixing true invariants, atoms that fail on a reachable
@@ -219,7 +213,7 @@ def test_filter_sound_atoms_integer_path_matches_fraction_path(name, fraction_pa
 def _reference_inductive(checker, pool, premise, target):
     """Brute force over the same pool: evaluate the premise, step the
     body and evaluate the target per state, caching nothing."""
-    from repro.checker.bounded import CHECK_FUEL, holds
+    from repro.checker.bounded import CHECK_FUEL
     from repro.errors import InterpError
     from repro.lang.interp import Interpreter
 
@@ -228,10 +222,10 @@ def _reference_inductive(checker, pool, premise, target):
     tested = False
     for state in pool.states:
         try:
-            if not holds(And(premise), state):
+            if not And(premise).evaluate(state):
                 continue
             after = interp.execute_block(body, state, pool.budget)
-            if not holds(target, after):
+            if not target.evaluate(after):
                 return CheckOutcome.INVALID, state
         except (InterpError, ZeroDivisionError):
             continue
@@ -264,6 +258,71 @@ def test_pooled_inductiveness_matches_brute_force(name):
             assert got == _reference_inductive(checker, pool, premise, target)
             outcomes.add(got[0])
     assert CheckOutcome.INVALID in outcomes and CheckOutcome.VALID in outcomes
+
+
+def _reference_reachable(traces, formula, cap):
+    """Walk loop 0's snapshots in trace order, at most ``cap`` of them,
+    evaluating each; returns the verdict and the failing index."""
+    states = [s.state for t in traces for s in t.snapshots if s.loop_id == 0]
+    for index, state in enumerate(states[:cap]):
+        if not formula.evaluate(state):
+            return (CheckOutcome.INVALID, state), index
+    verdict = CheckOutcome.VALID if states else CheckOutcome.UNKNOWN
+    return (verdict, None), None
+
+
+@pytest.mark.parametrize("name", sorted(_FILTER_POOLS))
+def test_pooled_reachability_matches_brute_force(name, monkeypatch):
+    """The reach pool's cached truth vectors give the walk's verdicts:
+    the first failing snapshot is the counterexample, and a failure
+    past ``MAX_CHECKED_STATES`` is not seen."""
+    from repro.bench.nla import nla_problem
+    from repro.checker import bounded
+
+    problem = nla_problem(name)
+    atoms = [parse_ground_truth(s) for s in _FILTER_POOLS[name]]
+
+    def pooled():
+        checker = InvariantChecker(
+            problem.program, problem.effective_check_inputs,
+            rng=np.random.default_rng(7),
+        )
+        reach = checker.reach_pool(0)
+        verdicts = [checker.bounded.holds_on_reachable(reach, a) for a in atoms]
+        return checker.traces, verdicts
+
+    traces, got = pooled()
+    walked = [
+        _reference_reachable(traces, a, bounded.MAX_CHECKED_STATES) for a in atoms
+    ]
+    assert got == [verdict for verdict, _ in walked]
+    first_failures = [-1 if index is None else index for _, index in walked]
+    late = max(first_failures)
+    assert late > 0
+
+    # Cap the pool just before the latest first failure.
+    monkeypatch.setattr(bounded, "MAX_CHECKED_STATES", late)
+    traces, capped = pooled()
+    assert capped == [_reference_reachable(traces, a, late)[0] for a in atoms]
+    assert capped[first_failures.index(late)] == (CheckOutcome.VALID, None)
+
+
+def test_shipped_seed_rejects_noninductive_ps2_bound():
+    """Under the seed every solver's checker uses, the ps2 pool rejects
+    ``x <= k*k`` as not inductive (a seed-7 pool keeps it: one pool per
+    loop can miss a rare perturbed counterexample)."""
+    from repro.bench.nla import nla_problem
+    from repro.checker.vc import DEFAULT_CHECKER_SEED
+
+    problem = nla_problem("ps2")
+    atoms = [parse_ground_truth(s) for s in _FILTER_POOLS["ps2"]]
+    checker = InvariantChecker(
+        problem.program, problem.effective_check_inputs,
+        rng=np.random.default_rng(DEFAULT_CHECKER_SEED),
+    )
+    result = checker.filter_sound_atoms(0, atoms)
+    bound = parse_ground_truth("x <= k * k")
+    assert (bound, "not inductive") in result.rejected
 
 
 _DIVBIN_POOLS = {

@@ -1,11 +1,11 @@
-"""Tests for utility modules: rational rounding, tables, timing."""
+"""Tests for utility modules: rational rounding, tables."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils import Stopwatch, format_table, nice_coefficients, round_to_rational, scale_to_integer_coeffs
+from repro.utils import format_table, nice_coefficients, round_to_rational, scale_to_integer_coeffs
 from repro.utils.rational import round_coefficient_vector
 
 
@@ -76,14 +76,3 @@ def test_format_table_alignment():
 def test_format_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
         format_table(["a"], [["x", "y"]])
-
-
-def test_stopwatch():
-    sw = Stopwatch()
-    with sw:
-        pass
-    assert sw.elapsed >= 0.0
-    with pytest.raises(RuntimeError):
-        sw.stop()
-    sw.reset()
-    assert sw.elapsed == 0.0
