@@ -3,16 +3,15 @@
 Distinct from the :class:`~repro.sampling.cache.TraceCache`: the trace
 cache memoizes *intermediate* artifacts (traces, term matrices) so a
 repeated solve skips interpretation but still trains; a
-:class:`ResultMemo` memoizes the *finished* :class:`~repro.api.solver.
-SolveResult` keyed by the canonical problem fingerprint, so a repeated
-solve skips everything.  Both the long-lived
-:class:`~repro.api.service.InvariantService` (opt-in ``memo_size=N``)
-and the HTTP front end (:mod:`repro.serve`) use it; it lives here so
+:class:`ResultMemo` holds *finished* results, so a repeated request
+skips everything.  The HTTP front end (:mod:`repro.serve`) keeps its
+response memo and its ``/v1/results`` store in it; it lives here so
 the serving layer depends on the API, never the reverse.
 
-Keys are :func:`repro.utils.fingerprint.problem_fingerprint` strings —
-they cover the problem, the solver name, and the effective config, so
-a config change can never replay a stale result.
+Keys are :func:`repro.utils.fingerprint.problem_fingerprint` strings
+(or their result-id prefixes) — they cover the problem, the solver
+name, and the effective config, so a config change can never replay a
+stale result.
 """
 
 from __future__ import annotations

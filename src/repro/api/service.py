@@ -1,22 +1,25 @@
 """The long-lived invariant-inference service.
 
 :class:`InvariantService` is the session object the public API is
-built around: it owns one bounded :class:`~repro.sampling.cache.
-TraceCache` shared by every solve (so repeated queries on the same
-program skip interpretation entirely), per-solver configuration, and
-an :class:`~repro.api.events.EventBus` that streams typed lifecycle
-events to subscribers.  The CLI, the batch benchmarks, and any future
-async front-end (ROADMAP "Async serving") all drive inference through
-this one object.
+built around, and :meth:`InvariantService.solve` is the one place a
+solve is configured and run: the CLI, the batch runner (inline and in
+every pool worker), queue workers and the HTTP front end all call it.
+The service owns one bounded :class:`~repro.sampling.cache.TraceCache`
+shared by every solve (so repeated queries on the same program skip
+interpretation entirely), one default config, and an
+:class:`~repro.api.events.EventBus` that streams typed lifecycle
+events to subscribers.
 
 Usage::
 
     from repro.api import InvariantService, StageTimed
+    from repro.infer import InferenceConfig
 
     service = InvariantService()
     service.subscribe(lambda e: print(e.to_dict()), kinds=(StageTimed,))
     result = service.solve(problem)                    # G-CLN
     baseline = service.solve(problem, solver="guess_and_check")
+    quick = service.solve(problem, "gcln", config=InferenceConfig(max_epochs=400))
     assert set(result.to_dict()) == set(baseline.to_dict())  # same schema
 
 Events are delivered synchronously on the solving thread.  With
@@ -28,10 +31,9 @@ streaming live; only ``ProblemSolved`` completion events are emitted
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.api.events import Event, EventBus, ProblemSolved
-from repro.api.memo import ResultMemo
 from repro.api.solver import (
     SolveResult,
     available_solvers,
@@ -52,58 +54,30 @@ DEFAULT_CACHE_ENTRIES = 512
 
 
 class InvariantService:
-    """Long-lived session: shared cache + per-solver config + event bus.
+    """Long-lived session: shared cache + default config + event bus.
 
     Args:
-        config: default :class:`~repro.infer.config.InferenceConfig`
-            for every solver (``None`` = paper defaults).
-        solver_configs: per-solver overrides keyed by registry name;
-            they win over ``config`` for that solver.
+        config: the :class:`~repro.infer.config.InferenceConfig` every
+            solve runs under unless it passes its own (``None`` =
+            paper defaults).
         cache: inject an existing :class:`TraceCache` to share with
             other components; by default the service owns a fresh one
             bounded to ``DEFAULT_CACHE_ENTRIES``.
-        memo_size: opt-in finished-result memo.  With ``memo_size=N``
-            the service keeps the last N :class:`SolveResult`\\ s keyed
-            by canonical problem fingerprint and :meth:`solve` returns
-            a memo hit without re-running the solver at all — zero
-            training epochs, zero interpretation.  A hit still emits
-            ``ProblemSolved`` so subscribers observe every completion.
-            Default 0 (off): a research service usually *wants* to
-            re-run training to observe variance.
     """
 
     def __init__(
         self,
         config: "InferenceConfig | None" = None,
         *,
-        solver_configs: Mapping[str, "InferenceConfig"] | None = None,
         cache: TraceCache | None = None,
-        memo_size: int = 0,
     ):
+        self.config = config
         self.cache = (
             cache
             if cache is not None
             else TraceCache(max_entries=DEFAULT_CACHE_ENTRIES)
         )
         self.bus = EventBus()
-        self.memo: ResultMemo[SolveResult] | None = (
-            ResultMemo(max_entries=memo_size) if memo_size > 0 else None
-        )
-        self._default_config = config
-        self._solver_configs: dict[str, "InferenceConfig"] = dict(
-            solver_configs or {}
-        )
-
-    # -- configuration ---------------------------------------------------------
-
-    def configure(self, solver: str, config: "InferenceConfig") -> None:
-        """Set the config used for ``solver`` (overrides the default)."""
-        get_solver(solver)  # validate the name eagerly
-        self._solver_configs[solver] = config
-
-    def config_for(self, solver: str) -> "InferenceConfig | None":
-        """Effective config for one solver (override, else default)."""
-        return self._solver_configs.get(solver, self._default_config)
 
     @property
     def cache_stats(self) -> dict[str, int]:
@@ -126,15 +100,18 @@ class InvariantService:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, problem: "Problem", solver: str = "gcln") -> SolveResult:
+    def solve(
+        self,
+        problem: "Problem",
+        solver: str = "gcln",
+        config: "InferenceConfig | None" = None,
+    ) -> SolveResult:
         """Run one registered solver on one problem.
 
-        The solver shares the service cache and emits events to the
-        service bus; a ``ProblemSolved`` event is emitted on completion
-        whether or not the problem was solved.  With ``memo_size > 0``
-        a repeated (problem, solver, config) returns the memoized
-        result without running the solver (the completion event is
-        still emitted).
+        ``config`` applies to this solve only; ``None`` means the
+        service's :attr:`config`.  The solver shares the service cache
+        and emits events to the service bus; a ``ProblemSolved`` event
+        is emitted on completion whether or not the problem was solved.
 
         Raises:
             UnknownSolverError: for unregistered solver names (the
@@ -144,32 +121,12 @@ class InvariantService:
                 support.
         """
         require_solver_supports(solver, problem)
-        solver_obj = get_solver(solver)
-        key: str | None = None
-        if self.memo is not None:
-            from repro.utils.fingerprint import problem_fingerprint
-
-            key = problem_fingerprint(problem, solver, self.config_for(solver))
-            memoized = self.memo.get(key)
-            if memoized is not None:
-                self.bus.emit(
-                    ProblemSolved(
-                        problem=problem.name,
-                        solver=solver,
-                        solved=memoized.solved,
-                        runtime_seconds=memoized.runtime_seconds,
-                        attempts=memoized.attempts,
-                    )
-                )
-                return memoized
-        result = solver_obj.solve(
+        result = get_solver(solver).solve(
             problem,
-            config=self.config_for(solver),
+            config=config if config is not None else self.config,
             cache=self.cache,
             events=self.bus.emit,
         )
-        if self.memo is not None and key is not None:
-            self.memo.put(key, result)
         self.bus.emit(
             ProblemSolved(
                 problem=problem.name,
@@ -203,9 +160,10 @@ class InvariantService:
         ``jobs == 1`` every solve runs in-process through
         :meth:`solve`, sharing the service cache and streaming the full
         event feed.  With ``jobs > 1`` the problems fan out over a
-        process pool; each worker builds its own solver and in-memory
-        cache.  Per-stage timings come back inside each record's
-        result, and only the completion events stream live.
+        process pool; each worker solves every item through a fresh
+        service of its own (own in-memory cache) under this service's
+        :attr:`config`.  Per-stage timings come back inside each
+        record's result, and only the completion events stream live.
 
         ``workers > 1`` (or any value with ``queue_dir``) fans the
         suite out over the distributed runner (:mod:`repro.dist`):
@@ -220,7 +178,6 @@ class InvariantService:
         """
         from repro.infer.runner import STATUS_OK, is_distributed, run_many
 
-        get_solver(solver)  # fail fast on unknown names, before any work
         inline = jobs == 1 and not is_distributed(workers, queue_dir)
 
         def on_record(record: "ProblemRecord") -> None:
@@ -246,16 +203,12 @@ class InvariantService:
 
         return run_many(
             problems,
-            self.config_for(solver),
+            self.config,
             jobs=jobs,
             timeout_seconds=timeout_seconds,
             progress=on_record,
             solver=solver,
-            solve_fn=(
-                (lambda problem, _config: self.solve(problem, solver))
-                if inline
-                else None
-            ),
+            service=self,
             workers=workers,
             queue_dir=queue_dir,
             min_workers=min_workers,

@@ -43,10 +43,6 @@ class CheckReport:
     counterexamples: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def is_valid(self) -> bool:
-        return self.outcome is CheckOutcome.VALID
-
     def conclude(self) -> "CheckReport":
         """Set ``outcome`` from the three VC verdicts and return the
         report: INVALID if any VC is, VALID if all are, else UNKNOWN."""

@@ -589,6 +589,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--memo must be >= 0, got {args.memo}")
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit(f"--timeout must be positive, got {args.timeout}")
+    if args.timeout is not None and not args.queue_dir:
+        raise SystemExit(
+            "--timeout needs --queue-dir: in-process solves run without a budget"
+        )
     return serve_main(args)
 
 
@@ -901,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-problem budget recorded in the queue meta (--queue-dir)",
+        help="per-problem budget recorded in the queue meta (needs --queue-dir)",
     )
     serve_parser.add_argument(
         "--solve-threads", type=int, default=2, metavar="N",

@@ -64,13 +64,5 @@ class TrainingError(ReproError):
     """Raised when G-CLN training cannot proceed (e.g. empty data)."""
 
 
-class ExtractionError(ReproError):
-    """Raised when no well-formed formula can be extracted from a model."""
-
-
-class CheckError(ReproError):
-    """Raised when the invariant checker is given an ill-formed query."""
-
-
 class InferenceError(ReproError):
     """Raised when the end-to-end pipeline fails unrecoverably."""

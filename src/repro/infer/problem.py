@@ -108,25 +108,6 @@ class Problem:
             return len(self.program.loops)
         return self.observations().n_loops
 
-    def capabilities(self) -> dict:
-        """What this problem supports, for registry/CLI introspection.
-
-        Keys: ``kind`` (``"program"``/``"trace"``), ``program_backed``,
-        ``trace_only``, ``fractional`` (effective — requires a
-        program), and ``checking`` (the checker mode solves will run
-        under; see :mod:`repro.checker.result`).
-        """
-        from repro.checker.result import CHECKING_FULL, CHECKING_RECORDED
-
-        program_backed = self.source is not None
-        return {
-            "kind": "program" if program_backed else "trace",
-            "program_backed": program_backed,
-            "trace_only": not program_backed,
-            "fractional": bool(self.fractional and program_backed),
-            "checking": CHECKING_FULL if program_backed else CHECKING_RECORDED,
-        }
-
     @property
     def effective_check_inputs(self) -> list[dict[str, object]]:
         return self.check_inputs if self.check_inputs else self.train_inputs

@@ -4,12 +4,15 @@
 ``concurrent.futures`` process pool (``jobs`` workers; ``jobs=1`` runs
 inline in-process), enforcing an optional per-problem wall-clock
 timeout and collecting one structured :class:`ProblemRecord` per
-problem, in input order.  Work dispatches through the solver registry
-(:func:`repro.api.get_solver`): pass ``solver="guess_and_check"`` (or
-any registered name) to batch-run a baseline under the exact same
-record schema as the G-CLN, so benchmark tables, the ``python -m repro
-run-all`` CLI, and solver comparisons share one result format
-(:class:`~repro.api.solver.SolveResult` inside each record).
+problem, in input order.  Every solve goes through
+:meth:`repro.api.service.InvariantService.solve`: inline runs through
+the caller's service (its cache and event bus), and each pool item
+through a fresh service of its own in the worker process.  Pass
+``solver="guess_and_check"`` (or any registered name) to batch-run a
+baseline under the exact same record schema as the G-CLN, so benchmark
+tables, the ``python -m repro run-all`` CLI, and solver comparisons
+share one result format (:class:`~repro.api.solver.SolveResult` inside
+each record).
 
 Timeouts are enforced *inside* the worker with ``SIGALRM`` (POSIX), so
 a timed-out problem frees its pool slot immediately instead of
@@ -36,14 +39,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.api.solver import SolveResult, get_solver, require_solver_supports
+from repro.api.service import InvariantService
+from repro.api.solver import SolveResult, get_solver
 from repro.infer.config import InferenceConfig
 from repro.infer.problem import Problem
-
-# A pluggable solve step: (problem, config) -> SolveResult.  The
-# default goes through the solver registry; InvariantService passes a
-# closure here so inline runs share its cache and event bus.
-SolveFn = Callable[[Problem, InferenceConfig | None], SolveResult]
 
 # Record statuses.
 STATUS_OK = "ok"
@@ -114,28 +113,19 @@ class _Timeout(Exception):
     """Internal: the per-problem alarm fired."""
 
 
-def _solve_via_registry(
-    solver: str,
-    problem: Problem,
-    config: InferenceConfig | None,
-) -> SolveResult:
-    """Default solve step: instantiate the named solver and run it."""
-    require_solver_supports(solver, problem)
-    return get_solver(solver).solve(problem, config=config)
-
-
 def _run_one(
     problem: Problem,
     config: InferenceConfig | None,
     timeout_seconds: float | None,
     solver: str = "gcln",
-    solve_fn: SolveFn | None = None,
+    service: InvariantService | None = None,
 ) -> ProblemRecord:
     """Run one problem with an optional SIGALRM-enforced timeout.
 
-    This is the unit of work shipped to pool workers; it must stay a
-    module-level function so it pickles (``solve_fn`` closures are
-    inline-only — pool workers always dispatch via ``solver`` name).
+    Solves through ``service``, or through a fresh
+    :class:`InvariantService` when none is given.  This is the unit of
+    work shipped to pool workers; it must stay a module-level function
+    so it pickles (pool items never carry a service).
     """
     start = time.perf_counter()
     timeout_requested = timeout_seconds is not None
@@ -168,10 +158,9 @@ def _run_one(
         # of the inner handlers, so _Timeout can never escape into the
         # caller's batch loop.
         try:
-            if solve_fn is not None:
-                result = solve_fn(problem, config)
-            else:
-                result = _solve_via_registry(solver, problem, config)
+            if service is None:
+                service = InvariantService(config)
+            result = service.solve(problem, solver, config=config)
             _disarm()
             return ProblemRecord(
                 name=problem.name,
@@ -230,7 +219,7 @@ def run_many(
     timeout_seconds: float | None = None,
     progress: Callable[[ProblemRecord], None] | None = None,
     solver: str = "gcln",
-    solve_fn: SolveFn | None = None,
+    service: InvariantService | None = None,
     workers: "int | str" = 1,
     queue_dir: str | None = None,
     min_workers: int = 1,
@@ -255,16 +244,16 @@ def run_many(
             custom solver must be registered at import time of a module
             the workers import (e.g. in your package, not inline in a
             script) to be visible under spawn/forkserver start methods.
-        solve_fn: inline-only override of the solve step (used by
-            :class:`~repro.api.service.InvariantService` to share its
-            cache/event bus); requires ``jobs == 1``.
+        service: the service inline runs (``jobs == 1``) solve
+            through, sharing its cache and event bus; ``None`` = a
+            fresh service per problem.  Pool and queue workers always
+            solve through services of their own.
         workers: > 1 (or any value with ``queue_dir``) switches to the
             distributed runner (:mod:`repro.dist`): the problems are
             enqueued on a journaled work queue and drained by this many
             local worker processes.  ``"auto"`` runs an *elastic* fleet
             sized to queue depth between ``min_workers`` and
-            ``max_workers``.  Mutually exclusive with ``jobs`` and
-            ``solve_fn``.
+            ``max_workers``.  Mutually exclusive with ``jobs``.
         queue_dir: durable queue directory for the ``workers`` path —
             or an ``http(s)://`` queue-server URL, making the spawned
             workers remote followers.  Re-running on a half-finished
@@ -287,8 +276,6 @@ def run_many(
         raise ValueError(
             f"timeout_seconds must be positive, got {timeout_seconds}"
         )
-    if solve_fn is not None and jobs != 1:
-        raise ValueError("solve_fn requires jobs == 1 (it does not pickle)")
     if isinstance(workers, str):
         if workers != "auto":
             raise ValueError(
@@ -297,19 +284,12 @@ def run_many(
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     distributed = is_distributed(workers, queue_dir)
-    if distributed:
-        if jobs != 1:
-            raise ValueError(
-                "workers/queue_dir and jobs are mutually exclusive: the "
-                "distributed runner spawns its own worker processes"
-            )
-        if solve_fn is not None:
-            raise ValueError(
-                "workers/queue_dir and solve_fn are mutually exclusive "
-                "(worker processes rebuild solvers from the registry)"
-            )
-    if solve_fn is None:
-        get_solver(solver)  # fail fast on unknown names
+    if distributed and jobs != 1:
+        raise ValueError(
+            "workers/queue_dir and jobs are mutually exclusive: the "
+            "distributed runner spawns its own worker processes"
+        )
+    get_solver(solver)  # fail fast on unknown names
     if not problems:
         return []
 
@@ -332,7 +312,7 @@ def run_many(
     if jobs == 1:
         records = []
         for problem in problems:
-            record = _run_one(problem, config, timeout_seconds, solver, solve_fn)
+            record = _run_one(problem, config, timeout_seconds, solver, service)
             if progress is not None:
                 progress(record)
             records.append(record)

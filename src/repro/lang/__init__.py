@@ -30,8 +30,6 @@ from repro.lang.parser import parse_program, parse_expr
 from repro.lang.interp import Interpreter, ExecutionTrace, LoopSnapshot, run_program
 from repro.lang.pretty import pretty_program, pretty_expr
 from repro.lang.analysis import (
-    assigned_variables,
-    expr_variables,
     extract_loop_paths,
     expr_to_polynomial,
     LoopPath,
@@ -63,8 +61,6 @@ __all__ = [
     "run_program",
     "pretty_program",
     "pretty_expr",
-    "assigned_variables",
-    "expr_variables",
     "extract_loop_paths",
     "expr_to_polynomial",
     "LoopPath",

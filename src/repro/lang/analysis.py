@@ -23,7 +23,6 @@ from repro.lang.ast import (
     Assume,
     Binary,
     Block,
-    Call,
     Expr,
     If,
     IntLit,
@@ -38,33 +37,6 @@ from repro.poly.polynomial import Polynomial
 
 class _NonPolynomial(Exception):
     """Internal: expression leaves the polynomial fragment."""
-
-
-def expr_variables(expr: Expr) -> frozenset[str]:
-    """All variable names appearing in ``expr``."""
-    out: set[str] = set()
-
-    def visit(e: Expr) -> None:
-        if isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, Unary):
-            visit(e.operand)
-        elif isinstance(e, Binary):
-            visit(e.left)
-            visit(e.right)
-        elif isinstance(e, Call):
-            for a in e.args:
-                visit(a)
-
-    visit(expr)
-    return frozenset(out)
-
-
-def assigned_variables(block: Block) -> frozenset[str]:
-    """Variables assigned anywhere in ``block`` (recursively)."""
-    return frozenset(
-        s.name for s in walk_statements(block) if isinstance(s, Assign)
-    )
 
 
 def program_variables(program: Program) -> list[str]:

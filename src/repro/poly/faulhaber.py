@@ -62,17 +62,6 @@ def _lagrange_interpolate(
     return result
 
 
-def power_sum_invariant(k: int, acc: str = "x", var: str = "y") -> Polynomial:
-    """The NLA ``ps(k+1)`` invariant polynomial, scaled to integers.
-
-    Returns ``D*acc - D*S_k(var)`` where ``D`` clears denominators, e.g.
-    for k=1 (ps2): ``2x - y^2 - y``.
-    """
-    closed = power_sum_polynomial(k, var)
-    diff = Polynomial.var(acc) - closed
-    return diff.primitive()
-
-
 def monomial_terms_up_to_degree(variables: list[str], max_degree: int) -> list[Monomial]:
     """All monomials over ``variables`` with total degree <= ``max_degree``.
 

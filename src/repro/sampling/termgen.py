@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -112,17 +111,6 @@ def build_term_basis(
         externals=list(externals),
         monomials=sorted(unique, key=Monomial.sort_key),
     )
-
-
-def external_candidates(
-    variables: Sequence[str], funcs: Sequence[str]
-) -> list[ExternalTerm]:
-    """All binary external applications over distinct variable pairs."""
-    out: list[ExternalTerm] = []
-    for func in funcs:
-        for a, b in combinations(variables, 2):
-            out.append(ExternalTerm(func, (a, b)))
-    return out
 
 
 def extend_state(

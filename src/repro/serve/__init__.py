@@ -14,8 +14,7 @@
 
 Three request-collapsing layers sit in front of the solver, all keyed
 by the canonical :func:`~repro.utils.fingerprint.problem_fingerprint`
-(the same key the service result memo and the distributed queue
-use):
+(the same key the distributed queue uses):
 
 1. **admission** (:mod:`repro.serve.admission`) — per-client token
    buckets and a global in-flight cap; over-limit requests get
@@ -27,7 +26,8 @@ use):
    replay instantly (``"memo": true`` in the response).
 
 Solving is pluggable (:mod:`repro.serve.executor`): the default runs
-in-process on a thread pool sharing the service trace cache;
+``service.solve`` in-process on a thread pool sharing the service
+trace cache;
 ``--queue-dir`` enqueues onto the :mod:`repro.dist` work queue and
 tails the journal, so any fleet of ``python -m repro worker``
 processes does the solving.

@@ -35,7 +35,6 @@ from repro.infer.runner import STATUS_OK
 from repro.serve.admission import AdmissionController
 from repro.serve.dedup import InflightDeduper
 from repro.serve.executor import (
-    DEFAULT_SOLVE_THREADS,
     InProcessExecutor,
     QueueExecutor,
 )
@@ -87,6 +86,7 @@ class InvariantServer:
         service: the shared :class:`InvariantService` (its bus feeds
             SSE clients; its cache is shared by in-process solves).
         executor: an :class:`InProcessExecutor` or :class:`QueueExecutor`.
+        solver: the solver for requests that name none.
         admission: quota policy; defaults to a permissive controller.
         memo_entries: bound for the finished-response memo and the
             ``/v1/results`` store; 0 disables replay entirely.
@@ -99,12 +99,14 @@ class InvariantServer:
         service: InvariantService,
         executor,
         *,
+        solver: str = "gcln",
         admission: AdmissionController | None = None,
         memo_entries: int = DEFAULT_MEMO_ENTRIES,
         stream_max_pending: int | None = None,
     ):
         self.service = service
         self.executor = executor
+        self.solver = solver
         self.admission = admission or AdmissionController()
         self.dedup = InflightDeduper()
         self.memo: ResultMemo[dict] = ResultMemo(max_entries=memo_entries)
@@ -272,7 +274,7 @@ class InvariantServer:
             if isinstance(self.executor, QueueExecutor):
                 config = self.executor.config
             else:
-                config = self.service.config_for(request.solver)
+                config = self.service.config
         return problem_fingerprint(request.problem, request.solver, config)
 
     async def _solve_shared(self, request: SolveRequest, fingerprint: str) -> dict:
@@ -303,7 +305,7 @@ class InvariantServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = parse_solve_request(body)
+            request = parse_solve_request(body, default_solver=self.solver)
         except ProtocolError as exc:
             raise _HttpError(400, str(exc)) from exc
         status, retry_after = self.admission.admit(client)
@@ -505,6 +507,7 @@ def build_server(args) -> tuple[InvariantServer, InvariantService]:
     server = InvariantServer(
         service,
         executor,
+        solver=args.solver,
         admission=admission,
         memo_entries=args.memo,
     )

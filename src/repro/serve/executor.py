@@ -7,11 +7,12 @@ executors, both exposing the same async surface
 
 * :class:`InProcessExecutor` — the default: solves on a bounded thread
   pool inside the server process through the shared
-  :class:`~repro.api.service.InvariantService`, so every request hits
+  :class:`~repro.api.service.InvariantService` (``service.solve``, with
+  the request's own config when it sends one), so every request hits
   the same trace cache and emits the live event feed SSE clients
-  stream.
+  stream.  It enforces no per-problem budget.
 * :class:`QueueExecutor` — ``--queue-dir`` mode: enqueues the problem
-  onto the PR 5 :mod:`repro.dist` work queue (item id = fingerprint,
+  onto the :mod:`repro.dist` work queue (item id = fingerprint,
   so identical requests and server restarts re-use journaled results
   for free) and tails the journal until a worker acks it.  The server
   process never solves; any fleet of ``python -m repro worker``
@@ -29,7 +30,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.api.solver import get_solver
 from repro.dist.queue import WorkQueue
 from repro.dist.wire import config_to_dict, problem_to_dict
 from repro.infer.runner import (
@@ -78,24 +78,9 @@ class InProcessExecutor:
     def _solve_sync(self, request: "SolveRequest") -> ProblemRecord:
         start = time.perf_counter()
         try:
-            if request.config is None:
-                result = self.service.solve(
-                    request.problem, solver=request.solver
-                )
-            else:
-                # Per-request config: drive the solver directly with the
-                # service's shared cache and bus, leaving the service's
-                # own per-solver configuration untouched (configure()
-                # would race with concurrent requests).
-                result = get_solver(request.solver).solve(
-                    request.problem,
-                    config=request.config,
-                    cache=self.service.cache,
-                    events=self.service.bus.emit,
-                )
-                self.service.bus.emit(
-                    _solved_event(request.problem.name, request.solver, result)
-                )
+            result = self.service.solve(
+                request.problem, request.solver, config=request.config
+            )
         except Exception as exc:  # noqa: BLE001 — surface as a record, not a 500
             return ProblemRecord(
                 name=request.problem.name,
@@ -117,23 +102,11 @@ class InProcessExecutor:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _solved_event(problem: str, solver: str, result) -> "object":
-    from repro.api.events import ProblemSolved
-
-    return ProblemSolved(
-        problem=problem,
-        solver=solver,
-        solved=result.solved,
-        runtime_seconds=result.runtime_seconds,
-        attempts=result.attempts,
-    )
-
-
 class QueueExecutor:
     """Enqueue onto a :mod:`repro.dist` work queue; tail the journal.
 
     The queue's ``meta.json`` is authoritative for *how* items are
-    solved (the PR 5 worker contract), so one queue serves one
+    solved (the worker contract), so one queue serves one
     (solver, config) pair — requests that ask for anything else are
     rejected up front with a :class:`ProtocolError` rather than
     silently solved under different settings.

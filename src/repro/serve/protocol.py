@@ -12,9 +12,9 @@ solve an HTTP-submitted problem unmodified).
 * inline — ``{"problem": {...}}`` with the full
   :func:`~repro.dist.wire.problem_to_dict` payload.
 
-Optional fields: ``"solver"`` (registry name, default ``gcln``) and
-``"config"`` (:func:`~repro.dist.wire.config_to_dict` payload,
-default: the server's config).
+Optional fields: ``"solver"`` (registry name, default: the server's
+``--solver``) and ``"config"`` (:func:`~repro.dist.wire.config_to_dict`
+payload, default: the server's config).
 
 The solve response schema (shared by the plain JSON reply, the memo
 replay, and the terminal SSE ``result`` event)::
@@ -76,8 +76,10 @@ def result_id(fingerprint: str) -> str:
     return fingerprint[:RESULT_ID_HEX]
 
 
-def parse_solve_request(body: bytes) -> SolveRequest:
+def parse_solve_request(body: bytes, default_solver: str = "gcln") -> SolveRequest:
     """Parse and validate a solve request body.
+
+    A request that names no solver gets ``default_solver``.
 
     Raises:
         ProtocolError: on malformed JSON, an unknown problem/solver, a
@@ -94,7 +96,7 @@ def parse_solve_request(body: bytes) -> SolveRequest:
             '{"suite": ..., "problem": ...} or {"problem": {...}}'
         )
 
-    solver = data.get("solver", "gcln")
+    solver = data.get("solver", default_solver)
     if not isinstance(solver, str):
         raise ProtocolError(f"solver must be a string, got {solver!r}")
     try:

@@ -2,9 +2,7 @@
 
 from repro.lang import parse_program
 from repro.lang.analysis import (
-    assigned_variables,
     expr_to_polynomial,
-    expr_variables,
     extract_loop_paths,
     program_variables,
 )
@@ -12,11 +10,7 @@ from repro.lang.parser import parse_expr
 from tests.test_polynomial import P
 
 
-def test_expr_variables():
-    assert expr_variables(parse_expr("x + gcd(y, z) * 2")) == {"x", "y", "z"}
-
-
-def test_assigned_and_program_variables():
+def test_program_variables():
     program = parse_program(
         """
 program vars;
@@ -25,7 +19,6 @@ x = 0;
 while (x < n) { x = x + 1; y = x; }
 """
     )
-    assert assigned_variables(program.body) == {"x", "y"}
     assert program_variables(program) == ["n", "x", "y"]
 
 

@@ -245,13 +245,42 @@ def test_event_to_dict_is_tagged_and_serializable():
     json.dumps(payload)
 
 
-def test_service_per_solver_config_override():
+def test_service_solve_config_applies_to_that_solve_only():
+    """solve(config=C) runs the solver under C; the next solve without
+    a config runs under the service default again."""
+    seen = []
+
+    class Recording:
+        name = "recording"
+
+        def solve(self, problem, *, config=None, cache=None, events=None):
+            seen.append((config, cache))
+            return SolveResult(solver=self.name, problem=problem.name, solved=True)
+
+    override = InferenceConfig(max_epochs=30, dropout_schedule=(0.5,))
     service = InvariantService(FAST_CONFIG)
-    service.configure("gcln", InferenceConfig(max_epochs=30, dropout_schedule=(0.5,)))
-    assert service.config_for("gcln").max_epochs == 30
-    assert service.config_for("octahedral") is FAST_CONFIG
-    with pytest.raises(UnknownSolverError):
-        service.configure("nosuch", FAST_CONFIG)
+    done = []
+    service.subscribe(done.append, kinds=(ProblemSolved,))
+    register_solver("recording", Recording)
+    try:
+        service.solve(tiny_problem(), "recording", config=override)
+        service.solve(tiny_problem(), "recording")
+    finally:
+        unregister_solver("recording")
+    assert [config for config, _ in seen] == [override, FAST_CONFIG]
+    assert all(cache is service.cache for _, cache in seen)
+    assert len(done) == 2
+    assert service.config is FAST_CONFIG
+
+    # A real solver: the override solve matches a service built on it.
+    via_override = service.solve(tiny_problem(), "gcln", config=override).to_dict()
+    direct = InvariantService(override).solve(tiny_problem(), "gcln").to_dict()
+    for volatile in ("runtime_seconds", "stage_timings", "cache_stats"):
+        via_override.pop(volatile)
+        direct.pop(volatile)
+    assert via_override == direct
+    default = service.solve(tiny_problem(), "gcln")
+    assert via_override["train_epochs"] < default.train_epochs
 
 
 def test_service_solve_many_inline_shares_cache_and_events():
@@ -266,61 +295,6 @@ def test_service_solve_many_inline_shares_cache_and_events():
     assert [e.problem for e in done] == ["a1", "a2"]
 
 
-def test_service_memo_replays_without_any_training(monkeypatch):
-    """With memo_size set, a repeated solve returns the stored result:
-    zero training epochs, zero attempts — only the completion event."""
-    import repro.infer.pipeline as pipeline
-
-    train_calls = []
-    real_train = pipeline.train_gcln
-    real_restarts = pipeline.train_gcln_restarts
-
-    def counting_train(*args, **kwargs):
-        train_calls.append(1)
-        return real_train(*args, **kwargs)
-
-    def counting_restarts(*args, **kwargs):
-        train_calls.append(1)
-        return real_restarts(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "train_gcln", counting_train)
-    monkeypatch.setattr(pipeline, "train_gcln_restarts", counting_restarts)
-    service = InvariantService(FAST_CONFIG, memo_size=4)
-    events = []
-    service.subscribe(events.append)
-
-    problem = tiny_problem()
-    first = service.solve(problem)
-    assert first.solved
-    trained_once = len(train_calls)
-    assert trained_once > 0
-    started = sum(1 for e in events if isinstance(e, AttemptStarted))
-    assert started > 0
-
-    second = service.solve(tiny_problem())  # same fingerprint, new object
-    assert second is first  # the memoized result, not a re-solve
-    assert len(train_calls) == trained_once  # ZERO new training calls
-    assert (
-        sum(1 for e in events if isinstance(e, AttemptStarted)) == started
-    )  # no new attempts
-    # ... but the completion event still fired for the memo hit
-    assert sum(1 for e in events if isinstance(e, ProblemSolved)) == 2
-    assert service.memo.stats()["hits"] == 1
-
-    # a different config is a different fingerprint → real solve
-    service.configure("gcln", InferenceConfig(max_epochs=30, dropout_schedule=(0.5,)))
-    service.solve(tiny_problem())
-    assert len(train_calls) > trained_once
-
-
-def test_service_memo_off_by_default():
-    service = InvariantService(FAST_CONFIG)
-    assert service.memo is None
-    a = service.solve(tiny_problem(), solver="guess_and_check")
-    b = service.solve(tiny_problem(), solver="guess_and_check")
-    assert a is not b  # no memoization without opting in
-
-
 def test_solve_many_emits_completion_for_timeouts(monkeypatch):
     """Every record gets a ProblemSolved event, even on timeout."""
     import time
@@ -329,7 +303,7 @@ def test_solve_many_emits_completion_for_timeouts(monkeypatch):
     done = []
     service.subscribe(done.append, kinds=(ProblemSolved,))
     monkeypatch.setattr(
-        service, "solve", lambda problem, solver="gcln": time.sleep(30)
+        service, "solve", lambda problem, solver="gcln", config=None: time.sleep(30)
     )
     records = service.solve_many([tiny_problem()], timeout_seconds=0.2)
     assert records[0].status == "timeout"

@@ -87,7 +87,7 @@ def test_check_invariant_valid_report(sqrt1_checker, sqrt1_program):
     assert report.precondition is CheckOutcome.VALID
     assert report.inductive is CheckOutcome.VALID
     assert report.postcondition is CheckOutcome.VALID
-    assert report.is_valid
+    assert report.outcome is CheckOutcome.VALID
 
 
 def test_check_invariant_insufficient_post(sqrt1_checker, sqrt1_program):

@@ -190,6 +190,20 @@ def test_removed_options_no_longer_parse(argv):
         build_parser().parse_args(argv)
 
 
+def test_serve_timeout_needs_queue_dir(monkeypatch, tmp_path):
+    """In-process serving enforces no budget, so ``serve --timeout``
+    without ``--queue-dir`` is refused before the server starts."""
+    import repro.serve
+
+    started = []
+    monkeypatch.setattr(repro.serve, "serve_main", lambda args: started.append(args) or 0)
+    with pytest.raises(SystemExit, match="--timeout needs --queue-dir"):
+        main(["serve", "--timeout", "120"])
+    assert not started
+    assert main(["serve", "--timeout", "120", "--queue-dir", str(tmp_path / "q")]) == 0
+    assert started[0].timeout == 120
+
+
 def test_cross_batch_option_removed(capsys, tmp_path):
     """``--cross-batch`` is an argparse error on run-all and enqueue."""
     for argv in (

@@ -628,11 +628,6 @@ def test_run_many_validates_distributed_args():
         run_many([tiny_problem("x")], FAST_CONFIG, workers=0)
     with pytest.raises(ValueError, match="mutually exclusive"):
         run_many([tiny_problem("x")], FAST_CONFIG, workers=2, jobs=2)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        run_many(
-            [tiny_problem("x")], FAST_CONFIG, workers=2,
-            solve_fn=lambda p, c: None,
-        )
 
 
 def test_service_solve_many_workers(tmp_path):

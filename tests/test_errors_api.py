@@ -17,8 +17,6 @@ def test_error_hierarchy():
         "FormulaError",
         "AutodiffError",
         "TrainingError",
-        "ExtractionError",
-        "CheckError",
         "InferenceError",
     ):
         assert issubclass(getattr(errors, name), errors.ReproError)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.errors import PolyError
 from repro.poly.faulhaber import (
     monomial_terms_up_to_degree,
-    power_sum_invariant,
     power_sum_polynomial,
 )
 from tests.test_polynomial import P
@@ -21,12 +20,13 @@ def test_power_sum_matches_direct_sum(k, n):
 
 
 def test_ps2_invariant():
-    # primitive() normalizes the leading (graded-lex) coefficient positive.
-    assert power_sum_invariant(1) == P("y*y + y - 2*x")
+    # ps2: 2x == y^2 + y.
+    assert power_sum_polynomial(1).scale(2) == P("y*y + y")
 
 
 def test_ps4_invariant():
-    assert power_sum_invariant(3) == P("y*y*y*y + 2*y*y*y + y*y - 4*x")
+    # ps4: 4x == y^4 + 2y^3 + y^2.
+    assert power_sum_polynomial(3).scale(4) == P("y*y*y*y + 2*y*y*y + y*y")
 
 
 def test_power_sum_degree():

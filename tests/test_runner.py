@@ -2,9 +2,11 @@
 
 import json
 import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.api import SolveResult, register_solver, unregister_solver
 from repro.infer import InferenceConfig, Problem
 from repro.infer import runner as runner_module
 from repro.infer.runner import (
@@ -35,6 +37,25 @@ while (i < n) {{ i = i + 1; x = x + {step}; }}
     )
 
 
+@contextmanager
+def slow_solver(seconds: float):
+    """Register a solver that sleeps ``seconds`` and then solves; yields
+    its registry name."""
+
+    class Slow:
+        name = "slow"
+
+        def solve(self, problem, *, config=None, cache=None, events=None):
+            time.sleep(seconds)
+            return SolveResult(solver=self.name, problem=problem.name, solved=True)
+
+    register_solver("slow", Slow)
+    try:
+        yield "slow"
+    finally:
+        unregister_solver("slow")
+
+
 def test_run_many_aggregates_in_input_order():
     problems = [tiny_problem("alpha"), tiny_problem("beta", step=2)]
     records = run_many(problems, FAST_CONFIG, jobs=1)
@@ -62,20 +83,17 @@ def test_run_many_records_errors_without_aborting_batch():
     assert summarize(records)["error"] == 1
 
 
-def test_run_many_honors_timeout(monkeypatch):
+def test_run_many_honors_timeout():
     """A problem exceeding the budget is recorded as a timeout."""
-
-    def slow_solve(solver, problem, config):
-        time.sleep(30)
-
-    monkeypatch.setattr(runner_module, "_solve_via_registry", slow_solve)
     start = time.perf_counter()
-    records = run_many(
-        [tiny_problem("slow"), tiny_problem("slow2")],
-        FAST_CONFIG,
-        jobs=1,
-        timeout_seconds=0.3,
-    )
+    with slow_solver(30) as solver:
+        records = run_many(
+            [tiny_problem("slow"), tiny_problem("slow2")],
+            FAST_CONFIG,
+            jobs=1,
+            timeout_seconds=0.3,
+            solver=solver,
+        )
     elapsed = time.perf_counter() - start
     assert [r.status for r in records] == [STATUS_TIMEOUT, STATUS_TIMEOUT]
     assert all("timed out" in r.error for r in records)
@@ -117,21 +135,30 @@ def test_run_many_dispatches_registered_baselines():
     assert records[0].result.attempts == 1
 
 
+def test_run_many_inline_solves_through_the_given_service():
+    """Inline runs solve through the caller's service: its event bus
+    sees every completion and its cache holds the traces."""
+    from repro.api import InvariantService, ProblemSolved
+
+    service = InvariantService(FAST_CONFIG)
+    done = []
+    service.subscribe(done.append, kinds=(ProblemSolved,))
+    records = run_many(
+        [tiny_problem("sv1"), tiny_problem("sv2", step=2)],
+        FAST_CONFIG,
+        solver="guess_and_check",
+        service=service,
+    )
+    assert [r.status for r in records] == [STATUS_OK, STATUS_OK]
+    assert [e.problem for e in done] == ["sv1", "sv2"]
+    assert len(service.cache) > 0
+
+
 def test_run_many_rejects_unknown_solver_up_front():
     from repro.api import UnknownSolverError
 
     with pytest.raises(UnknownSolverError, match="gcln"):
         run_many([tiny_problem("x")], FAST_CONFIG, solver="nosuch")
-
-
-def test_run_many_rejects_solve_fn_with_pool():
-    with pytest.raises(ValueError):
-        run_many(
-            [tiny_problem("x")],
-            FAST_CONFIG,
-            jobs=2,
-            solve_fn=lambda p, c: None,
-        )
 
 
 def test_run_many_rejects_bad_jobs():
@@ -206,28 +233,21 @@ def test_inline_solve_does_not_extend_the_callers_alarm():
     subtracted, and an already-passed deadline still fires."""
     import signal
 
-    from repro.api.solver import SolveResult
-
-    def slow_solve(problem, config):
-        time.sleep(0.6)
-        return SolveResult(solver="slow", problem=problem.name, solved=True)
-
     fired = []
     previous = signal.signal(signal.SIGALRM, lambda *_: fired.append(True))
     try:
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        record = runner_module._run_one(
-            tiny_problem("outer"), FAST_CONFIG, 5, solve_fn=slow_solve
-        )
-        remaining = signal.getitimer(signal.ITIMER_REAL)[0]
-        assert record.status == STATUS_OK
-        assert 0.2 < remaining < 0.45
+        with slow_solver(0.6) as solver:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            record = runner_module._run_one(
+                tiny_problem("outer"), FAST_CONFIG, 5, solver
+            )
+            remaining = signal.getitimer(signal.ITIMER_REAL)[0]
+            assert record.status == STATUS_OK
+            assert 0.2 < remaining < 0.45
 
-        signal.setitimer(signal.ITIMER_REAL, 0.3)
-        runner_module._run_one(
-            tiny_problem("outer"), FAST_CONFIG, 5, solve_fn=slow_solve
-        )
-        time.sleep(0.05)
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            runner_module._run_one(tiny_problem("outer"), FAST_CONFIG, 5, solver)
+            time.sleep(0.05)
         assert fired
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)

@@ -23,7 +23,6 @@ from repro.sampling.termgen import (
     ExternalTerm,
     evaluate_terms_exact,
     extend_state,
-    external_candidates,
 )
 
 
@@ -73,11 +72,6 @@ def test_term_basis_externals():
     ext = ExternalTerm("gcd", ("a", "b"))
     basis = build_term_basis(["a", "b"], 1, externals=[ext])
     assert "gcd(a,b)" in {str(m) for m in basis.monomials}
-
-
-def test_external_candidates():
-    cands = external_candidates(["a", "b", "c"], ["gcd"])
-    assert len(cands) == 3
 
 
 def test_extend_state():

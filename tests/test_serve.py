@@ -17,7 +17,7 @@ from repro.api import (
     ProblemSolved,
     StageTimed,
 )
-from repro.dist.wire import problem_to_dict
+from repro.dist.wire import config_to_dict, problem_to_dict
 from repro.infer import InferenceConfig, Problem
 from repro.infer.runner import STATUS_ERROR, STATUS_OK, ProblemRecord, run_many
 from repro.serve.admission import AdmissionController
@@ -75,6 +75,14 @@ def test_parse_suite_reference_and_inline_agree():
     inline = parse_solve_request(inline_body)
     assert inline.solver == "numinv"
     assert problem_to_dict(inline.problem) == problem_to_dict(by_ref.problem)
+
+
+def test_parse_request_defaults_to_the_servers_solver():
+    body = b'{"suite": "nla", "problem": "ps2"}'
+    assert parse_solve_request(body).solver == "gcln"
+    assert parse_solve_request(body, default_solver="numinv").solver == "numinv"
+    named = b'{"suite": "nla", "problem": "ps2", "solver": "octahedral"}'
+    assert parse_solve_request(named, default_solver="numinv").solver == "octahedral"
 
 
 def test_parse_request_config_roundtrips():
@@ -646,6 +654,98 @@ def test_http_inprocess_record_equivalence():
         via_http.pop(volatile)
         expected.pop(volatile)
     assert via_http == expected
+
+
+def _without_volatile(result: dict) -> dict:
+    return {
+        key: value
+        for key, value in result.items()
+        if key not in ("runtime_seconds", "stage_timings", "cache_stats")
+    }
+
+
+def test_http_inprocess_default_solver_is_the_servers():
+    """A request that names no solver is solved with the server's."""
+    service = InvariantService(FAST_CONFIG)
+    server = InvariantServer(
+        service,
+        InProcessExecutor(service, threads=1),
+        solver="numinv",
+        admission=AdmissionController(rate=0, max_inflight=0),
+    )
+    with ServerHarness(server) as h:
+        status, response = h.request("/v1/solve", body=solve_body(tiny_problem()))
+    assert status == 200 and response["status"] == STATUS_OK
+    assert response["solver"] == "numinv"
+    assert response["result"]["solver"] == "numinv"
+    assert response["fingerprint"] == problem_fingerprint(
+        tiny_problem(), "numinv", FAST_CONFIG
+    )
+
+
+def test_http_request_config_solves_under_that_config():
+    """A request's own "config" runs through service.solve(config=...):
+    the result matches a direct solve under that config, and the
+    service default is left as it was."""
+    override = InferenceConfig(max_epochs=30, dropout_schedule=(0.5,))
+    service = InvariantService(FAST_CONFIG)
+    server = InvariantServer(
+        service,
+        InProcessExecutor(service, threads=1),
+        admission=AdmissionController(rate=0, max_inflight=0),
+    )
+    body = solve_body(tiny_problem("percfg"), config=config_to_dict(override))
+    with ServerHarness(server) as h:
+        status, response = h.request("/v1/solve", body=body)
+    assert status == 200 and response["status"] == STATUS_OK
+    expected = InvariantService().solve(
+        tiny_problem("percfg"), "gcln", config=override
+    )
+    assert _without_volatile(response["result"]) == _without_volatile(
+        expected.to_dict()
+    )
+    assert response["fingerprint"] == problem_fingerprint(
+        tiny_problem("percfg"), "gcln", override
+    )
+    assert service.config is FAST_CONFIG
+
+
+def test_http_queue_mode_default_solver_is_the_servers(tmp_path):
+    """A queue-backed server started with a non-default solver accepts
+    requests that name none, and its workers solve them with it."""
+    from repro.dist import Worker, WorkQueue
+
+    queue_dir = str(tmp_path / "q")
+    service = InvariantService(FAST_CONFIG)
+    server = InvariantServer(
+        service,
+        QueueExecutor(queue_dir, solver="numinv", config=FAST_CONFIG),
+        solver="numinv",
+        admission=AdmissionController(rate=0, max_inflight=0),
+    )
+    stop = threading.Event()
+
+    def drain():
+        worker = Worker(WorkQueue.open(queue_dir), poll_seconds=0.05)
+        while not stop.is_set():
+            worker.run(max_items=1)
+            time.sleep(0.05)
+
+    worker_thread = threading.Thread(target=drain, daemon=True)
+    with ServerHarness(server) as h:
+        worker_thread.start()
+        try:
+            status, response = h.request(
+                "/v1/solve", body=solve_body(tiny_problem("qdefault"))
+            )
+        finally:
+            stop.set()
+    worker_thread.join(timeout=10)
+    assert not worker_thread.is_alive()
+    assert status == 200, response
+    assert response["status"] == STATUS_OK
+    assert response["solver"] == "numinv"
+    assert response["result"]["solver"] == "numinv"
 
 
 def test_http_queue_mode_record_equivalence(tmp_path):

@@ -193,21 +193,6 @@ def test_trace_only_problem_refuses_program_access():
         recorded.program
 
 
-def test_problem_capabilities_report_kind_and_checking_mode():
-    program = tiny_problem()
-    assert program.capabilities() == {
-        "kind": "program",
-        "program_backed": True,
-        "trace_only": False,
-        "fractional": False,
-        "checking": CHECKING_FULL,
-    }
-    recorded = record_problem(program)
-    caps = recorded.capabilities()
-    assert caps["kind"] == "trace" and caps["trace_only"] is True
-    assert caps["checking"] == CHECKING_RECORDED
-
-
 def test_trace_only_loop_variables_derived_or_explicit():
     recorded = record_problem(tiny_problem())
     # record_problem embeds the program's variables explicitly
