@@ -15,7 +15,13 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.bench.nla import nla_problem
-from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
+from repro.cln.bounds import (
+    INEQ_ACTIVATION_THRESHOLD,
+    BoundBank,
+    enumerate_bound_masks,
+    extract_bound_atoms,
+    train_bound_bank,
+)
 from repro.cln.model import GCLNConfig
 from repro.sampling import (
     build_term_basis,
@@ -41,7 +47,6 @@ def test_fig10_tight_bounds_on_sqrt(benchmark, emit):
         masks = enumerate_bound_masks(
             [m.variables for m in basis.monomials],
             [m.degree for m in basis.monomials],
-            config,
         )
         bank = BoundBank(masks, config, np.random.default_rng(4))
         train_bound_bank(bank, data)
@@ -66,7 +71,7 @@ def test_fig10_tight_bounds_on_sqrt(benchmark, emit):
     )
     emit(
         f"bound units trained: {len(activations)}; "
-        f"extracted (activation >= {GCLNConfig().ineq_activation_threshold}, "
+        f"extracted (activation >= {INEQ_ACTIVATION_THRESHOLD}, "
         f"touching): {len(atoms)}; "
         f"tight quadratic n >= a^2 found: "
         f"{any('a^2' in str(a) and 'n' in str(a) for a in atoms)}"

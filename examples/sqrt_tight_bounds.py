@@ -47,7 +47,6 @@ def main() -> None:
     masks = enumerate_bound_masks(
         [m.variables for m in basis.monomials],
         [m.degree for m in basis.monomials],
-        config,
     )
     bank = BoundBank(masks, config, np.random.default_rng(4))
     train_bound_bank(bank, data)

@@ -54,6 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
 
+# Cap on the nullspace equalities Guess-and-Check (and NumInv) returns.
+_MAX_INVARIANTS = 40
+# The plain CLN's template size and its one training seed.
+_PLAIN_CLN_UNITS = 4
+_PLAIN_CLN_SEED = 1
+
 
 class GCLNSolver:
     """The full G-CLN pipeline (:class:`~repro.infer.pipeline.InferenceEngine`)."""
@@ -198,14 +204,11 @@ class GuessAndCheckSolver(_BaselineSolver):
 
     name = "guess_and_check"
 
-    def __init__(self, max_invariants: int = 40):
-        self.max_invariants = max_invariants
-
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
         basis, usable = self._basis_and_states(problem, loop_index, states)
         with timed_stage(timings, "extract"):
             return guess_and_check_equalities(
-                usable, basis, max_invariants=self.max_invariants
+                usable, basis, max_invariants=_MAX_INVARIANTS
             )
 
 
@@ -233,9 +236,6 @@ class NumInvSolver(_BaselineSolver):
 
     name = "numinv"
 
-    def __init__(self, max_invariants: int = 40):
-        self.max_invariants = max_invariants
-
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
         basis, usable = self._basis_and_states(problem, loop_index, states)
         variables = [
@@ -243,27 +243,23 @@ class NumInvSolver(_BaselineSolver):
         ]
         with timed_stage(timings, "extract"):
             atoms = guess_and_check_equalities(
-                usable, basis, max_invariants=self.max_invariants
+                usable, basis, max_invariants=_MAX_INVARIANTS
             )
             atoms.extend(octahedral_inequalities(states, variables))
         return atoms
 
 
 class EnumerativeSolver(_BaselineSolver):
-    """PIE-style enumerative template search within a candidate budget."""
+    """PIE-style enumerative template search within a candidate budget
+    (:func:`~repro.baselines.enumerative_search`'s default budget and
+    term count)."""
 
     name = "enumerative"
-
-    def __init__(self, budget: int = 200_000, max_terms: int = 3):
-        self.budget = budget
-        self.max_terms = max_terms
 
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
         basis, usable = self._basis_and_states(problem, loop_index, states)
         with timed_stage(timings, "extract"):
-            atoms, examined, exhausted = enumerative_search(
-                usable, basis, max_terms=self.max_terms, budget=self.budget
-            )
+            atoms, examined, exhausted = enumerative_search(usable, basis)
         notes.append(
             f"loop {loop_index}: enumerated {examined} candidates"
             + (" (budget exhausted)" if exhausted else "")
@@ -276,10 +272,6 @@ class PlainCLNSolver(_BaselineSolver):
 
     name = "plain_cln"
 
-    def __init__(self, n_units: int = 4, seed: int = 1):
-        self.n_units = n_units
-        self.seed = seed
-
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
         from repro.errors import TrainingError
         from repro.infer.stages import build_matrix, collect_states, derive_loop_rng
@@ -289,11 +281,11 @@ class PlainCLNSolver(_BaselineSolver):
         with timed_stage(timings, "collect"):
             dataset = collect_states(problem, config, None, cache)
             bundle = build_matrix(problem, config, dataset, loop_index, cache)
-        rng = derive_loop_rng(self.seed, loop_index)
+        rng = derive_loop_rng(_PLAIN_CLN_SEED, loop_index)
         atoms: list[Atom] = list(bundle.degenerate)
         try:
             with timed_stage(timings, "train"):
-                model = PlainCLN(len(bundle.basis), self.n_units, rng)
+                model = PlainCLN(len(bundle.basis), _PLAIN_CLN_UNITS, rng)
                 trained = train_plain_cln(
                     model,
                     bundle.data,

@@ -593,6 +593,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--timeout needs --queue-dir: in-process solves run without a budget"
         )
+    if args.queue_wait is not None and not args.queue_dir:
+        raise SystemExit(
+            "--queue-wait needs --queue-dir: in-process solves wait for no worker"
+        )
     return serve_main(args)
 
 

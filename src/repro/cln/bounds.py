@@ -31,14 +31,24 @@ from repro.cln.extract import (
     make_touch_checker,
 )
 from repro.cln.model import GCLNConfig
-from repro.cln.train import _anneal
+from repro.cln.train import ANNEAL_INIT, LEARNING_RATE, LR_DECAY, _anneal_decay
 from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
 
-# Terms per bound unit, constant included (§5.2.2: up to three), and
-# the cap on bound units per bank.
+# PBQU activation constants (§5.2.2): c1 shapes the side where the
+# bound is violated, c2 the side where it holds.
+C1 = 1.0
+C2 = 50.0
+# Bound-unit terms: monomials of degree <= INEQ_DEGREE over at most
+# MAX_INEQ_VARS variables; terms per unit, constant included (§5.2.2:
+# up to three); and the cap on bound units per bank.
+INEQ_DEGREE = 2
+MAX_INEQ_VARS = 2
 _MAX_BOUND_TERMS = 3
 _MAX_BOUND_UNITS = 600
+# A trained row becomes a candidate bound only when its mean PBQU
+# activation over the data reaches this threshold.
+INEQ_ACTIVATION_THRESHOLD = 0.5
 
 # Early stop: halt once the post-anneal loss has not improved by
 # _LOSS_TOLERANCE for _EARLY_STOP_PATIENCE epochs.
@@ -49,13 +59,12 @@ _LOSS_TOLERANCE = 1e-4
 def enumerate_bound_masks(
     term_variable_sets: Sequence[frozenset[str]],
     term_degrees: Sequence[int],
-    config: GCLNConfig,
 ) -> np.ndarray:
     """Masks for every small term combination.
 
     Each mask keeps the constant term plus up to two non-constant
-    monomials of degree <= ``config.ineq_degree`` drawn from a common
-    variable subset of size <= ``config.max_ineq_vars``.
+    monomials of degree <= ``INEQ_DEGREE`` drawn from a common
+    variable subset of size <= ``MAX_INEQ_VARS``.
 
     Returns:
         Boolean matrix of shape (n_units, n_terms).
@@ -69,8 +78,8 @@ def enumerate_bound_masks(
         j
         for j in range(n_terms)
         if term_variable_sets[j]
-        and term_degrees[j] <= config.ineq_degree
-        and len(term_variable_sets[j]) <= config.max_ineq_vars
+        and term_degrees[j] <= INEQ_DEGREE
+        and len(term_variable_sets[j]) <= MAX_INEQ_VARS
     ]
     masks: list[np.ndarray] = []
     seen: set[frozenset[int]] = set()
@@ -79,7 +88,7 @@ def enumerate_bound_masks(
             all_vars: set[str] = set()
             for j in combo:
                 all_vars |= term_variable_sets[j]
-            if len(all_vars) > config.max_ineq_vars:
+            if len(all_vars) > MAX_INEQ_VARS:
                 continue
             key = frozenset(combo)
             if key in seen:
@@ -123,14 +132,14 @@ class BoundBank:
     def forward(self, X: Tensor, relax_scale: float = 1.0, c1=None) -> Tensor:
         """Activations of shape (samples, n_units).
 
-        ``c1`` (float or 0-d numpy box) overrides the config constant
-        scaled by ``relax_scale`` — the taped trainer passes a box it
-        anneals in place.
+        ``c1`` (float or 0-d numpy box) overrides ``C1`` scaled by
+        ``relax_scale`` — the taped trainer passes a box it anneals in
+        place.
         """
         residuals = X @ self.effective_weights().T
         if c1 is None:
-            c1 = self.config.c1 * relax_scale
-        return pbqu_ge(residuals, c1, self.config.c2)
+            c1 = C1 * relax_scale
+        return pbqu_ge(residuals, c1, C2)
 
     def weights_numpy(self) -> np.ndarray:
         w = self.weight.data * self.masks
@@ -138,19 +147,15 @@ class BoundBank:
         return w / norms
 
 
-def train_bound_bank(
-    bank: BoundBank,
-    data: np.ndarray,
-    max_epochs: int | None = None,
-) -> float:
-    """Fit every bound unit; returns the final loss."""
-    config = bank.config
-    epochs = max_epochs if max_epochs is not None else config.max_epochs
+def train_bound_bank(bank: BoundBank, data: np.ndarray) -> float:
+    """Fit every bound unit for up to ``bank.config.max_epochs`` epochs;
+    returns the final loss."""
+    epochs = bank.config.max_epochs
     X = Tensor(data)
-    optimizer = Adam([bank.weight], lr=config.learning_rate, decay=config.lr_decay)
-    anneal_init, anneal_decay = _anneal(config, epochs)
+    optimizer = Adam([bank.weight], lr=LEARNING_RATE, decay=LR_DECAY)
+    anneal_decay = _anneal_decay(epochs)
 
-    c1_box = np.array(config.c1 * anneal_init)
+    c1_box = np.array(C1 * ANNEAL_INIT)
     tape = Tape()
     loss_node: list[Tensor] = []
 
@@ -160,12 +165,12 @@ def train_bound_bank(
         loss_node.append(loss)
         return loss
 
-    relax_scale = anneal_init
+    relax_scale = ANNEAL_INIT
     best = float("inf")
     stale = 0
     value = float("inf")
     for _epoch in range(1, epochs + 1):
-        c1_box[...] = config.c1 * relax_scale
+        c1_box[...] = C1 * relax_scale
         optimizer.zero_grad()
         tape.step(build)
         clip_grad_norm([bank.weight], 1000.0)
@@ -201,19 +206,12 @@ def extract_bound_atoms(
     mean_act = with_nograd.mean(axis=0)
     atoms: list[Atom] = []
     seen: set[str] = set()
-    threshold = bank.config.ineq_activation_threshold
     for row in range(weights.shape[0]):
-        if mean_act[row] < threshold:
+        if mean_act[row] < INEQ_ACTIVATION_THRESHOLD:
             continue
         mask_idx = [int(i) for i in np.flatnonzero(bank.masks[row])]
         atom = _round_and_validate(
-            weights[row, mask_idx],
-            mask_idx,
-            basis,
-            validator,
-            bank.config.max_denominators,
-            ">=",
-            touch,
+            weights[row, mask_idx], mask_idx, basis, validator, ">=", touch
         )
         if atom is None:
             continue

@@ -25,6 +25,9 @@ from repro.cln.model import GCLN, AtomicUnit
 
 Validator = Callable[[Polynomial, str], bool]
 
+# Rounding denominators tried in order (§6: 10, 15, 30).
+MAX_DENOMINATORS = (10, 15, 30)
+
 
 def _extend(
     states: Sequence[Mapping[str, object]], basis: TermBasis
@@ -76,7 +79,6 @@ def _round_and_validate(
     mask_idx: Sequence[int],
     basis: TermBasis,
     validator: Validator,
-    max_denominators: Sequence[int],
     op: str,
     touch: Callable[[Polynomial], bool] | None = None,
 ) -> Atom | None:
@@ -100,7 +102,7 @@ def _round_and_validate(
     tried: set[tuple] = set()
     for reference in references:
         scaled = weights / reference
-        for max_den in max_denominators:
+        for max_den in MAX_DENOMINATORS:
             coeffs = round_coefficient_vector(list(scaled), max_den)
             if coeffs is None:
                 continue
@@ -128,10 +130,7 @@ def _round_and_validate(
 
 
 def unit_to_atom(
-    unit: AtomicUnit,
-    basis: TermBasis,
-    validator: Validator,
-    max_denominators: Sequence[int],
+    unit: AtomicUnit, basis: TermBasis, validator: Validator
 ) -> Atom | None:
     """BuildAtomicFormula: recover a validated equality from one unit.
 
@@ -139,16 +138,13 @@ def unit_to_atom(
         unit: trained atomic unit.
         basis: term basis giving each weight's monomial.
         validator: exact data-fit check.
-        max_denominators: denominators to try, in order.
 
     Returns:
         A validated :class:`Atom` or ``None``.
     """
     mask_idx = [int(i) for i in np.flatnonzero(unit.mask)]
     weights = unit.weight_numpy()[mask_idx]
-    return _round_and_validate(
-        weights, mask_idx, basis, validator, max_denominators, "=="
-    )
+    return _round_and_validate(weights, mask_idx, basis, validator, "==")
 
 
 def refine_unit_atoms(
@@ -229,7 +225,6 @@ def extract_formula(
     """Algorithm 1: extract the CNF formula from a trained model."""
     validator = make_exact_validator(states, basis)
     exact_states = _extend(states, basis)
-    config = model.config
     clauses: list[Formula] = []
     for group, gates, and_gate in zip(
         model.clauses, model.or_gates, model.and_gates.data
@@ -241,19 +236,12 @@ def extract_formula(
         for unit, gate in zip(group, gates.data):
             if gate <= gate_threshold:
                 continue
-            atom = unit_to_atom(
-                unit, basis, validator, config.max_denominators
-            )
+            atom = unit_to_atom(unit, basis, validator)
             if atom is None and multi_literal:
                 # A literal of a genuine disjunction need not fit every
                 # sample individually — only the whole clause must.
                 # Round permissively; clause-level validation follows.
-                atom = unit_to_atom(
-                    unit,
-                    basis,
-                    lambda _poly, _op: True,
-                    config.max_denominators,
-                )
+                atom = unit_to_atom(unit, basis, lambda _poly, _op: True)
             if atom is not None:
                 literals.append(atom)
         if not literals:
@@ -298,9 +286,7 @@ def extract_equalities(
 
     for group in model.clauses:
         for unit in group:
-            atom = unit_to_atom(
-                unit, basis, validator, model.config.max_denominators
-            )
+            atom = unit_to_atom(unit, basis, validator)
             if atom is not None:
                 add(atom)
             elif exact_rows is not None:

@@ -26,6 +26,11 @@ from __future__ import annotations
 from repro.autodiff.tensor import Tensor
 from repro.cln.model import GCLN
 
+# Sparsity pressure: L1 penalty on the normalized unit weights.  With
+# periodic pruning (train.PRUNE_INTERVAL) it pushes a unit toward a
+# single clean invariant instead of a mixture of invariants.
+WEIGHT_L1 = 0.02
+
 
 def build_gcln_loss_batched(
     model: GCLN,
@@ -47,10 +52,8 @@ def build_gcln_loss_batched(
     data_term = (1.0 - output).sum()
     and_term = (1.0 - model.and_gates).sum()
     loss = data_term + lam1 * and_term + lam2 * model.or_gates_stacked.sum()
-    if model.config.weight_l1 > 0.0:
-        l1 = model.stacked_effective_weights().abs().sum()
-        loss = loss + model.config.weight_l1 * l1
-    return loss
+    l1 = model.stacked_effective_weights().abs().sum()
+    return loss + WEIGHT_L1 * l1
 
 
 def gcln_loss(
@@ -70,14 +73,13 @@ def gcln_loss(
     loss = data_term + lambda1 * and_term
     if or_term is not None:
         loss = loss + lambda2 * or_term
-    if model.config.weight_l1 > 0.0:
-        l1 = None
-        for group in model.clauses:
-            for unit in group:
-                term = unit.effective_weight().abs().sum()
-                l1 = term if l1 is None else l1 + term
-        if l1 is not None:
-            loss = loss + model.config.weight_l1 * l1
+    l1 = None
+    for group in model.clauses:
+        for unit in group:
+            term = unit.effective_weight().abs().sum()
+            l1 = term if l1 is None else l1 + term
+    if l1 is not None:
+        loss = loss + WEIGHT_L1 * l1
     return loss
 
 

@@ -11,11 +11,11 @@ Architecture, bottom to top:
    (the PBQU units with structured dropout of §5.2.2) are learned
    separately, by :class:`~repro.cln.bounds.BoundBank`.
 4. **Gated disjunction layer**: each clause is a gated t-conorm of up
-   to ``literals_per_clause`` atomic units.
+   to ``LITERALS_PER_CLAUSE`` atomic units.
 5. **Gated conjunction layer**: a gated t-norm over the clause outputs.
 
 The extracted SMT formula is therefore in CNF, a conjunction of up to
-``n_clauses`` disjunctions (m=10, n=2 in the paper's evaluation).
+``N_CLAUSES`` disjunctions (m=10, n=2 in the paper's evaluation).
 """
 
 from __future__ import annotations
@@ -32,48 +32,37 @@ from repro.cln.activations import gaussian_equality
 from repro.cln.tnorms import gated_tconorm, gated_tnorm
 
 
+# Clause structure (§6: m=10 clauses of n=2 literals).  GCLN scales the
+# clause count up to 3x with the basis size.
+N_CLAUSES = 10
+LITERALS_PER_CLAUSE = 2
+# Hard cap on terms kept per unit: on large bases (e.g. 56 deg-3
+# terms) even high dropout leaves supports whose restricted
+# nullspace is multi-dimensional, which yields mixtures.
+MAX_KEPT_TERMS = 8
+
+
 @dataclass
 class GCLNConfig:
-    """Hyperparameters, defaulting to the paper's §6 configuration."""
+    """The per-model hyperparameters a caller sets.
 
-    n_clauses: int = 10
-    literals_per_clause: int = 2
+    Every other hyperparameter of the paper's §6 configuration is a
+    module constant where it is read: the clause structure and the
+    kept-terms cap here, the optimizer, gate and annealing schedules
+    and pruning in :mod:`repro.cln.train`, the L1 weight in
+    :mod:`repro.cln.loss`, the PBQU constants and bound-mask shape in
+    :mod:`repro.cln.bounds`, and the rounding denominators in
+    :mod:`repro.cln.extract`.
+    """
+
     sigma: float = 0.1
-    c1: float = 1.0
-    c2: float = 50.0
     # Term dropout probability.  The paper starts at 0.3 and lowers it
     # on failed attempts; on our numpy substrate higher dropout (smaller
     # per-unit supports) converges to clean single invariants far more
     # reliably, so the pipeline sweeps a schedule around this default.
     dropout_rate: float = 0.6
-    # Hard cap on terms kept per unit: on large bases (e.g. 56 deg-3
-    # terms) even high dropout leaves supports whose restricted
-    # nullspace is multi-dimensional, which yields mixtures.
-    max_kept_terms: int = 8
     weight_regularization: bool = True
-    # Gate regularization schedules: (initial, multiplier, floor/ceiling).
-    lambda1_schedule: tuple[float, float, float] = (1.0, 0.999, 0.1)
-    lambda2_schedule: tuple[float, float, float] = (0.001, 1.001, 0.1)
-    learning_rate: float = 0.01
-    lr_decay: float = 0.9996
     max_epochs: int = 5000
-    # Relaxation annealing (see train.train_gcln and
-    # bounds.train_bound_bank): σ and c1 start multiplied by this
-    # factor and tighten to 1x by mid-training.
-    anneal_init: float = 100.0
-    # Sparsity pressure: L1 penalty on the normalized unit weights and
-    # periodic magnitude pruning (post-anneal).  Both push a unit toward
-    # a single clean invariant instead of an arbitrary mixture of
-    # invariants, which would not round to small rational coefficients.
-    weight_l1: float = 0.02
-    prune_interval: int = 100
-    prune_threshold: float = 0.05
-    # Inequality learning (§5.2.2, see cln.bounds).
-    max_ineq_vars: int = 2
-    ineq_degree: int = 2
-    ineq_activation_threshold: float = 0.5
-    # Extraction.
-    max_denominators: tuple[int, ...] = (10, 15, 30)
 
 
 class AtomicUnit:
@@ -181,7 +170,7 @@ class GCLN:
     """Gated CLN over a fixed term basis.
 
     Attributes:
-        clauses: ``n_clauses`` lists of atomic units (the OR groups).
+        clauses: the OR groups, each a list of atomic units.
         or_gates: per-clause, per-literal gate parameters in [0, 1].
         and_gates: per-clause gate parameters in [0, 1].
     """
@@ -202,8 +191,9 @@ class GCLN:
             rng: RNG for dropout masks and weight initialization.
             units: pre-built clause structure, every clause with the
                 same number of literals; when ``None``, builds
-                ``config.n_clauses`` clauses of ``literals_per_clause``
-                equality units with random dropout.
+                ``N_CLAUSES`` (scaled with the basis) clauses of
+                ``LITERALS_PER_CLAUSE`` equality units with random
+                dropout.
             protected_terms: term indices never dropped (e.g. the
                 constant column stays available to every unit).
             term_weights: relative keep-probability per term during
@@ -221,7 +211,7 @@ class GCLN:
         self.n_terms = n_terms
         # Scale clause count with basis size: large bases need more
         # dropout lottery tickets for some unit to isolate an invariant.
-        n_clauses = max(config.n_clauses, min(3 * config.n_clauses, n_terms))
+        n_clauses = max(N_CLAUSES, min(3 * N_CLAUSES, n_terms))
         if units is None:
             units = [
                 [
@@ -231,13 +221,12 @@ class GCLN:
                             config.dropout_rate,
                             rng,
                             protected_terms,
-                            config.max_kept_terms,
                             term_weights,
                         ),
                         rng,
                         config,
                     )
-                    for _ in range(config.literals_per_clause)
+                    for _ in range(LITERALS_PER_CLAUSE)
                 ]
                 for _ in range(n_clauses)
             ]
@@ -383,14 +372,13 @@ def _random_mask(
     dropout_rate: float,
     rng: np.random.Generator,
     protected: Sequence[int],
-    max_kept: int = 0,
     term_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Keep-mask for term dropout; guarantees at least two kept terms.
 
     Terms survive an (optionally weighted) Bernoulli draw with keep
-    probability ``(1 - dropout_rate) * weight``; with ``max_kept`` > 0,
-    at most that many non-protected survivors stay (sampled without
+    probability ``(1 - dropout_rate) * weight``; at most
+    ``MAX_KEPT_TERMS`` non-protected survivors stay (sampled without
     replacement, again weighted).
     """
     keep_prob = np.full(n_terms, 1.0 - dropout_rate)
@@ -398,20 +386,19 @@ def _random_mask(
         keep_prob = keep_prob * np.clip(term_weights, 0.0, 1.0)
     while True:
         mask = rng.random(n_terms) < keep_prob
-        if max_kept > 0:
-            kept = np.flatnonzero(mask)
-            if len(kept) > max_kept:
-                weights = (
-                    term_weights[kept]
-                    if term_weights is not None
-                    else np.ones(len(kept))
-                )
-                weights = weights / weights.sum()
-                chosen = rng.choice(
-                    kept, size=max_kept, replace=False, p=weights
-                )
-                mask[:] = False
-                mask[chosen] = True
+        kept = np.flatnonzero(mask)
+        if len(kept) > MAX_KEPT_TERMS:
+            weights = (
+                term_weights[kept]
+                if term_weights is not None
+                else np.ones(len(kept))
+            )
+            weights = weights / weights.sum()
+            chosen = rng.choice(
+                kept, size=MAX_KEPT_TERMS, replace=False, p=weights
+            )
+            mask[:] = False
+            mask[chosen] = True
         for idx in protected:
             mask[idx] = True
         if mask.sum() >= min(2, n_terms):

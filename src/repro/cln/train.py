@@ -35,9 +35,27 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.autodiff.optim import Adam, clip_grad_norm
 from repro.autodiff.tape import Tape
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.cln.loss import GateSchedule, build_gcln_loss_batched, gcln_loss
 from repro.cln.model import GCLN
+
+# Adam with multiplicative learning-rate decay (§6).
+LEARNING_RATE = 0.01
+LR_DECAY = 0.9996
+# Gate regularization schedules (initial, multiplier, floor/ceiling),
+# see loss.GateSchedule.
+LAMBDA1_SCHEDULE = (1.0, 0.999, 0.1)
+LAMBDA2_SCHEDULE = (0.001, 1.001, 0.1)
+# Relaxation annealing (here and in bounds.train_bound_bank): σ and c1
+# start multiplied by this factor and tighten to 1x by mid-training.
+ANNEAL_INIT = 100.0
+# Periodic magnitude pruning (post-anneal): every PRUNE_INTERVAL epochs
+# a unit drops terms whose scaled weight is below PRUNE_THRESHOLD.
+# With the L1 penalty (loss.WEIGHT_L1) it pushes a unit toward a single
+# clean invariant instead of an arbitrary mixture of invariants, which
+# would not round to small rational coefficients.
+PRUNE_INTERVAL = 100
+PRUNE_THRESHOLD = 0.05
 
 # Early stop: halt once the post-anneal loss has not improved by
 # _LOSS_TOLERANCE for _EARLY_STOP_PATIENCE epochs and the gates have
@@ -50,9 +68,7 @@ _LOSS_TOLERANCE = 1e-4
 class TrainResult:
     """Outcome of one training run."""
 
-    final_loss: float
     epochs: int
-    converged: bool
 
 
 @dataclass
@@ -87,17 +103,9 @@ def _validate_data(data: np.ndarray) -> None:
         )
 
 
-def _anneal(config, epochs: int) -> tuple[float, float]:
-    """(initial relax scale, per-epoch geometric decay factor)."""
-    anneal_init = max(config.anneal_init, 1.0)
-    anneal_epochs = max(1, epochs // 2)
-    return anneal_init, anneal_init ** (-1.0 / anneal_epochs)
-
-
-def _data_convergence(model: GCLN, X: Tensor, n_samples: int) -> tuple[float, bool]:
-    with no_grad():
-        data_term = float((1.0 - model.forward(X).data).sum())
-    return data_term, (data_term / n_samples) < 0.1
+def _anneal_decay(epochs: int) -> float:
+    """Per-epoch geometric factor taking ANNEAL_INIT to 1 by mid-training."""
+    return ANNEAL_INIT ** (-1.0 / max(1, epochs // 2))
 
 
 class _RestartState:
@@ -124,17 +132,15 @@ class _RestartState:
         config = model.config
         self.model = model
         self.optimizer = Adam(
-            model.parameters_batched(),
-            lr=config.learning_rate,
-            decay=config.lr_decay,
+            model.parameters_batched(), lr=LEARNING_RATE, decay=LR_DECAY
         )
-        self.lambda1 = GateSchedule(*config.lambda1_schedule)
-        self.lambda2 = GateSchedule(*config.lambda2_schedule)
+        self.lambda1 = GateSchedule(*LAMBDA1_SCHEDULE)
+        self.lambda2 = GateSchedule(*LAMBDA2_SCHEDULE)
         self.lam1_t = Tensor(0.0)
         self.lam2_t = Tensor(0.0)
-        anneal_init, self.anneal_decay = _anneal(config, epochs)
-        self.relax_scale = anneal_init
-        self.sigma_box = np.array(config.sigma * anneal_init)
+        self.anneal_decay = _anneal_decay(epochs)
+        self.relax_scale = ANNEAL_INIT
+        self.sigma_box = np.array(config.sigma * ANNEAL_INIT)
         self.best_loss = float("inf")
         self.stale = 0
         self.epoch = 0
@@ -190,18 +196,13 @@ def _run_restart_epochs(
             if state.stopped:
                 continue
             state.epoch = epoch
-            config = state.model.config
             state.relax_scale = max(
                 state.relax_scale * state.anneal_decay, 1.0
             )
-            if (
-                state.relax_scale == 1.0
-                and config.prune_interval > 0
-                and epoch % config.prune_interval == 0
-            ):
+            if state.relax_scale == 1.0 and epoch % PRUNE_INTERVAL == 0:
                 for group in state.model.clauses:
                     for unit in group:
-                        unit.prune(config.prune_threshold)
+                        unit.prune(PRUNE_THRESHOLD)
             value = float(node.data)
             if not np.isfinite(value):
                 message = f"loss diverged to {value} at epoch {epoch}"
@@ -237,9 +238,7 @@ def _run_restart_epochs(
 
 
 def train_gcln_restarts(
-    models: list[GCLN],
-    data: np.ndarray,
-    max_epochs: int | None = None,
+    models: list[GCLN], data: np.ndarray
 ) -> list[RestartOutcome]:
     """Train R independent G-CLN models simultaneously in one graph.
 
@@ -253,8 +252,8 @@ def train_gcln_restarts(
         models: the models (e.g. one per scheduled attempt, differing
             only in dropout masks / seeds).
         data: the one 2-D ``(samples, terms)`` matrix every model
-            trains on (already normalized).
-        max_epochs: overrides each model's ``config.max_epochs``.
+            trains on (already normalized).  The epoch budget is the
+            first model's ``config.max_epochs``.
 
     Returns:
         One :class:`RestartOutcome` per model, in input order.
@@ -272,33 +271,18 @@ def train_gcln_restarts(
             f"shared by every model; got {got}"
         )
     _validate_data(data)
-    epochs = max_epochs if max_epochs is not None else models[0].config.max_epochs
-    X = Tensor(data)
+    epochs = models[0].config.max_epochs
     states = [_RestartState(model, epochs) for model in models]
-    _run_restart_epochs(states, X, epochs)
-    outcomes: list[RestartOutcome] = []
-    for state in states:
-        if state.error is not None:
-            outcomes.append(RestartOutcome(result=None, error=state.error))
-            continue
-        _, converged = _data_convergence(state.model, X, data.shape[0])
-        outcomes.append(
-            RestartOutcome(
-                result=TrainResult(
-                    final_loss=state.best_loss,
-                    epochs=state.epoch,
-                    converged=converged,
-                )
-            )
-        )
-    return outcomes
+    _run_restart_epochs(states, Tensor(data), epochs)
+    return [
+        RestartOutcome(result=None, error=state.error)
+        if state.error is not None
+        else RestartOutcome(result=TrainResult(epochs=state.epoch))
+        for state in states
+    ]
 
 
-def train_gcln(
-    model: GCLN,
-    data: np.ndarray,
-    max_epochs: int | None = None,
-) -> TrainResult:
+def train_gcln(model: GCLN, data: np.ndarray) -> TrainResult:
     """Train ``model`` on the normalized data matrix.
 
     Training stops early once the best loss has not improved for
@@ -306,30 +290,21 @@ def train_gcln(
     saturated.
 
     Args:
-        model: the G-CLN to train (modified in place).
+        model: the G-CLN to train (modified in place) for at most
+            ``model.config.max_epochs`` epochs.
         data: samples-by-terms float matrix (already normalized).
-        max_epochs: overrides ``model.config.max_epochs`` when given.
 
     Returns:
-        A :class:`TrainResult`; ``converged`` is True when the data
-        term of the loss is small (every sample close to truth value 1).
+        A :class:`TrainResult` with the number of epochs run.
     """
     _validate_data(data)
-    epochs = max_epochs if max_epochs is not None else model.config.max_epochs
-    X = Tensor(data)
+    epochs = model.config.max_epochs
     state = _RestartState(model, epochs)
-    _run_restart_epochs([state], X, epochs, raise_on_divergence=True)
-    _, converged = _data_convergence(model, X, data.shape[0])
-    return TrainResult(
-        final_loss=state.best_loss, epochs=state.epoch, converged=converged
-    )
+    _run_restart_epochs([state], Tensor(data), epochs, raise_on_divergence=True)
+    return TrainResult(epochs=state.epoch)
 
 
-def train_gcln_eager(
-    model: GCLN,
-    data: np.ndarray,
-    max_epochs: int | None = None,
-) -> TrainResult:
+def train_gcln_eager(model: GCLN, data: np.ndarray) -> TrainResult:
     """Reference trainer: rebuild the per-unit graph every epoch.
 
     Same arguments, math and result as :func:`train_gcln`, without the
@@ -337,25 +312,22 @@ def train_gcln_eager(
     tests call it directly as the oracle.
     """
     _validate_data(data)
-    config = model.config
-    epochs = max_epochs if max_epochs is not None else config.max_epochs
+    epochs = model.config.max_epochs
     X = Tensor(data)
-    optimizer = Adam(
-        model.parameters(), lr=config.learning_rate, decay=config.lr_decay
-    )
-    lambda1 = GateSchedule(*config.lambda1_schedule)
-    lambda2 = GateSchedule(*config.lambda2_schedule)
+    optimizer = Adam(model.parameters(), lr=LEARNING_RATE, decay=LR_DECAY)
+    lambda1 = GateSchedule(*LAMBDA1_SCHEDULE)
+    lambda2 = GateSchedule(*LAMBDA2_SCHEDULE)
 
     # Relaxation annealing: start with σ widened by
-    # ``anneal_init`` and tighten geometrically to the paper's constants
+    # ``ANNEAL_INIT`` and tighten geometrically to the paper's constants
     # by mid-training, so initial residuals (~data norm) still produce
     # gradients.  relax_scale = 1.0 from the midpoint on.
-    anneal_init, anneal_decay = _anneal(config, epochs)
+    anneal_decay = _anneal_decay(epochs)
 
     best_loss = float("inf")
     stale = 0
     epoch = 0
-    relax_scale = anneal_init
+    relax_scale = ANNEAL_INIT
     for epoch in range(1, epochs + 1):
         optimizer.zero_grad()
         loss = gcln_loss(model, X, lambda1.step(), lambda2.step(), relax_scale)
@@ -365,14 +337,10 @@ def train_gcln_eager(
         model.project_gates()
         relax_scale = max(relax_scale * anneal_decay, 1.0)
 
-        if (
-            relax_scale == 1.0
-            and config.prune_interval > 0
-            and epoch % config.prune_interval == 0
-        ):
+        if relax_scale == 1.0 and epoch % PRUNE_INTERVAL == 0:
             for group in model.clauses:
                 for unit in group:
-                    unit.prune(config.prune_threshold)
+                    unit.prune(PRUNE_THRESHOLD)
 
         value = loss.item()
         if not np.isfinite(value):
@@ -389,6 +357,4 @@ def train_gcln_eager(
             stale += 1
         if stale >= _EARLY_STOP_PATIENCE and model.gates_saturated():
             break
-
-    _, converged = _data_convergence(model, X, data.shape[0])
-    return TrainResult(final_loss=best_loss, epochs=epoch, converged=converged)
+    return TrainResult(epochs=epoch)

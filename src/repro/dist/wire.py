@@ -134,35 +134,23 @@ def config_to_dict(config: InferenceConfig) -> dict:
     return asdict(config)
 
 
-def _coerce_dataclass(cls, data: dict, label: str):
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+def config_from_dict(data: dict) -> InferenceConfig:
+    """Rebuild an :class:`InferenceConfig` from :func:`config_to_dict`.
+
+    Raises ``ValueError`` naming any key that is not a config field, so
+    a typo or a removed option is refused instead of silently ignored.
+    """
+    unknown = sorted(set(data) - {f.name for f in fields(InferenceConfig)})
     if unknown:
-        raise ValueError(f"unknown {label} key(s): {', '.join(unknown)}")
-    # Every sequence field on the config dataclasses is a tuple; JSON
-    # round-trips them as lists.
-    return cls(
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    # Every sequence field on the config is a tuple; JSON round-trips
+    # them as lists.
+    return InferenceConfig(
         **{
             name: tuple(value) if isinstance(value, list) else value
             for name, value in data.items()
         }
     )
-
-
-def config_from_dict(data: dict) -> InferenceConfig:
-    """Rebuild an :class:`InferenceConfig` from :func:`config_to_dict`.
-
-    Raises ``ValueError`` naming any key (top level or under ``gcln``)
-    that is not a config field, so a typo or a removed option is
-    refused instead of silently ignored.
-    """
-    from repro.cln.model import GCLNConfig
-
-    payload = dict(data)
-    gcln = payload.pop("gcln", None)
-    config = _coerce_dataclass(InferenceConfig, payload, "config")
-    if gcln is not None:
-        config.gcln = _coerce_dataclass(GCLNConfig, gcln, "gcln config")
-    return config
 
 
 def item_for_problem(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cln.model import GCLNConfig
 
@@ -12,7 +12,10 @@ class InferenceConfig:
     """Knobs for the end-to-end pipeline.
 
     The four boolean switches correspond to the columns of the paper's
-    Table 3 ablation; everything defaults to the full method.
+    Table 3 ablation; everything defaults to the full method.  The
+    remaining §6 hyperparameters are module constants where they are
+    read (see :class:`~repro.cln.model.GCLNConfig`;
+    ``schedule.FRACTIONAL_INTERVALS``, ``filters.GROWTH_RATIO_CAP``).
     """
 
     # Ablation switches (Table 3).
@@ -29,15 +32,6 @@ class InferenceConfig:
 
     # Training budget per attempt.
     max_epochs: int = 2000
-    # Fractional-sampling interval schedule (§5.4: 0.5, then 0.25, ...).
-    fractional_intervals: tuple[float, ...] = (0.5, 0.25)
-
-    # Base G-CLN hyperparameters (copied per attempt with the dropout
-    # rate and ablation switches applied).
-    gcln: GCLNConfig = field(default_factory=GCLNConfig)
-
-    # Term-filtering caps.
-    growth_ratio_cap: float = 1e8
 
     def __post_init__(self) -> None:
         # An empty schedule would run zero attempts (or divide by zero
@@ -54,12 +48,8 @@ class InferenceConfig:
 
     def gcln_for_attempt(self, dropout_rate: float) -> GCLNConfig:
         """GCLNConfig for one attempt, honoring ablation switches."""
-        from dataclasses import replace
-
-        rate = dropout_rate if self.term_dropout else 0.0
-        return replace(
-            self.gcln,
-            dropout_rate=rate,
+        return GCLNConfig(
+            dropout_rate=dropout_rate if self.term_dropout else 0.0,
             weight_regularization=self.weight_regularization,
             max_epochs=self.max_epochs,
         )

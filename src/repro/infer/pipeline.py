@@ -198,7 +198,7 @@ class InferenceEngine:
                 )
 
                 # Build one model per scheduled attempt in the batch.
-                entries: list[tuple] = []  # (plan, rng, model | None)
+                entries: list[tuple] = []  # (rng, gcln_config, model | None)
                 for plan in batch:
                     rng = derive_loop_rng(plan.seed, loop_index)
                     gcln_config = config.gcln_for_attempt(plan.dropout)
@@ -215,7 +215,7 @@ class InferenceEngine:
                             f"loop {loop_index}: training failed: {exc}"
                         )
                         model = None
-                    entries.append((plan, rng, model))
+                    entries.append((rng, gcln_config, model))
 
                 models = [m for _, _, m in entries if m is not None]
                 outcomes: dict[int, RestartOutcome] = {}
@@ -228,7 +228,7 @@ class InferenceEngine:
                             continue
                         result.train_epochs += outcome.result.epochs
 
-                for plan, rng, model in entries:
+                for rng, gcln_config, model in entries:
                     eq_atoms: list[Atom] = []
                     outcome = outcomes.get(id(model)) if model is not None else None
                     if model is not None and outcome.error is not None:
@@ -249,15 +249,12 @@ class InferenceEngine:
                         )
 
                     if problem.learn_inequalities:
-                        gcln_config = config.gcln_for_attempt(plan.dropout)
                         term_vars = [m.variables for m in basis.monomials]
                         term_degs = [m.degree for m in basis.monomials]
                         ge_atoms: list[Atom] = []
                         try:
                             with timed_stage(timings, "train"):
-                                masks = enumerate_bound_masks(
-                                    term_vars, term_degs, gcln_config
-                                )
+                                masks = enumerate_bound_masks(term_vars, term_degs)
                                 bank = BoundBank(masks, gcln_config, rng)
                                 train_bound_bank(bank, data)
                             with timed_stage(timings, "extract"):

@@ -16,6 +16,9 @@ from typing import Iterator
 
 from repro.infer.config import InferenceConfig
 
+# Fractional-sampling interval schedule (§5.4: 0.5, then 0.25, ...).
+FRACTIONAL_INTERVALS = (0.5, 0.25)
+
 
 @dataclass(frozen=True)
 class AttemptPlan:
@@ -41,18 +44,16 @@ def build_schedule(
     """Expand the config's retry policy into ordered attempt plans.
 
     One plan per dropout-schedule entry; seeds cycle when shorter than
-    the dropout schedule; the fractional interval follows the config's
-    interval schedule and stays at its finest value once exhausted
-    (§5.4: 0.5, then 0.25, ...).
+    the dropout schedule; the fractional interval follows
+    ``FRACTIONAL_INTERVALS`` and stays at its finest value once
+    exhausted.
 
     Attempts are independent by construction (fresh seed + dropout per
     plan).
     """
     intervals: tuple[float | None, ...] = (
-        tuple(config.fractional_intervals) if fractional else (None,)
+        FRACTIONAL_INTERVALS if fractional else (None,)
     )
-    if not intervals:
-        intervals = (None,)
     plans = []
     for index, dropout in enumerate(config.dropout_schedule):
         plans.append(

@@ -209,7 +209,6 @@ def build_matrix(
         tuple(variables),
         problem.max_degree,
         tuple(e.name for e in problem.externals),
-        config.growth_ratio_cap,
         config.data_normalization,
     )
     return cache.memoize(
@@ -261,7 +260,7 @@ def _build_matrix_uncached(
                 degenerate.append(Atom(poly.primitive(), "=="))
 
     degrees = [m.degree for m in basis.monomials]
-    keep = growth_rate_filter(raw, degrees, ratio_cap=config.growth_ratio_cap)
+    keep = growth_rate_filter(raw, degrees)
     keep = [j for j in keep if j not in dup_of]
     basis = basis.restrict(keep)
     raw = raw[:, keep]

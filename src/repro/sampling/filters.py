@@ -5,20 +5,24 @@ discard monomials that cannot appear in an invariant because they grow
 strictly faster along every trace than any program value they could be
 balanced against.  Our implementation estimates each term's growth
 order along traces and removes terms whose magnitude dwarfs every
-degree-1 term by more than ``ratio_cap`` at the end of the longest
-trace; exact duplicate columns are also merged.
+degree-1 term by more than ``GROWTH_RATIO_CAP`` at the end of the
+longest trace; exact duplicate columns are also merged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# A higher-degree term is dropped when its maximum magnitude exceeds
+# GROWTH_RATIO_CAP times the largest degree-1 magnitude (it could never
+# be balanced in an equality), or MAGNITUDE_CAP outright (float overflow).
+GROWTH_RATIO_CAP = 1e8
+MAGNITUDE_CAP = 1e12
+
 
 def growth_rate_filter(
     matrix: np.ndarray,
     degrees: list[int],
-    ratio_cap: float = 1e8,
-    magnitude_cap: float = 1e12,
 ) -> list[int]:
     """Indices of terms to keep.
 
@@ -26,10 +30,6 @@ def growth_rate_filter(
         matrix: samples x terms data matrix.
         degrees: total degree of each term (degree-0 constant is always
             kept).
-        ratio_cap: a higher-degree term is dropped when its maximum
-            magnitude exceeds ``ratio_cap`` times the largest degree-1
-            magnitude (it could never be balanced in an equality).
-        magnitude_cap: absolute cap guarding against float overflow.
 
     Returns:
         Sorted list of column indices that survive.
@@ -46,9 +46,9 @@ def growth_rate_filter(
         if degree == 0:
             keep.append(j)
             continue
-        if max_abs[j] > magnitude_cap:
+        if max_abs[j] > MAGNITUDE_CAP:
             continue
-        if max_abs[j] > ratio_cap * linear_scale:
+        if max_abs[j] > GROWTH_RATIO_CAP * linear_scale:
             continue
         keep.append(j)
     return keep

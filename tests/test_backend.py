@@ -26,7 +26,7 @@ from repro.autodiff import tape as tape_module
 from repro.autodiff.plan import compile_plan, exclusive_prod_into
 from repro.autodiff.tensor import exclusive_prod
 from repro.cln.bounds import BoundBank, train_bound_bank
-from repro.cln.model import GCLN, GCLNConfig
+from repro.cln.model import GCLN, AtomicUnit, GCLNConfig, _random_mask
 from repro.cln.train import train_gcln
 from repro.infer import InferenceConfig
 from repro.sampling import normalize_rows
@@ -164,8 +164,14 @@ def _relation_data():
 
 
 def _train_eq():
-    config = GCLNConfig(n_clauses=3, max_epochs=150, dropout_rate=0.2)
-    model = GCLN(4, config, np.random.default_rng(7), protected_terms=[0])
+    config = GCLNConfig(max_epochs=150, dropout_rate=0.2)
+    rng = np.random.default_rng(7)
+    # Three clauses of two units, built as GCLN would build them.
+    units = [
+        [AtomicUnit(_random_mask(4, 0.2, rng, [0]), rng, config) for _ in range(2)]
+        for _ in range(3)
+    ]
+    model = GCLN(4, config, rng, units=units)
     train_gcln(model, _relation_data())
     return [p.data.copy() for p in model.parameters()]
 

@@ -204,6 +204,20 @@ def test_serve_timeout_needs_queue_dir(monkeypatch, tmp_path):
     assert started[0].timeout == 120
 
 
+def test_serve_queue_wait_needs_queue_dir(monkeypatch, tmp_path):
+    """``--queue-wait`` bounds the wait for a queue worker, so without
+    ``--queue-dir`` it is refused before the server starts."""
+    import repro.serve
+
+    started = []
+    monkeypatch.setattr(repro.serve, "serve_main", lambda args: started.append(args) or 0)
+    with pytest.raises(SystemExit, match="--queue-wait needs --queue-dir"):
+        main(["serve", "--queue-wait", "5"])
+    assert not started
+    assert main(["serve", "--queue-wait", "5", "--queue-dir", str(tmp_path / "q")]) == 0
+    assert started[0].queue_wait == 5
+
+
 def test_cross_batch_option_removed(capsys, tmp_path):
     """``--cross-batch`` is an argparse error on run-all and enqueue."""
     for argv in (

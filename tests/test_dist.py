@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -285,14 +286,17 @@ def test_problem_round_trips_through_json():
 
 def test_config_round_trips_through_json():
     config = InferenceConfig(
-        max_epochs=123, dropout_schedule=(0.5, 0.4), seeds=(9,)
+        max_epochs=123,
+        dropout_schedule=(0.5, 0.4),
+        seeds=(9,),
+        term_dropout=False,
     )
-    config.gcln.n_clauses = 4
     data = json.loads(json.dumps(config_to_dict(config)))
+    assert sorted(data) == sorted(f.name for f in fields(InferenceConfig))
     rebuilt = config_from_dict(data)
     assert rebuilt == config
     assert rebuilt.dropout_schedule == (0.5, 0.4)
-    assert rebuilt.gcln.n_clauses == 4
+    assert rebuilt.seeds == (9,)
 
 
 @pytest.mark.parametrize(
@@ -300,17 +304,22 @@ def test_config_round_trips_through_json():
     [
         # Replay-engine options that no longer exist.
         ({"backend": "fused"}, "backend"),
-        ({"gcln": {"vectorized": False}}, "vectorized"),
-        ({"gcln": {"backend": "numpy"}}, "backend"),
+        ({"vectorized": False}, "vectorized"),
+        ({"backend": "numpy", "max_epochs": 10}, "backend"),
         # Empty schedules would run zero attempts, or divide by zero.
         ({"seeds": []}, "seeds must not be empty"),
         ({"dropout_schedule": []}, "dropout_schedule must not be empty"),
         # An inequality option that no longer exists: bounds come only
         # from the bound bank.
-        ({"gcln": {"ineq_restarts": 2}}, "ineq_restarts"),
+        ({"ineq_restarts": 2}, "ineq_restarts"),
         # At rate 1 no unprotected term survives dropout, and the mask
         # redraw would never end.
         ({"dropout_schedule": [1.0]}, "dropout"),
+        # The config is flat: the G-CLN hyperparameters, the fractional
+        # intervals and the growth-ratio cap are constants.
+        ({"gcln": {"max_epochs": 10}}, "gcln"),
+        ({"fractional_intervals": [0.5]}, "fractional_intervals"),
+        ({"growth_ratio_cap": 1}, "growth_ratio_cap"),
     ],
 )
 def test_config_from_dict_refuses_bad_payloads(payload, message):

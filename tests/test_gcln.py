@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FormulaError, TrainingError
 from repro.autodiff import Tensor
+import repro.cln.model
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, extract_bound_atoms, train_bound_bank
 from repro.cln.extract import extract_equalities, extract_formula, make_exact_validator, make_touch_checker
 from repro.cln.model import (
@@ -18,8 +19,14 @@ from repro.cln.train import train_gcln
 from repro.sampling import build_term_basis, evaluate_terms, normalize_rows
 
 
+@pytest.fixture(autouse=True)
+def six_clauses(monkeypatch):
+    """Small models: 6 clauses before basis scaling (the default is 10)."""
+    monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 6)
+
+
 def small_config(**overrides) -> GCLNConfig:
-    defaults = dict(max_epochs=800, n_clauses=6)
+    defaults = dict(max_epochs=800)
     defaults.update(overrides)
     return GCLNConfig(**defaults)
 
@@ -32,8 +39,9 @@ def line_states(n=20):
     return states
 
 
-def test_random_mask_protects_and_caps(rng):
-    mask = _random_mask(20, 0.5, rng, protected=[0], max_kept=5)
+def test_random_mask_protects_and_caps(rng, monkeypatch):
+    monkeypatch.setattr(repro.cln.model, "MAX_KEPT_TERMS", 5)
+    mask = _random_mask(20, 0.5, rng, protected=[0])
     assert mask[0]
     assert mask.sum() <= 6  # 5 kept + protected
 
@@ -164,7 +172,6 @@ def test_bound_bank_learns_tight_bound(rng, sqrt1_data):
     masks = enumerate_bound_masks(
         [m.variables for m in basis.monomials],
         [m.degree for m in basis.monomials],
-        config,
     )
     bank = BoundBank(masks, config, rng)
     train_bound_bank(bank, data)
@@ -180,14 +187,13 @@ def test_bound_bank_learns_tight_bound(rng, sqrt1_data):
 
 def test_enumerate_bound_masks_requires_constant():
     with pytest.raises(TrainingError):
-        enumerate_bound_masks([frozenset({"x"})], [1], small_config())
+        enumerate_bound_masks([frozenset({"x"})], [1])
 
 
 def test_enumerate_bound_masks_structure():
-    config = small_config()
     variables = [frozenset(), frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})]
     degrees = [0, 1, 1, 2]
-    masks = enumerate_bound_masks(variables, degrees, config)
+    masks = enumerate_bound_masks(variables, degrees)
     # Every mask keeps the constant and at most 2 non-constant terms.
     assert all(mask[0] for mask in masks)
     assert all(mask[1:].sum() <= 2 for mask in masks)

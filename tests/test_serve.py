@@ -10,13 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import (
-    AttemptStarted,
-    EventBus,
-    InvariantService,
-    ProblemSolved,
-    StageTimed,
-)
+from repro.api import EventBus, InvariantService, StageTimed
 from repro.dist.wire import config_to_dict, problem_to_dict
 from repro.infer import InferenceConfig, Problem
 from repro.infer.runner import STATUS_ERROR, STATUS_OK, ProblemRecord, run_many
@@ -497,12 +491,13 @@ def test_http_solve_rejects_unknown_config_key():
 
 
 def test_http_solve_rejects_unknown_gcln_config_key():
+    """The config is flat: a nested ``gcln`` block is refused."""
     server, executor = stub_server()
-    body = solve_body(tiny_problem(), config={"gcln": {"max_epoch": 10}})
+    body = solve_body(tiny_problem(), config={"gcln": {"max_epochs": 10}})
     with ServerHarness(server) as h:
         status, payload = h.request("/v1/solve", body=body)
     assert status == 400
-    assert "max_epoch" in payload["error"]
+    assert "gcln" in payload["error"]
     assert executor.calls == 0
 
 

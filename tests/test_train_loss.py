@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.cln.loss
+import repro.cln.model
+import repro.cln.train
 from repro.autodiff import Tensor, no_grad
 from repro.cln.loss import GateSchedule, gcln_loss
 from repro.cln.model import GCLN, GCLNConfig
@@ -25,9 +28,10 @@ def test_gate_schedule_growth_to_ceiling():
     assert schedule.value == pytest.approx(0.1)
 
 
-def test_loss_components(rng):
-    config = GCLNConfig(n_clauses=2, weight_l1=0.0)
-    model = GCLN(3, config, rng)
+def test_loss_components(rng, monkeypatch):
+    monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 2)
+    monkeypatch.setattr(repro.cln.loss, "WEIGHT_L1", 0.0)
+    model = GCLN(3, GCLNConfig(), rng)
     X = Tensor(np.zeros((4, 3)))
     # With zero data, residuals are 0 so every unit outputs 1; with all
     # gates fully open, M(x) = 1 and the data term vanishes, leaving
@@ -40,9 +44,11 @@ def test_loss_components(rng):
     assert loss.item() == pytest.approx(n_literals, abs=1e-6)
 
 
-def test_loss_includes_l1(rng):
-    config = GCLNConfig(n_clauses=1, literals_per_clause=1, weight_l1=1.0)
-    model = GCLN(3, config, rng)
+def test_loss_includes_l1(rng, monkeypatch):
+    monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 1)
+    monkeypatch.setattr(repro.cln.model, "LITERALS_PER_CLAUSE", 1)
+    monkeypatch.setattr(repro.cln.loss, "WEIGHT_L1", 1.0)
+    model = GCLN(3, GCLNConfig(), rng)
     X = Tensor(np.zeros((2, 3)))
     base = gcln_loss(model, X, 0.0, 0.0).item()
     # L1 of a unit-normalized vector lies in [1, sqrt(3)].
@@ -51,13 +57,14 @@ def test_loss_includes_l1(rng):
     assert base <= n_units * np.sqrt(3) + 1e-6
 
 
-def test_train_gcln_reduces_loss(rng):
+def test_train_gcln_reduces_loss(rng, monkeypatch):
     # Data with an exact relation x2 = 2*x1.
     xs = np.arange(1, 13, dtype=float)
     data = np.stack([np.ones_like(xs), xs, 2 * xs], axis=1)
     from repro.sampling import normalize_rows
 
-    config = GCLNConfig(n_clauses=4, max_epochs=500, dropout_rate=0.2)
+    monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 4)
+    config = GCLNConfig(max_epochs=500, dropout_rate=0.2)
     model = GCLN(3, config, rng, protected_terms=[0])
     X = Tensor(normalize_rows(data))
 
@@ -76,14 +83,11 @@ def test_train_rejects_bad_data(rng):
         train_gcln(model, np.zeros((0, 3)))
 
 
-def test_pruning_happens_during_training(rng):
-    config = GCLNConfig(
-        n_clauses=2,
-        max_epochs=400,
-        prune_interval=50,
-        prune_threshold=0.2,
-        dropout_rate=0.0,
-    )
+def test_pruning_happens_during_training(rng, monkeypatch):
+    monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 2)
+    monkeypatch.setattr(repro.cln.train, "PRUNE_INTERVAL", 50)
+    monkeypatch.setattr(repro.cln.train, "PRUNE_THRESHOLD", 0.2)
+    config = GCLNConfig(max_epochs=400, dropout_rate=0.0)
     xs = np.arange(1, 20, dtype=float)
     data = np.stack([np.ones_like(xs), xs, 2 * xs, xs * 0.0 + 5.0], axis=1)
     from repro.sampling import normalize_rows
