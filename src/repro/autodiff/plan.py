@@ -27,18 +27,16 @@ layer offers replays through the closure walker.
 
 **Oracle guarantee**: the tape's closure walker is the reference, and
 the plan computes every gradient with the same numpy ufunc sequence
-the closures execute (relying on documented
-identities such as ``x ** 2`` lowering to ``np.square``, scalar
-operands matching uniform-array operands bitwise, and multiply/add
-commuting bitwise), so fused replays are bitwise-identical to walker
-replays with one narrow, value-equal exception — values always
-compare equal under ``==``/``np.array_equal``: the *sign* of
-exactly-zero gradients can differ, because the plan's first
-contribution to a buffer overwrites instead of adding into zeros and
-constant gradient chains fold to Python floats.  A dead subgraph —
-one whose output never receives a gradient — is skipped outright
-rather than fed exact zeros (value-equal unless its data holds
-inf/nan).
+the closures execute, into C-contiguous buffers like the walker's
+freshly allocated temporaries (relying on documented identities such
+as ``x ** 2`` lowering to ``np.square`` and multiply/add commuting
+bitwise), so fused replays are bitwise-identical to walker replays
+with two narrow exceptions.  The *sign* of exactly-zero gradients can
+differ, because the plan's first contribution to a buffer overwrites
+it instead of adding into zeros (values still compare equal under
+``==``/``np.array_equal``).  A dead subgraph — one whose output never
+receives a gradient — is skipped outright rather than fed exact zeros
+(value-equal unless its data holds inf/nan).
 
 Compilation is conservative: any node without a lowered ``_op`` kind
 makes :func:`compile_plan` return no plan (with the reason) and the
@@ -164,14 +162,12 @@ class _PlanCompiler:
         self._leaf_grad: dict[int, str] = {}
         self._scratch: dict = {}
         self._persist: dict = {}
-        # Interior gradient-buffer state for the backward emission:
-        # ("unwritten",) — no contribution yet; ("uniform", u) — every
-        # element is the Python float u, with no per-epoch line writing
-        # the buffer; ("mat",) — per-epoch data.  The root seeds as
-        # uniform 1.0 and constant chains (sum/add/sub/reshape backward)
-        # fold through as Python scalars instead of array traffic.
-        self._gstate: dict[int, tuple] = {}
-        self._init_fills: list[tuple[str, float]] = []
+        # Interior nodes whose gradient buffer already holds a
+        # contribution when the backward emission reaches a new one.
+        # The root's buffer is filled with 1.0 once, at compile time;
+        # every other buffer is claimed by its first contribution, and a
+        # node never written is a dead subgraph.
+        self._written: set[int] = set()
         self._slot = 0
         self._local = 0
         self.fwd_lines: list[str] = []
@@ -199,9 +195,14 @@ class _PlanCompiler:
 
     def gname(self, t: Tensor) -> str:
         if id(t) in self.node_ids:
-            if t._grad_buf is None:
-                t._grad_buf = np.zeros_like(t.data)
-            return self._bind(t._grad_buf, "g")
+            # Always C-contiguous: ``zeros_like`` of a transposed view
+            # (a ``T`` node) is F-ordered, and a matmul written into it
+            # with ``out=`` rounds differently from the walker's freshly
+            # allocated product.
+            buf = t._grad_buf
+            if buf is None or not buf.flags.c_contiguous:
+                buf = t._grad_buf = np.zeros(t.data.shape)
+            return self._bind(buf, "g")
         name = self._leaf_grad.get(id(t))
         if name is None:
             own = np.zeros_like(t.data)
@@ -249,72 +250,19 @@ class _PlanCompiler:
     # -- gradient accumulation --------------------------------------------
     #
     # The walker zero-fills every interior gradient buffer and *adds*
-    # each contribution.  The plan instead tracks buffer state: the
-    # first contribution to an interior buffer *overwrites* it (a
-    # successful claim), and purely constant gradients stay Python
-    # floats until an op actually needs an array.  Both transforms are
-    # value-equal to the walker; the only deviations are the sign of
-    # exactly-zero gradients and dead subgraphs fed inf/nan data.
-
-    def _state(self, t: Tensor) -> tuple:
-        return self._gstate.get(id(t), ("unwritten",))
+    # each contribution.  The plan instead lets the first contribution
+    # to an interior buffer *overwrite* it (a successful claim) and adds
+    # every later one.  0 + c == c, so this is value-equal to the
+    # walker; only the sign of exactly-zero gradients can differ.
 
     def _claim(self, t: Tensor) -> bool:
         """True iff ``t``'s first contribution may overwrite its buffer."""
         if id(t) not in self.node_ids:
             return False  # leaves accumulate into caller-owned buffers
-        if self._state(t)[0] == "unwritten":
-            self._gstate[id(t)] = ("mat",)
-            return True
-        return False
-
-    def gy_uniform(self, node: Tensor) -> float | None:
-        """``node``'s incoming gradient as a Python float, or None."""
-        state = self._state(node)
-        if state[0] == "unwritten":
-            return 0.0
-        if state[0] == "uniform":
-            return state[1]
-        return None
-
-    def gy_arr(self, node: Tensor) -> str:
-        """``node``'s incoming gradient as an array, materializing it.
-
-        A still-uniform buffer is filled *once at plan build* — every
-        contribution to it has already been emitted (reverse order), so
-        no per-epoch line writes it and the fill stays valid.
-        """
-        name = self.gname(node)
-        state = self._state(node)
-        if state[0] != "mat":
-            u = 0.0 if state[0] == "unwritten" else state[1]
-            self._init_fills.append((name, u))
-            self._gstate[id(node)] = ("mat",)
-        return name
-
-    def _demote_uniform(self, lines: list[str], t: Tensor) -> None:
-        """Materialize a uniform buffer before an add-form contribution."""
-        state = self._state(t)
-        if state[0] == "uniform":
-            lines.append(f"{self.gname(t)}.fill({_lit(state[1])})")
-            self._gstate[id(t)] = ("mat",)
-
-    def push_uniform(
-        self, lines: list[str], parent: Tensor, u: float
-    ) -> None:
-        """Contribute a uniform gradient of ``u`` to ``parent``."""
-        if not parent.requires_grad or u == 0.0:
-            return
-        if id(parent) in self.node_ids:
-            state = self._state(parent)
-            if state[0] == "unwritten":
-                self._gstate[id(parent)] = ("uniform", u)
-                return
-            if state[0] == "uniform":
-                self._gstate[id(parent)] = ("uniform", state[1] + u)
-                return
-        g = self.gname(parent)
-        lines.append(f"np.add({g}, {_lit(u)}, out={g})")
+        if id(t) in self._written:
+            return False
+        self._written.add(id(t))
+        return True
 
     def contrib_dest(
         self, lines: list[str], parent: Tensor, src_shape: tuple
@@ -370,7 +318,6 @@ class _PlanCompiler:
         if self._claim(parent):
             lines.append(f"np.copyto({g}, {cur})")
             return
-        self._demote_uniform(lines, parent)
         lines.append(f"np.add({g}, {cur}, out={g})")
 
     def accum_neg(
@@ -383,7 +330,6 @@ class _PlanCompiler:
             if self._claim(parent):
                 lines.append(f"np.negative({src}, out={g})")
                 return
-            self._demote_uniform(lines, parent)
             lines.append(f"np.subtract({g}, {src}, out={g})")
             return
         s = self.tmp(src_shape)
@@ -398,7 +344,10 @@ class _PlanCompiler:
                 self.failure = "node without op metadata"
                 return None
         try:
-            self._gstate[id(self.root)] = ("uniform", 1.0)
+            # The walker seeds the root with 1.0 every replay; nothing
+            # else writes the root's buffer, so one fill here does it.
+            self.env[self.gname(self.root)].fill(1.0)
+            self._written.add(id(self.root))
             for node in self.nodes:
                 self._slot = 0
                 self._forward_op(node)
@@ -412,10 +361,6 @@ class _PlanCompiler:
         body_b = "\n".join(f"    {ln}" for ln in self.bwd_lines) or "    pass"
         source = f"def _fwd():\n{body_f}\n\ndef _bwd():\n{body_b}\n"
         exec(compile(source, "<replay-plan>", "exec"), self.env)
-        # Buffers still uniform at the end of emission are never written
-        # per-epoch; fill them once, now.
-        for name, u in self._init_fills:
-            self.env[name].fill(u)
         return ReplayProgram(
             self.env, self.data_guard, self.grad_guard, source
         )
@@ -520,161 +465,81 @@ class _PlanCompiler:
     # -- backward ops ------------------------------------------------------
 
     def _emit_backward(self, node: Tensor) -> None:
+        if id(node) not in self._written:
+            # Dead subgraph: the walker would propagate exact zeros.
+            return
         kind, params = node._op
         yshape = tuple(node.data.shape)
         ps = node._parents
         out = self.bwd_lines
-        u = self.gy_uniform(node)
-        if u == 0.0:
-            # Dead subgraph: the walker would propagate exact zeros.
-            return
+        gy = self.gname(node)
         if kind == "add":
-            if u is not None:
-                for p in ps:
-                    self.push_uniform(out, p, u)
-                return
-            gy = self.gy_arr(node)
             for p in ps:
                 if p.requires_grad:
                     self.accum(out, p, gy, yshape)
         elif kind == "sub":
-            if u is not None:
-                self.push_uniform(out, ps[0], u)
-                self.push_uniform(out, ps[1], -u)
-                return
-            gy = self.gy_arr(node)
             if ps[0].requires_grad:
                 self.accum(out, ps[0], gy, yshape)
             if ps[1].requires_grad:
                 self.accum_neg(out, ps[1], gy, yshape)
         elif kind == "mul":
+            # For x*x the second side's product adds onto the first
+            # side's claim: c + c, bitwise the walker's 0 + c + c.
             a, b = ps
-            if a is b:
-                # x*x: both sides push the identical product — compute
-                # it once and add it twice (the walker's 0+c+c and this
-                # c+c agree bitwise).
-                if a.requires_grad:
-                    dest, token = self.contrib_dest(out, a, yshape)
-                    if u is not None:
-                        out.append(
-                            f"np.multiply({self.dname(a)}, {_lit(u)}, "
-                            f"out={dest})"
-                        )
-                    else:
-                        out.append(
-                            f"np.multiply({self.gy_arr(node)}, "
-                            f"{self.dname(a)}, out={dest})"
-                        )
-                    if token is None:
-                        g = self.gname(a)
-                        out.append(f"np.add({g}, {g}, out={g})")
-                    else:
-                        self.finish_contrib(out, dest, token)
-                        self.accum(out, a, dest, yshape)
-                return
             if a.requires_grad:
                 dest, token = self.contrib_dest(out, a, yshape)
-                if u is not None:
-                    out.append(
-                        f"np.multiply({self.dname(b)}, {_lit(u)}, out={dest})"
-                    )
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, "
-                        f"{self.dname(b)}, out={dest})"
-                    )
+                out.append(f"np.multiply({gy}, {self.dname(b)}, out={dest})")
                 self.finish_contrib(out, dest, token)
             if b.requires_grad:
                 dest, token = self.contrib_dest(out, b, yshape)
-                if u is not None:
-                    out.append(
-                        f"np.multiply({self.dname(a)}, {_lit(u)}, out={dest})"
-                    )
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, "
-                        f"{self.dname(a)}, out={dest})"
-                    )
+                out.append(f"np.multiply({gy}, {self.dname(a)}, out={dest})")
                 self.finish_contrib(out, dest, token)
         elif kind == "div":
             a, b = ps
             if a.requires_grad:
                 dest, token = self.contrib_dest(out, a, yshape)
-                if u is not None:
-                    out.append(
-                        f"np.divide({_lit(u)}, {self.dname(b)}, out={dest})"
-                    )
-                else:
-                    out.append(
-                        f"np.divide({self.gy_arr(node)}, "
-                        f"{self.dname(b)}, out={dest})"
-                    )
+                out.append(f"np.divide({gy}, {self.dname(b)}, out={dest})")
                 self.finish_contrib(out, dest, token)
             if b.requires_grad:
                 s = self.tmp(yshape)
                 s2 = self.tmp(tuple(b.data.shape))
-                if u is not None:
-                    out.append(
-                        f"np.multiply({self.dname(a)}, {_lit(-u)}, out={s})"
-                    )
-                else:
-                    out.append(f"np.negative({self.gy_arr(node)}, out={s})")
-                    out.append(f"np.multiply({s}, {self.dname(a)}, out={s})")
+                out.append(f"np.negative({gy}, out={s})")
+                out.append(f"np.multiply({s}, {self.dname(a)}, out={s})")
                 out.append(f"np.square({self.dname(b)}, out={s2})")
                 dest, token = self.contrib_dest(out, b, yshape)
                 out.append(f"np.divide({s}, {s2}, out={dest})")
                 self.finish_contrib(out, dest, token)
         elif kind == "pow":
             if ps[0].requires_grad:
-                self._backward_pow(node, params["exponent"], u)
+                self._backward_pow(node, params["exponent"], gy)
         elif kind == "matmul":
-            self._backward_matmul(node)
+            self._backward_matmul(node, gy)
         elif kind == "abs":
             if ps[0].requires_grad:
                 a = self.dname(ps[0])
                 s = self.tmp(yshape)
                 out.append(f"np.sign({a}, out={s})")
                 dest, token = self.contrib_dest(out, ps[0], yshape)
-                if u is not None:
-                    out.append(f"np.multiply({s}, {_lit(u)}, out={dest})")
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, {s}, out={dest})"
-                    )
+                out.append(f"np.multiply({gy}, {s}, out={dest})")
                 self.finish_contrib(out, dest, token)
         elif kind == "sum":
             if ps[0].requires_grad:
-                if u is not None:
-                    self.push_uniform(out, ps[0], u)
-                else:
-                    self._backward_sum(node, params)
+                self._backward_sum(node, params, gy)
         elif kind == "reshape":
             if ps[0].requires_grad:
-                if u is not None:
-                    self.push_uniform(out, ps[0], u)
-                    return
                 pshape = tuple(ps[0].data.shape)
-                gy = self.gy_arr(node)
                 self.accum(out, ps[0], f"{gy}.reshape({pshape!r})", pshape)
         elif kind == "T":
             if ps[0].requires_grad:
-                if u is not None:
-                    self.push_uniform(out, ps[0], u)
-                    return
                 pshape = tuple(ps[0].data.shape)
-                self.accum(out, ps[0], f"{self.gy_arr(node)}.T", pshape)
+                self.accum(out, ps[0], f"{gy}.T", pshape)
         elif kind == "gaussian":
             if ps[0].requires_grad:
                 a, y = self.dname(ps[0]), self.dname(node)
                 sg = self.scal(params["sigma"], out)
                 s = self.tmp(yshape)
                 s2 = self.tmp(yshape)
-                if u is not None:
-                    out.append(f"np.multiply({y}, {_lit(u)}, out={s})")
-                else:
-                    out.append(
-                        f"np.multiply({self.gy_arr(node)}, {y}, out={s})"
-                    )
+                out.append(f"np.multiply({gy}, {y}, out={s})")
                 out.append(f"np.negative({a}, out={s2})")
                 out.append(f"np.divide({s2}, {sg} ** 2, out={s2})")
                 dest, token = self.contrib_dest(out, ps[0], yshape)
@@ -687,25 +552,15 @@ class _PlanCompiler:
                 den = self.persist(node, "den", yshape)
                 s = self.tmp(yshape)
                 s2 = self.tmp(yshape)
-                if u == -1.0:
-                    # -((a * -2) * k) folds exactly to (a * 2) * k.
-                    out.append(f"np.multiply({a}, 2.0, out={s})")
-                    out.append(f"np.multiply({s}, {k}, out={s})")
-                else:
-                    out.append(f"np.multiply({a}, -2.0, out={s})")
-                    out.append(f"np.multiply({s}, {k}, out={s})")
-                    if u is None:
-                        out.append(
-                            f"np.multiply({self.gy_arr(node)}, {s}, out={s})"
-                        )
-                    elif u != 1.0:
-                        out.append(f"np.multiply({s}, {_lit(u)}, out={s})")
+                out.append(f"np.multiply({a}, -2.0, out={s})")
+                out.append(f"np.multiply({s}, {k}, out={s})")
+                out.append(f"np.multiply({gy}, {s}, out={s})")
                 out.append(f"np.multiply({den}, {den}, out={s2})")
                 dest, token = self.contrib_dest(out, ps[0], yshape)
                 out.append(f"np.divide({s}, {s2}, out={dest})")
                 self.finish_contrib(out, dest, token)
         elif kind in ("tnorm", "tconorm"):
-            self._backward_tnorm(node, kind, params, u)
+            self._backward_tnorm(node, kind, params, gy)
         else:  # pragma: no cover - forward pass already rejected it
             raise _Unsupported(f"unsupported op kind {kind!r}")
 
@@ -728,28 +583,14 @@ class _PlanCompiler:
             out.append(f"np.power({a}, {_lit(e2)}, out={s2})")
         return s2
 
-    def _backward_pow(self, node: Tensor, exponent, u: float | None) -> None:
+    def _backward_pow(self, node: Tensor, exponent, gy: str) -> None:
         out = self.bwd_lines
         parent = node._parents[0]
         yshape = tuple(node.data.shape)
         a = self.dname(parent)
-        e2 = exponent - 1
-        if u is not None:
-            # The walker's first op is gy * exponent; fold it in Python
-            # (double multiply either way, bitwise-equal).
-            m = float(u * exponent)
-            operand = self._pow_operand(a, e2, yshape)
-            if operand is None:
-                self.push_uniform(out, parent, m)
-                return
-            dest, token = self.contrib_dest(out, parent, yshape)
-            out.append(f"np.multiply({operand}, {_lit(m)}, out={dest})")
-            self.finish_contrib(out, dest, token)
-            return
-        gy = self.gy_arr(node)
         s = self.tmp(yshape)
         out.append(f"np.multiply({gy}, {_lit(exponent)}, out={s})")
-        operand = self._pow_operand(a, e2, yshape)
+        operand = self._pow_operand(a, exponent - 1, yshape)
         if operand is None:
             self.accum(out, parent, s, yshape)
             return
@@ -757,16 +598,12 @@ class _PlanCompiler:
         out.append(f"np.multiply({s}, {operand}, out={dest})")
         self.finish_contrib(out, dest, token)
 
-    def _backward_matmul(self, node: Tensor) -> None:
-        # gemms need an array gradient; a still-uniform gy materializes.
+    def _backward_matmul(self, node: Tensor, gy: str) -> None:
         out = self.bwd_lines
         a, b = node._parents
         an, bn = self.dname(a), self.dname(b)
         ashape, bshape = tuple(a.data.shape), tuple(b.data.shape)
         yshape = tuple(node.data.shape)
-        if not (a.requires_grad or b.requires_grad):
-            return
-        gy = self.gy_arr(node)
         if len(ashape) == 1 and len(bshape) == 1:
             if a.requires_grad:
                 dest, token = self.contrib_dest(out, a, bshape)
@@ -820,9 +657,8 @@ class _PlanCompiler:
                 )
                 self.finish_contrib(out, dest, token)
 
-    def _backward_sum(self, node: Tensor, params: dict) -> None:
+    def _backward_sum(self, node: Tensor, params: dict, gy: str) -> None:
         parent = node._parents[0]
-        gy = self.gy_arr(node)
         g = self.gname(parent)
         axis, keepdims = params["axis"], params["keepdims"]
         if axis is None or keepdims:
@@ -838,11 +674,10 @@ class _PlanCompiler:
         if self._claim(parent):
             self.bwd_lines.append(f"np.copyto({g}, {src})")
             return
-        self._demote_uniform(self.bwd_lines, parent)
         self.bwd_lines.append(f"np.add({g}, {src}, out={g})")
 
     def _backward_tnorm(
-        self, node: Tensor, kind: str, params: dict, u: float | None
+        self, node: Tensor, kind: str, params: dict, gy: str
     ) -> None:
         values, gates = node._parents
         axis = params["axis"]
@@ -858,13 +693,9 @@ class _PlanCompiler:
         right = self.persist(node, "xr", ishape)
         ep = self.persist(node, "ep", ishape)
         out.append(f"_xpi({inner_name}, {ax}, {left}, {right}, {ep})")
-        if u is None:
-            out.append(
-                f"np.multiply({self.gy_arr(node)}.reshape({expanded!r}), "
-                f"{ep}, out={ep})"
-            )
-        elif u != 1.0:
-            out.append(f"np.multiply({ep}, {_lit(u)}, out={ep})")
+        out.append(
+            f"np.multiply({gy}.reshape({expanded!r}), {ep}, out={ep})"
+        )
         v, g = self.dname(values), self.dname(gates)
         if values.requires_grad:
             dest, token = self.contrib_dest(out, values, ishape)

@@ -24,6 +24,7 @@ from repro.autodiff.tensor import Tensor
 from repro.autodiff.functional import stack
 from repro.cln.activations import gaussian_equality
 from repro.cln.extract import make_exact_validator
+from repro.cln.train import ANNEAL_INIT, LEARNING_RATE, LR_DECAY
 from repro.poly.polynomial import Polynomial
 from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
@@ -83,23 +84,20 @@ def train_plain_cln(
     basis: TermBasis,
     states: Sequence[Mapping[str, object]],
     max_epochs: int = 2000,
-    learning_rate: float = 0.01,
-    lr_decay: float = 0.9996,
-    anneal_init: float = 100.0,
 ) -> list[Atom]:
     """Train the template model once and extract validated atoms.
 
     Returns the distinct valid equality atoms (possibly empty — that is
-    a non-converged run for the stability study).  The same annealing
-    and Adam settings as the G-CLN trainer are used so the comparison
-    isolates the architectural difference (gates/dropout), not the
-    optimizer.
+    a non-converged run for the stability study).  The annealing and
+    Adam settings are the G-CLN trainer's constants
+    (:mod:`repro.cln.train`), so the comparison isolates the
+    architectural difference (gates/dropout), not the optimizer.
     """
     X = Tensor(data)
-    optimizer = Adam(model.weights, lr=learning_rate, decay=lr_decay)
+    optimizer = Adam(model.weights, lr=LEARNING_RATE, decay=LR_DECAY)
     anneal_epochs = max(1, max_epochs // 2)
-    anneal_decay = anneal_init ** (-1.0 / anneal_epochs)
-    relax_scale = anneal_init
+    anneal_decay = ANNEAL_INIT ** (-1.0 / anneal_epochs)
+    relax_scale = ANNEAL_INIT
     for _ in range(max_epochs):
         optimizer.zero_grad()
         loss = (1.0 - model.forward(X, relax_scale)).sum()

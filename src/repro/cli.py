@@ -86,6 +86,14 @@ def _parse_assignment(pairs: list[str]) -> dict[str, object]:
     return assignment
 
 
+def _epochs(text: str) -> int:
+    """``--epochs``: a training budget of at least one epoch."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as JSON to ``path`` (``-`` for stdout)."""
     text = json.dumps(payload, indent=2)
@@ -656,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver to use (see 'solvers'; default: gcln)",
     )
     run_parser.add_argument(
-        "--epochs", type=int, default=2000, help="training epochs per attempt"
+        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
     )
     run_parser.add_argument(
         "--events",
@@ -682,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver to profile (default: gcln)",
     )
     profile_parser.add_argument(
-        "--epochs", type=int, default=2000, help="training epochs per attempt"
+        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
     )
     profile_parser.set_defaults(func=_cmd_profile)
 
@@ -762,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-problem wall-clock budget (enforced with SIGALRM)",
     )
     all_parser.add_argument(
-        "--epochs", type=int, default=2000, help="training epochs per attempt"
+        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
     )
     all_parser.add_argument(
         "--json",
@@ -790,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver workers should run (default: gcln)",
     )
     enqueue_parser.add_argument(
-        "--epochs", type=int, default=2000, help="training epochs per attempt"
+        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
     )
     enqueue_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -891,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default solver for requests that name none (default: gcln)",
     )
     serve_parser.add_argument(
-        "--epochs", type=int, default=2000, help="training epochs per attempt"
+        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
     )
     serve_parser.add_argument(
         "--queue-dir", metavar="PATH",

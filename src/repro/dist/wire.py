@@ -13,8 +13,9 @@ travel as plain JSON.  Two problem encodings exist:
   (:func:`problem_to_dict`), used by ``run_many(workers=N)`` for
   ad-hoc problems that are not in any suite.
 
-``Fraction`` input values are encoded as ``"num/den"`` strings (the
-same convention the CLI's ``--inputs`` parser uses); JSON object keys
+``Fraction`` input values are encoded as ``"num/den"`` strings by
+:func:`repro.sampling.source.encode_value`, as recorded states are
+(the convention the CLI's ``--inputs`` parser uses); JSON object keys
 are strings, so integer-keyed maps (``variables``, ``ground_truth``)
 are re-keyed on decode.  Trace-only problems inline their recorded
 observations via :func:`repro.sampling.source.traces_to_payload`, so a
@@ -24,38 +25,26 @@ worker can solve them without any program or shared registry.
 from __future__ import annotations
 
 from dataclasses import asdict, fields
-from fractions import Fraction
 from typing import Any
 
 from repro.errors import ReproError
 from repro.infer.config import InferenceConfig
 from repro.infer.problem import Problem
-from repro.sampling.source import traces_from_payload, traces_to_payload
+from repro.sampling.source import (
+    decode_value,
+    encode_value,
+    traces_from_payload,
+    traces_to_payload,
+)
 from repro.sampling.termgen import ExternalTerm
 
 
-def _encode_value(value: object) -> object:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (bool, int, float)):
-        return value
-    raise ReproError(
-        f"cannot encode input value {value!r} ({type(value).__name__}) as JSON"
-    )
-
-
-def _decode_value(value: object) -> object:
-    if isinstance(value, str):
-        return Fraction(value)
-    return value
-
-
 def _encode_inputs(inputs: list[dict[str, object]]) -> list[dict[str, object]]:
-    return [{k: _encode_value(v) for k, v in row.items()} for row in inputs]
+    return [{k: encode_value(v) for k, v in row.items()} for row in inputs]
 
 
 def _decode_inputs(inputs: list[dict[str, Any]]) -> list[dict[str, object]]:
-    return [{k: _decode_value(v) for k, v in row.items()} for row in inputs]
+    return [{k: decode_value(v) for k, v in row.items()} for row in inputs]
 
 
 def problem_to_dict(problem: Problem) -> dict:

@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 from repro.cln.model import GCLNConfig
+
+_SWITCHES = (
+    "data_normalization",
+    "weight_regularization",
+    "term_dropout",
+    "fractional_sampling",
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -34,16 +46,39 @@ class InferenceConfig:
     max_epochs: int = 2000
 
     def __post_init__(self) -> None:
+        # A config also arrives as JSON (serve, queue items), so check
+        # types here: a string "no" would silently switch dropout on,
+        # and a string or negative budget would fail deep in training.
+        for name in _SWITCHES:
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
+        if not _is_int(self.max_epochs) or self.max_epochs < 1:
+            raise ValueError(
+                f"max_epochs must be an int >= 1, got {self.max_epochs!r}"
+            )
         # An empty schedule would run zero attempts (or divide by zero
         # cycling seeds) instead of solving.
         for name in ("dropout_schedule", "seeds"):
-            if not getattr(self, name):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise ValueError(f"{name} must be a tuple, got {value!r}")
+            if not value:
                 raise ValueError(f"{name} must not be empty")
+        for seed in self.seeds:
+            if not _is_int(seed):
+                raise ValueError(f"seeds must be ints, got {seed!r}")
         # A rate of 1 drops every unprotected term, and GCLN refuses it.
         for rate in self.dropout_schedule:
-            if not 0.0 <= rate < 1.0:
+            if not (
+                isinstance(rate, Real)
+                and not isinstance(rate, bool)
+                and 0.0 <= rate < 1.0
+            ):
                 raise ValueError(
-                    f"dropout_schedule entries must be in [0, 1), got {rate}"
+                    f"dropout_schedule entries must be numbers in [0, 1), "
+                    f"got {rate!r}"
                 )
 
     def gcln_for_attempt(self, dropout_rate: float) -> GCLNConfig:

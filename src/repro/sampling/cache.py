@@ -141,7 +141,6 @@ class TraceCache:
         program: Program,
         inputs: Sequence[Mapping[str, object]],
         fuel: int = TRAIN_FUEL,
-        max_traces: int | None = None,
     ) -> list[ExecutionTrace]:
         """Memoized :func:`~repro.sampling.tracegen.collect_traces`."""
         key = (
@@ -149,12 +148,11 @@ class TraceCache:
             fingerprint_program(program),
             fingerprint_inputs(inputs),
             fuel,
-            max_traces,
         )
         return self.memoize(
             "trace",
             key,
-            lambda: collect_traces(program, inputs, fuel=fuel, max_traces=max_traces),
+            lambda: collect_traces(program, inputs, fuel=fuel),
         )
 
     def checker_traces(

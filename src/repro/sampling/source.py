@@ -212,22 +212,24 @@ class RecordedTraceSource:
 
 # -- JSON / CSV payloads -----------------------------------------------------
 #
-# The wire convention matches repro.dist.wire input encoding: Fractions
-# travel as "num/den" strings, everything else as native JSON scalars.
-# (Defined here, not imported from dist/, to keep layering downward.)
+# One value encoding for recorded states and for repro.dist.wire's
+# problem inputs: Fractions travel as "num/den" strings, everything else
+# as native JSON scalars.  It lives here so dist/ imports downward.
 
 
-def _encode_state_value(value: object) -> object:
+def encode_value(value: object) -> object:
+    """A state or input value as JSON: Fractions become ``"n/d"``."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (bool, int, float)):
         return value
     raise ReproError(
-        f"cannot encode state value {value!r} ({type(value).__name__}) as JSON"
+        f"cannot encode value {value!r} ({type(value).__name__}) as JSON"
     )
 
 
-def _decode_state_value(value: object) -> object:
+def decode_value(value: object) -> object:
+    """Inverse of :func:`encode_value`."""
     if isinstance(value, str):
         return Fraction(value)
     return value
@@ -235,14 +237,14 @@ def _decode_state_value(value: object) -> object:
 
 def _encode_observation(ob: Observation) -> dict:
     return {
-        "state": {k: _encode_state_value(v) for k, v in ob.state.items()},
+        "state": {k: encode_value(v) for k, v in ob.state.items()},
         "guard": bool(ob.guard),
     }
 
 
 def _decode_observation(data: Mapping) -> Observation:
     return Observation(
-        state={k: _decode_state_value(v) for k, v in data["state"].items()},
+        state={k: decode_value(v) for k, v in data["state"].items()},
         guard=bool(data.get("guard", True)),
     )
 

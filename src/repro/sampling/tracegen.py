@@ -40,7 +40,6 @@ def collect_traces(
     program: Program,
     inputs: Iterable[Mapping[str, object]],
     fuel: int = TRAIN_FUEL,
-    max_traces: int | None = None,
 ) -> list[ExecutionTrace]:
     """Run ``program`` on each input assignment, keeping valid traces.
 
@@ -58,8 +57,6 @@ def collect_traces(
         if trace.assume_violated:
             continue
         traces.append(trace)
-        if max_traces is not None and len(traces) >= max_traces:
-            break
     if not traces:
         raise InterpError(
             f"no valid traces for program {program.name!r}; "

@@ -25,11 +25,20 @@ from repro.autodiff import (
 from repro.autodiff import tape as tape_module
 from repro.autodiff.plan import compile_plan, exclusive_prod_into
 from repro.autodiff.tensor import exclusive_prod
-from repro.cln.bounds import BoundBank, train_bound_bank
-from repro.cln.model import GCLN, AtomicUnit, GCLNConfig, _random_mask
+from repro.bench import nla_problem
+from repro.cln.bounds import BoundBank, enumerate_bound_masks, train_bound_bank
+from repro.cln.model import (
+    GCLN,
+    AtomicUnit,
+    GCLNConfig,
+    _random_mask,
+    complexity_term_weights,
+)
 from repro.cln.train import train_gcln
 from repro.infer import InferenceConfig
+from repro.infer.stages import build_matrix, collect_states, derive_loop_rng
 from repro.sampling import normalize_rows
+from repro.sampling.cache import TraceCache
 
 
 @pytest.mark.parametrize("name", ["numba", "auto"])
@@ -176,10 +185,36 @@ def _train_eq():
     return [p.data.copy() for p in model.parameters()]
 
 
-def test_gcln_training_bitwise_across_backends(walker):
+def _loop0_matrix(name):
+    """A problem's loop-0 training matrix, as the pipeline builds it."""
+    problem = nla_problem(name)
+    config = InferenceConfig()
+    cache = TraceCache()
+    dataset = collect_states(problem, config, None, cache)
+    return build_matrix(problem, config, dataset, 0, cache)
+
+
+def _train_eq_ps2():
+    """ps2's first attempt on loop 0: a default-size model and matrix."""
+    bundle = _loop0_matrix("ps2")
+    weights = complexity_term_weights([m.degree for m in bundle.basis.monomials])
+    config = GCLNConfig(max_epochs=200)
+    model = GCLN(
+        len(bundle.basis), config, derive_loop_rng(1, 0),
+        protected_terms=[0], term_weights=weights,
+    )
+    train_gcln(model, bundle.data)
+    return [p.data.copy() for p in model.parameters()]
+
+
+# The small case's tensors are a few elements wide; the problem-size
+# case is where a layout-dependent rounding difference shows (a
+# transposed gradient buffer written by matmul).
+@pytest.mark.parametrize("train", [_train_eq, _train_eq_ps2], ids=["small", "ps2"])
+def test_gcln_training_bitwise_across_backends(train, walker):
     with walker():
-        ref = _train_eq()
-    fused = _train_eq()
+        ref = train()
+    fused = train()
     assert len(ref) == len(fused)
     for x, y in zip(ref, fused):
         assert np.array_equal(x, y)
@@ -199,10 +234,25 @@ def _train_bank():
     return bank.weight.data.copy()
 
 
-def test_bound_bank_training_honors_numpy_backend(monkeypatch, walker):
+def _train_bank_sqrt1():
+    """sqrt1's loop-0 bound bank, as its first attempt builds it."""
+    bundle = _loop0_matrix("sqrt1")
+    monomials = bundle.basis.monomials
+    masks = enumerate_bound_masks(
+        [m.variables for m in monomials], [m.degree for m in monomials]
+    )
+    bank = BoundBank(masks, GCLNConfig(max_epochs=200), derive_loop_rng(1, 0))
+    train_bound_bank(bank, bundle.data)
+    return bank.weight.data.copy()
+
+
+@pytest.mark.parametrize(
+    "train", [_train_bank, _train_bank_sqrt1], ids=["small", "sqrt1"]
+)
+def test_bound_bank_training_honors_numpy_backend(train, monkeypatch, walker):
     """The bound bank's tape reaches the numpy walker and the plan alike."""
     with walker():
-        ref = _train_bank()
+        ref = train()
     compiled = []
     real = tape_module.compile_plan
 
@@ -212,7 +262,7 @@ def test_bound_bank_training_honors_numpy_backend(monkeypatch, walker):
         return plan, failure
 
     monkeypatch.setattr(tape_module, "compile_plan", spy)
-    fused = _train_bank()
+    fused = train()
     assert compiled and all(compiled), "the bound-bank tape never compiled"
     assert np.array_equal(ref, fused)
 

@@ -23,6 +23,7 @@ from repro.dist import (
 )
 from repro.dist.wire import item_for_problem, resolve_item_problem
 from repro.dist.worker import worker_main
+from repro.errors import ReproError
 from repro.infer import InferenceConfig, Problem
 from repro.infer.runner import STATUS_OK, ProblemRecord, run_many
 
@@ -284,6 +285,13 @@ def test_problem_round_trips_through_json():
     assert rebuilt == problem
 
 
+def test_problem_encoding_names_an_unencodable_input():
+    problem = tiny_problem("bad")
+    problem.train_inputs = [{"n": 2j}]
+    with pytest.raises(ReproError, match=r"2j \(complex\)"):
+        problem_to_dict(problem)
+
+
 def test_config_round_trips_through_json():
     config = InferenceConfig(
         max_epochs=123,
@@ -320,6 +328,15 @@ def test_config_round_trips_through_json():
         ({"gcln": {"max_epochs": 10}}, "gcln"),
         ({"fractional_intervals": [0.5]}, "fractional_intervals"),
         ({"growth_ratio_cap": 1}, "growth_ratio_cap"),
+        # Values are checked too: a string budget would fail deep in
+        # training, and a truthy string would switch dropout on.
+        ({"max_epochs": "10"}, "max_epochs"),
+        ({"max_epochs": -3}, "max_epochs"),
+        ({"max_epochs": True}, "max_epochs"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": 5}, "seeds"),
+        ({"term_dropout": "no"}, "term_dropout"),
+        ({"dropout_schedule": ["0.5"]}, "dropout"),
     ],
 )
 def test_config_from_dict_refuses_bad_payloads(payload, message):

@@ -501,6 +501,17 @@ def test_http_solve_rejects_unknown_gcln_config_key():
     assert executor.calls == 0
 
 
+def test_http_solve_rejects_ill_typed_config_value():
+    """A string where a bool belongs is a 400, not a silent switch-on."""
+    server, executor = stub_server()
+    body = solve_body(tiny_problem(), config={"term_dropout": "no"})
+    with ServerHarness(server) as h:
+        status, payload = h.request("/v1/solve", body=body)
+    assert status == 400
+    assert "term_dropout" in payload["error"]
+    assert executor.calls == 0
+
+
 def test_http_solve_memo_and_result_store():
     server, executor = stub_server()
     problem = tiny_problem()

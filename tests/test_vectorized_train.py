@@ -14,6 +14,7 @@ from repro.autodiff.functional import gaussian, sigmoid
 from repro.checker.bounded import BoundedChecker
 import repro.cln.model
 from repro.api.adapters import GuessAndCheckSolver
+from repro.baselines.plain_cln import train_plain_cln
 from repro.cln.model import GCLN, AtomicUnit, GCLNConfig, _random_mask
 from repro.cln.extract import extract_equalities
 from repro.cln.train import train_gcln, train_gcln_eager, train_gcln_restarts
@@ -21,7 +22,8 @@ from repro.dist.wire import config_from_dict
 from repro.errors import TrainingError
 from repro.infer import InferenceConfig
 from repro.lang import parse_program
-from repro.sampling import normalize_rows
+from repro.sampling import collect_traces, normalize_rows
+from repro.sampling.cache import TraceCache
 from tests.test_autodiff import check_grad
 
 
@@ -213,6 +215,18 @@ def _ragged_model():
          TypeError, "max_epochs"),
         (lambda: GuessAndCheckSolver(max_invariants=5), TypeError,
          "takes no arguments"),
+        # The plain-CLN baseline trains with cln.train's constants, and
+        # trace collection keeps every valid trace.
+        (lambda: train_plain_cln(None, None, None, (), learning_rate=0.1),
+         TypeError, "learning_rate"),
+        (lambda: train_plain_cln(None, None, None, (), lr_decay=0.9),
+         TypeError, "lr_decay"),
+        (lambda: train_plain_cln(None, None, None, (), anneal_init=10.0),
+         TypeError, "anneal_init"),
+        (lambda: collect_traces(parse_program(_LOOP), [{}], max_traces=1),
+         TypeError, "max_traces"),
+        (lambda: TraceCache().traces(parse_program(_LOOP), [{}], max_traces=1),
+         TypeError, "max_traces"),
     ],
     ids=[
         "config-attempt_batch_size",
@@ -226,6 +240,11 @@ def _ragged_model():
         "GCLNConfig-learning_rate",
         "train_gcln-max_epochs",
         "GuessAndCheckSolver-max_invariants",
+        "train_plain_cln-learning_rate",
+        "train_plain_cln-lr_decay",
+        "train_plain_cln-anneal_init",
+        "collect_traces-max_traces",
+        "TraceCache.traces-max_traces",
     ],
 )
 def test_removed_knobs_are_refused(build, error, message):
