@@ -19,7 +19,7 @@ from repro.autodiff.functional import (
     pbqu,
     sigmoid,
 )
-from repro.autodiff.optim import Adam, clip_grad_norm
+from repro.autodiff.optim import Adam
 
 __all__ = [
     "Tensor",
@@ -31,5 +31,4 @@ __all__ = [
     "sigmoid",
     "gaussian",
     "Adam",
-    "clip_grad_norm",
 ]

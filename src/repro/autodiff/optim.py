@@ -8,7 +8,8 @@ It is allocation-free in steady state: ``zero_grad`` zeroes the
 existing gradient buffers in place (``Tensor._accumulate`` then adds
 into them), and :meth:`Adam.step` stages every intermediate in
 preallocated scratch buffers instead of allocating fresh arrays each
-epoch.
+epoch; :meth:`Adam.clip_grad_norm` squares gradients into the same
+scratch.
 """
 
 from __future__ import annotations
@@ -93,17 +94,22 @@ class Adam:
             p.data -= s2
         self.lr *= self.decay
 
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """Clip the global gradient norm in place; returns the pre-clip norm.
 
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Clip the global gradient norm in place; returns the pre-clip norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
+        Each gradient is squared into the ``_s1`` scratch and summed with
+        the same per-parameter ``add.reduce`` as ``(grad**2).sum()``.
+        """
+        total = 0.0
+        for p, s1 in zip(self.params, self._s1):
             if p.grad is not None:
-                p.grad *= scale
-    return norm
+                np.square(p.grad, out=s1)
+                total += float(np.add.reduce(s1, axis=None))
+        norm = float(np.sqrt(total))
+        if norm > max_norm and norm > 0:
+            scale = max_norm / norm
+            for p in self.params:
+                if p.grad is not None:
+                    p.grad *= scale
+        return norm
+

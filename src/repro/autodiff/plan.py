@@ -15,8 +15,14 @@ list into straight-line Python source over preallocated buffers:
   compile time; every ufunc writes with ``out=``;
 * contributions to parents that do not require gradients are dropped
   at compile time (the walker computes and discards them);
-* ``exclusive_prod`` — the t-norm backward hot spot — runs through an
-  allocation-free twin that is bitwise-identical to the reference.
+* gated t-norms and t-conorms are lowered by the static length of
+  their reduced axis.  On a 2-long axis (every clause's literal
+  product) the product is one multiply of the two columns and the
+  backward exclusive product is the two columns swapped, each scaled
+  by the incoming gradient; any other length runs the walker's
+  shifted-cumprod construction in place.  Either way every column,
+  head, tail and flipped view is bound at compile time, so the replay
+  does no Python slicing.
 
 **Lowered op kinds** are exactly the ones a G-CLN training tape
 records (masked linear layer, activation, gated t-norms/t-conorms and
@@ -51,42 +57,6 @@ from typing import Callable
 import numpy as np
 
 from repro.autodiff.tensor import Tensor
-
-
-def exclusive_prod_into(
-    x: np.ndarray,
-    axis: int,
-    left: np.ndarray,
-    right: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Allocation-free, bitwise-identical twin of ``exclusive_prod``.
-
-    ``left``/``right``/``out`` are caller-owned scratch of ``x``'s
-    shape.  The shifted-cumprod construction multiplies exactly the
-    same values in the same order as the reference, so results are
-    bitwise-equal (asserted by the plan tests).
-    """
-    ndim = x.ndim
-    first = tuple(
-        slice(0, 1) if i == axis else slice(None) for i in range(ndim)
-    )
-    head = tuple(
-        slice(0, x.shape[axis] - 1) if i == axis else slice(None)
-        for i in range(ndim)
-    )
-    tail = tuple(
-        slice(1, None) if i == axis else slice(None) for i in range(ndim)
-    )
-    left[first] = 1.0
-    left[tail] = x[head]
-    np.cumprod(left, axis=axis, out=left)
-    rev = np.flip(x, axis=axis)
-    right[first] = 1.0
-    right[tail] = rev[head]
-    np.cumprod(right, axis=axis, out=right)
-    np.multiply(left, np.flip(right, axis=axis), out=out)
-    return out
 
 
 def _lit(value) -> str:
@@ -152,7 +122,7 @@ class _PlanCompiler:
     def __init__(self, nodes: list[Tensor], root: Tensor):
         self.nodes = nodes
         self.root = root
-        self.env: dict = {"np": np, "_xpi": exclusive_prod_into}
+        self.env: dict = {"np": np}
         self.node_ids = {id(n) for n in nodes}
         self._names: dict[int, str] = {}
         self._keepalive: list = []
@@ -233,6 +203,14 @@ class _PlanCompiler:
             name = self._bind(np.empty(shape, dtype=dtype), "p")
             self._persist[key] = name
         return name
+
+    def view(self, arr: np.ndarray, axis: int, index) -> str:
+        """Bind ``arr[..., index, ...]`` on ``axis`` as a compile-time view.
+
+        The trailing ``Ellipsis`` keeps an integer index on a 1-D array
+        a 0-d view instead of a detached scalar.
+        """
+        return self.const(arr[(slice(None),) * axis + (index, Ellipsis)])
 
     def local(self) -> str:
         self._local += 1
@@ -445,22 +423,37 @@ class _PlanCompiler:
         values, gates = node._parents
         v, g = self.dname(values), self.dname(gates)
         y = self.dname(node)
-        inner = self.const(params["inner"])
-        axis = params["axis"]
+        inner_arr = params["inner"]
+        inner = self.const(inner_arr)
         out = self.fwd_lines
         if kind == "tnorm":
-            if params["inner"].shape == values.data.shape:
+            if inner_arr.shape == values.data.shape:
                 out.append(f"np.subtract({v}, 1.0, out={inner})")
                 out.append(f"np.multiply({inner}, {g}, out={inner})")
                 out.append(f"np.add({inner}, 1.0, out={inner})")
             else:
                 out.append(f"{inner}[...] = 1.0 + {g} * ({v} - 1.0)")
-            out.append(f"np.multiply.reduce({inner}, axis={axis!r}, out={y})")
+            self._emit_prod(inner_arr, params["axis"], y)
         else:
             out.append(f"np.multiply({g}, {v}, out={inner})")
             out.append(f"np.subtract(1.0, {inner}, out={inner})")
-            out.append(f"np.multiply.reduce({inner}, axis={axis!r}, out={y})")
+            self._emit_prod(inner_arr, params["axis"], y)
             out.append(f"np.subtract(1.0, {y}, out={y})")
+
+    def _emit_prod(self, x: np.ndarray, axis: int, y: str) -> None:
+        """``y = prod(x, axis)``, lowered by the axis's static length.
+
+        A 2-long axis (every literal product) is one elementwise
+        multiply of its two columns: ``multiply.reduce`` computes
+        exactly ``x0 * x1`` there, but pays a reduction loop per row.
+        """
+        if x.shape[axis] == 2:
+            x0, x1 = self.view(x, axis, 0), self.view(x, axis, 1)
+            self.fwd_lines.append(f"np.multiply({x0}, {x1}, out={y})")
+        else:
+            self.fwd_lines.append(
+                f"np.multiply.reduce({self.const(x)}, axis={axis}, out={y})"
+            )
 
     # -- backward ops ------------------------------------------------------
 
@@ -680,22 +673,10 @@ class _PlanCompiler:
         self, node: Tensor, kind: str, params: dict, gy: str
     ) -> None:
         values, gates = node._parents
-        axis = params["axis"]
         inner = params["inner"]
-        inner_name = self.const(inner)
         ishape = tuple(inner.shape)
         out = self.bwd_lines
-        ax = axis if axis >= 0 else len(ishape) + axis
-        expanded = tuple(
-            1 if i == ax else d for i, d in enumerate(ishape)
-        )
-        left = self.persist(node, "xl", ishape)
-        right = self.persist(node, "xr", ishape)
-        ep = self.persist(node, "ep", ishape)
-        out.append(f"_xpi({inner_name}, {ax}, {left}, {right}, {ep})")
-        out.append(
-            f"np.multiply({gy}.reshape({expanded!r}), {ep}, out={ep})"
-        )
+        ep = self._emit_exclusive_prod(node, inner, params["axis"], gy)
         v, g = self.dname(values), self.dname(gates)
         if values.requires_grad:
             dest, token = self.contrib_dest(out, values, ishape)
@@ -711,6 +692,51 @@ class _PlanCompiler:
                 dest, token = self.contrib_dest(out, gates, ishape)
                 out.append(f"np.multiply({ep}, {v}, out={dest})")
             self.finish_contrib(out, dest, token)
+
+    def _emit_exclusive_prod(
+        self, node: Tensor, x: np.ndarray, ax: int, gy: str
+    ) -> str:
+        """``ep = gy * exclusive_prod(x, ax)`` into a persistent buffer.
+
+        Lowered by the axis's static length, with every view bound at
+        compile time.  On a 2-long axis the exclusive product is the two
+        columns swapped (the walker's shifted cumprods give exactly
+        ``[1*x1, x0*1]``), so each column of ``ep`` is one multiply of
+        the incoming gradient.  Any other length runs the walker's
+        shifted-cumprod construction in place: the ``1.0`` seeds of the
+        left and right scratch are written once here, and ``cumprod``
+        leaves them untouched.
+        """
+        out = self.bwd_lines
+        ishape = tuple(x.shape)
+        n = ishape[ax]
+        ep = self.persist(node, "ep", ishape)
+        ep_arr = self.env[ep]
+        if n == 2:
+            x0, x1 = self.view(x, ax, 0), self.view(x, ax, 1)
+            e0, e1 = self.view(ep_arr, ax, 0), self.view(ep_arr, ax, 1)
+            out.append(f"np.multiply({gy}, {x1}, out={e0})")
+            out.append(f"np.multiply({gy}, {x0}, out={e1})")
+            return ep
+        xl, xr = self.persist(node, "xl", ishape), self.persist(node, "xr", ishape)
+        left, right = self.env[xl], self.env[xr]
+        first = (slice(None),) * ax + (0,)
+        left[first] = right[first] = 1.0
+        head = slice(0, n - 1)
+        tail = slice(1, None)
+        l_tail, r_tail = self.view(left, ax, tail), self.view(right, ax, tail)
+        x_head = self.view(x, ax, head)
+        rev_head = self.view(np.flip(x, axis=ax), ax, head)
+        rev_right = self.const(np.flip(right, axis=ax))
+        expanded = tuple(1 if i == ax else d for i, d in enumerate(ishape))
+        gyx = self.const(self.env[gy].reshape(expanded))
+        out.append(f"np.copyto({l_tail}, {x_head})")
+        out.append(f"np.cumprod({xl}, axis={ax}, out={xl})")
+        out.append(f"np.copyto({r_tail}, {rev_head})")
+        out.append(f"np.cumprod({xr}, axis={ax}, out={xr})")
+        out.append(f"np.multiply({xl}, {rev_right}, out={ep})")
+        out.append(f"np.multiply({gyx}, {ep}, out={ep})")
+        return ep
 
 
 class _Unsupported(Exception):

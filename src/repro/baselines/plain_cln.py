@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import Adam, clip_grad_norm
+from repro.autodiff.optim import Adam
 from repro.autodiff.tensor import Tensor
 from repro.autodiff.functional import stack
 from repro.cln.activations import gaussian_equality
@@ -102,7 +102,7 @@ def train_plain_cln(
         optimizer.zero_grad()
         loss = (1.0 - model.forward(X, relax_scale)).sum()
         loss.backward()
-        clip_grad_norm(model.weights, 100.0)
+        optimizer.clip_grad_norm(100.0)
         optimizer.step()
         relax_scale = max(relax_scale * anneal_decay, 1.0)
         if not np.isfinite(loss.item()):

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import Adam, clip_grad_norm
+from repro.autodiff.optim import Adam
 from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor
 from repro.cln.activations import pbqu_ge
@@ -173,7 +173,7 @@ def train_bound_bank(bank: BoundBank, data: np.ndarray) -> float:
         c1_box[...] = C1 * relax_scale
         optimizer.zero_grad()
         tape.step(build)
-        clip_grad_norm([bank.weight], 1000.0)
+        optimizer.clip_grad_norm(1000.0)
         optimizer.step()
         relax_scale = max(relax_scale * anneal_decay, 1.0)
         value = float(loss_node[0].data)

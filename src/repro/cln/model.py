@@ -360,11 +360,15 @@ class GCLN:
         np.clip(data, 0.0, 1.0, out=data)
 
     def gates_saturated(self, tolerance: float = 0.05) -> bool:
-        """True when every gate is within ``tolerance`` of 0 or 1."""
+        """True when every gate is within ``tolerance`` of 0 or 1.
+
+        The per-clause ``or_gates`` are row views of ``or_gates_stacked``,
+        so one check of the stacked array covers them all.
+        """
         def ok(arr: np.ndarray) -> bool:
             return bool(np.all((arr < tolerance) | (arr > 1.0 - tolerance)))
 
-        return ok(self.and_gates.data) and all(ok(g.data) for g in self.or_gates)
+        return ok(self.and_gates.data) and ok(self.or_gates_stacked.data)
 
 
 def _random_mask(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import Adam, clip_grad_norm
+from repro.autodiff.optim import Adam
 from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor
 from repro.cln.loss import GateSchedule, build_gcln_loss_batched, gcln_loss
@@ -189,7 +189,7 @@ def _run_restart_epochs(
         tape.step(build)
         for state in states:
             if not state.stopped:
-                clip_grad_norm(state.optimizer.params, 100.0)
+                state.optimizer.clip_grad_norm(100.0)
                 state.optimizer.step()
                 state.model.project_gates()
         for state, node in zip(states, loss_nodes):
@@ -332,7 +332,7 @@ def train_gcln_eager(model: GCLN, data: np.ndarray) -> TrainResult:
         optimizer.zero_grad()
         loss = gcln_loss(model, X, lambda1.step(), lambda2.step(), relax_scale)
         loss.backward()
-        clip_grad_norm(optimizer.params, 100.0)
+        optimizer.clip_grad_norm(100.0)
         optimizer.step()
         model.project_gates()
         relax_scale = max(relax_scale * anneal_decay, 1.0)

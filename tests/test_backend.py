@@ -9,6 +9,8 @@ the oracle the way that fallback does: it makes the plan compile
 decline.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,7 @@ from repro.autodiff import (
     sigmoid,
 )
 from repro.autodiff import tape as tape_module
-from repro.autodiff.plan import compile_plan, exclusive_prod_into
-from repro.autodiff.tensor import exclusive_prod
+from repro.autodiff.plan import compile_plan
 from repro.bench import nla_problem
 from repro.cln.bounds import BoundBank, enumerate_bound_masks, train_bound_bank
 from repro.cln.model import (
@@ -270,16 +271,93 @@ def test_bound_bank_training_honors_numpy_backend(train, monkeypatch, walker):
 # -- plan internals ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("axis", [0, 1, -1])
-def test_exclusive_prod_into_bitwise(axis):
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(4, 5, 3))
-    x[1, 2, 1] = 0.0  # zeros must match too
-    x[0, 0, 0] = 0.0
-    ref = exclusive_prod(x, axis)
-    out = np.empty_like(x)
-    exclusive_prod_into(x, axis % x.ndim, np.empty_like(x), np.empty_like(x), out)
-    assert np.array_equal(ref, out)
+def _gate_inputs(rng, kind, shape, axis):
+    """Values and broadcast gates with exact zeros in both and in inner."""
+    values = rng.uniform(0.0, 1.0, size=shape)
+    gates = rng.uniform(0.1, 0.9, size=shape[1:])
+    values[0, 0, 0] = 0.0
+    gates[(0,) * gates.ndim] = 0.0
+    # An exactly-zero factor of the product: 1 + 1*(0 - 1) for the
+    # t-norm, 1 - 1*1 for the t-conorm.
+    where = [1] * len(shape)
+    where[axis] = shape[axis] - 1
+    gates[tuple(where[1:])] = 1.0
+    values[tuple(where)] = 0.0 if kind == "tnorm" else 1.0
+    return values, gates
+
+
+def _replay_gate(kind, shape, axis, steps=3):
+    """Forward values and leaf gradients of a taped gated t-(co)norm."""
+    fn = fused_gated_tnorm if kind == "tnorm" else fused_gated_tconorm
+    rng = np.random.default_rng(len(shape) * 100 + shape[axis])
+    values = Tensor(np.zeros(shape), requires_grad=True)
+    gates = Tensor(np.zeros(shape[1:]), requires_grad=True)
+    weight = rng.normal(size=shape[:axis] + shape[axis + 1:])
+    node = []
+
+    def build():
+        node.clear()
+        node.append(fn(values, gates, axis=axis))
+        return (node[0] * weight).sum()
+
+    tape = Tape()
+    records = []
+    for _ in range(steps):
+        values.data[...], gates.data[...] = _gate_inputs(rng, kind, shape, axis)
+        values.grad = gates.grad = None
+        tape.step(build)
+        records.append(
+            (node[0].data.copy(), values.grad.copy(), gates.grad.copy())
+        )
+    return records, tape.stats()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 21])
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ["tnorm", "tconorm"])
+def test_gated_tnorm_plan_matches_walker(kind, axis, length, walker):
+    """Each lowering of the reduced axis reproduces the walker bitwise."""
+    shape = [4, 3, 5]
+    shape[axis] = length
+    with walker():
+        ref, ref_stats = _replay_gate(kind, tuple(shape), axis)
+    fused, stats = _replay_gate(kind, tuple(shape), axis)
+    assert not ref_stats["compiled"]
+    assert stats["compiled"]
+    for want, got in zip(ref, fused):
+        for x, y in zip(want, got):
+            assert np.array_equal(x, y)
+
+
+def test_plan_has_no_reduction_over_a_two_long_axis(monkeypatch):
+    """Literal products and their exclusive products lower to multiplies."""
+    bundle = _loop0_matrix("ps2")
+    weights = complexity_term_weights([m.degree for m in bundle.basis.monomials])
+    model = GCLN(
+        len(bundle.basis), GCLNConfig(max_epochs=3), derive_loop_rng(1, 0),
+        protected_terms=[0], term_weights=weights,
+    )
+    compiled = []
+    real = tape_module.compile_plan
+
+    def spy(nodes, root):
+        plan, failure = real(nodes, root)
+        compiled.append((plan, list(nodes)))
+        return plan, failure
+
+    monkeypatch.setattr(tape_module, "compile_plan", spy)
+    train_gcln(model, bundle.data)
+    [(plan, nodes)] = compiled
+    assert plan is not None
+    gates = [n._op for n in nodes if n._op[0] in ("tnorm", "tconorm")]
+    assert {kind for kind, _ in gates} == {"tnorm", "tconorm"}
+    assert any(p["inner"].shape[p["axis"]] == 2 for _, p in gates)
+    reductions = re.findall(
+        r"np\.(?:multiply\.reduce|cumprod)\((\w+), axis=(-?\d+)", plan.source
+    )
+    assert reductions, "the and-gate t-norm should still reduce"
+    for name, axis in reductions:
+        assert plan.env[name].shape[int(axis)] != 2, (name, axis)
 
 
 def test_plan_recompiles_after_leaf_storage_swap():
