@@ -4,9 +4,9 @@ Demonstrates the three pillars of the public API:
 
 * the **registry** — iterate ``available_solvers()`` and dispatch by
   name, no per-strategy code;
-* the **service** — one long-lived :class:`InvariantService` whose
-  shared trace cache makes the second and later solvers skip program
-  interpretation entirely (watch ``cache_stats``);
+* the **service** — one long-lived :class:`InvariantService` that runs
+  every solver; each solve memoizes its own traces and term matrices,
+  and ``cache_stats`` sums their hits and misses over the solves;
 * the **event bus** — a subscriber receives typed lifecycle events;
   here we aggregate ``StageTimed`` events into a per-solver profile.
 
@@ -60,7 +60,7 @@ def main() -> None:
     for (solver, stage), seconds in sorted(profile.items()):
         if seconds > 0.005:
             print(f"  {solver:<16} {stage:<8} {seconds:6.2f}")
-    print(f"\nshared cache: {service.cache_stats}")
+    print(f"\ncache counters, summed over solves: {service.cache_stats}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,8 @@ returns the same :class:`~repro.api.solver.SolveResult` wire format,
 so callers compare strategies without branching on which one ran.
 
 For anything longer-lived than a one-shot call, use
-:class:`~repro.api.service.InvariantService`: it owns a bounded
-:class:`~repro.sampling.cache.TraceCache` shared across solves and an
-:class:`~repro.api.events.EventBus` streaming typed lifecycle events
+:class:`~repro.api.service.InvariantService`: it holds a default config
+and an :class:`~repro.api.events.EventBus` streaming typed lifecycle events
 (:class:`AttemptStarted`, :class:`StageTimed`,
 :class:`CandidateChecked`, :class:`ProblemSolved`) to subscribers.
 
@@ -64,7 +63,7 @@ from repro.api.adapters import (
     register_default_solvers,
 )
 from repro.api.memo import ResultMemo
-from repro.api.service import DEFAULT_CACHE_ENTRIES, InvariantService
+from repro.api.service import InvariantService
 
 __all__ = [
     # events
@@ -104,5 +103,4 @@ __all__ = [
     # service
     "InvariantService",
     "ResultMemo",
-    "DEFAULT_CACHE_ENTRIES",
 ]

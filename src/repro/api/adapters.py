@@ -8,7 +8,7 @@ strategies under one :class:`~repro.api.solver.SolveResult` schema.
 The G-CLN adapter is a one-line delegation: the engine itself returns
 a :class:`~repro.api.solver.SolveResult`.  The baseline adapters share
 a single-attempt skeleton: collect loop-head states through the
-(shared) :class:`~repro.sampling.cache.TraceCache`, generate candidate
+solve's own :class:`~repro.sampling.cache.TraceCache`, generate candidate
 atoms with the strategy, then hand them to the engine's own
 check-and-score step (:func:`repro.infer.pipeline.check_and_score`),
 which filters them to the sound subset, emits the per-verdict events,
@@ -71,12 +71,11 @@ class GCLNSolver:
         problem: "Problem",
         *,
         config: "InferenceConfig | None" = None,
-        cache: TraceCache | None = None,
         events: EventSink | None = None,
     ) -> SolveResult:
         from repro.infer.pipeline import InferenceEngine
 
-        return InferenceEngine(problem, config, cache=cache, events=events).run()
+        return InferenceEngine(problem, config, events=events).run()
 
 
 class _BaselineSolver:
@@ -94,14 +93,13 @@ class _BaselineSolver:
         problem: "Problem",
         *,
         config: "InferenceConfig | None" = None,
-        cache: TraceCache | None = None,
         events: EventSink | None = None,
     ) -> SolveResult:
         from repro.infer.config import InferenceConfig
         from repro.infer.pipeline import check_and_score
         from repro.infer.stages import collect_states
 
-        cache = cache if cache is not None else TraceCache()
+        cache = TraceCache()
         config = config if config is not None else InferenceConfig()
         start = time.perf_counter()
         timings = {stage: 0.0 for stage in STAGES}
@@ -116,7 +114,7 @@ class _BaselineSolver:
             events(AttemptStarted(problem=problem.name, solver=self.name, attempt=1))
         with timed_stage(timings, "collect"):
             dataset = collect_states(problem, config, None, cache)
-        checker = make_checker(problem, cache=cache)
+        checker = make_checker(problem)
 
         candidates: list[list[Atom]] = []
         for loop_index in range(n_loops):
@@ -276,8 +274,7 @@ class PlainCLNSolver(_BaselineSolver):
         from repro.errors import TrainingError
         from repro.infer.stages import build_matrix, collect_states, derive_loop_rng
 
-        # Reuse the engine's memoized matrix stage so a service cache
-        # shares term matrices between this baseline and the G-CLN.
+        # The engine's matrix stage, memoized in this solve's cache.
         with timed_stage(timings, "collect"):
             dataset = collect_states(problem, config, None, cache)
             bundle = build_matrix(problem, config, dataset, loop_index, cache)

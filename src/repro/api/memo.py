@@ -1,10 +1,10 @@
 """Bounded, thread-safe memo of finished solve results.
 
-Distinct from the :class:`~repro.sampling.cache.TraceCache`: the trace
-cache memoizes *intermediate* artifacts (traces, term matrices) so a
-repeated solve skips interpretation but still trains; a
-:class:`ResultMemo` holds *finished* results, so a repeated request
-skips everything.  The HTTP front end (:mod:`repro.serve`) keeps its
+Distinct from the :class:`~repro.sampling.cache.TraceCache`, which
+memoizes one solve's *intermediate* artifacts (state datasets, term
+matrices) across its retries and ends with the solve: a
+:class:`ResultMemo` holds *finished* results across requests, so a
+repeated request skips everything.  The HTTP front end (:mod:`repro.serve`) keeps its
 response memo and its ``/v1/results`` store in it; it lives here so
 the serving layer depends on the API, never the reverse.
 

@@ -4,11 +4,12 @@
 built around, and :meth:`InvariantService.solve` is the one place a
 solve is configured and run: the CLI, the batch runner (inline and in
 every pool worker), queue workers and the HTTP front end all call it.
-The service owns one bounded :class:`~repro.sampling.cache.TraceCache`
-shared by every solve (so repeated queries on the same program skip
-interpretation entirely), one default config, and an
+The service holds one default config and an
 :class:`~repro.api.events.EventBus` that streams typed lifecycle
-events to subscribers.
+events to subscribers.  It keeps no data between solves: each solve
+memoizes its own traces and term matrices, and the service only sums
+their hit/miss counters (:attr:`InvariantService.cache_stats`).
+Concurrent solves on one service (``serve``'s solve threads) are safe.
 
 Usage::
 
@@ -31,6 +32,7 @@ streaming live; only ``ProblemSolved`` completion events are emitted
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.api.events import Event, EventBus, ProblemSolved
@@ -40,49 +42,35 @@ from repro.api.solver import (
     get_solver,
     require_solver_supports,
 )
-from repro.sampling.cache import TraceCache
+from repro.sampling.cache import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
     from repro.infer.runner import ProblemRecord
 
-# A long-lived service sees many problems; give it more headroom than a
-# single-problem engine (TraceCache defaults to 128) while still
-# bounding memory growth across an unbounded problem stream.
-DEFAULT_CACHE_ENTRIES = 512
-
 
 class InvariantService:
-    """Long-lived session: shared cache + default config + event bus.
+    """Long-lived session: default config + event bus + summed stats.
 
     Args:
         config: the :class:`~repro.infer.config.InferenceConfig` every
             solve runs under unless it passes its own (``None`` =
             paper defaults).
-        cache: inject an existing :class:`TraceCache` to share with
-            other components; by default the service owns a fresh one
-            bounded to ``DEFAULT_CACHE_ENTRIES``.
     """
 
-    def __init__(
-        self,
-        config: "InferenceConfig | None" = None,
-        *,
-        cache: TraceCache | None = None,
-    ):
+    def __init__(self, config: "InferenceConfig | None" = None):
         self.config = config
-        self.cache = (
-            cache
-            if cache is not None
-            else TraceCache(max_entries=DEFAULT_CACHE_ENTRIES)
-        )
         self.bus = EventBus()
+        self._cache_stats = CacheStats().to_dict()
+        self._stats_lock = threading.Lock()
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Shared-cache counters (hits/misses/evictions), a snapshot."""
-        return self.cache.stats.to_dict()
+        """The trace/matrix hit and miss counters summed over every
+        :meth:`solve` so far, a snapshot."""
+        with self._stats_lock:
+            return dict(self._cache_stats)
 
     # -- events ----------------------------------------------------------------
 
@@ -109,9 +97,10 @@ class InvariantService:
         """Run one registered solver on one problem.
 
         ``config`` applies to this solve only; ``None`` means the
-        service's :attr:`config`.  The solver shares the service cache
-        and emits events to the service bus; a ``ProblemSolved`` event
-        is emitted on completion whether or not the problem was solved.
+        service's :attr:`config`.  The solver emits events to the
+        service bus, and its ``cache_stats`` are added to the service's;
+        a ``ProblemSolved`` event is emitted on completion whether or
+        not the problem was solved.
 
         Raises:
             UnknownSolverError: for unregistered solver names (the
@@ -124,9 +113,11 @@ class InvariantService:
         result = get_solver(solver).solve(
             problem,
             config=config if config is not None else self.config,
-            cache=self.cache,
             events=self.bus.emit,
         )
+        with self._stats_lock:
+            for key in self._cache_stats:
+                self._cache_stats[key] += result.cache_stats.get(key, 0)
         self.bus.emit(
             ProblemSolved(
                 problem=problem.name,
@@ -158,17 +149,16 @@ class InvariantService:
         completion order, including timed-out and errored problems
         (``attempts`` is 0 when no result came back).  With
         ``jobs == 1`` every solve runs in-process through
-        :meth:`solve`, sharing the service cache and streaming the full
-        event feed.  With ``jobs > 1`` the problems fan out over a
-        process pool; each worker solves every item through a fresh
-        service of its own (own in-memory cache) under this service's
-        :attr:`config`.  Per-stage timings come back inside each
+        :meth:`solve`, streaming the full event feed.  With ``jobs > 1``
+        the problems fan out over a process pool; each worker solves
+        every item through a fresh service of its own under this
+        service's :attr:`config`.  Per-stage timings come back inside each
         record's result, and only the completion events stream live.
 
         ``workers > 1`` (or any value with ``queue_dir``) fans the
         suite out over the distributed runner (:mod:`repro.dist`):
         local worker processes drain a journaled work queue, each
-        running its own service and cache.
+        running its own service.
         ``workers="auto"`` makes the fleet elastic (sized to queue
         depth between ``min_workers`` and ``max_workers``), and
         ``fleet_status`` receives live fleet/health snapshots.  With a
@@ -219,5 +209,5 @@ class InvariantService:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"InvariantService(solvers={list(available_solvers())}, "
-            f"cache_entries={len(self.cache)}, subscribers={len(self.bus)})"
+            f"subscribers={len(self.bus)})"
         )

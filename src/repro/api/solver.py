@@ -28,7 +28,6 @@ from repro.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
-    from repro.sampling.cache import TraceCache
 
 # Registry name of the G-CLN engine; InferenceEngine stamps it on its
 # results and events, and GCLNSolver registers under it.
@@ -133,8 +132,9 @@ class SolveResult:
         stage_timings: wall-clock seconds per pipeline stage, keyed by
             :data:`repro.api.events.STAGES` (ROADMAP "Per-stage
             profiling").
-        cache_stats: the :class:`~repro.sampling.cache.TraceCache`
-            counters observed at the end of the solve.
+        cache_stats: the counters of the solve's own
+            :class:`~repro.sampling.cache.TraceCache` (state-dataset
+            and term-matrix hits and misses).
         train_epochs: total training epochs spent across attempts
             (0 for solvers that do not train).
         checking: the checker mode the solve ran under —
@@ -242,7 +242,6 @@ class Solver(Protocol):
         problem: "Problem",
         *,
         config: "InferenceConfig | None" = None,
-        cache: "TraceCache | None" = None,
         events: EventSink | None = None,
     ) -> SolveResult:
         """Run the strategy on one problem.
@@ -251,9 +250,6 @@ class Solver(Protocol):
             problem: the benchmark problem.
             config: shared pipeline knobs; strategies use the subset
                 that applies to them (``None`` = defaults).
-            cache: trace/matrix memo to share with other solves; pass
-                the service's cache so strategies reuse each other's
-                trace collection.
             events: sink for lifecycle events (``None`` = silent).
         """
         ...

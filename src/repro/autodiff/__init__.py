@@ -10,7 +10,7 @@ reference it is tested against.  Gradients are verified against
 central finite differences in the test suite.
 """
 
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.autodiff.tape import Tape
 from repro.autodiff.functional import (
     fused_gated_tconorm,
@@ -24,7 +24,6 @@ from repro.autodiff.optim import Adam
 __all__ = [
     "Tensor",
     "Tape",
-    "no_grad",
     "pbqu",
     "fused_gated_tnorm",
     "fused_gated_tconorm",

@@ -19,6 +19,11 @@ import numpy as np
 from repro.errors import AutodiffError
 from repro.autodiff.tensor import Tensor
 
+# Exponential decay rates for the moment estimates, and the
+# denominator's numerical stabilizer (Kingma & Ba's defaults).
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Adam optimizer (Kingma & Ba 2015) with multiplicative lr decay."""
@@ -27,16 +32,12 @@ class Adam:
         self,
         params: list[Tensor],
         lr: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         decay: float = 1.0,
     ):
         """
         Args:
             params: trainable tensors.
             lr: initial learning rate.
-            betas: exponential decay rates for the moment estimates.
-            eps: numerical stabilizer.
             decay: multiplicative lr decay applied after every step
                 (the paper uses 0.9996).
         """
@@ -46,8 +47,6 @@ class Adam:
         if not self.params:
             raise AutodiffError("optimizer received no trainable parameters")
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.decay = decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -67,7 +66,7 @@ class Adam:
 
     def step(self) -> None:
         self._step += 1
-        beta1, beta2 = self.betas
+        beta1, beta2 = BETA1, BETA2
         bias1 = 1.0 - beta1**self._step
         bias2 = 1.0 - beta2**self._step
         for p, m, v, s1, s2 in zip(self.params, self._m, self._v, self._s1, self._s2):
@@ -87,7 +86,7 @@ class Adam:
             # order as the textbook form for bitwise reproducibility.
             np.divide(v, bias2, out=s1)
             np.sqrt(s1, out=s1)
-            s1 += self.eps
+            s1 += EPS
             np.divide(m, bias1, out=s2)
             s2 *= self.lr
             s2 /= s1

@@ -106,14 +106,15 @@ class Tape:
     # -- internals ---------------------------------------------------------
 
     def _record(self, build: Callable[[], Tensor]) -> Tensor:
-        if _tensor_mod._TAPE_SINK is not None:
+        recording = _tensor_mod._RECORDING
+        if recording.sink is not None:
             raise AutodiffError("nested Tape recording is not supported")
         nodes: list[Tensor] = []
-        _tensor_mod._TAPE_SINK = nodes
+        recording.sink = nodes
         try:
             root = build()
         finally:
-            _tensor_mod._TAPE_SINK = None
+            recording.sink = None
         if root.data.size != 1:
             raise AutodiffError(
                 f"Tape.step requires a scalar root, got shape {root.data.shape}"

@@ -15,31 +15,28 @@ calls instead of thousands of graph-node allocations.
 
 from __future__ import annotations
 
-import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.errors import AutodiffError
 
-_GRAD_ENABLED = True
 
-# When non-None, Tensor._result appends every gradient-tracked node it
-# creates (in creation order, which is a valid topological order) to
-# this list.  The Tape installs it while recording.
-_TAPE_SINK: list["Tensor"] | None = None
+class _Recording(threading.local):
+    """The recording sink, one per thread.
+
+    When ``sink`` is not None, Tensor._result appends every
+    gradient-tracked node it creates on this thread (in creation order,
+    which is a valid topological order) to it.  The Tape installs it
+    while recording; a per-thread sink lets concurrent solves record
+    their tapes side by side.
+    """
+
+    sink: list["Tensor"] | None = None
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling graph construction (like torch.no_grad)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+_RECORDING = _Recording()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -114,7 +111,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
@@ -144,7 +141,7 @@ class Tensor:
         closure walker, never to wrong answers.
         """
         parents = tuple(parents)
-        track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        track = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=False)
         out.requires_grad = track
         if track:
@@ -152,8 +149,9 @@ class Tensor:
             out._backward_fn = backward_fn
             out._forward_fn = forward_fn
             out._op = op
-            if _TAPE_SINK is not None:
-                _TAPE_SINK.append(out)
+            sink = _RECORDING.sink
+            if sink is not None:
+                sink.append(out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -20,12 +20,14 @@ from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
 from repro.cln.extract import make_exact_validator
 
+# Atoms use at most this many terms, with these integer coefficients.
+MAX_TERMS = 3
+COEFFICIENT_RANGE = (-3, -2, -1, 1, 2, 3)
+
 
 def enumerative_search(
     states: Sequence[Mapping[str, object]],
     basis: TermBasis,
-    max_terms: int = 3,
-    coefficient_range: tuple[int, ...] = (-3, -2, -1, 1, 2, 3),
     budget: int = 200_000,
     target: Callable[[Atom], bool] | None = None,
 ) -> tuple[list[Atom], int, bool]:
@@ -34,8 +36,6 @@ def enumerative_search(
     Args:
         states: loop-head samples.
         basis: candidate terms.
-        max_terms: atoms use at most this many terms.
-        coefficient_range: integer coefficients tried per term.
         budget: maximum candidates examined before giving up.
         target: optional predicate; when it accepts a found atom the
             search stops early (used to measure time-to-solution).
@@ -48,9 +48,9 @@ def enumerative_search(
     seen: set[str] = set()
     examined = 0
     n = len(basis)
-    for size in range(1, max_terms + 1):
+    for size in range(1, MAX_TERMS + 1):
         for term_idx in combinations(range(n), size):
-            for coeffs in product(coefficient_range, repeat=size):
+            for coeffs in product(COEFFICIENT_RANGE, repeat=size):
                 examined += 1
                 if examined > budget:
                     return found, examined - 1, True

@@ -30,6 +30,9 @@ from repro.sampling.termgen import TermBasis
 from repro.smt.formula import Atom
 from repro.utils.rational import nice_coefficients
 
+# Width of every unit's Gaussian equality activation.
+SIGMA = 0.1
+
 
 class PlainCLN:
     """Fixed-template CLN: conjunction or disjunction of equality units.
@@ -43,13 +46,11 @@ class PlainCLN:
         n_units: int,
         rng: np.random.Generator,
         disjunction: bool = False,
-        sigma: float = 0.1,
     ):
         if n_units < 1:
             raise TrainingError("PlainCLN needs at least one unit")
         self.n_terms = n_terms
         self.disjunction = disjunction
-        self.sigma = sigma
         self.weights = [
             Tensor(rng.normal(0.0, 1.0, size=n_terms), requires_grad=True)
             for _ in range(n_units)
@@ -60,7 +61,7 @@ class PlainCLN:
         for w in self.weights:
             norm = ((w * w).sum() + 1e-12) ** 0.5
             r = X @ (w / norm)
-            outputs.append(gaussian_equality(r, self.sigma * relax_scale))
+            outputs.append(gaussian_equality(r, SIGMA * relax_scale))
         return stack(outputs, axis=1)
 
     def forward(self, X: Tensor, relax_scale: float = 1.0) -> Tensor:

@@ -43,7 +43,6 @@ from repro.smt.simplify import simplify
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.problem import Problem
-    from repro.sampling.cache import TraceCache
 
 class RecordedChecker:
     """Reachability-only checking against held-out recorded states.
@@ -140,10 +139,7 @@ class RecordedChecker:
         return report.conclude()
 
 
-def make_checker(
-    problem: "Problem",
-    cache: "TraceCache | None" = None,
-) -> InvariantChecker | RecordedChecker:
+def make_checker(problem: "Problem") -> InvariantChecker | RecordedChecker:
     """The right checker for a problem's observation source.
 
     Program-backed problems get the full hybrid
@@ -158,7 +154,6 @@ def make_checker(
             problem.effective_check_inputs,
             externals=problem.externals,
             rng=np.random.default_rng(DEFAULT_CHECKER_SEED),
-            trace_cache=cache,
         )
     source = problem.observations()
     assert isinstance(source, RecordedTraceSource)

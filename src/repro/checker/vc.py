@@ -27,10 +27,7 @@ there is no other verdict memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sampling.cache import TraceCache
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +37,7 @@ from repro.lang.interp import ExecutionTrace
 from repro.sampling.termgen import ExternalTerm
 from repro.smt.formula import And, Atom, Formula
 from repro.smt.simplify import simplify
-from repro.checker.bounded import CHECK_FUEL, BoundedChecker, StatePool
+from repro.checker.bounded import BoundedChecker, StatePool
 from repro.checker.result import CHECKING_FULL, CheckOutcome, CheckReport
 from repro.checker.symbolic import equality_inductive_symbolic
 
@@ -73,7 +70,6 @@ class InvariantChecker:
         check_inputs: Sequence[Mapping[str, object]],
         externals: Sequence[ExternalTerm] = (),
         rng: np.random.Generator | None = None,
-        trace_cache: "TraceCache | None" = None,
     ):
         """
         Args:
@@ -82,16 +78,11 @@ class InvariantChecker:
                 should be wider than the training inputs.
             externals: external-function terms usable in invariants.
             rng: randomness for perturbation sampling.
-            trace_cache: optional :class:`~repro.sampling.cache.
-                TraceCache`; when given, checking traces are cached
-                there and reused across checker instances for the same
-                (program, inputs).
         """
         self.program = program
         self.bounded = BoundedChecker(program, externals=externals, rng=rng)
         self._traces: list[ExecutionTrace] | None = None
         self._check_inputs = list(check_inputs)
-        self._trace_cache = trace_cache
         self._paths_cache: dict[int, object] = {}
         self._pools: list[tuple[StatePool, StatePool]] | None = None
         self._reach_pools: dict[int, StatePool] = {}
@@ -107,15 +98,7 @@ class InvariantChecker:
     def traces(self) -> list[ExecutionTrace]:
         """Checking traces (computed lazily, cached)."""
         if self._traces is None:
-            if self._trace_cache is not None:
-                self._traces = self._trace_cache.checker_traces(
-                    self.program,
-                    self._check_inputs,
-                    CHECK_FUEL,
-                    lambda: self.bounded.run_traces(self._check_inputs),
-                )
-            else:
-                self._traces = self.bounded.run_traces(self._check_inputs)
+            self._traces = self.bounded.run_traces(self._check_inputs)
         return self._traces
 
     def _paths(self, loop_index: int):

@@ -26,9 +26,8 @@ Commands:
   (the ObservationSource seed-equivalence contract).
 * ``profile <nla-problem>`` — run one solver and render the per-stage
   wall-clock breakdown (collect/train/extract/check) as a table, so hot
-  paths are visible without reading JSON; also prints the tape-replay
-  stats (whether the plan compiled and why not, node count, replay vs
-  eager epochs, plan compile time).
+  paths are visible without reading JSON; also prints the solve's
+  trace/matrix cache counters.
 * ``enqueue --queue-dir PATH`` — enqueue a suite on a journaled work
   queue (items already journaled are skipped, so re-enqueueing a
   half-finished run is a no-op for the finished part).
@@ -221,25 +220,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             ),
         )
     )
-    stats = ", ".join(f"{k}={v}" for k, v in service.cache_stats.items())
+    stats = ", ".join(f"{k}={v}" for k, v in result.cache_stats.items())
     print(f"cache:    {stats}")
-    tape_stats = _last_tape_stats()
-    if tape_stats is not None:
-        replay = ", ".join(
-            f"{key}={tape_stats[key]}"
-            for key in ("compiled", "n_nodes", "replays")
-        )
-        print(f"replay:   {replay}, compile_ms={tape_stats['compile_ms']:.1f}")
-        if tape_stats.get("fallback_reason"):
-            print(f"fallback: {tape_stats['fallback_reason']}")
     return 0
-
-
-def _last_tape_stats() -> dict | None:
-    """``tape.stats()`` from the last training loop in this process."""
-    from repro.cln import train
-
-    return train.LAST_TAPE_STATS
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -27,6 +27,10 @@ Validator = Callable[[Polynomial, str], bool]
 
 # Rounding denominators tried in order (§6: 10, 15, 30).
 MAX_DENOMINATORS = (10, 15, 30)
+# Algorithm 1 keeps a clause or literal whose gate exceeds this.
+GATE_THRESHOLD = 0.5
+# Support-guided recovery tries the top-k learned terms up to this k.
+MAX_SUPPORT = 8
 
 
 def _extend(
@@ -152,7 +156,6 @@ def refine_unit_atoms(
     basis: TermBasis,
     exact_rows: list[list[Fraction]],
     validator: Validator,
-    max_support: int = 8,
 ) -> list[Atom]:
     """Support-guided exact coefficient recovery for an equality unit.
 
@@ -201,7 +204,7 @@ def refine_unit_atoms(
                 seen.add(key)
                 atoms.append(atom)
 
-    for k in range(2, min(len(mask_idx), max_support) + 1):
+    for k in range(2, min(len(mask_idx), MAX_SUPPORT) + 1):
         support_local = [int(i) for i in order[:k]]
         if abs(weights[support_local[-1]]) < 0.02 * top:
             break
@@ -220,7 +223,6 @@ def extract_formula(
     model: GCLN,
     basis: TermBasis,
     states: Sequence[Mapping[str, object]],
-    gate_threshold: float = 0.5,
 ) -> Formula:
     """Algorithm 1: extract the CNF formula from a trained model."""
     validator = make_exact_validator(states, basis)
@@ -229,12 +231,12 @@ def extract_formula(
     for group, gates, and_gate in zip(
         model.clauses, model.or_gates, model.and_gates.data
     ):
-        if and_gate <= gate_threshold:
+        if and_gate <= GATE_THRESHOLD:
             continue
-        multi_literal = sum(1 for g in gates.data if g > gate_threshold) > 1
+        multi_literal = sum(1 for g in gates.data if g > GATE_THRESHOLD) > 1
         literals: list[Formula] = []
         for unit, gate in zip(group, gates.data):
-            if gate <= gate_threshold:
+            if gate <= GATE_THRESHOLD:
                 continue
             atom = unit_to_atom(unit, basis, validator)
             if atom is None and multi_literal:
@@ -258,22 +260,19 @@ def extract_equalities(
     model: GCLN,
     basis: TermBasis,
     states: Sequence[Mapping[str, object]],
-    refine: bool = True,
 ) -> list[Atom]:
     """All distinct validated equality atoms over every unit.
 
     Richer than Algorithm 1's gated walk: the pipeline unions these
     candidates and lets the specification check keep the sound subset,
-    mirroring the paper's "check and discard" loop.  With ``refine``,
-    units whose direct rounding fails go through support-guided exact
-    recovery (:func:`refine_unit_atoms`).
+    mirroring the paper's "check and discard" loop.  Units whose direct
+    rounding fails go through support-guided exact recovery
+    (:func:`refine_unit_atoms`).
     """
-    validator = make_exact_validator(states, basis)
-    exact_rows = None
-    if refine:
-        from repro.sampling.termgen import evaluate_terms_exact
+    from repro.sampling.termgen import evaluate_terms_exact
 
-        exact_rows = evaluate_terms_exact(states, basis)
+    validator = make_exact_validator(states, basis)
+    exact_rows = evaluate_terms_exact(states, basis)
     seen: set[str] = set()
     atoms: list[Atom] = []
 
@@ -289,7 +288,7 @@ def extract_equalities(
             atom = unit_to_atom(unit, basis, validator)
             if atom is not None:
                 add(atom)
-            elif exact_rows is not None:
+            else:
                 for refined in refine_unit_atoms(
                     unit, basis, exact_rows, validator
                 ):

@@ -40,6 +40,8 @@ LITERALS_PER_CLAUSE = 2
 # terms) even high dropout leaves supports whose restricted
 # nullspace is multi-dimensional, which yields mixtures.
 MAX_KEPT_TERMS = 8
+# Gates within this distance of 0 or 1 count as saturated (early stop).
+GATE_SATURATION_TOLERANCE = 0.05
 
 
 @dataclass
@@ -359,14 +361,20 @@ class GCLN:
         data = self.or_gates_stacked.data
         np.clip(data, 0.0, 1.0, out=data)
 
-    def gates_saturated(self, tolerance: float = 0.05) -> bool:
-        """True when every gate is within ``tolerance`` of 0 or 1.
+    def gates_saturated(self) -> bool:
+        """True when every gate is within ``GATE_SATURATION_TOLERANCE``
+        of 0 or 1.
 
         The per-clause ``or_gates`` are row views of ``or_gates_stacked``,
         so one check of the stacked array covers them all.
         """
         def ok(arr: np.ndarray) -> bool:
-            return bool(np.all((arr < tolerance) | (arr > 1.0 - tolerance)))
+            return bool(
+                np.all(
+                    (arr < GATE_SATURATION_TOLERANCE)
+                    | (arr > 1.0 - GATE_SATURATION_TOLERANCE)
+                )
+            )
 
         return ok(self.and_gates.data) and ok(self.or_gates_stacked.data)
 

@@ -84,18 +84,6 @@ class RestartOutcome:
     error: str | None = None
 
 
-
-#: ``tape.stats()`` snapshot from the most recent taped training loop in
-#: this process — observability for ``python -m repro profile``.  Not
-#: part of the training contract; may be ``None`` before any training.
-LAST_TAPE_STATS: dict | None = None
-
-
-def _publish_tape_stats(tape: Tape) -> None:
-    global LAST_TAPE_STATS
-    LAST_TAPE_STATS = tape.stats()
-
-
 def _validate_data(data: np.ndarray) -> None:
     if data.ndim != 2 or data.shape[0] == 0:
         raise TrainingError(
@@ -234,7 +222,6 @@ def _run_restart_epochs(
             state.optimizer.zero_grad()
         if all(state.stopped for state in states):
             break
-    _publish_tape_stats(tape)
 
 
 def train_gcln_restarts(

@@ -16,10 +16,10 @@ The runtime is staged, with one module per stage boundary:
   (dropout / seed / fractional interval, paper §6) and owns early
   stopping.
 * :mod:`repro.infer.stages` — pure, memoized data stages
-  (``collect_states`` / ``build_matrix``) over a
+  (``collect_states`` / ``build_matrix``) over the solve's own
   :class:`~repro.sampling.cache.TraceCache`, so repeated attempts
   never recollect traces or re-evaluate term matrices for an
-  unchanged (inputs, interval) pair.
+  interval already seen.
 * :mod:`repro.infer.pipeline` — the per-attempt orchestration:
   training and extraction, then the check-and-score step
   (:func:`~repro.infer.pipeline.check_and_score`: soundness filtering

@@ -13,10 +13,11 @@ which every baseline solver calls too, and the engine returns the
 registry-wide :class:`~repro.api.solver.SolveResult` itself.
 
 The engine is a thin orchestrator: the retry policy lives in
-:mod:`repro.infer.schedule`, the (memoized) data stages in
-:mod:`repro.infer.stages`, and trace/matrix reuse in
-:mod:`repro.sampling.cache`.  Attempts after the first perform no
-redundant trace collection for an unchanged (inputs, interval) pair.
+:mod:`repro.infer.schedule` and the data stages in
+:mod:`repro.infer.stages`.  Each engine owns the
+:class:`~repro.sampling.cache.TraceCache` of its one solve, so
+attempts after the first collect no traces and build no term matrix
+for an interval already seen.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class InferenceEngine:
     Args:
         problem: the benchmark problem.
         config: pipeline knobs; defaults to the paper's full method.
-        cache: trace/matrix memo shared across attempts; pass an
-            existing instance to also share it across engines (e.g.
-            repeated runs of one problem, or with the checker).
         events: optional sink for lifecycle events (AttemptStarted,
             StageTimed, CandidateChecked); the
             :class:`~repro.api.service.InvariantService` passes its
@@ -103,16 +101,16 @@ class InferenceEngine:
         self,
         problem: Problem,
         config: InferenceConfig | None = None,
-        cache: TraceCache | None = None,
         events: EventSink | None = None,
     ):
         self.problem = problem
         self.config = config if config is not None else InferenceConfig()
-        self.cache = cache if cache is not None else TraceCache()
+        # The data-stage memo of this one solve, shared by its attempts.
+        self.cache = TraceCache()
         self._events = events
         # Program-backed problems get the full hybrid checker;
         # trace-only problems degrade to held-out recorded states.
-        self._checker = make_checker(problem, cache=self.cache)
+        self._checker = make_checker(problem)
 
     # -- main loop -------------------------------------------------------------
 
@@ -169,23 +167,19 @@ class InferenceEngine:
                 )
             timings = {stage: 0.0 for stage in STAGES}
             with timed_stage(timings, "collect"):
-                # One call per plan for cache-stat parity with the
-                # sequential schedule; all plans in a batch share the
-                # fractional interval, so these are hits after the first.
-                for plan in batch:
-                    dataset = collect_states(
-                        problem, config, plan.fractional_interval, self.cache
-                    )
+                # Every plan in a batch shares the fractional interval.
+                dataset = collect_states(
+                    problem, config, batch[0].fractional_interval, self.cache
+                )
 
             for loop_index in range(n_loops):
                 loop_states = dataset.states[loop_index]
                 if len(loop_states) < 3:
                     continue
                 with timed_stage(timings, "collect"):
-                    for plan in batch:
-                        bundle = build_matrix(
-                            problem, config, dataset, loop_index, self.cache
-                        )
+                    bundle = build_matrix(
+                        problem, config, dataset, loop_index, self.cache
+                    )
                 basis, data = bundle.basis, bundle.data
                 accumulate(
                     loop_index,

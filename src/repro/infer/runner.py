@@ -6,7 +6,7 @@ inline in-process), enforcing an optional per-problem wall-clock
 timeout and collecting one structured :class:`ProblemRecord` per
 problem, in input order.  Every solve goes through
 :meth:`repro.api.service.InvariantService.solve`: inline runs through
-the caller's service (its cache and event bus), and each pool item
+the caller's service (its event bus and summed stats), and each pool item
 through a fresh service of its own in the worker process.  Pass
 ``solver="guess_and_check"`` (or any registered name) to batch-run a
 baseline under the exact same record schema as the G-CLN, so benchmark
@@ -245,7 +245,7 @@ def run_many(
             the workers import (e.g. in your package, not inline in a
             script) to be visible under spawn/forkserver start methods.
         service: the service inline runs (``jobs == 1``) solve
-            through, sharing its cache and event bus; ``None`` = a
+            through, sharing its event bus; ``None`` = a
             fresh service per problem.  Pool and queue workers always
             solve through services of their own.
         workers: > 1 (or any value with ``queue_dir``) switches to the

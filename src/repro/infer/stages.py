@@ -1,12 +1,13 @@
-"""Pure data stages of the inference pipeline, memoized via TraceCache.
+"""Pure data stages of the inference pipeline, memoized per solve.
 
 These are the attempt-independent stages of the Fig. 3 workflow:
 collecting loop-head training states (with optional fractional
 sampling, §4.3) and building the candidate-term matrices.  Both are
 pure functions of (problem, config, fractional interval) and memoize
-their results in a :class:`~repro.sampling.cache.TraceCache`, so the
-retry schedule pays for them once per distinct interval instead of
-once per attempt.
+their results in the solve's :class:`~repro.sampling.cache.TraceCache`,
+keyed by the interval (and loop) alone, so the retry schedule pays for
+them once per distinct interval instead of once per attempt.  A cache
+must not be shared between solves of different problems or configs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.sampling.fractional import (
 )
 from repro.sampling.normalize import normalize_rows
 from repro.sampling.termgen import TermBasis, build_term_basis, evaluate_terms
-from repro.sampling.tracegen import loop_dataset
+from repro.sampling.tracegen import collect_traces, loop_dataset
 from repro.smt.formula import Atom
 
 
@@ -41,13 +42,14 @@ class StateDataset:
         states: per-loop-index lists of variable environments.
         fractional_vars: the ``*__frac`` offset variables present in
             the states (empty when fractional sampling is off).
-        key: content fingerprint of everything that determined the
-            states; downstream stages key their memoization on it.
+        interval: the fractional interval the states were sampled at
+            (``None`` without fractional sampling); the matrix stage
+            keys its memo on it.
     """
 
     states: Mapping[int, list[dict]]
     fractional_vars: tuple[str, ...]
-    key: str
+    interval: float | None
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,9 @@ def collect_states(
 ) -> StateDataset:
     """Training states per loop, optionally with fractional sampling.
 
-    Memoized: repeated attempts with the same (source, interval) return
-    the cached dataset without re-interpreting the program (or
-    re-assembling the recording).  The source *kind* is part of the
-    key, so a trace-only problem can never hit the cached states of a
-    same-named (or even fingerprint-colliding) program problem.
+    Memoized on the effective interval: repeated attempts at the same
+    interval return the cached dataset without re-interpreting the
+    program (or re-assembling the recording).
     """
     source = problem.observations()
     use_fractional = (
@@ -98,17 +98,10 @@ def collect_states(
         and fractional_interval is not None
         and source.kind == "program"  # relaxation needs a program
     )
-    key_parts = (
-        source.kind,
-        source.fingerprint(),
-        fractional_interval if use_fractional else None,
-        problem.max_states,
-        tuple(problem.fractional_vars or ()) if use_fractional else (),
-    )
-    dataset_key = repr(key_parts)
+    interval = fractional_interval if use_fractional else None
 
     def compute() -> StateDataset:
-        states = source.train_states(problem.max_states, cache)
+        states = source.train_states(problem.max_states)
         fractional_vars: tuple[str, ...] = ()
         if use_fractional:
             program = problem.program
@@ -130,7 +123,7 @@ def collect_states(
                 frac_in = fractional_inputs(
                     base, relaxed_vars, interval=fractional_interval, limit=200
                 )
-                frac_traces = cache.traces(relaxed, frac_in)
+                frac_traces = collect_traces(relaxed, frac_in)
                 for loop_index in range(len(program.loops)):
                     extra = loop_dataset(
                         frac_traces, loop_index, max_states=problem.max_states
@@ -147,10 +140,10 @@ def collect_states(
                             unique.append(s)
                     states[loop_index] = unique[: 2 * problem.max_states]
         return StateDataset(
-            states=states, fractional_vars=fractional_vars, key=dataset_key
+            states=states, fractional_vars=fractional_vars, interval=interval
         )
 
-    return cache.memoize("trace", ("states", dataset_key), compute)
+    return cache.memoize("trace", (interval,), compute)
 
 
 def integer_external_states(
@@ -186,13 +179,26 @@ def build_matrix(
 ) -> MatrixBundle:
     """Term basis, matrices, and degenerate-column atoms for one loop.
 
-    Memoized on (dataset, loop, term-construction knobs); the returned
-    bundle is shared across attempts and must not be mutated.
+    Memoized on (dataset interval, loop); the returned bundle is shared
+    across attempts and must not be mutated.
 
     A loop variable absent from some loop-head state (a body temporary
     such as ``egcd2``'s ``temp``, first assigned inside the loop) is
     left out of the basis: its terms are undefined on those states.
     """
+    return cache.memoize(
+        "matrix",
+        (dataset.interval, loop_index),
+        lambda: _build_matrix_uncached(problem, config, dataset, loop_index),
+    )
+
+
+def _build_matrix_uncached(
+    problem: Problem,
+    config: InferenceConfig,
+    dataset: StateDataset,
+    loop_index: int,
+) -> MatrixBundle:
     states = dataset.states[loop_index]
     variables = [
         v
@@ -203,27 +209,6 @@ def build_matrix(
         v for v in dataset.fractional_vars if states and v in states[0]
     ]
     variables.extend(v for v in frac_vars if v not in variables)
-    key = (
-        dataset.key,
-        loop_index,
-        tuple(variables),
-        problem.max_degree,
-        tuple(e.name for e in problem.externals),
-        config.data_normalization,
-    )
-    return cache.memoize(
-        "matrix",
-        key,
-        lambda: _build_matrix_uncached(problem, config, states, variables),
-    )
-
-
-def _build_matrix_uncached(
-    problem: Problem,
-    config: InferenceConfig,
-    states: list[dict],
-    variables: list[str],
-) -> MatrixBundle:
     basis = build_term_basis(
         variables, problem.max_degree, externals=problem.externals
     )

@@ -82,14 +82,6 @@ class ExecutionTrace:
     # took (inner loops included).
     max_body_steps: dict[int, int] = field(default_factory=dict)
 
-    def loop_states(self, loop_id: int, include_exit: bool = True) -> list[dict]:
-        """States logged at the head of ``loop_id``."""
-        return [
-            dict(s.state)
-            for s in self.snapshots
-            if s.loop_id == loop_id and (include_exit or s.guard_value)
-        ]
-
 
 class _AssumeViolation(Exception):
     """Internal control flow: an ``assume`` failed, discard this run."""

@@ -19,23 +19,27 @@ from typing import Sequence
 from repro.poly.monomial import Monomial
 from repro.poly.polynomial import Polynomial
 
+# Safety bound on the cancellation steps of one reduction.
+MAX_REDUCTION_STEPS = 10_000
+# Rounds of inter-reduction of a basis.
+INTER_REDUCE_PASSES = 3
+
 
 def reduce_modulo(
     poly: Polynomial,
     basis: Sequence[Polynomial],
-    max_steps: int = 10_000,
 ) -> Polynomial:
     """Reduce ``poly`` modulo ``basis`` under graded lex order.
 
     Repeatedly cancels any term of ``poly`` divisible by the leading
     monomial of some basis element.  Terminates because each step
-    strictly decreases the multiset of monomials under the term order.
+    strictly decreases the multiset of monomials under the term order;
+    ``MAX_REDUCTION_STEPS`` bounds it regardless.
 
     Args:
         poly: polynomial to reduce.
         basis: equality polynomials assumed to vanish (zero entries are
             skipped).
-        max_steps: safety bound on reduction steps.
 
     Returns:
         The remainder; ``remainder.is_zero()`` implies ``poly`` lies in
@@ -53,7 +57,7 @@ def reduce_modulo(
     remainder = poly
     steps = 0
     progress = True
-    while progress and not remainder.is_zero() and steps < max_steps:
+    while progress and not remainder.is_zero() and steps < MAX_REDUCTION_STEPS:
         progress = False
         # Scan terms from largest to smallest; cancel the first reducible one.
         for mono in sorted(remainder.terms, key=Monomial.sort_key, reverse=True):
@@ -74,7 +78,7 @@ def reduce_modulo(
     return remainder
 
 
-def inter_reduce(basis: Sequence[Polynomial], passes: int = 3) -> list[Polynomial]:
+def inter_reduce(basis: Sequence[Polynomial]) -> list[Polynomial]:
     """Reduce each basis polynomial by the others, repeatedly.
 
     Produces a basis with smaller leading terms that reduces strictly
@@ -83,7 +87,7 @@ def inter_reduce(basis: Sequence[Polynomial], passes: int = 3) -> list[Polynomia
     s = (a+1)^2 becomes syntactically derivable.
     """
     current = [p.primitive() for p in basis if not p.is_zero()]
-    for _ in range(passes):
+    for _ in range(INTER_REDUCE_PASSES):
         changed = False
         reduced: list[Polynomial] = []
         # Process sequentially against the *updated* working set

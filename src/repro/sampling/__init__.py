@@ -8,10 +8,10 @@ and densify with fractional sampling when needed (``fractional``).
 Stage boundary: everything in this package is *data production* — pure
 functions from (program, inputs) to traces, states, and matrices, with
 no knowledge of training or checking.  The ``cache`` module provides
-the :class:`~repro.sampling.cache.TraceCache` memo that the inference
-runtime layers on top, so retries, the checker, and batch reruns share
-one trace collection and one term-matrix evaluation per distinct
-(program fingerprint, inputs, fractional interval) key.
+the :class:`~repro.sampling.cache.TraceCache` memo that each solve of
+the inference runtime owns, so its retries share one state dataset per
+fractional interval and one term-matrix evaluation per (interval,
+loop).
 
 The ``source`` module abstracts *where states come from*: the
 :class:`~repro.sampling.source.ObservationSource` protocol with an

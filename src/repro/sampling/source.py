@@ -24,8 +24,7 @@ byte-identical training states — the dedup/cap logic here mirrors
 :func:`~repro.sampling.tracegen.loop_dataset` exactly.
 
 Layering: this module sits with the rest of :mod:`repro.sampling`
-(below ``checker``/``infer``); it imports only the language layer's
-fingerprints and must not reach upward.
+(below ``checker``/``infer``) and must not reach upward.
 """
 
 from __future__ import annotations
@@ -36,15 +35,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ReproError
-from repro.utils.fingerprint import (
-    fingerprint_inputs,
-    fingerprint_program,
-    fingerprint_traces,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lang.ast import Program
-    from repro.sampling.cache import TraceCache
 
 
 @dataclass(frozen=True)
@@ -94,13 +87,7 @@ class ObservationSource(Protocol):
     @property
     def n_loops(self) -> int: ...
 
-    def fingerprint(self) -> str:
-        """Content digest of everything that determines the states."""
-        ...
-
-    def train_states(
-        self, max_states: int | None, cache: "TraceCache | None" = None
-    ) -> dict[int, list[dict]]:
+    def train_states(self, max_states: int | None) -> dict[int, list[dict]]:
         """Deduplicated, capped training states for every loop."""
         ...
 
@@ -144,22 +131,10 @@ class InterpreterSource:
     def n_loops(self) -> int:
         return len(self.program.loops)
 
-    def fingerprint(self) -> str:
-        return (
-            fingerprint_program(self.program)
-            + ":"
-            + fingerprint_inputs(self.train_inputs)
-        )
-
-    def train_states(
-        self, max_states: int | None, cache: "TraceCache | None" = None
-    ) -> dict[int, list[dict]]:
+    def train_states(self, max_states: int | None) -> dict[int, list[dict]]:
         from repro.sampling.tracegen import collect_traces, loop_dataset
 
-        if cache is not None:
-            traces = cache.traces(self.program, self.train_inputs)
-        else:
-            traces = collect_traces(self.program, self.train_inputs)
+        traces = collect_traces(self.program, self.train_inputs)
         return {
             loop_index: loop_dataset(traces, loop_index, max_states=max_states)
             for loop_index in range(self.n_loops)
@@ -189,12 +164,7 @@ class RecordedTraceSource:
     def n_loops(self) -> int:
         return len(self.data)
 
-    def fingerprint(self) -> str:
-        return fingerprint_traces(self.data)
-
-    def train_states(
-        self, max_states: int | None, cache: "TraceCache | None" = None
-    ) -> dict[int, list[dict]]:
+    def train_states(self, max_states: int | None) -> dict[int, list[dict]]:
         return {
             loop_index: _dedup_cap(self.data[loop_index].train, max_states)
             for loop_index in range(self.n_loops)

@@ -81,25 +81,21 @@ def build_term_basis(
     variables: Sequence[str],
     max_degree: int,
     externals: Sequence[ExternalTerm] = (),
-    external_degree: int = 1,
 ) -> TermBasis:
     """Enumerate monomials up to ``max_degree`` over variables + externals.
 
-    External-function terms participate only up to ``external_degree``
-    (the paper uses them linearly, e.g. ``z == gcd(x, y)``); monomials
-    mixing two external terms are excluded to keep the basis small.
+    External-function terms participate linearly (as in the paper,
+    e.g. ``z == gcd(x, y)``); monomials mixing two external terms are
+    excluded to keep the basis small.
     """
     base = monomial_terms_up_to_degree(list(variables), max_degree)
     extended = list(base)
     for ext in externals:
-        for exp in range(1, external_degree + 1):
-            ext_mono = Monomial.var(ext.name, exp)
-            extended.append(ext_mono)
-            if exp == 1:
-                # Products of one external with degree-1 base terms let the
-                # model express constraints like x*gcd == ... if needed.
-                for var in variables:
-                    extended.append(ext_mono * Monomial.var(var))
+        ext_mono = Monomial.var(ext.name)
+        extended.append(ext_mono)
+        # Products of one external with degree-1 base terms let the
+        # model express constraints like x*gcd == ... if needed.
+        extended.extend(ext_mono * Monomial.var(var) for var in variables)
     seen: set[Monomial] = set()
     unique: list[Monomial] = []
     for mono in extended:

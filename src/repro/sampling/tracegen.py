@@ -31,7 +31,7 @@ def enumerate_inputs(
 
 
 # Interpreter step budget per training run: the default of
-# collect_traces and TraceCache.traces, and what record_observations
+# collect_traces, and what record_observations
 # replays on the training side.
 TRAIN_FUEL = 100_000
 

@@ -26,8 +26,8 @@ by the canonical :func:`~repro.utils.fingerprint.problem_fingerprint`
    replay instantly (``"memo": true`` in the response).
 
 Solving is pluggable (:mod:`repro.serve.executor`): the default runs
-``service.solve`` in-process on a thread pool sharing the service
-trace cache;
+``service.solve`` in-process on a thread pool sharing the service's
+event bus;
 ``--queue-dir`` enqueues onto the :mod:`repro.dist` work queue and
 tails the journal, so any fleet of ``python -m repro worker``
 processes does the solving.

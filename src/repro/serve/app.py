@@ -84,7 +84,7 @@ class InvariantServer:
 
     Args:
         service: the shared :class:`InvariantService` (its bus feeds
-            SSE clients; its cache is shared by in-process solves).
+            SSE clients; ``/v1/stats`` reports its summed cache counters).
         executor: an :class:`InProcessExecutor` or :class:`QueueExecutor`.
         solver: the solver for requests that name none.
         admission: quota policy; defaults to a permissive controller.

@@ -8,9 +8,8 @@ executors, both exposing the same async surface
 * :class:`InProcessExecutor` — the default: solves on a bounded thread
   pool inside the server process through the shared
   :class:`~repro.api.service.InvariantService` (``service.solve``, with
-  the request's own config when it sends one), so every request hits
-  the same trace cache and emits the live event feed SSE clients
-  stream.  It enforces no per-problem budget.
+  the request's own config when it sends one), so every request
+  emits the live event feed SSE clients stream.  It enforces no per-problem budget.
 * :class:`QueueExecutor` — ``--queue-dir`` mode: enqueues the problem
   onto the :mod:`repro.dist` work queue (item id = fingerprint,
   so identical requests and server restarts re-use journaled results

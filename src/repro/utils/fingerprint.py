@@ -1,10 +1,9 @@
 """Canonical content fingerprints for programs, inputs, and problems.
 
 One keying scheme for every layer that identifies work by content
-rather than by object identity: the :class:`~repro.sampling.cache.
-TraceCache` entries, the serving front end's request dedup/memo
-(:mod:`repro.serve.dedup`), and the distributed queue's item ids
-(:mod:`repro.dist.wire`).  Two structurally identical requests —
+rather than by object identity: the serving front end's request
+dedup/memo (:mod:`repro.serve.dedup`) and the distributed queue's item
+ids (:mod:`repro.dist.wire`).  Two structurally identical requests —
 even built in different processes, or parsed from different source
 strings that pretty-print the same — share a fingerprint, so dedup and
 resume work across process and host boundaries.

@@ -14,6 +14,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+# Scaled magnitudes below this round to exactly zero.
+ZERO_TOLERANCE = 0.02
+
 
 def round_to_rational(value: float, max_denominator: int) -> Fraction:
     """Round ``value`` to the nearest rational with bounded denominator.
@@ -61,11 +64,10 @@ def scale_to_integer_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
 def round_coefficient_vector(
     scaled: Sequence[float],
     max_denominator: int,
-    zero_tolerance: float = 0.02,
 ) -> list[int] | None:
     """Round an already-scaled weight vector to integer coefficients.
 
-    Entries within ``zero_tolerance`` of zero are dropped to exactly
+    Entries within ``ZERO_TOLERANCE`` of zero are dropped to exactly
     zero; the rest are rounded to rationals with bounded denominator and
     denominators are cleared.
 
@@ -77,7 +79,7 @@ def round_coefficient_vector(
     for s in scaled:
         if not math.isfinite(s):
             return None
-        if abs(s) < zero_tolerance:
+        if abs(s) < ZERO_TOLERANCE:
             rationals.append(Fraction(0))
         else:
             rationals.append(round_to_rational(s, max_denominator))
@@ -89,20 +91,18 @@ def round_coefficient_vector(
 def nice_coefficients(
     weights: Sequence[float],
     max_denominator: int,
-    zero_tolerance: float = 0.02,
 ) -> list[int] | None:
     """Turn learned real weights into candidate integer coefficients.
 
     Implements the extraction recipe from §4.1 of the paper: scale the
     weight vector so the maximum absolute entry is 1, round each entry to
     the nearest rational with the given maximum denominator (entries
-    within ``zero_tolerance`` of zero are dropped to exactly zero), and
+    within ``ZERO_TOLERANCE`` of zero are dropped to exactly zero), and
     clear denominators.
 
     Args:
         weights: raw learned weights for each term.
         max_denominator: maximum denominator for rounding.
-        zero_tolerance: scaled magnitudes below this become zero.
 
     Returns:
         Primitive integer coefficients, or ``None`` when every weight
@@ -111,6 +111,4 @@ def nice_coefficients(
     top = max(abs(w) for w in weights) if weights else 0.0
     if top == 0.0 or not math.isfinite(top):
         return None
-    return round_coefficient_vector(
-        [w / top for w in weights], max_denominator, zero_tolerance
-    )
+    return round_coefficient_vector([w / top for w in weights], max_denominator)

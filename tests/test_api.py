@@ -73,7 +73,7 @@ def test_register_solver_rejects_duplicates_and_unregisters():
     class Fake:
         name = "fake_solver"
 
-        def solve(self, problem, *, config=None, cache=None, events=None):
+        def solve(self, problem, *, config=None, events=None):
             return SolveResult(solver=self.name, problem=problem.name, solved=True)
 
     register_solver("fake_solver", Fake, description="test-only")
@@ -180,17 +180,56 @@ def test_train_epochs_flows_into_solve_result_wire_format():
     assert record["train_epochs"] == result.train_epochs
 
 
-# -- service: shared cache, events, per-solver config -------------------------
+# -- service: summed cache stats, events, per-solve config --------------------
 
 
-def test_service_shares_cache_across_solvers():
+def test_service_cache_stats_sum_its_solves():
+    """Each solve memoizes on its own; the service only sums the
+    counters, and has all four from the start."""
     service = InvariantService(FAST_CONFIG)
-    service.solve(tiny_problem(), solver="guess_and_check")
-    misses = service.cache_stats["trace_misses"]
-    service.solve(tiny_problem(), solver="octahedral")
-    after = service.cache_stats
-    assert after["trace_misses"] == misses  # second solver hit the cache
-    assert after["trace_hits"] > 0
+    assert service.cache_stats == {
+        "trace_hits": 0,
+        "trace_misses": 0,
+        "matrix_hits": 0,
+        "matrix_misses": 0,
+    }
+    first = service.solve(tiny_problem(), solver="guess_and_check")
+    second = service.solve(tiny_problem(), solver="octahedral")
+    assert first.cache_stats["trace_misses"] == 1
+    # The second solve collects again: nothing is kept across solves.
+    assert second.cache_stats["trace_misses"] == 1
+    assert service.cache_stats == {
+        key: first.cache_stats[key] + second.cache_stats[key]
+        for key in service.cache_stats
+    }
+
+
+def test_concurrent_solves_on_one_service_match_sequential():
+    """``serve`` solves on threads sharing one service.  Each thread
+    records its tapes into its own sink, so two concurrent G-CLN solves
+    neither fail nor change each other's records."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Unreachable ground truth: every attempt trains, so the two
+    # threads record tapes at the same time.
+    problems = [
+        tiny_problem(name, ground_truth={0: ["x == i + 100"]})
+        for name in ("conc1", "conc2")
+    ]
+    config = InferenceConfig(max_epochs=40, dropout_schedule=(0.6, 0.5, 0.4))
+
+    def stable(result):
+        record = result.to_dict()
+        for volatile in ("runtime_seconds", "stage_timings", "cache_stats"):
+            record.pop(volatile)
+        return record
+
+    sequential = [stable(InvariantService(config).solve(p)) for p in problems]
+    service = InvariantService(config)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(2):
+            solved = pool.map(service.solve, problems)
+            assert [stable(r) for r in solved] == sequential
 
 
 def test_service_streams_stage_timing_events_for_solved_problem():
@@ -253,8 +292,8 @@ def test_service_solve_config_applies_to_that_solve_only():
     class Recording:
         name = "recording"
 
-        def solve(self, problem, *, config=None, cache=None, events=None):
-            seen.append((config, cache))
+        def solve(self, problem, *, config=None, events=None):
+            seen.append(config)
             return SolveResult(solver=self.name, problem=problem.name, solved=True)
 
     override = InferenceConfig(max_epochs=30, dropout_schedule=(0.5,))
@@ -267,8 +306,7 @@ def test_service_solve_config_applies_to_that_solve_only():
         service.solve(tiny_problem(), "recording")
     finally:
         unregister_solver("recording")
-    assert [config for config, _ in seen] == [override, FAST_CONFIG]
-    assert all(cache is service.cache for _, cache in seen)
+    assert seen == [override, FAST_CONFIG]
     assert len(done) == 2
     assert service.config is FAST_CONFIG
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AutodiffError
-from repro.autodiff import Adam, Tensor, gaussian, no_grad, sigmoid
+from repro.autodiff import Adam, Tensor, gaussian, sigmoid
 from repro.autodiff.functional import maximum, minimum, stack
 
 
@@ -110,13 +110,6 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(AutodiffError):
         (x * 2.0).backward()
-
-
-def test_no_grad_blocks_graph():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with no_grad():
-        y = (x * 2.0).sum()
-    assert not y.requires_grad
 
 
 def test_deep_graph_does_not_recurse():

@@ -45,7 +45,7 @@ def slow_solver(seconds: float):
     class Slow:
         name = "slow"
 
-        def solve(self, problem, *, config=None, cache=None, events=None):
+        def solve(self, problem, *, config=None, events=None):
             time.sleep(seconds)
             return SolveResult(solver=self.name, problem=problem.name, solved=True)
 
@@ -137,7 +137,7 @@ def test_run_many_dispatches_registered_baselines():
 
 def test_run_many_inline_solves_through_the_given_service():
     """Inline runs solve through the caller's service: its event bus
-    sees every completion and its cache holds the traces."""
+    sees every completion and its stats sum both solves."""
     from repro.api import InvariantService, ProblemSolved
 
     service = InvariantService(FAST_CONFIG)
@@ -151,7 +151,7 @@ def test_run_many_inline_solves_through_the_given_service():
     )
     assert [r.status for r in records] == [STATUS_OK, STATUS_OK]
     assert [e.problem for e in done] == ["sv1", "sv2"]
-    assert len(service.cache) > 0
+    assert service.cache_stats["trace_misses"] == 2
 
 
 def test_run_many_rejects_unknown_solver_up_front():

@@ -2,7 +2,7 @@
 
 Covers the RecordedTraceSource/InterpreterSource split, the recording
 codecs (JSON payload + CSV), the degraded RecordedChecker, solver
-capability enforcement, cross-kind cache isolation, and — the core
+capability enforcement, the per-solve state memo, and — the core
 contract — seed equivalence: a problem fed its own recorded traces
 produces identical invariants to the program-backed run at every
 level (trainer, run_many, HTTP serve, work queue).
@@ -53,6 +53,8 @@ from repro.sampling.source import (
     traces_from_payload,
     traces_to_payload,
 )
+from repro.utils.fingerprint import fingerprint_traces
+
 parse_atom = parse_ground_truth
 
 FAST_CONFIG = InferenceConfig(max_epochs=60, dropout_schedule=(0.6,))
@@ -90,7 +92,6 @@ def test_sources_implement_the_protocol():
     recorded = RecordedTraceSource(record_observations(problem))
     assert isinstance(recorded, ObservationSource)
     assert recorded.kind == "trace" and recorded.n_loops == 1
-    assert interp.fingerprint() != recorded.fingerprint()
 
 
 def test_recorded_source_mirrors_loop_dataset_dedup_and_cap():
@@ -328,25 +329,7 @@ def test_solvers_response_lists_capabilities():
     json.dumps(payload)  # must be pure JSON
 
 
-# -- cache isolation -----------------------------------------------------------
-
-
-def test_cross_kind_problems_never_share_cached_states(monkeypatch):
-    """Even under a (hypothetical) fingerprint collision, the source
-    kind in the dataset key keeps trace-only and program-backed entries
-    apart."""
-    monkeypatch.setattr(InterpreterSource, "fingerprint", lambda self: "same")
-    monkeypatch.setattr(RecordedTraceSource, "fingerprint", lambda self: "same")
-    program = tiny_problem()
-    recorded = record_problem(tiny_problem(step=2))  # different states!
-    cache = TraceCache()
-    a = collect_states(program, FAST_CONFIG, None, cache)
-    b = collect_states(recorded, FAST_CONFIG, None, cache)
-    assert a.key != b.key
-    assert a.states[0] != b.states[0]
-    # two distinct dataset computations, plus the interpreter source's
-    # inner collect_traces memo — never a cross-kind hit
-    assert cache.stats.trace_hits == 0
+# -- memo ----------------------------------------------------------------------
 
 
 def test_repeated_trace_solves_hit_the_cache():
@@ -369,9 +352,8 @@ def test_trace_problem_round_trips_through_wire():
     assert rebuilt.source is None
     assert rebuilt.traces is not None
     assert problem_to_dict(rebuilt) == problem_to_dict(recorded)
-    assert (
-        rebuilt.observations().fingerprint()
-        == recorded.observations().fingerprint()
+    assert fingerprint_traces(rebuilt.traces) == fingerprint_traces(
+        recorded.traces
     )
 
 

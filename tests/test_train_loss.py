@@ -6,7 +6,7 @@ import pytest
 import repro.cln.loss
 import repro.cln.model
 import repro.cln.train
-from repro.autodiff import Tensor, no_grad
+from repro.autodiff import Tensor
 from repro.cln.loss import GateSchedule, gcln_loss
 from repro.cln.model import GCLN, GCLNConfig
 from repro.cln.train import train_gcln
@@ -69,8 +69,7 @@ def test_train_gcln_reduces_loss(rng, monkeypatch):
     X = Tensor(normalize_rows(data))
 
     def data_term() -> float:
-        with no_grad():
-            return float((1.0 - model.forward(X).data).sum())
+        return float((1.0 - model.forward(X).data).sum())
 
     before = data_term()
     train_gcln(model, X.data)

@@ -11,19 +11,24 @@ import pytest
 
 from repro.autodiff import Tensor, fused_gated_tconorm, fused_gated_tnorm, pbqu
 from repro.autodiff.functional import gaussian, sigmoid
+from repro.autodiff.optim import Adam
 from repro.checker.bounded import BoundedChecker
 import repro.cln.model
 from repro.api.adapters import GuessAndCheckSolver
-from repro.baselines.plain_cln import train_plain_cln
+from repro.baselines.enumerative import enumerative_search
+from repro.baselines.plain_cln import PlainCLN, train_plain_cln
 from repro.cln.model import GCLN, AtomicUnit, GCLNConfig, _random_mask
-from repro.cln.extract import extract_equalities
+from repro.cln.extract import extract_equalities, extract_formula, refine_unit_atoms
 from repro.cln.train import train_gcln, train_gcln_eager, train_gcln_restarts
 from repro.dist.wire import config_from_dict
 from repro.errors import TrainingError
 from repro.infer import InferenceConfig
 from repro.lang import parse_program
-from repro.sampling import collect_traces, normalize_rows
+from repro.poly.polynomial import Polynomial
+from repro.poly.reduce import inter_reduce, reduce_modulo
+from repro.sampling import build_term_basis, collect_traces, normalize_rows
 from repro.sampling.cache import TraceCache
+from repro.utils.rational import nice_coefficients, round_coefficient_vector
 from tests.test_autodiff import check_grad
 
 
@@ -225,8 +230,35 @@ def _ragged_model():
          TypeError, "anneal_init"),
         (lambda: collect_traces(parse_program(_LOOP), [{}], max_traces=1),
          TypeError, "max_traces"),
-        (lambda: TraceCache().traces(parse_program(_LOOP), [{}], max_traces=1),
-         TypeError, "max_traces"),
+        # The trace cache is one solve's memo, with no LRU bound.
+        (lambda: TraceCache(max_entries=2), TypeError, "max_entries"),
+        # Options no caller set are module constants.
+        (lambda: extract_equalities(None, None, (), refine=False), TypeError,
+         "refine"),
+        (lambda: refine_unit_atoms(None, None, [], None, max_support=4),
+         TypeError, "max_support"),
+        (lambda: extract_formula(None, None, (), gate_threshold=0.4),
+         TypeError, "gate_threshold"),
+        (lambda: _eq_model().gates_saturated(tolerance=0.1), TypeError,
+         "tolerance"),
+        (lambda: enumerative_search((), None, max_terms=2), TypeError,
+         "max_terms"),
+        (lambda: enumerative_search((), None, coefficient_range=(1,)),
+         TypeError, "coefficient_range"),
+        (lambda: build_term_basis(["x"], 1, external_degree=2), TypeError,
+         "external_degree"),
+        (lambda: round_coefficient_vector([1.0], 10, zero_tolerance=0.1),
+         TypeError, "zero_tolerance"),
+        (lambda: nice_coefficients([1.0], 10, zero_tolerance=0.1), TypeError,
+         "zero_tolerance"),
+        (lambda: reduce_modulo(Polynomial.zero(), [], max_steps=5), TypeError,
+         "max_steps"),
+        (lambda: inter_reduce([], passes=1), TypeError, "passes"),
+        (lambda: Adam(_eq_model().parameters(), betas=(0.5, 0.5)), TypeError,
+         "betas"),
+        (lambda: Adam(_eq_model().parameters(), eps=1e-6), TypeError, "eps"),
+        (lambda: PlainCLN(2, 1, np.random.default_rng(0), sigma=0.2),
+         TypeError, "sigma"),
     ],
     ids=[
         "config-attempt_batch_size",
@@ -244,7 +276,21 @@ def _ragged_model():
         "train_plain_cln-lr_decay",
         "train_plain_cln-anneal_init",
         "collect_traces-max_traces",
-        "TraceCache.traces-max_traces",
+        "TraceCache-max_entries",
+        "extract_equalities-refine",
+        "refine_unit_atoms-max_support",
+        "extract_formula-gate_threshold",
+        "gates_saturated-tolerance",
+        "enumerative_search-max_terms",
+        "enumerative_search-coefficient_range",
+        "build_term_basis-external_degree",
+        "round_coefficient_vector-zero_tolerance",
+        "nice_coefficients-zero_tolerance",
+        "reduce_modulo-max_steps",
+        "inter_reduce-passes",
+        "Adam-betas",
+        "Adam-eps",
+        "PlainCLN-sigma",
     ],
 )
 def test_removed_knobs_are_refused(build, error, message):
