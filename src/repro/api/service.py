@@ -2,13 +2,15 @@
 
 :class:`InvariantService` is the session object the public API is
 built around, and :meth:`InvariantService.solve` is the one place a
-solve is configured and run: the CLI, the batch runner (inline and in
-every pool worker), queue workers and the HTTP front end all call it.
+solve is configured and run: the CLI, the batch runner
+:meth:`InvariantService.solve_many` (inline and in every pool worker),
+queue workers and the HTTP front end all call it.
 The service holds one default config and an
 :class:`~repro.api.events.EventBus` that streams typed lifecycle
 events to subscribers.  It keeps no data between solves: each solve
 memoizes its own traces and term matrices, and the service only sums
-their hit/miss counters (:attr:`InvariantService.cache_stats`).
+their hit/miss counters (:attr:`InvariantService.cache_stats`), also
+for the records a batch solved in pool or queue workers.
 Concurrent solves on one service (``serve``'s solve threads) are safe.
 
 Usage::
@@ -32,7 +34,9 @@ streaming live; only ``ProblemSolved`` completion events are emitted
 
 from __future__ import annotations
 
+import signal
 import threading
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.api.events import Event, EventBus, ProblemSolved
@@ -68,9 +72,15 @@ class InvariantService:
     @property
     def cache_stats(self) -> dict[str, int]:
         """The trace/matrix hit and miss counters summed over every
-        :meth:`solve` so far, a snapshot."""
+        :meth:`solve` and every :meth:`solve_many` record so far, a
+        snapshot."""
         with self._stats_lock:
             return dict(self._cache_stats)
+
+    def _add_stats(self, stats: dict[str, int]) -> None:
+        with self._stats_lock:
+            for key in self._cache_stats:
+                self._cache_stats[key] += stats.get(key, 0)
 
     # -- events ----------------------------------------------------------------
 
@@ -115,9 +125,7 @@ class InvariantService:
             config=config if config is not None else self.config,
             events=self.bus.emit,
         )
-        with self._stats_lock:
-            for key in self._cache_stats:
-                self._cache_stats[key] += result.cache_stats.get(key, 0)
+        self._add_stats(result.cache_stats)
         self.bus.emit(
             ProblemSolved(
                 problem=problem.name,
@@ -143,68 +151,148 @@ class InvariantService:
         max_workers: int | None = None,
         fleet_status: Callable[[dict], None] | None = None,
     ) -> list["ProblemRecord"]:
-        """Batch-solve a suite through the runner, one record per problem.
+        """Batch-solve a suite: one record per problem, in input order.
 
-        Exactly one ``ProblemSolved`` event is emitted per record, in
-        completion order, including timed-out and errored problems
-        (``attempts`` is 0 when no result came back).  With
-        ``jobs == 1`` every solve runs in-process through
-        :meth:`solve`, streaming the full event feed.  With ``jobs > 1``
-        the problems fan out over a process pool; each worker solves
-        every item through a fresh service of its own under this
-        service's :attr:`config`.  Per-stage timings come back inside each
-        record's result, and only the completion events stream live.
+        This is the one batch runner.  ``jobs == 1`` solves inline
+        through :meth:`solve`, streaming the full event feed.
+        ``jobs > 1`` fans the problems out over a process pool of
+        ``min(jobs, len(problems))`` workers; each item solves through
+        a fresh service of its own under this service's
+        :attr:`config`, and only completion events stream live.
+        ``workers != 1`` (an integer, or ``"auto"`` for an elastic
+        fleet sized to queue depth between ``min_workers`` and
+        ``max_workers``) or a ``queue_dir`` runs the distributed runner
+        (:mod:`repro.dist`): local worker processes drain a journaled
+        work queue, ``fleet_status`` receives live fleet snapshots,
+        and a durable ``queue_dir`` (or queue-server URL) makes a
+        re-run resume.  ``workers``/``queue_dir`` and ``jobs`` are
+        mutually exclusive.
 
-        ``workers > 1`` (or any value with ``queue_dir``) fans the
-        suite out over the distributed runner (:mod:`repro.dist`):
-        local worker processes drain a journaled work queue, each
-        running its own service.
-        ``workers="auto"`` makes the fleet elastic (sized to queue
-        depth between ``min_workers`` and ``max_workers``), and
-        ``fleet_status`` receives live fleet/health snapshots.  With a
-        durable ``queue_dir`` (or a queue-server URL) a re-run
-        resumes: journaled problems are not re-solved.  Mutually
-        exclusive with ``jobs``.
+        ``timeout_seconds`` is a per-problem wall-clock budget armed
+        with ``SIGALRM`` in the solving process.  A budget that cannot
+        be armed is refused before any solve: when the platform lacks
+        ``SIGALRM``, and when the solves would run on this thread
+        (inline, or the coordinator's inline drain) and it is not the
+        main thread.
+
+        ``progress`` and exactly one ``ProblemSolved`` event see each
+        record in completion order, including timed-out and errored
+        problems (``attempts`` is 0 when no result came back), and
+        :attr:`cache_stats` sums every record's counters in every mode.
+
+        Raises:
+            ValueError: for a bad ``jobs``, ``timeout_seconds``,
+                ``workers``, ``min_workers`` or ``max_workers``, for
+                ``jobs`` with ``workers``/``queue_dir``, and for a
+                budget that cannot be enforced.
+            UnknownSolverError: for an unregistered ``solver``.
         """
-        from repro.infer.runner import STATUS_OK, is_distributed, run_many
+        from repro.infer import runner
 
-        inline = jobs == 1 and not is_distributed(workers, queue_dir)
-
-        def on_record(record: "ProblemRecord") -> None:
-            # Inline ok-records already emitted ProblemSolved via
-            # self.solve; everything else (pool records, timeouts,
-            # errors) completes here.
-            if not (inline and record.status == STATUS_OK):
-                self.bus.emit(
-                    ProblemSolved(
-                        problem=record.name,
-                        solver=solver,
-                        solved=record.solved,
-                        runtime_seconds=record.runtime_seconds,
-                        attempts=(
-                            record.result.attempts
-                            if record.result is not None
-                            else 0
-                        ),
-                    )
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        distributed = workers != 1 or queue_dir is not None
+        if distributed and jobs != 1:
+            raise ValueError(
+                "workers/queue_dir and jobs are mutually exclusive: the "
+                "distributed runner spawns its own worker processes"
+            )
+        if timeout_seconds is not None:
+            if timeout_seconds <= 0:
+                raise ValueError(
+                    f"timeout_seconds must be positive, got {timeout_seconds}"
                 )
+            if not hasattr(signal, "SIGALRM"):
+                raise ValueError(
+                    "timeout_seconds cannot be enforced: this platform has "
+                    "no SIGALRM"
+                )
+            # Inline solves and the coordinator's inline drain arm the
+            # alarm on this thread; pool items arm it in their own.
+            main = threading.main_thread()
+            if jobs == 1 and threading.current_thread() is not main:
+                raise ValueError(
+                    "timeout_seconds cannot be enforced off the main thread "
+                    "(SIGALRM handlers run only there); call solve_many "
+                    "from the main thread or with jobs > 1"
+                )
+        get_solver(solver)  # fail fast on unknown names
+        if not problems:
+            return []
+
+        def complete(record: "ProblemRecord") -> None:
+            # Every record self.solve did not produce (pool and queue
+            # records, timeouts, errors) is counted and announced here.
+            if record.result is not None:
+                self._add_stats(record.result.cache_stats)
+                attempts = record.result.attempts
+            else:
+                attempts = 0
+            self.bus.emit(
+                ProblemSolved(
+                    problem=record.name,
+                    solver=solver,
+                    solved=record.solved,
+                    runtime_seconds=record.runtime_seconds,
+                    attempts=attempts,
+                )
+            )
             if progress is not None:
                 progress(record)
 
-        return run_many(
-            problems,
-            self.config,
-            jobs=jobs,
-            timeout_seconds=timeout_seconds,
-            progress=on_record,
-            solver=solver,
-            service=self,
-            workers=workers,
-            queue_dir=queue_dir,
-            min_workers=min_workers,
-            max_workers=max_workers,
-            fleet_status=fleet_status,
-        )
+        if distributed:
+            from repro.dist.coordinator import run_distributed
+
+            return run_distributed(
+                problems,
+                self.config,
+                workers=workers,
+                queue_dir=queue_dir,
+                solver=solver,
+                timeout_seconds=timeout_seconds,
+                progress=complete,
+                min_workers=min_workers,
+                max_workers=max_workers,
+                fleet_status=fleet_status,
+            )
+
+        if jobs == 1:
+            records = []
+            for problem in problems:
+                record = runner._run_one(
+                    problem, self.config, timeout_seconds, solver, self
+                )
+                if record.status != runner.STATUS_OK:
+                    complete(record)
+                elif progress is not None:
+                    progress(record)
+                records.append(record)
+            return records
+
+        records_by_index: dict[int, "ProblemRecord"] = {}
+        with ProcessPoolExecutor(max_workers=min(jobs, len(problems))) as pool:
+            futures = {
+                pool.submit(
+                    runner._run_one, problem, self.config, timeout_seconds, solver
+                ): index
+                for index, problem in enumerate(problems)
+            }
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures[future]
+                    try:
+                        record = future.result()
+                    except Exception as exc:  # worker died (e.g. OOM-kill)
+                        record = runner.ProblemRecord(
+                            name=problems[index].name,
+                            status=runner.STATUS_ERROR,
+                            error=f"worker failed: {type(exc).__name__}: {exc}",
+                        )
+                    records_by_index[index] = record
+                    complete(record)
+        return [records_by_index[i] for i in range(len(problems))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,8 +10,9 @@
 
 Every suite exposes a ``*_suite()`` accessor returning a flat
 ``list[Problem]`` so it can be fed directly to
-:func:`repro.infer.runner.run_many`; :func:`suite_problems` dispatches
-on a suite name (used by ``python -m repro run-all``).
+:meth:`repro.api.service.InvariantService.solve_many`;
+:func:`suite_problems` dispatches on a suite name (used by
+``python -m repro run-all``).
 """
 
 from repro.bench.nla import NLA_PROBLEMS, nla_problem, nla_suite

@@ -65,7 +65,7 @@ from repro.api import InvariantService, solver_entries
 from repro.bench import NLA_PROBLEMS, nla_problem, suite_problems, SUITES
 from repro.errors import ReproError
 from repro.infer import InferenceConfig
-from repro.infer.runner import is_distributed, summarize
+from repro.infer.runner import summarize
 from repro.lang import run_program
 from repro.utils import format_table
 
@@ -85,12 +85,33 @@ def _parse_assignment(pairs: list[str]) -> dict[str, object]:
     return assignment
 
 
-def _epochs(text: str) -> int:
-    """``--epochs``: a training budget of at least one epoch."""
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1 (``--epochs``,
+    ``--jobs``, worker counts)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a positive number of seconds."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
+    return value
+
+
+def _workers(text: str) -> "int | str":
+    """``--workers``: a process count or ``auto`` (elastic)."""
+    if text == "auto":
+        return "auto"
+    try:
+        return _positive_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {text!r}"
+        ) from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -260,42 +281,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.solved else 1
 
 
-def _parse_workers(value: str) -> "int | str":
-    """``--workers`` accepts a process count or ``auto`` (elastic)."""
-    if value == "auto":
-        return "auto"
-    try:
-        workers = int(value)
-    except ValueError:
-        raise SystemExit(
-            f"--workers must be an integer or 'auto', got {value!r}"
-        ) from None
-    if workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {workers}")
-    return workers
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    workers = _parse_workers(args.workers)
-    if args.min_workers < 1:
-        raise SystemExit(
-            f"--min-workers must be >= 1, got {args.min_workers}"
-        )
-    if args.max_workers is not None and args.max_workers < args.min_workers:
-        raise SystemExit(
-            f"--max-workers ({args.max_workers}) must be >= --min-workers "
-            f"({args.min_workers})"
-        )
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be positive, got {args.timeout}")
-    distributed = is_distributed(workers, args.queue_dir)
-    if distributed and args.jobs > 1:
-        raise SystemExit(
-            "--workers/--queue-dir and --jobs are mutually exclusive: the "
-            "distributed runner spawns its own worker processes"
-        )
     if args.traces:
         if args.problems:
             raise SystemExit(
@@ -336,30 +322,23 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    records = service.solve_many(
-        problems,
-        solver=args.solver,
-        jobs=args.jobs,
-        timeout_seconds=args.timeout,
-        progress=progress,
-        workers=workers,
-        queue_dir=args.queue_dir,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        fleet_status=fleet_tail if distributed else None,
-    )
-    if args.timeout is not None and any(
-        not r.timeout_enforced for r in records
-    ):
-        # One warning for the whole run, not one per problem: the
-        # degradation is a property of the platform, not of a record.
-        print(
-            f"warning: --timeout {args.timeout:g} could not be enforced on "
-            "this platform (no SIGALRM or solving off the main thread); "
-            "affected problems ran without a budget "
-            "(timeout_enforced=false in their records)",
-            file=sys.stderr,
+    try:
+        records = service.solve_many(
+            problems,
+            solver=args.solver,
+            jobs=args.jobs,
+            timeout_seconds=args.timeout,
+            progress=progress,
+            workers=args.workers,
+            queue_dir=args.queue_dir,
+            min_workers=args.min_workers,
+            max_workers=args.max_workers,
+            fleet_status=fleet_tail,
         )
+    except ValueError as exc:
+        # Batch arguments that do not fit together (checked before
+        # any solve): one line, not a traceback.
+        raise SystemExit(str(exc)) from exc
     stats = summarize(records)
     rows = [
         [
@@ -387,8 +366,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             title=(
                 f"run-all — suite {suite_label}, solver {args.solver}, "
                 + (
-                    f"{workers} worker(s)"
-                    if distributed
+                    f"{args.workers} worker(s)"
+                    if args.workers != 1 or args.queue_dir
                     else f"{args.jobs} job(s)"
                 )
             ),
@@ -412,8 +391,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _cmd_enqueue(args: argparse.Namespace) -> int:
     from repro.dist import enqueue_suite
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be positive, got {args.timeout}")
     queue, added, skipped = enqueue_suite(
         args.queue_dir,
         args.suite,
@@ -452,12 +429,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.dist import Worker, WorkQueue, install_stop_handler
 
     target = _queue_target(args)
-    if args.batch_size < 1:
-        raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
-    if args.max_items is not None and args.max_items < 1:
-        raise SystemExit(f"--max-items must be >= 1, got {args.max_items}")
-    if args.poll <= 0:
-        raise SystemExit(f"--poll must be positive, got {args.poll}")
 
     def progress(record) -> None:
         print(
@@ -572,14 +543,8 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import serve_main
 
-    if args.solve_threads < 1:
-        raise SystemExit(
-            f"--solve-threads must be >= 1, got {args.solve_threads}"
-        )
     if args.memo < 0:
         raise SystemExit(f"--memo must be >= 0, got {args.memo}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be positive, got {args.timeout}")
     if args.timeout is not None and not args.queue_dir:
         raise SystemExit(
             "--timeout needs --queue-dir: in-process solves run without a budget"
@@ -647,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver to use (see 'solvers'; default: gcln)",
     )
     run_parser.add_argument(
-        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
+        "--epochs", type=_positive_int, default=2000, help="training epochs per attempt"
     )
     run_parser.add_argument(
         "--events",
@@ -673,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver to profile (default: gcln)",
     )
     profile_parser.add_argument(
-        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
+        "--epochs", type=_positive_int, default=2000, help="training epochs per attempt"
     )
     profile_parser.set_defaults(func=_cmd_profile)
 
@@ -705,11 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     all_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (process pool)"
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes (process pool)"
     )
     all_parser.add_argument(
         "--workers",
-        default="1",
+        type=_workers,
+        default=1,
         metavar="N",
         help=(
             "drain the suite with N queue workers (the distributed "
@@ -720,14 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     all_parser.add_argument(
         "--min-workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="elastic-fleet floor with --workers auto (default: 1)",
     )
     all_parser.add_argument(
         "--max-workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -747,13 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     all_parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-problem wall-clock budget (enforced with SIGALRM)",
     )
     all_parser.add_argument(
-        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
+        "--epochs", type=_positive_int, default=2000, help="training epochs per attempt"
     )
     all_parser.add_argument(
         "--json",
@@ -781,10 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver workers should run (default: gcln)",
     )
     enqueue_parser.add_argument(
-        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
+        "--epochs", type=_positive_int, default=2000, help="training epochs per attempt"
     )
     enqueue_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-problem wall-clock budget applied by workers",
     )
     enqueue_parser.add_argument(
@@ -811,15 +778,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     worker_parser.add_argument(
-        "--batch-size", type=int, default=1, metavar="N",
+        "--batch-size", type=_positive_int, default=1, metavar="N",
         help="items claimed per round (default: 1)",
     )
     worker_parser.add_argument(
-        "--max-items", type=int, default=None, metavar="N",
+        "--max-items", type=_positive_int, default=None, metavar="N",
         help="exit after processing this many items (default: drain fully)",
     )
     worker_parser.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
+        "--poll", type=_positive_float, default=0.5, metavar="SECONDS",
         help="sleep between claim attempts while other workers hold items",
     )
     worker_parser.add_argument(
@@ -882,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default solver for requests that name none (default: gcln)",
     )
     serve_parser.add_argument(
-        "--epochs", type=_epochs, default=2000, help="training epochs per attempt"
+        "--epochs", type=_positive_int, default=2000, help="training epochs per attempt"
     )
     serve_parser.add_argument(
         "--queue-dir", metavar="PATH",
@@ -899,11 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-problem budget recorded in the queue meta (needs --queue-dir)",
     )
     serve_parser.add_argument(
-        "--solve-threads", type=int, default=2, metavar="N",
+        "--solve-threads", type=_positive_int, default=2, metavar="N",
         help="in-process solver threads (default: 2)",
     )
     serve_parser.add_argument(

@@ -9,9 +9,9 @@ shared filesystem, beyond one host) through three small pieces:
   ProblemRecord` payloads append to a ``journal.jsonl``; claims carry a
   lease so items held by crashed workers are re-claimed.
 * :mod:`repro.dist.worker` — the worker loop: claim a batch, solve it
-  through the :class:`~repro.api.service.InvariantService` (one
-  in-memory trace cache per worker), ack each record, repeat until the
-  queue drains.
+  through the worker's :class:`~repro.api.service.InvariantService`
+  (each solve memoizes only its own traces), ack each record, repeat
+  until the queue drains.
 * :mod:`repro.dist.coordinator` — enqueue a suite (skipping journaled
   items, so resume is free), optionally spawn local workers (a fixed
   count or an elastic ``workers="auto"`` fleet sized to queue depth),

@@ -1,7 +1,7 @@
 """The coordinator: enqueue a suite, run workers, merge the journal.
 
 :func:`run_distributed` is the whole lifecycle in one call — it backs
-``run_many(workers=N)`` and ``run-all --workers N``:
+``InvariantService.solve_many(workers=N)`` and ``run-all --workers N``:
 
 1. create (or re-open) the queue and enqueue one item per problem —
    ids are stable, so items already journaled from an earlier run are
@@ -14,7 +14,7 @@
    remainder inline, so the call always completes the suite;
 4. merge the journal back into :class:`~repro.infer.runner.
    ProblemRecord`s in input order — the same list a sequential
-   ``run_many`` returns, and the same JSON payload ``run-all --json``
+   ``solve_many`` returns, and the same JSON payload ``run-all --json``
    emits (:func:`merge_payload`).
 
 The queue can also be driven manually — ``python -m repro enqueue``

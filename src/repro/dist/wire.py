@@ -10,7 +10,7 @@ travel as plain JSON.  Two problem encodings exist:
   enqueue`` writes: items stay tiny and always match the worker's
   registry.
 * ``{"kind": "inline", ...}`` — the full problem definition
-  (:func:`problem_to_dict`), used by ``run_many(workers=N)`` for
+  (:func:`problem_to_dict`), used by ``solve_many(workers=N)`` for
   ad-hoc problems that are not in any suite.
 
 ``Fraction`` input values are encoded as ``"num/den"`` strings by

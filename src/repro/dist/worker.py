@@ -1,8 +1,9 @@
 """The distributed worker: claim → solve → ack, until the queue drains.
 
 A worker owns one :class:`~repro.api.service.InvariantService` for its
-whole life, so every claim batch shares the same bounded in-memory
-trace cache.
+whole life and solves each claimed item through its
+:meth:`~repro.api.service.InvariantService.solve_many`; every solve
+memoizes its own traces, and nothing is cached across items.
 
 The queue's ``meta.json`` is authoritative for *how* to solve (solver,
 config, per-problem timeout): every worker reads the same settings,

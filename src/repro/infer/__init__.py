@@ -24,10 +24,11 @@ The runtime is staged, with one module per stage boundary:
   training and extraction, then the check-and-score step
   (:func:`~repro.infer.pipeline.check_and_score`: soundness filtering
   and the solved test) that every baseline solver reuses.
-* :mod:`repro.infer.runner` — the batch subsystem:
-  :func:`~repro.infer.runner.run_many` fans many problems out over a
-  process pool with per-problem timeouts and structured records,
-  dispatching through the :mod:`repro.api` solver registry.
+* :mod:`repro.infer.runner` — batch records: the
+  :class:`~repro.infer.runner.ProblemRecord` (and its wire form) that
+  :meth:`repro.api.service.InvariantService.solve_many`, the batch
+  runner, returns for each problem, the per-problem timeout, and
+  :func:`~repro.infer.runner.summarize`.
 
 This package is the *runtime*; the public surface is :mod:`repro.api`
 (the ``Solver`` protocol, registry, and ``InvariantService``), which
@@ -39,7 +40,7 @@ from repro.infer.config import InferenceConfig
 from repro.infer.record import record_observations, record_problem
 from repro.infer.schedule import AttemptPlan, AttemptScheduler, build_schedule
 from repro.infer.pipeline import InferenceEngine
-from repro.infer.runner import ProblemRecord, run_many, summarize
+from repro.infer.runner import ProblemRecord, summarize
 
 __all__ = [
     "Problem",
@@ -52,6 +53,5 @@ __all__ = [
     "build_schedule",
     "InferenceEngine",
     "ProblemRecord",
-    "run_many",
     "summarize",
 ]

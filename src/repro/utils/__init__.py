@@ -6,7 +6,6 @@ from repro.utils.rational import (
     nice_coefficients,
 )
 from repro.utils.fingerprint import (
-    fingerprint_inputs,
     fingerprint_program,
     fingerprint_traces,
     problem_fingerprint,
@@ -17,7 +16,6 @@ __all__ = [
     "round_to_rational",
     "scale_to_integer_coeffs",
     "nice_coefficients",
-    "fingerprint_inputs",
     "fingerprint_program",
     "fingerprint_traces",
     "problem_fingerprint",

@@ -1,4 +1,4 @@
-"""Canonical content fingerprints for programs, inputs, and problems.
+"""Canonical content fingerprints for programs, traces, and problems.
 
 One keying scheme for every layer that identifies work by content
 rather than by object identity: the serving front end's request
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.lang.pretty import pretty_program
 
@@ -36,19 +36,6 @@ def fingerprint_program(program: "Program") -> str:
     structurally different program the original's digest.
     """
     return hashlib.sha1(pretty_program(program).encode()).hexdigest()
-
-
-def fingerprint_inputs(inputs: Iterable[Mapping[str, object]]) -> str:
-    """Stable digest of an input-assignment sequence."""
-    hasher = hashlib.sha1()
-    for assignment in inputs:
-        for name, value in sorted(assignment.items()):
-            hasher.update(name.encode())
-            hasher.update(b"=")
-            hasher.update(repr(value).encode())
-            hasher.update(b";")
-        hasher.update(b"|")
-    return hasher.hexdigest()
 
 
 def fingerprint_traces(traces: Mapping[int, "LoopTrace"]) -> str:

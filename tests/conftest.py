@@ -116,15 +116,15 @@ def _normalized_record(record) -> dict:
     if data["result"] is not None:
         data["result"].pop("runtime_seconds")
         data["result"].pop("stage_timings")
-        data["result"].pop("cache_stats")
     return data
 
 
 @pytest.fixture
 def normalized():
-    """A record's wire dict minus timing/host-dependent fields.
+    """A record's wire dict minus timing fields.
 
     Records from two execution paths (inline, process pool, work
-    queue) must be equal under it.
+    queue) must be equal under it, cache counters included: every
+    solve owns its trace memo.
     """
     return _normalized_record

@@ -122,12 +122,11 @@ def test_equality_solvers_solve_the_linear_problem():
 
 
 def test_gcln_and_baseline_records_share_schema():
-    """Acceptance: identical JSON schema across solvers via run_many."""
-    from repro.infer.runner import run_many
-
+    """Acceptance: identical JSON schema across solvers via solve_many."""
+    service = InvariantService(FAST_CONFIG)
     problems = [tiny_problem()]
-    gcln = run_many(problems, FAST_CONFIG, solver="gcln")[0].to_dict()
-    gac = run_many(problems, FAST_CONFIG, solver="guess_and_check")[0].to_dict()
+    gcln = service.solve_many(problems, "gcln")[0].to_dict()
+    gac = service.solve_many(problems, "guess_and_check")[0].to_dict()
     assert set(gcln) == set(gac)
     _assert_schema(gcln["result"])
     _assert_schema(gac["result"])

@@ -4,7 +4,7 @@ from repro.infer import InferenceConfig, InferenceEngine, Problem
 from repro.infer.stages import build_matrix, collect_states
 from repro.lang import parse_program
 from repro.sampling.cache import TraceCache
-from repro.utils.fingerprint import fingerprint_inputs, fingerprint_program
+from repro.utils.fingerprint import fingerprint_program
 
 TINY_SOURCE = """
 program tiny;
@@ -49,16 +49,6 @@ def test_fingerprint_differs_for_relaxed_program():
     assert relaxed_vars
     assert fingerprint_program(relaxed) != original_digest
     assert fingerprint_program(program) == original_digest
-
-
-def test_fingerprint_inputs_order_and_value_sensitivity():
-    assert fingerprint_inputs([{"a": 1, "b": 2}]) == fingerprint_inputs(
-        [{"b": 2, "a": 1}]
-    )
-    assert fingerprint_inputs([{"a": 1}]) != fingerprint_inputs([{"a": 2}])
-    assert fingerprint_inputs([{"a": 1}, {"a": 2}]) != fingerprint_inputs(
-        [{"a": 2}, {"a": 1}]
-    )
 
 
 def test_collect_states_and_build_matrix_memoize():

@@ -230,24 +230,44 @@ def test_cross_batch_option_removed(capsys, tmp_path):
     assert not (tmp_path / "q").exists()
 
 
-def test_run_all_warns_once_on_unenforceable_timeout(capsys, monkeypatch):
+def test_run_all_refuses_unenforceable_timeout(monkeypatch):
+    """Without SIGALRM ``--timeout`` is refused with one line before
+    any solve, instead of running without a budget."""
     import signal
 
+    from repro.api import InvariantService
+
+    def solve(*_args, **_kwargs):
+        raise AssertionError("nothing may be solved")
+
     monkeypatch.delattr(signal, "SIGALRM")
-    code = main(
-        [
-            "run-all",
-            "--suite",
-            "stability",
-            "--problems",
-            "conj_eq",
-            "--epochs",
-            "60",
-            "--timeout",
-            "600",
-        ]
-    )
-    assert code in (0, 1)
-    err = capsys.readouterr().err
-    assert err.count("could not be enforced") == 1
-    assert "timeout_enforced=false" in err
+    monkeypatch.setattr(InvariantService, "solve", solve)
+    with pytest.raises(SystemExit, match="no SIGALRM"):
+        main(
+            [
+                "run-all",
+                "--suite",
+                "stability",
+                "--problems",
+                "conj_eq",
+                "--timeout",
+                "600",
+            ]
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--jobs", "0"],
+        ["--timeout", "0"],
+        ["--timeout", "-1"],
+        ["--min-workers", "0"],
+        ["--epochs", "0"],
+    ],
+)
+def test_run_all_flag_values_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run-all", *argv])
+    assert excinfo.value.code == 2
+    assert f"argument {argv[0]}:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.api import InvariantService
 from repro.dist import (
     QueueError,
     Worker,
@@ -25,7 +26,7 @@ from repro.dist.wire import item_for_problem, resolve_item_problem
 from repro.dist.worker import worker_main
 from repro.errors import ReproError
 from repro.infer import InferenceConfig, Problem
-from repro.infer.runner import STATUS_OK, ProblemRecord, run_many
+from repro.infer.runner import STATUS_OK, ProblemRecord
 
 FAST_CONFIG = InferenceConfig(max_epochs=60, dropout_schedule=(0.6,))
 
@@ -369,7 +370,7 @@ def test_inline_items_resolve_without_registry():
 
 def test_record_round_trips_through_wire():
 
-    [record] = run_many([tiny_problem("wire")], FAST_CONFIG)
+    [record] = InvariantService(FAST_CONFIG).solve_many([tiny_problem("wire")])
     rebuilt = ProblemRecord.from_dict(json.loads(json.dumps(record.to_dict())))
     assert rebuilt.name == record.name
     assert rebuilt.solved == record.solved
@@ -438,7 +439,7 @@ def test_worker_ignores_legacy_cross_batch_meta(tmp_path, normalized):
     assert worker.run() == 2
     entries = sorted(queue.journal_entries(), key=lambda e: e["payload"]["index"])
     journaled = [ProblemRecord.from_dict(e["payload"]["record"]) for e in entries]
-    sequential = run_many(problems, FAST_CONFIG)
+    sequential = InvariantService(FAST_CONFIG).solve_many(problems)
     assert [normalized(r) for r in journaled] == [
         normalized(r) for r in sequential
     ]
@@ -454,17 +455,17 @@ def test_worker_main_entry_point(tmp_path):
     assert journaled.startswith("0000-wm-")
 
 
-# -- coordinator / run_many(workers=N) ----------------------------------------
+# -- coordinator / solve_many(workers=N) --------------------------------------
 
 
 def test_two_workers_match_sequential_run(tmp_path, normalized):
     """The acceptance bar: two workers draining one queue produce the
     exact records (modulo timing fields) of a sequential run."""
     problems = [tiny_problem("eq1"), tiny_problem("eq2", 2), tiny_problem("eq3", 3)]
-    sequential = run_many(problems, FAST_CONFIG, jobs=1)
-    distributed = run_many(
-        problems, FAST_CONFIG, workers=2,
-        queue_dir=str(tmp_path / "q"),
+    service = InvariantService(FAST_CONFIG)
+    sequential = service.solve_many(problems, jobs=1)
+    distributed = service.solve_many(
+        problems, workers=2, queue_dir=str(tmp_path / "q")
     )
     assert [r.name for r in distributed] == [r.name for r in sequential]
     assert [normalized(r) for r in distributed] == [
@@ -622,7 +623,9 @@ def test_worker_sigterm_exits_cleanly_without_stranding_claims(tmp_path):
 
 def test_merge_payload_matches_run_all_shape(tmp_path):
     problems = [tiny_problem("pa"), tiny_problem("pb", 2)]
-    run_many(problems, FAST_CONFIG, workers=1, queue_dir=str(tmp_path / "q"))
+    InvariantService(FAST_CONFIG).solve_many(
+        problems, workers=1, queue_dir=str(tmp_path / "q")
+    )
     payload = merge_payload(WorkQueue.open(tmp_path / "q"))
     assert set(payload) == {
         "suite", "solver", "jobs", "timeout_seconds",
@@ -650,14 +653,15 @@ def test_enqueue_suite_resolves_and_dedups(tmp_path):
 
 
 def test_run_many_validates_distributed_args():
+    service = InvariantService(FAST_CONFIG)
     with pytest.raises(ValueError, match="workers"):
-        run_many([tiny_problem("x")], FAST_CONFIG, workers=0)
+        service.solve_many([tiny_problem("x")], workers=0)
     with pytest.raises(ValueError, match="mutually exclusive"):
-        run_many([tiny_problem("x")], FAST_CONFIG, workers=2, jobs=2)
+        service.solve_many([tiny_problem("x")], workers=2, jobs=2)
 
 
 def test_service_solve_many_workers(tmp_path):
-    from repro.api import InvariantService, ProblemSolved
+    from repro.api import ProblemSolved
 
     service = InvariantService(FAST_CONFIG)
     events = []
@@ -700,11 +704,13 @@ def test_cli_worker_rejects_missing_queue(tmp_path):
         main(["worker", "--queue-dir", str(tmp_path / "missing")])
 
 
-def test_cli_run_all_workers_validation():
+def test_cli_run_all_workers_validation(capsys):
     from repro.cli import main
 
-    with pytest.raises(SystemExit, match="workers"):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run-all", "--workers", "0"])
+    assert excinfo.value.code == 2  # an argparse error
+    assert "argument --workers: must be >= 1" in capsys.readouterr().err
     with pytest.raises(SystemExit, match="mutually exclusive"):
         main(["run-all", "--workers", "2", "--jobs", "2"])
 

@@ -6,7 +6,6 @@ from repro.bench import nla_problem
 from repro.infer import InferenceConfig, Problem, record_problem
 from repro.sampling.source import LoopTrace, Observation
 from repro.utils.fingerprint import (
-    fingerprint_inputs,
     fingerprint_program,
     fingerprint_traces,
     problem_fingerprint,
@@ -74,13 +73,6 @@ def test_fingerprint_sensitive_to_each_component():
     )
     # problem metadata change (degree feeds term generation)
     assert problem_fingerprint(tiny_problem(max_degree=3)) != base
-
-
-def test_fingerprint_inputs_order_insensitive_within_rows():
-    rows_a = [{"a": 1, "b": 2}]
-    rows_b = [{"b": 2, "a": 1}]
-    assert fingerprint_inputs(rows_a) == fingerprint_inputs(rows_b)
-    assert fingerprint_inputs([{"a": 1}]) != fingerprint_inputs([{"a": 2}])
 
 
 def test_registry_problems_have_distinct_fingerprints():

@@ -13,7 +13,7 @@ import pytest
 from repro.api import EventBus, InvariantService, StageTimed
 from repro.dist.wire import config_to_dict, problem_to_dict
 from repro.infer import InferenceConfig, Problem
-from repro.infer.runner import STATUS_ERROR, STATUS_OK, ProblemRecord, run_many
+from repro.infer.runner import STATUS_ERROR, STATUS_OK, ProblemRecord
 from repro.serve.admission import AdmissionController
 from repro.serve.app import InvariantServer
 from repro.serve.dedup import InflightDeduper
@@ -94,7 +94,7 @@ def test_parse_request_config_roundtrips():
 def test_solve_response_schema():
     problem = tiny_problem()
     fp = problem_fingerprint(problem, "gcln", FAST_CONFIG)
-    [record] = run_many([problem], FAST_CONFIG)
+    [record] = InvariantService(FAST_CONFIG).solve_many([problem])
     response = solve_response(fp, record, "gcln")
     assert response["id"] == fp[:16]
     assert response["status"] == STATUS_OK
@@ -641,7 +641,7 @@ def test_http_sse_stream_lifecycle(tmp_path):
 
 
 def test_http_inprocess_record_equivalence():
-    """The HTTP front end returns the same SolveResult as run_many,
+    """The HTTP front end returns the same SolveResult as solve_many,
     modulo timing and cache counters."""
     problem = tiny_problem("equiv")
     service = InvariantService(FAST_CONFIG)
@@ -653,7 +653,7 @@ def test_http_inprocess_record_equivalence():
     with ServerHarness(server) as h:
         status, response = h.request("/v1/solve", body=solve_body(problem))
     assert status == 200
-    [direct] = run_many([tiny_problem("equiv")], FAST_CONFIG)
+    [direct] = InvariantService(FAST_CONFIG).solve_many([tiny_problem("equiv")])
     via_http = response["result"]
     expected = direct.result.to_dict()
     for volatile in ("runtime_seconds", "stage_timings", "cache_stats"):
@@ -805,7 +805,7 @@ def test_http_queue_mode_record_equivalence(tmp_path):
             stop.set()
     worker_thread.join(timeout=10)
 
-    [direct] = run_many([tiny_problem("qequiv")], FAST_CONFIG)
+    [direct] = InvariantService(FAST_CONFIG).solve_many([tiny_problem("qequiv")])
     via_http = response["result"]
     expected = direct.result.to_dict()
     for volatile in ("runtime_seconds", "stage_timings", "cache_stats"):

@@ -5,7 +5,7 @@ codecs (JSON payload + CSV), the degraded RecordedChecker, solver
 capability enforcement, the per-solve state memo, and — the core
 contract — seed equivalence: a problem fed its own recorded traces
 produces identical invariants to the program-backed run at every
-level (trainer, run_many, HTTP serve, work queue).
+level (trainer, solve_many, HTTP serve, work queue).
 """
 
 import asyncio
@@ -40,7 +40,7 @@ from repro.infer import (
     record_observations,
     record_problem,
 )
-from repro.infer.runner import STATUS_OK, run_many
+from repro.infer.runner import STATUS_OK
 from repro.infer.stages import collect_states
 from repro.sampling import TraceCache, collect_traces, loop_dataset
 from repro.sampling.source import (
@@ -391,8 +391,8 @@ def test_seed_equivalence_baseline_solver():
 def test_seed_equivalence_run_many_level():
     program = tiny_problem("eqm")
     recorded = record_problem(program)
-    [rec_prog] = run_many([program], FAST_CONFIG)
-    [rec_rec] = run_many([recorded], FAST_CONFIG)
+    [rec_prog] = InvariantService(FAST_CONFIG).solve_many([program])
+    [rec_rec] = InvariantService(FAST_CONFIG).solve_many([recorded])
     assert rec_prog.status == rec_rec.status == STATUS_OK
     assert loops_of(rec_prog.result) == loops_of(rec_rec.result)
 
@@ -410,7 +410,7 @@ def test_seed_equivalence_work_queue_level(tmp_path):
     [entry] = queue.journal_entries()
     journaled = entry["payload"]["record"]
     assert journaled["status"] == STATUS_OK
-    [direct] = run_many([program], FAST_CONFIG)
+    [direct] = InvariantService(FAST_CONFIG).solve_many([program])
     assert journaled["result"]["loops"] == loops_of(direct.result)
     assert journaled["result"]["checking"] == CHECKING_RECORDED
 
@@ -462,7 +462,7 @@ def test_seed_equivalence_http_serve_level():
 
     assert response["status"] == STATUS_OK
     assert response["result"]["checking"] == CHECKING_RECORDED
-    [direct] = run_many([program], FAST_CONFIG)
+    [direct] = InvariantService(FAST_CONFIG).solve_many([program])
     assert response["result"]["loops"] == loops_of(direct.result)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import InvariantService
 from repro.dist import (
     HttpTransport,
     LocalDirTransport,
@@ -34,7 +35,6 @@ from repro.dist import (
 from repro.dist.coordinator import build_meta
 from repro.dist.wire import item_for_problem
 from repro.infer import InferenceConfig, Problem
-from repro.infer.runner import run_many
 
 FAST_CONFIG = InferenceConfig(max_epochs=60, dropout_schedule=(0.6,))
 
@@ -292,7 +292,9 @@ def test_two_http_workers_match_sequential(http_queue, normalized):
     remote = [
         normalized(ProblemRecord.from_dict(by_id[i["id"]])) for i in items
     ]
-    sequential = [normalized(r) for r in run_many(problems, FAST_CONFIG)]
+    sequential = [
+        normalized(r) for r in InvariantService(FAST_CONFIG).solve_many(problems)
+    ]
     assert remote == sequential
     # Both followers reported health; the queue host saw them exit.
     fleet = {w["worker"]: w for w in queue.worker_health()}
@@ -335,7 +337,9 @@ def test_killed_http_follower_claim_is_reaped_and_resumed(http_queue, normalized
     resumed = [
         normalized(ProblemRecord.from_dict(by_id[i["id"]])) for i in items
     ]
-    sequential = [normalized(r) for r in run_many(problems, FAST_CONFIG)]
+    sequential = [
+        normalized(r) for r in InvariantService(FAST_CONFIG).solve_many(problems)
+    ]
     assert resumed == sequential
     # Exactly one journal line per item despite the re-claim.
     assert len(queue.journal_entries()) == len(items)
@@ -550,7 +554,9 @@ def test_flaky_transport_drain_matches_sequential(tmp_path, normalized):
     flaky_records = [
         normalized(ProblemRecord.from_dict(by_id[i["id"]])) for i in items
     ]
-    sequential = [normalized(r) for r in run_many(problems, FAST_CONFIG)]
+    sequential = [
+        normalized(r) for r in InvariantService(FAST_CONFIG).solve_many(problems)
+    ]
     assert flaky_records == sequential
 
 
@@ -623,7 +629,7 @@ def test_run_distributed_auto_matches_sequential(tmp_path, normalized):
         queue_dir=str(tmp_path / "q"),
         poll_seconds=0.1,
     )
-    sequential = run_many(problems, FAST_CONFIG)
+    sequential = InvariantService(FAST_CONFIG).solve_many(problems)
     assert [normalized(r) for r in records] == [
         normalized(r) for r in sequential
     ]
@@ -662,31 +668,34 @@ def test_run_distributed_validates_worker_bounds():
 
 
 def test_run_many_accepts_auto(tmp_path):
-    records = run_many(
+    service = InvariantService(FAST_CONFIG)
+    records = service.solve_many(
         [tiny_problem("rma")],
-        FAST_CONFIG,
         workers="auto",
         max_workers=1,
         queue_dir=str(tmp_path / "q"),
     )
     assert len(records) == 1 and records[0].solved
     with pytest.raises(ValueError, match="integer or 'auto'"):
-        run_many([tiny_problem("rma")], FAST_CONFIG, workers="soon")
+        service.solve_many([tiny_problem("rma")], workers="soon")
 
 
 # -- CLI surface ---------------------------------------------------------------
 
 
-def test_cli_run_all_workers_auto_validation():
+def test_cli_run_all_workers_auto_validation(capsys):
     from repro.cli import main
 
-    with pytest.raises(SystemExit, match="integer or 'auto'"):
-        main(["run-all", "--workers", "soon"])
-    with pytest.raises(SystemExit, match="workers"):
-        main(["run-all", "--workers", "0"])
-    with pytest.raises(SystemExit, match="min-workers"):
-        main(["run-all", "--workers", "auto", "--min-workers", "0"])
-    with pytest.raises(SystemExit, match="max-workers"):
+    for argv, message in (
+        (["--workers", "soon"], "argument --workers: must be an integer or 'auto'"),
+        (["--workers", "0"], "argument --workers: must be >= 1"),
+        (["--workers", "auto", "--min-workers", "0"], "argument --min-workers"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-all", *argv])
+        assert excinfo.value.code == 2  # an argparse error
+        assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit, match="max_workers"):
         main([
             "run-all", "--workers", "auto",
             "--min-workers", "3", "--max-workers", "2",
