@@ -3,7 +3,8 @@
 A minimal but correct substitute for the slice of PyTorch the paper
 uses: tensors with gradients, broadcasting elementwise ops, matrix
 multiplication, reductions, the fused CLN kernels, and the Adam
-optimizer with multiplicative learning-rate decay.  Training graphs
+optimizer with multiplicative learning-rate decay, which steps one
+flat parameter vector (:func:`flat_parameters`).  Training graphs
 are recorded on a :class:`Tape` and replayed through a compiled plan
 (:mod:`repro.autodiff.plan`); the tape's closure walker is the
 reference it is tested against.  Gradients are verified against
@@ -19,7 +20,7 @@ from repro.autodiff.functional import (
     pbqu,
     sigmoid,
 )
-from repro.autodiff.optim import Adam
+from repro.autodiff.optim import Adam, flat_parameters
 
 __all__ = [
     "Tensor",
@@ -30,4 +31,5 @@ __all__ = [
     "sigmoid",
     "gaussian",
     "Adam",
+    "flat_parameters",
 ]

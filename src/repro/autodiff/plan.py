@@ -15,6 +15,17 @@ list into straight-line Python source over preallocated buffers:
   compile time; every ufunc writes with ``out=``;
 * contributions to parents that do not require gradients are dropped
   at compile time (the walker computes and discards them);
+* **gradient aliasing**: an interior node referenced once in the graph
+  whose one contribution is its consumer's gradient unchanged (an
+  ``add`` operand, the minuend of a ``sub``, a ``reshape``, a sum over
+  length-1 axes) gets no buffer of its own: its gradient is bound to a
+  C-contiguous view of the consumer's buffer instead of a copy of it;
+* **forward reuse**: a node with the same op, params and (already
+  reused) parents as an earlier node reads that node's buffer instead
+  of recomputing it.  The G-CLN loss normalizes the masked weights
+  twice (for the forward and for the L1 term); the replay computes
+  them once.  The backward keeps one chain per recorded node, so
+  gradients accumulate exactly as the walker accumulates them;
 * gated t-norms and t-conorms are lowered by the static length of
   their reduced axis.  On a 2-long axis (every clause's literal
   product) the product is one multiply of the two columns and the
@@ -36,10 +47,15 @@ the plan computes every gradient with the same numpy ufunc sequence
 the closures execute, into C-contiguous buffers like the walker's
 freshly allocated temporaries (relying on documented identities such
 as ``x ** 2`` lowering to ``np.square`` and multiply/add commuting
-bitwise), so fused replays are bitwise-identical to walker replays
-with two narrow exceptions.  The *sign* of exactly-zero gradients can
-differ, because the plan's first contribution to a buffer overwrites
-it instead of adding into zeros (values still compare equal under
+bitwise).  Both rewrites only skip work whose result is already in a
+buffer: an aliased gradient reads the very values the walker would
+copy, through a view of the same layout, and a reused forward is the
+same ufunc on the same inputs (a reused node's ``.data`` is pointed at
+that buffer, so readers of the node see the replayed value).  So fused
+replays are bitwise-identical to walker replays with two narrow
+exceptions.  The *sign* of exactly-zero gradients can differ, because
+the plan's first contribution to a buffer overwrites it instead of
+adding into zeros (values still compare equal under
 ``==``/``np.array_equal``).  A dead subgraph — one whose output never
 receives a gradient — is skipped outright rather than fed exact zeros
 (value-equal unless its data holds inf/nan).
@@ -52,6 +68,7 @@ compilability.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -101,17 +118,19 @@ class ReplayProgram:
     def prepare_grads(self) -> None:
         """Point the plan at each leaf's current gradient buffer.
 
-        A leaf entering the replay with ``grad=None`` gets a plan-owned
-        zeroed buffer (the walker would copy its first contribution;
-        adding into zeros is value-equal).  A caller-swapped buffer is
-        simply rebound — names resolve through ``env`` at call time.
+        An optimizer's parameters keep one bound gradient view for
+        good (see :func:`~repro.autodiff.optim.flat_parameters`), so
+        for them this only checks.  A leaf entering the replay with
+        ``grad=None`` gets a zeroed buffer (the walker would copy its
+        first contribution; adding into zeros is value-equal).  A
+        caller-swapped buffer is simply rebound — names resolve through
+        ``env`` at call time.
         """
         env = self.env
-        for tensor, name, own in self._grad_guard:
+        for tensor, name in self._grad_guard:
             grad = tensor.grad
             if grad is None:
-                own.fill(0.0)
-                tensor.grad = grad = own
+                tensor.grad = grad = np.zeros_like(tensor.data)
             if env[name] is not grad:
                 env[name] = grad
 
@@ -140,6 +159,22 @@ class _PlanCompiler:
         self._written: set[int] = set()
         self._slot = 0
         self._local = 0
+        # How often each node is a parent in the graph: a node
+        # referenced once gets exactly one gradient contribution.
+        self._refs = Counter(id(p) for n in nodes for p in n._parents)
+        # Gradient aliasing: interior nodes whose gradient is a view of
+        # their one consumer's gradient, by bound name.
+        self._alias: dict[int, str] = {}
+        # Forward reuse: a node computing what an earlier node already
+        # computes maps to that node and reads its buffer.
+        self._canon: dict[int, Tensor] = {}
+        # Nodes whose buffer a view node (reshape, T) reads; they keep
+        # their own buffer and are never replaced by an earlier node.
+        self._viewed = {
+            id(n._parents[0])
+            for n in nodes
+            if n._op is not None and (n._op[1] or {}).get("is_view")
+        }
         self.fwd_lines: list[str] = []
         self.bwd_lines: list[str] = []
         self.failure: str | None = None
@@ -157,6 +192,7 @@ class _PlanCompiler:
         return name
 
     def dname(self, t: Tensor) -> str:
+        t = self._canon.get(id(t), t)
         name = self._bind(t.data, "v")
         if id(t) not in self.node_ids and id(t) not in self._guarded:
             self._guarded.add(id(t))
@@ -164,6 +200,9 @@ class _PlanCompiler:
         return name
 
     def gname(self, t: Tensor) -> str:
+        alias = self._alias.get(id(t))
+        if alias is not None:
+            return alias
         if id(t) in self.node_ids:
             # Always C-contiguous: ``zeros_like`` of a transposed view
             # (a ``T`` node) is F-ordered, and a matmul written into it
@@ -175,13 +214,12 @@ class _PlanCompiler:
             return self._bind(buf, "g")
         name = self._leaf_grad.get(id(t))
         if name is None:
-            own = np.zeros_like(t.data)
-            bound = t.grad if t.grad is not None else own
             name = f"lg{len(self._leaf_grad)}"
             self._leaf_grad[id(t)] = name
-            self.env[name] = bound
-            self._keepalive.append(own)
-            self.grad_guard.append((t, name, own))
+            # Bound for real by ReplayProgram.prepare_grads before each
+            # replay.
+            self.env[name] = t.grad
+            self.grad_guard.append((t, name))
         return name
 
     def const(self, obj) -> str:
@@ -197,7 +235,8 @@ class _PlanCompiler:
         return name
 
     def persist(self, node: Tensor, tag: str, shape, dtype="f8") -> str:
-        key = (id(node), tag)
+        # A reused node reads what its canonical node's forward stored.
+        key = (id(self._canon.get(id(node), node)), tag)
         name = self._persist.get(key)
         if name is None:
             name = self._bind(np.empty(shape, dtype=dtype), "p")
@@ -268,32 +307,37 @@ class _PlanCompiler:
         """buf (+)= _unbroadcast(src): the walker's accumulate, statically."""
         g = self.gname(parent)
         tshape = tuple(parent.data.shape)
-        cur, curshape = src, tuple(src_shape)
+        curshape = tuple(src_shape)
+        reductions = []
         if curshape != tshape:
             extra = len(curshape) - len(tshape)
             if extra > 0:
-                axes = tuple(range(extra))
-                outshape = curshape[extra:]
-                s = self.tmp(outshape)
-                lines.append(f"np.add.reduce({cur}, axis={axes}, out={s})")
-                cur, curshape = s, outshape
+                curshape = curshape[extra:]
+                reductions.append((f"axis={tuple(range(extra))}", curshape))
             axes = tuple(
                 i for i, d in enumerate(tshape)
                 if d == 1 and curshape[i] != 1
             )
             if axes:
-                outshape = tuple(
+                curshape = tuple(
                     1 if i in axes else d for i, d in enumerate(curshape)
                 )
-                s = self.tmp(outshape)
-                lines.append(
-                    f"np.add.reduce({cur}, axis={axes}, keepdims=True, "
-                    f"out={s})"
-                )
-                cur, curshape = s, outshape
-            if curshape != tshape:
-                cur = f"{cur}.reshape({tshape!r})"
-        if self._claim(parent):
+                reductions.append((f"axis={axes}, keepdims=True", curshape))
+        claim = self._claim(parent)
+        cur = src
+        for i, (args, outshape) in enumerate(reductions):
+            last = i == len(reductions) - 1
+            # The last reduction of a first contribution writes straight
+            # into the parent's buffer instead of a scratch to copy.
+            direct = last and claim and outshape == tshape
+            dest = g if direct else self.tmp(outshape)
+            lines.append(f"np.add.reduce({cur}, {args}, out={dest})")
+            if direct:
+                return
+            cur = dest
+        if curshape != tshape:
+            cur = f"{cur}.reshape({tshape!r})"
+        if claim:
             lines.append(f"np.copyto({g}, {cur})")
             return
         lines.append(f"np.add({g}, {cur}, out={g})")
@@ -314,6 +358,31 @@ class _PlanCompiler:
         lines.append(f"np.negative({src}, out={s})")
         self.accum(lines, parent, s, src_shape)
 
+    def alias_grad(self, parent: Tensor, gy: str, view: np.ndarray) -> bool:
+        """Bind ``parent``'s gradient to ``view`` of its consumer's; True if done.
+
+        This is gradient aliasing: when ``parent`` is interior, is
+        referenced once in the graph (so this is its only contribution)
+        and ``view`` is a C-contiguous view of the consumer's gradient
+        buffer ``gy`` with ``parent``'s shape, the consumer's gradient
+        *is* ``parent``'s, unchanged.  Reading the consumer's buffer
+        through the view replaces the walker's copy into a buffer of
+        ``parent``'s own; nothing writes either buffer after this point
+        of the backward, since every contribution to the consumer came
+        before.  Otherwise nothing is bound and the caller accumulates.
+        """
+        if (
+            id(parent) not in self.node_ids
+            or self._refs[id(parent)] != 1
+            or view.shape != parent.data.shape
+            or not view.flags.c_contiguous
+            or not np.shares_memory(view, self.env[gy])
+        ):
+            return False
+        self._alias[id(parent)] = self._bind(view, "g")
+        self._written.add(id(parent))
+        return True
+
     # -- emission ----------------------------------------------------------
 
     def compile(self) -> ReplayProgram | None:
@@ -326,8 +395,13 @@ class _PlanCompiler:
             # else writes the root's buffer, so one fill here does it.
             self.env[self.gname(self.root)].fill(1.0)
             self._written.add(id(self.root))
+            first_of: dict = {}
             for node in self.nodes:
                 self._slot = 0
+                first = first_of.setdefault(self._reuse_key(node), node)
+                if first is not node and id(node) not in self._viewed:
+                    self._canon[id(node)] = first
+                    continue
                 self._forward_op(node)
             for node in reversed(self.nodes):
                 self._slot = 0
@@ -339,11 +413,35 @@ class _PlanCompiler:
         body_b = "\n".join(f"    {ln}" for ln in self.bwd_lines) or "    pass"
         source = f"def _fwd():\n{body_f}\n\ndef _bwd():\n{body_b}\n"
         exec(compile(source, "<replay-plan>", "exec"), self.env)
+        # A reused node's own buffer is never written again; point it at
+        # the buffer the replay fills, for whoever reads its data.
+        for node in self.nodes:
+            first = self._canon.get(id(node))
+            if first is not None:
+                node.data = first.data
         return ReplayProgram(
             self.env, self.data_guard, self.grad_guard, source
         )
 
     # -- forward ops -------------------------------------------------------
+
+    def _reuse_key(self, node: Tensor):
+        """What ``node``'s forward computes: op, params, canonical parents.
+
+        Array params (σ boxes, t-norm scratch) count by identity.
+        """
+        kind, params = node._op
+        items = tuple(
+            (k, ("array", id(v)) if isinstance(v, np.ndarray) else v)
+            for k, v in sorted((params or {}).items())
+        )
+        parents = tuple(id(self._canon.get(id(p), p)) for p in node._parents)
+        key = (kind, items, parents)
+        try:
+            hash(key)
+        except TypeError:  # e.g. a slice index: compute it afresh
+            return ("own", id(node))
+        return key
 
     def _forward_op(self, node: Tensor) -> None:
         kind, params = node._op
@@ -468,10 +566,14 @@ class _PlanCompiler:
         gy = self.gname(node)
         if kind == "add":
             for p in ps:
-                if p.requires_grad:
+                if p.requires_grad and not self.alias_grad(
+                    p, gy, self.env[gy]
+                ):
                     self.accum(out, p, gy, yshape)
         elif kind == "sub":
-            if ps[0].requires_grad:
+            if ps[0].requires_grad and not self.alias_grad(
+                ps[0], gy, self.env[gy]
+            ):
                 self.accum(out, ps[0], gy, yshape)
             if ps[1].requires_grad:
                 self.accum_neg(out, ps[1], gy, yshape)
@@ -519,11 +621,15 @@ class _PlanCompiler:
             if ps[0].requires_grad:
                 self._backward_sum(node, params, gy)
         elif kind == "reshape":
-            if ps[0].requires_grad:
-                pshape = tuple(ps[0].data.shape)
+            pshape = tuple(ps[0].data.shape)
+            if ps[0].requires_grad and not self.alias_grad(
+                ps[0], gy, self.env[gy].reshape(pshape)
+            ):
                 self.accum(out, ps[0], f"{gy}.reshape({pshape!r})", pshape)
         elif kind == "T":
-            if ps[0].requires_grad:
+            if ps[0].requires_grad and not self.alias_grad(
+                ps[0], gy, self.env[gy].T
+            ):
                 pshape = tuple(ps[0].data.shape)
                 self.accum(out, ps[0], f"{gy}.T", pshape)
         elif kind == "gaussian":
@@ -652,10 +758,9 @@ class _PlanCompiler:
 
     def _backward_sum(self, node: Tensor, params: dict, gy: str) -> None:
         parent = node._parents[0]
-        g = self.gname(parent)
         axis, keepdims = params["axis"], params["keepdims"]
         if axis is None or keepdims:
-            src = gy
+            src, view = gy, self.env[gy]
         else:
             pshape = parent.data.shape
             axes = axis if isinstance(axis, tuple) else (axis,)
@@ -664,6 +769,11 @@ class _PlanCompiler:
                 1 if i in axes else d for i, d in enumerate(pshape)
             )
             src = f"{gy}.reshape({expanded!r})"
+            view = self.env[gy].reshape(expanded)
+        # Summing over length-1 axes passes the gradient through.
+        if self.alias_grad(parent, gy, view):
+            return
+        g = self.gname(parent)
         if self._claim(parent):
             self.bwd_lines.append(f"np.copyto({g}, {src})")
             return
@@ -730,10 +840,12 @@ class _PlanCompiler:
         rev_right = self.const(np.flip(right, axis=ax))
         expanded = tuple(1 if i == ax else d for i, d in enumerate(ishape))
         gyx = self.const(self.env[gy].reshape(expanded))
+        # np.cumprod delegates to multiply.accumulate; calling it
+        # directly skips the dispatch wrapper and stays bitwise-identical.
         out.append(f"np.copyto({l_tail}, {x_head})")
-        out.append(f"np.cumprod({xl}, axis={ax}, out={xl})")
+        out.append(f"np.multiply.accumulate({xl}, axis={ax}, out={xl})")
         out.append(f"np.copyto({r_tail}, {rev_head})")
-        out.append(f"np.cumprod({xr}, axis={ax}, out={xr})")
+        out.append(f"np.multiply.accumulate({xr}, axis={ax}, out={xr})")
         out.append(f"np.multiply({xl}, {rev_right}, out={ep})")
         out.append(f"np.multiply({gyx}, {ep}, out={ep})")
         return ep

@@ -94,7 +94,8 @@ class Tape:
         return self._root  # type: ignore[return-value]
 
     def stats(self) -> dict:
-        """Tape/plan observability counters (see ``repro profile``)."""
+        """Whether the plan compiled (and why not), the node count,
+        replay count and cumulative plan compile time."""
         return {
             "compiled": self._plan is not None,
             "n_nodes": self.n_nodes,

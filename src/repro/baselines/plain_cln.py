@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import Adam
+from repro.autodiff.optim import Adam, flat_parameters
 from repro.autodiff.tensor import Tensor
 from repro.autodiff.functional import stack
 from repro.cln.activations import gaussian_equality
@@ -51,10 +51,10 @@ class PlainCLN:
             raise TrainingError("PlainCLN needs at least one unit")
         self.n_terms = n_terms
         self.disjunction = disjunction
-        self.weights = [
-            Tensor(rng.normal(0.0, 1.0, size=n_terms), requires_grad=True)
-            for _ in range(n_units)
-        ]
+        # One parameter vector, which Adam steps as a whole.
+        self.weights = flat_parameters(
+            [rng.normal(0.0, 1.0, size=n_terms) for _ in range(n_units)]
+        )
 
     def unit_outputs(self, X: Tensor, relax_scale: float = 1.0) -> Tensor:
         outputs = []

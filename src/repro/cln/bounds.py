@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.autodiff.optim import Adam
+from repro.autodiff.optim import Adam, flat_parameters
 from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor
 from repro.cln.activations import pbqu_ge
@@ -121,7 +121,7 @@ class BoundBank:
         self.config = config
         init = rng.normal(0.0, 1.0, size=masks.shape)
         init[~masks] = 0.0
-        self.weight = Tensor(init, requires_grad=True)
+        [self.weight] = flat_parameters([init])
         self._mask_tensor = Tensor(masks.astype(np.float64))
 
     def effective_weights(self) -> Tensor:

@@ -25,8 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
+# The clip ufunc itself: np.clip reaches it through a slower wrapper.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from repro.errors import TrainingError
 from repro.autodiff.functional import stack
+from repro.autodiff.optim import contiguous_span, flat_parameters
 from repro.autodiff.tensor import Tensor
 from repro.cln.activations import gaussian_equality
 from repro.cln.tnorms import gated_tconorm, gated_tnorm
@@ -92,16 +99,18 @@ class AtomicUnit:
     def bind_row(
         self,
         weight_row: np.ndarray,
+        grad_row: np.ndarray,
         mask_row: np.ndarray,
         mask_value_row: np.ndarray,
     ) -> None:
         """Rebind this unit's storage onto rows of a stacked matrix.
 
         The rows are numpy *views* into the parent model's
-        ``(units, terms)`` arrays, so the per-unit eager path and the
-        batched path read and write the same memory — no syncing.
+        ``(units, terms)`` arrays and their gradient, so the per-unit
+        eager path and the batched path read and write the same memory
+        — no syncing.
         """
-        self.weight = Tensor(weight_row, requires_grad=True)
+        self.weight = _view_parameter(weight_row, grad_row)
         self.mask = mask_row
         self._mask_tensor = Tensor(mask_value_row)
 
@@ -242,36 +251,54 @@ class GCLN:
             raise TrainingError(
                 f"every clause needs the same literal count, got {sizes}"
             )
-        self.and_gates = Tensor(np.full(len(self.clauses), 0.95), requires_grad=True)
-        self._stack_units()
+        # One constant leaf for the weight-normalization epsilon, so the
+        # two normalizations the batched loss records (forward and L1
+        # term) have identical parents and the replay plan computes
+        # them once.
+        self._norm_eps = Tensor(1e-12)
+        self._allocate_parameters()
 
-    def _stack_units(self) -> None:
-        """Stack all unit weights/masks into (units, terms) matrices.
+    def _allocate_parameters(self) -> None:
+        """Lay every parameter out in one flat vector.
 
-        The stacked tensors are the parameters the batched training
-        path optimizes; each unit's ``weight``/``mask`` are rebound to
-        row views, so the per-unit eager path (extraction, pruning,
+        :func:`~repro.autodiff.optim.flat_parameters` allocates one data
+        and one gradient vector holding the and gates, the OR gates as a
+        (clauses, literals) matrix, and the unit weights as a (units,
+        terms) matrix, in that order.  The three stacked tensors are
+        what the batched trainers optimize; each clause's ``or_gates``
+        entry and each unit's ``weight`` are row views of them (data
+        and gradient), so the per-unit eager path (extraction, pruning,
         reference training) shares the same storage with no syncing.
-        OR gates stack the same way into a (clauses, literals) matrix.
+        The gates come first, so :meth:`project_gates` clips one slice.
         """
         flat = [unit for group in self.clauses for unit in group]
         self.units_flat: list[AtomicUnit] = flat
-        self.unit_masks = np.stack([u.mask for u in flat])
-        self.unit_weights = Tensor(
-            np.stack([u.weight.data for u in flat]), requires_grad=True
+        n_clauses, n_literals = len(self.clauses), len(self.clauses[0])
+        self.and_gates, self.or_gates_stacked, self.unit_weights = (
+            flat_parameters(
+                [
+                    np.full(n_clauses, 0.95),
+                    np.full((n_clauses, n_literals), 0.95),
+                    np.stack([u.weight.data for u in flat]),
+                ]
+            )
         )
+        self._gates = contiguous_span(
+            [self.and_gates.data, self.or_gates_stacked.data]
+        )
+        self.unit_masks = np.stack([u.mask for u in flat])
         self._unit_mask_tensor = Tensor(self.unit_masks.astype(np.float64))
+        weights, grads = self.unit_weights.data, self.unit_weights.grad
         for i, unit in enumerate(flat):
             unit.bind_row(
-                self.unit_weights.data[i],
+                weights[i],
+                grads[i],
                 self.unit_masks[i],
                 self._unit_mask_tensor.data[i],
             )
-        stacked = np.full((len(self.clauses), len(self.clauses[0])), 0.95)
-        self.or_gates_stacked = Tensor(stacked, requires_grad=True)
+        gates, gate_grads = self.or_gates_stacked.data, self.or_gates_stacked.grad
         self.or_gates = [
-            Tensor(self.or_gates_stacked.data[i], requires_grad=True)
-            for i in range(len(self.clauses))
+            _view_parameter(gates[i], gate_grads[i]) for i in range(n_clauses)
         ]
 
     # -- forward ---------------------------------------------------------
@@ -303,7 +330,7 @@ class GCLN:
         """
         w = self.unit_weights * self._unit_mask_tensor
         if self.config.weight_regularization:
-            norm = ((w * w).sum(axis=1, keepdims=True) + 1e-12) ** 0.5
+            norm = ((w * w).sum(axis=1, keepdims=True) + self._norm_eps) ** 0.5
             w = w / norm
         return w
 
@@ -350,33 +377,41 @@ class GCLN:
         """The stacked parameters the batched trainers optimize.
 
         Elementwise they are exactly :meth:`parameters` (the per-unit
-        tensors are row views of the stacked ones), so Adam and global
-        gradient clipping behave identically on either set.
+        tensors are row views of the stacked ones): both sets tile the
+        model's one parameter vector, which Adam steps.
         """
         return [self.and_gates, self.or_gates_stacked, self.unit_weights]
 
     def project_gates(self) -> None:
-        """Clip all gate parameters back into [0, 1] after an update."""
-        np.clip(self.and_gates.data, 0.0, 1.0, out=self.and_gates.data)
-        data = self.or_gates_stacked.data
-        np.clip(data, 0.0, 1.0, out=data)
+        """Clip all gate parameters back into [0, 1] after an update.
+
+        The and and OR gates are one contiguous slice of the parameter
+        vector, clipped by one call of the ``clip`` ufunc.
+        """
+        _clip(self._gates, 0.0, 1.0, out=self._gates)
 
     def gates_saturated(self) -> bool:
         """True when every gate is within ``GATE_SATURATION_TOLERANCE``
         of 0 or 1.
 
         The per-clause ``or_gates`` are row views of ``or_gates_stacked``,
-        so one check of the stacked array covers them all.
+        and every gate lives in one slice of the parameter vector, so one
+        check covers them all.
         """
-        def ok(arr: np.ndarray) -> bool:
-            return bool(
-                np.all(
-                    (arr < GATE_SATURATION_TOLERANCE)
-                    | (arr > 1.0 - GATE_SATURATION_TOLERANCE)
-                )
+        gates = self._gates
+        return bool(
+            np.all(
+                (gates < GATE_SATURATION_TOLERANCE)
+                | (gates > 1.0 - GATE_SATURATION_TOLERANCE)
             )
+        )
 
-        return ok(self.and_gates.data) and ok(self.or_gates_stacked.data)
+
+def _view_parameter(data: np.ndarray, grad: np.ndarray) -> Tensor:
+    """A trainable tensor over ``data`` whose gradient is bound to ``grad``."""
+    tensor = Tensor(data, requires_grad=True)
+    tensor.grad = grad
+    return tensor
 
 
 def _random_mask(

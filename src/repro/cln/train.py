@@ -20,14 +20,16 @@ Two execution strategies share the same math:
 :func:`train_gcln_restarts` trains R independent restarts
 simultaneously in one graph.  Restart gradients are decoupled (the
 total loss is a sum of per-restart terms), clipping is per restart
-group, each restart keeps its own Adam instance and λ/σ schedules, and
-a restart that hits its early-stop condition is snapshotted at that
-epoch and restored at the end — so every restart finishes with exactly
-the parameters sequential training would have produced.
+group, each restart keeps its own Adam instance (over its model's one
+flat parameter vector) and λ/σ schedules, and a restart that hits its
+early-stop condition is frozen at that epoch (no further clip, step,
+projection or pruning) — so every restart finishes with exactly the
+parameters sequential training would have produced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +194,7 @@ def _run_restart_epochs(
                     for unit in group:
                         unit.prune(PRUNE_THRESHOLD)
             value = float(node.data)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 message = f"loss diverged to {value} at epoch {epoch}"
                 if raise_on_divergence:
                     raise TrainingError(message)
@@ -330,7 +332,7 @@ def train_gcln_eager(model: GCLN, data: np.ndarray) -> TrainResult:
                     unit.prune(PRUNE_THRESHOLD)
 
         value = loss.item()
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise TrainingError(f"loss diverged to {value} at epoch {epoch}")
         if relax_scale > 1.0:
             # Still annealing: loss values are not yet comparable (and

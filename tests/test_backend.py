@@ -18,6 +18,7 @@ from repro.autodiff import (
     Adam,
     Tape,
     Tensor,
+    flat_parameters,
     fused_gated_tconorm,
     fused_gated_tnorm,
     gaussian,
@@ -90,11 +91,13 @@ def _random_chain_loss(leaves, sigma_box, rng):
 
 def _train_chain(seed, steps=4):
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    w = Tensor(rng.normal(size=(10, 5)), requires_grad=True)
-    gates = Tensor(rng.uniform(0.2, 0.8, size=(5, 2)), requires_grad=True)
-    leaves = [a, b, w, gates]
+    leaves = flat_parameters([
+        rng.normal(size=(3, 5)),
+        rng.normal(size=(3, 5)),
+        rng.normal(size=(10, 5)),
+        rng.uniform(0.2, 0.8, size=(5, 2)),
+    ])
+    a, b, w, gates = leaves
     sigma_box = np.array(1.2)
     op_rng = np.random.default_rng(seed + 1000)
     opt = Adam(leaves, lr=0.05)
@@ -135,8 +138,7 @@ def _unlowered_kind_graph(kind, a, b):
 
 def _train_unlowered_kind(kind, steps=4):
     rng = np.random.default_rng(11)
-    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    a, b = flat_parameters([rng.normal(size=(3, 5)), rng.normal(size=(3, 5))])
     opt = Adam([a, b], lr=0.05)
     tape = Tape()
     losses, grads = [], []
@@ -329,8 +331,9 @@ def test_gated_tnorm_plan_matches_walker(kind, axis, length, walker):
             assert np.array_equal(x, y)
 
 
-def test_plan_has_no_reduction_over_a_two_long_axis(monkeypatch):
-    """Literal products and their exclusive products lower to multiplies."""
+def _ps2_plan(monkeypatch):
+    """The compiled plan (and recorded nodes) of ps2's default-size
+    loop-0 model, as its first attempt trains it."""
     bundle = _loop0_matrix("ps2")
     weights = complexity_term_weights([m.degree for m in bundle.basis.monomials])
     model = GCLN(
@@ -349,15 +352,107 @@ def test_plan_has_no_reduction_over_a_two_long_axis(monkeypatch):
     train_gcln(model, bundle.data)
     [(plan, nodes)] = compiled
     assert plan is not None
+    return plan, nodes
+
+
+def test_plan_has_no_reduction_over_a_two_long_axis(monkeypatch):
+    """Literal products and their exclusive products lower to multiplies."""
+    plan, nodes = _ps2_plan(monkeypatch)
     gates = [n._op for n in nodes if n._op[0] in ("tnorm", "tconorm")]
     assert {kind for kind, _ in gates} == {"tnorm", "tconorm"}
     assert any(p["inner"].shape[p["axis"]] == 2 for _, p in gates)
     reductions = re.findall(
-        r"np\.(?:multiply\.reduce|cumprod)\((\w+), axis=(-?\d+)", plan.source
+        r"np\.multiply\.(?:reduce|accumulate)\((\w+), axis=(-?\d+)", plan.source
     )
     assert reductions, "the and-gate t-norm should still reduce"
     for name, axis in reductions:
         assert plan.env[name].shape[int(axis)] != 2, (name, axis)
+
+
+def _plan_lines(plan, fn):
+    body = plan.source.split(f"def {fn}():\n", 1)[1].split("\n\n", 1)[0]
+    return [line.strip() for line in body.splitlines()]
+
+
+def test_ps2_plan_computes_one_normalization_and_aliases_gradients(monkeypatch):
+    """Forward reuse: the L1 term's masked, normalized weights are the
+    forward's, computed once.  Gradient aliasing: pass-through
+    gradients are views of their consumer's buffer, not copies."""
+    plan, nodes = _ps2_plan(monkeypatch)
+    fwd, bwd = _plan_lines(plan, "_fwd"), _plan_lines(plan, "_bwd")
+    # Both chains are recorded; the replay runs one.
+    assert sum(n._op == ("pow", {"exponent": 0.5}) for n in nodes) == 2
+    assert sum(line.startswith("np.power(") for line in fwd) == 1
+    # Copies from one gradient buffer into another (ps2's plan made 17
+    # before aliasing).
+    copies = [
+        line for line in bwd
+        if re.match(r"np\.copyto\(l?g\d+, l?g\d+", line)
+    ]
+    assert len(copies) <= 8, copies
+
+
+def _rewrite_graph(case, a, b, eps):
+    """Small graphs over the plan's two rewrites (see the test below)."""
+    if case == "shared-parent":
+        # A pass-through parent with two consumers: two contributions.
+        u = gaussian(a, 0.9)
+        return ((u + b) * (u - b * 0.5)).sum()
+    if case == "square":
+        # x*x: one consumer, but two references.
+        u = a + b
+        return (u * u).sum() + (u * 0.0 + 1.0).sum()
+    if case == "reshape":
+        # Same-shape and shape-changing reshapes of a gradient.
+        u = gaussian(a * 1.5 + b, 1.1).reshape(3, 5).reshape(15)
+        return (abs(u - 0.25) * gaussian(b, 0.7).reshape(15)).sum()
+    if case == "duplicate-viewed":
+        # A duplicate that a reshape views keeps its own buffer.
+        u1, u2 = gaussian(a, 0.8), gaussian(a, 0.8)
+        return (u1 * b).sum() + (u2.reshape(15) * b.reshape(15)).sum()
+    # A duplicated subgraph: the same normalization built twice over
+    # the same leaves, as the G-CLN loss builds its weights.
+    def normalized():
+        w = a * b
+        return w / ((w * w).sum(axis=1, keepdims=True) + eps) ** 0.5
+    return (normalized() * a).sum() + abs(normalized()).sum()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["shared-parent", "square", "reshape", "duplicate", "duplicate-viewed"],
+)
+def test_plan_rewrites_replay_like_the_walker(case, walker):
+    """Aliased gradients and reused forwards replay bitwise-equal to
+    the walker, three replays in a row."""
+
+    def run():
+        rng = np.random.default_rng(5)
+        a, b = flat_parameters(
+            [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))]
+        )
+        eps = Tensor(1e-12)
+        opt = Adam([a, b], lr=0.05)
+        tape = Tape()
+        records = []
+        for _ in range(4):
+            opt.zero_grad()
+            loss = tape.step(lambda: _rewrite_graph(case, a, b, eps))
+            records.append(
+                (float(loss.data), a.grad.copy(), b.grad.copy())
+            )
+            opt.step()
+            records.append((a.data.copy(), b.data.copy()))
+        return records, tape.stats()
+
+    with walker():
+        want, ref_stats = run()
+    got, stats = run()
+    assert not ref_stats["compiled"]
+    assert stats["compiled"] and stats["replays"] == 3
+    for w, g in zip(want, got):
+        for x, y in zip(w, g):
+            assert np.array_equal(x, y)
 
 
 def test_plan_recompiles_after_leaf_storage_swap():

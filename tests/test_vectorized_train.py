@@ -296,3 +296,164 @@ def _ragged_model():
 def test_removed_knobs_are_refused(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+# -- the optimizer over the flat parameter vector -----------------------------
+
+
+class _PerParameterAdam:
+    """Adam and global-norm clipping one parameter at a time.
+
+    The reference for :class:`Adam` over the flat vector: it holds its
+    own, separately allocated copy of every parameter and moment, and
+    runs the textbook ufunc sequence per parameter.
+    """
+
+    def __init__(self, params, lr, decay):
+        self.params = [p.data.copy() for p in params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.lr, self.decay, self.t = lr, decay, 0
+
+    def clip(self, grads, max_norm):
+        total = 0.0
+        for g in grads:
+            total += float(np.add.reduce(g * g, axis=None))
+        norm = float(np.sqrt(total))
+        if norm > max_norm and norm > 0:
+            for g in grads:
+                g *= max_norm / norm
+        return norm
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        bias1, bias2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += g * (1.0 - b1)
+            v *= b2
+            v += (g * g) * (1.0 - b2)
+            p -= (m / bias1) * self.lr / (np.sqrt(v / bias2) + 1e-8)
+        self.lr *= self.decay
+
+
+def _train_with_tape(model, data, epochs, update):
+    """The batched trainer's epoch (loss graph, tape, λ schedules),
+    with ``update()`` doing clipping, the step, gate projection and
+    gradient zeroing."""
+    from repro.autodiff import Tape
+    from repro.cln.loss import GateSchedule, build_gcln_loss_batched
+    from repro.cln.train import LAMBDA1_SCHEDULE, LAMBDA2_SCHEDULE
+
+    X = Tensor(data)
+    lam1, lam2 = Tensor(0.0), Tensor(0.0)
+    schedules = GateSchedule(*LAMBDA1_SCHEDULE), GateSchedule(*LAMBDA2_SCHEDULE)
+    # A moderately relaxed σ keeps the Gaussian gradients large, so
+    # the clip fires on many steps.
+    sigma = np.array(model.config.sigma * 10.0)
+    tape = Tape()
+    for _ in range(epochs):
+        lam1.data[...] = schedules[0].step()
+        lam2.data[...] = schedules[1].step()
+        tape.step(lambda: build_gcln_loss_batched(model, X, lam1, lam2, sigma))
+        update()
+
+
+def test_flat_adam_matches_per_parameter_adam_bitwise():
+    """Adam over the one parameter vector takes the per-parameter
+    update bitwise, with clipping active: same weights, gates and
+    both moments."""
+    from repro.cln.model import complexity_term_weights
+    from repro.cln.train import LEARNING_RATE, LR_DECAY
+    from repro.infer.stages import derive_loop_rng
+    from tests.test_backend import _loop0_matrix
+
+    bundle = _loop0_matrix("ps2")
+    weights = complexity_term_weights([m.degree for m in bundle.basis.monomials])
+
+    def ps2_model():
+        return GCLN(
+            len(bundle.basis), GCLNConfig(), derive_loop_rng(1, 0),
+            protected_terms=[0], term_weights=weights,
+        )
+
+    # Below the trainer's 100, so that the clip fires on some steps and
+    # not on others here, as it does over whole NLA runs.
+    epochs, max_norm = 300, 40.0
+    flat_model = ps2_model()
+    opt = Adam(flat_model.parameters_batched(), lr=LEARNING_RATE, decay=LR_DECAY)
+    clipped = []
+
+    def flat_update():
+        clipped.append(opt.clip_grad_norm(max_norm) > max_norm)
+        opt.step()
+        flat_model.project_gates()
+        opt.zero_grad()
+
+    _train_with_tape(flat_model, bundle.data, epochs, flat_update)
+
+    ref_model = ps2_model()
+    params = ref_model.parameters_batched()
+    ref = _PerParameterAdam(params, LEARNING_RATE, LR_DECAY)
+
+    def reference_update():
+        grads = [p.grad.copy() for p in params]
+        ref.clip(grads, max_norm)
+        ref.step(grads)
+        for value in ref.params[:2]:  # the and and OR gates
+            np.clip(value, 0.0, 1.0, out=value)
+        for p, value in zip(params, ref.params):
+            p.data[...] = value
+            p.grad[...] = 0.0
+
+    _train_with_tape(ref_model, bundle.data, epochs, reference_update)
+
+    assert epochs // 10 < sum(clipped) < epochs, sum(clipped)
+    for got, want in zip(flat_model.parameters_batched(), ref.params):
+        assert np.array_equal(got.data, want)
+    assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in ref.m]))
+    assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in ref.v]))
+
+
+def test_project_gates_matches_np_clip():
+    """One clip-ufunc call over the gate slice is np.clip per gate
+    array, NaN and signed zeros included; unit weights are untouched."""
+    model = _eq_model()
+    special = [np.nan, -0.0, 0.0, -1.0, 2.0, 0.5, 1.0, np.inf, -np.inf]
+    gates = [model.and_gates.data, model.or_gates_stacked.data]
+    for i, arr in enumerate(gates):
+        flat = arr.reshape(-1)
+        flat[:] = [special[(i + j) % len(special)] for j in range(flat.size)]
+    weights = model.unit_weights.data.copy()
+    want = [np.clip(arr, 0.0, 1.0) for arr in gates]
+    model.project_gates()
+    for got, ref in zip(gates, want):
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(model.unit_weights.data, weights)
+
+
+def test_model_parameters_tile_one_vector():
+    """Every parameter view and its gradient live in the model's one
+    (data, grad) pair: the optimizer over the stacked parameters and
+    the one over the per-unit views step the same memory."""
+    model = _eq_model()
+    stacked = Adam(model.parameters_batched())
+    per_unit = Adam(model.parameters())
+    assert np.shares_memory(stacked._data, per_unit._data)
+    assert np.shares_memory(stacked._grad, per_unit._grad)
+    assert stacked._data.size == per_unit._data.size
+    model.units_flat[0].weight.grad[0] = 3.0
+    assert model.unit_weights.grad[0, 0] == 3.0
+    stacked.zero_grad()
+    assert not per_unit._grad.any()
+
+
+def test_adam_refuses_parameters_that_do_not_tile_one_vector():
+    from repro.errors import AutodiffError
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(AutodiffError, match="flat_parameters"):
+        Adam([a, b])
