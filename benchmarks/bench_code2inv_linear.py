@@ -1,8 +1,9 @@
 """§6.4 — the linear (Code2Inv-style) benchmark.
 
 The paper: all 124 solvable Code2Inv problems solved in under 30 s
-each.  We run the generated 124-problem linear suite (see DESIGN.md §2
-for the substitution) and report solved count and times.
+each.  We run the generated 124-problem linear suite (see
+docs/architecture.md, "Substitutes for the paper's tools") and report
+solved count and times.
 """
 
 from __future__ import annotations

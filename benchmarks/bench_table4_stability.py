@@ -19,6 +19,7 @@ from repro.cln.extract import extract_equalities, extract_formula
 from repro.cln.model import GCLN, complexity_term_weights
 from repro.cln.train import train_gcln
 from repro.infer.pipeline import _ground_truth_implied
+from repro.poly.nullspace import row_space_basis
 from repro.sampling import (
     build_term_basis,
     collect_traces,
@@ -28,6 +29,7 @@ from repro.sampling import (
     loop_dataset,
     normalize_rows,
 )
+from repro.sampling.termgen import evaluate_terms_exact
 from repro.utils import format_table
 
 from benchmarks.conftest import full_mode
@@ -71,7 +73,8 @@ def _gcln_run(problem, states, basis, data, seed) -> bool:
     if problem.name == "disj_eq":
         formula = extract_formula(model, basis, states)
         return _disjunction_target_met(states, formula)
-    atoms = extract_equalities(model, basis, states)
+    exact_rows = row_space_basis(evaluate_terms_exact(states, basis))
+    atoms = extract_equalities(model, basis, states, exact_rows)
     truth = [a for lid in problem.ground_truth for a in problem.ground_truth_atoms(lid)]
     return _ground_truth_implied([a for a in truth if a.op == "=="], atoms)
 

@@ -179,13 +179,14 @@ class _BaselineSolver:
     ) -> tuple[TermBasis, list[dict]]:
         """Full candidate-term basis plus the states it can evaluate on.
 
-        States where an external function would see a non-integer
-        argument are dropped, via the same filter the engine's matrix
+        The basis spans the loop variables every state defines, and
+        states where an external function would see a non-integer
+        argument are dropped: the same filters the engine's matrix
         stage uses.
         """
-        from repro.infer.stages import integer_external_states
+        from repro.infer.stages import defined_variables, integer_external_states
 
-        variables = problem.loop_variables(loop_index)
+        variables = defined_variables(problem, loop_index, states)
         basis = build_term_basis(
             variables, problem.max_degree, externals=problem.externals
         )
@@ -216,9 +217,9 @@ class OctahedralSolver(_BaselineSolver):
     name = "octahedral"
 
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
-        variables = [
-            v for v in problem.loop_variables(loop_index) if states and v in states[0]
-        ]
+        from repro.infer.stages import defined_variables
+
+        variables = defined_variables(problem, loop_index, states)
         with timed_stage(timings, "extract"):
             return octahedral_inequalities(states, variables)
 
@@ -236,14 +237,11 @@ class NumInvSolver(_BaselineSolver):
 
     def _candidates(self, problem, config, loop_index, states, cache, timings, notes):
         basis, usable = self._basis_and_states(problem, loop_index, states)
-        variables = [
-            v for v in problem.loop_variables(loop_index) if states and v in states[0]
-        ]
         with timed_stage(timings, "extract"):
             atoms = guess_and_check_equalities(
                 usable, basis, max_invariants=_MAX_INVARIANTS
             )
-            atoms.extend(octahedral_inequalities(states, variables))
+            atoms.extend(octahedral_inequalities(states, basis.variables))
         return atoms
 
 

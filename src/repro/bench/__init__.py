@@ -4,8 +4,8 @@
   transcribed into the mini language with documented ground-truth
   invariants.
 * ``code2inv`` — a generated suite of 124 linear-invariant problems
-  standing in for the Code2Inv benchmark (§6.4; see DESIGN.md for the
-  substitution rationale).
+  standing in for the Code2Inv benchmark (§6.4; see docs/architecture.md,
+  "Substitutes for the paper's tools", for the rationale).
 * ``stability`` — the six problems of the Table 4 stability study.
 
 Every suite exposes a ``*_suite()`` accessor returning a flat

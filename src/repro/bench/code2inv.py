@@ -5,7 +5,8 @@ is not redistributable here, so we generate 124 linear problems from
 four structural templates modeled on it: paired counters, scaled
 accumulators, three-variable couplings, and guarded bounds.  Every
 instance exercises the same code path as the paper's linear experiment
-(linear G-CLN learning, maxDeg = 1).  See DESIGN.md §2.
+(linear G-CLN learning, maxDeg = 1).  See docs/architecture.md,
+"Substitutes for the paper's tools".
 """
 
 from __future__ import annotations

@@ -36,8 +36,9 @@ of the loop's body took in the checking traces, times
 past it is not tested, like any state whose step raises.
 
 A failure yields a concrete counterexample state.  This is the
-sound-up-to-sampling substitute for Z3 described in DESIGN.md §2; the
-CEGIS loop of the paper survives intact because failures produce
+sound-up-to-sampling substitute for Z3 described in
+docs/architecture.md ("Substitutes for the paper's tools"); the CEGIS
+loop of the paper survives intact because failures produce
 counterexamples that drive retraining / atom pruning.
 """
 

@@ -11,7 +11,6 @@ discarded, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -154,7 +153,7 @@ def unit_to_atom(
 def refine_unit_atoms(
     unit: AtomicUnit,
     basis: TermBasis,
-    exact_rows: list[list[Fraction]],
+    exact_rows: Sequence[Sequence[int]],
     validator: Validator,
 ) -> list[Atom]:
     """Support-guided exact coefficient recovery for an equality unit.
@@ -169,8 +168,14 @@ def refine_unit_atoms(
     Directions far from the unit's learned weight subspace are
     rejected, keeping the recovery model-guided.
 
+    ``exact_rows`` is the exact row-space basis of the samples over
+    ``basis`` (:func:`~repro.poly.nullspace.row_space_basis`), not the
+    samples themselves: restricted to a support it spans the same
+    space as the restricted samples, so each support's nullspace is
+    the same, solved on at most ``len(basis)`` rows.
+
     This generalizes the paper's scale-and-round extraction; see
-    DESIGN.md ("support-guided exact recovery").
+    docs/architecture.md (step 6, "Extraction").
     """
     from repro.poly.nullspace import rational_nullspace
 
@@ -260,6 +265,7 @@ def extract_equalities(
     model: GCLN,
     basis: TermBasis,
     states: Sequence[Mapping[str, object]],
+    exact_rows: Sequence[Sequence[int]],
 ) -> list[Atom]:
     """All distinct validated equality atoms over every unit.
 
@@ -267,12 +273,11 @@ def extract_equalities(
     candidates and lets the specification check keep the sound subset,
     mirroring the paper's "check and discard" loop.  Units whose direct
     rounding fails go through support-guided exact recovery
-    (:func:`refine_unit_atoms`).
+    (:func:`refine_unit_atoms`) on ``exact_rows``, the exact row-space
+    basis of ``states`` over ``basis``
+    (:attr:`~repro.infer.stages.MatrixBundle.exact_rows`).
     """
-    from repro.sampling.termgen import evaluate_terms_exact
-
     validator = make_exact_validator(states, basis)
-    exact_rows = evaluate_terms_exact(states, basis)
     seen: set[str] = set()
     atoms: list[Atom] = []
 

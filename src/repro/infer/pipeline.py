@@ -232,7 +232,7 @@ class InferenceEngine:
                     elif model is not None:
                         with timed_stage(timings, "extract"):
                             eq_atoms = extract_equalities(
-                                model, basis, loop_states
+                                model, basis, loop_states, bundle.exact_rows
                             )
                     with timed_stage(timings, "extract"):
                         accumulate(

@@ -13,13 +13,15 @@ must not be shared between solves of different problems or configs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.cln.extract import make_exact_validator
 from repro.infer.config import InferenceConfig
 from repro.infer.problem import Problem
+from repro.poly.nullspace import row_space_basis
 from repro.poly.polynomial import Polynomial
 from repro.sampling.cache import TraceCache
 from repro.sampling.filters import duplicate_column_map, growth_rate_filter
@@ -29,7 +31,12 @@ from repro.sampling.fractional import (
     relax_initializers,
 )
 from repro.sampling.normalize import normalize_rows
-from repro.sampling.termgen import TermBasis, build_term_basis, evaluate_terms
+from repro.sampling.termgen import (
+    TermBasis,
+    build_term_basis,
+    evaluate_terms,
+    evaluate_terms_exact,
+)
 from repro.sampling.tracegen import collect_traces, loop_dataset
 from repro.smt.formula import Atom
 
@@ -60,13 +67,27 @@ class MatrixBundle:
     the training matrix (row-normalized unless disabled), and
     ``degenerate`` the equality atoms read directly off duplicate /
     constant columns (they are emitted here because the duplicate
-    column itself is dropped for conditioning).
+    column itself is dropped for conditioning).  ``loop_states`` are
+    the loop-head states the bundle was built from, before the
+    external-argument filter: the samples extraction validates on.
     """
 
     basis: TermBasis
     raw: np.ndarray
     data: np.ndarray
     degenerate: tuple[Atom, ...]
+    loop_states: Sequence[Mapping[str, object]]
+
+    @cached_property
+    def exact_rows(self) -> list[list[int]]:
+        """Exact row-space basis of ``loop_states`` over ``basis``.
+
+        Computed on first use, then shared by every model of every
+        attempt that extracts from this bundle; restricted to a column
+        support it has the same nullspace as the sample rows
+        (:func:`~repro.poly.nullspace.row_space_basis`).
+        """
+        return row_space_basis(evaluate_terms_exact(self.loop_states, self.basis))
 
 
 def derive_loop_rng(seed: int, loop_index: int) -> np.random.Generator:
@@ -170,6 +191,23 @@ def integer_external_states(
     ]
 
 
+def defined_variables(
+    problem: Problem, loop_index: int, states: Sequence[Mapping[str, object]]
+) -> list[str]:
+    """The loop's variables that every loop-head state defines.
+
+    A body temporary such as ``egcd2``'s ``temp``, first assigned
+    inside the loop, is absent from the first loop-head state; its
+    terms are undefined there, so it is left out of every solver's
+    term basis and variable list.
+    """
+    return [
+        v
+        for v in problem.loop_variables(loop_index)
+        if all(v in s for s in states)
+    ]
+
+
 def build_matrix(
     problem: Problem,
     config: InferenceConfig,
@@ -180,11 +218,8 @@ def build_matrix(
     """Term basis, matrices, and degenerate-column atoms for one loop.
 
     Memoized on (dataset interval, loop); the returned bundle is shared
-    across attempts and must not be mutated.
-
-    A loop variable absent from some loop-head state (a body temporary
-    such as ``egcd2``'s ``temp``, first assigned inside the loop) is
-    left out of the basis: its terms are undefined on those states.
+    across attempts and must not be mutated.  The basis spans the
+    :func:`defined_variables` of the loop.
     """
     return cache.memoize(
         "matrix",
@@ -200,11 +235,7 @@ def _build_matrix_uncached(
     loop_index: int,
 ) -> MatrixBundle:
     states = dataset.states[loop_index]
-    variables = [
-        v
-        for v in problem.loop_variables(loop_index)
-        if all(v in s for s in states)
-    ]
+    variables = defined_variables(problem, loop_index, states)
     frac_vars = [
         v for v in dataset.fractional_vars if states and v in states[0]
     ]
@@ -254,7 +285,11 @@ def _build_matrix_uncached(
     else:
         data = raw.copy()
     return MatrixBundle(
-        basis=basis, raw=raw, data=data, degenerate=tuple(degenerate)
+        basis=basis,
+        raw=raw,
+        data=data,
+        degenerate=tuple(degenerate),
+        loop_states=states,
     )
 
 

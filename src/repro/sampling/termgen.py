@@ -148,16 +148,36 @@ def evaluate_terms(
 def evaluate_terms_exact(
     states: Sequence[Mapping[str, object]],
     basis: TermBasis,
-) -> list[list[Fraction]]:
-    """Exact-rational version of :func:`evaluate_terms` (for nullspace)."""
-    rows: list[list[Fraction]] = []
+) -> list[list[int | Fraction]]:
+    """Exact version of :func:`evaluate_terms` (for nullspace).
+
+    Int values stay ints; an entry is a ``Fraction`` only where a state
+    holds a non-int value (a ``Fraction`` under fractional sampling).
+    Each variable's powers are computed once per state and shared by
+    every monomial.
+    """
+    monomials = [tuple(mono) for mono in basis.monomials]
+    top: dict[str, int] = {}
+    for mono in monomials:
+        for var, exp in mono:
+            top[var] = max(top.get(var, 0), exp)
+    rows: list[list[int | Fraction]] = []
     for state in states:
         extended = extend_state(state, basis.externals) if basis.externals else state
-        row: list[Fraction] = []
-        for mono in basis.monomials:
-            value = Fraction(1)
+        powers: dict[str, list[int | Fraction]] = {}
+        for var, exp in top.items():
+            value = extended[var]
+            if not isinstance(value, int):
+                value = Fraction(value)
+            column = [1, value]
+            for _ in range(exp - 1):
+                column.append(column[-1] * value)
+            powers[var] = column
+        row: list[int | Fraction] = []
+        for mono in monomials:
+            value = 1
             for var, exp in mono:
-                value *= Fraction(extended[var]) ** exp
+                value *= powers[var][exp]
             row.append(value)
         rows.append(row)
     return rows

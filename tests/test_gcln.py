@@ -16,7 +16,9 @@ from repro.cln.model import (
     _random_mask,
 )
 from repro.cln.train import train_gcln
+from repro.poly.nullspace import row_space_basis
 from repro.sampling import build_term_basis, evaluate_terms, normalize_rows
+from repro.sampling.termgen import evaluate_terms_exact
 
 
 @pytest.fixture(autouse=True)
@@ -119,7 +121,8 @@ def test_learns_simple_equality(rng):
     )
     result = train_gcln(model, data)
     assert result.epochs > 0
-    atoms = extract_equalities(model, basis, states)
+    exact_rows = row_space_basis(evaluate_terms_exact(states, basis))
+    atoms = extract_equalities(model, basis, states, exact_rows)
     assert any(str(a.poly) in ("y - 2*x - 1", "2*x - y + 1") for a in atoms)
 
 

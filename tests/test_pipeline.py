@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.api import InvariantService
 from repro.bench import nla_problem, suite_problems
 from repro.infer import InferenceConfig, InferenceEngine, Problem
 from repro.infer.pipeline import _ground_truth_implied, _reduce_redundant
 from repro.infer.problem import parse_ground_truth
 from repro.infer.stages import build_matrix, collect_states
+from repro.poly.nullspace import row_space_basis
 from repro.sampling.cache import TraceCache
+from repro.sampling.termgen import evaluate_terms_exact
 from repro.smt.formula import Atom
 from tests.test_polynomial import P
 
@@ -154,6 +157,34 @@ def test_body_local_variable_is_left_out_of_the_basis(name):
         used = {v for m in bundle.basis.monomials for v in m.variables}
         assert "temp" not in used
         assert bundle.data.shape[1] == len(bundle.basis)
+
+
+def test_baselines_leave_body_temporaries_out_of_the_basis():
+    """The baselines build their basis through the matrix stage's
+    variable filter, so egcd2 ends with a record instead of a
+    ``KeyError: 'temp'`` from term evaluation."""
+    result = InvariantService().solve(nla_problem("egcd2"), solver="guess_and_check")
+    assert len(result.loops) == nla_problem("egcd2").n_loops
+    assert not any(
+        "temp" in atom for loop in result.loops for atom in loop.candidate_atoms
+    )
+
+
+def test_bundle_shares_one_exact_row_basis():
+    """The exact row-space basis is built on first use and then shared,
+    over the same states and terms extraction validates on."""
+    problem = nla_problem("ps2")
+    config = InferenceConfig()
+    cache = TraceCache()
+    dataset = collect_states(problem, config, None, cache)
+    bundle = build_matrix(problem, config, dataset, 0, cache)
+    assert "exact_rows" not in vars(bundle)
+    rows = bundle.exact_rows
+    assert bundle.exact_rows is rows
+    assert bundle.loop_states is dataset.states[0]
+    assert rows == row_space_basis(
+        evaluate_terms_exact(dataset.states[0], bundle.basis)
+    )
 
 
 def test_only_body_temporaries_are_missing_from_loop_heads():

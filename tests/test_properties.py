@@ -8,7 +8,9 @@ These check the semantic contracts the pipeline relies on:
 * fractional relaxation with zero offsets is semantics-preserving;
 * normalization never changes which homogeneous constraints fit;
 * the integer evaluation path and fraction-free nullspace agree with
-  their Fraction counterparts.
+  their Fraction counterparts;
+* a support's nullspace is the same on the row-space basis as on the
+  full rows.
 """
 
 import operator
@@ -24,7 +26,7 @@ from repro.lang import parse_program
 from repro.lang.analysis import extract_loop_paths
 from repro.lang.interp import Interpreter
 from repro.poly.monomial import Monomial
-from repro.poly.nullspace import rational_nullspace
+from repro.poly.nullspace import rational_nullspace, row_space_basis
 from repro.poly.polynomial import Polynomial
 from repro.sampling import normalize_rows, relax_initializers
 from repro.smt.formula import COMPARISONS, And, Atom, Not, Or
@@ -344,3 +346,46 @@ def test_fraction_free_nullspace_matches_fraction_gauss_jordan(rows):
     for vec in basis:
         for row in rows:
             assert sum(Fraction(a) * v for a, v in zip(row, vec)) == 0
+
+
+# -- a support's nullspace on the row-space basis ≡ on every row -----------
+
+
+@st.composite
+def _matrices_and_support(draw):
+    """Int/Fraction matrices of every rank, duplicated rows, a support.
+
+    The support is a random ordered subset of the columns, as
+    extraction takes a unit's top-k terms by learned magnitude.
+    """
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    ncols = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("rank 0", "random", "rank deficient")))
+    if kind == "rank 0":
+        rows = [[0] * ncols for _ in range(draw(st.integers(1, 4)))]
+    elif kind == "random":
+        # At least ncols rows: almost always full column rank.
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(row, min_size=ncols, max_size=ncols + 3))
+    else:
+        rows = draw(_rank_deficient_matrices())
+        ncols = len(rows[0])
+    rows = rows + draw(st.lists(st.sampled_from(rows), max_size=3))
+    support = draw(
+        st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols, unique=True)
+    )
+    return rows, support
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_and_support())
+def test_support_nullspace_on_row_space_basis_matches_full_rows(case):
+    rows, support = case
+    basis = row_space_basis(rows)
+    assert 1 <= len(basis) <= len(rows[0])
+    assert all(type(x) is int for row in basis for x in row)
+
+    def restrict(matrix):
+        return [[row[j] for j in support] for row in matrix]
+
+    assert rational_nullspace(restrict(basis)) == rational_nullspace(restrict(rows))

@@ -1,5 +1,6 @@
 """Tests for trace collection, term generation, filtering, normalization."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,33 @@ def test_evaluate_terms_matches_exact():
     for i in range(2):
         for j in range(len(basis)):
             assert approx[i, j] == pytest.approx(float(exact[i][j]))
+
+
+@pytest.mark.parametrize(
+    "states, variables, externals",
+    [
+        ([{"x": 2, "y": -3}, {"x": 0, "y": 7}], ["x", "y"], []),
+        ([{"x": Fraction(1, 2), "y": 3}, {"x": Fraction(-5, 3), "y": Fraction(2, 7)}],
+         ["x", "y"], []),
+        ([{"a": 12, "b": 18}, {"a": -4, "b": 10}], ["a", "b"],
+         [ExternalTerm("gcd", ("a", "b"))]),
+    ],
+    ids=["int", "fraction", "external"],
+)
+def test_evaluate_terms_exact_matches_fraction_evaluation(states, variables, externals):
+    """Every entry equals the monomial evaluated in ``Fraction``s, and
+    an entry is an int wherever its variables hold ints."""
+    basis = build_term_basis(variables, 3, externals=externals)
+    exact = evaluate_terms_exact(states, basis)
+    for state, row in zip(states, exact):
+        extended = extend_state(state, externals)
+        for mono, value in zip(basis.monomials, row):
+            expected = math.prod(
+                (Fraction(extended[v]) ** e for v, e in mono), start=Fraction(1)
+            )
+            assert value == expected
+            if all(isinstance(extended[v], int) for v in mono.variables):
+                assert type(value) is int
 
 
 def test_normalize_rows_preserves_direction():

@@ -24,10 +24,12 @@ from repro.dist.wire import config_from_dict
 from repro.errors import TrainingError
 from repro.infer import InferenceConfig
 from repro.lang import parse_program
+from repro.poly.nullspace import row_space_basis
 from repro.poly.polynomial import Polynomial
 from repro.poly.reduce import inter_reduce, reduce_modulo
 from repro.sampling import build_term_basis, collect_traces, normalize_rows
 from repro.sampling.cache import TraceCache
+from repro.sampling.termgen import evaluate_terms_exact
 from repro.utils.rational import nice_coefficients, round_coefficient_vector
 from tests.test_autodiff import check_grad
 
@@ -135,6 +137,7 @@ def test_train_gcln_vectorized_matches_eager_invariants(sqrt1_data, monkeypatch)
     monkeypatch.setattr(repro.cln.model, "N_CLAUSES", 6)
     states, basis, _raw, data = sqrt1_data
     atoms = {}
+    exact_rows = row_space_basis(evaluate_terms_exact(states, basis))
     for trainer in (train_gcln_eager, train_gcln):
         config = GCLNConfig(max_epochs=400, dropout_rate=0.4)
         model = GCLN(
@@ -142,7 +145,7 @@ def test_train_gcln_vectorized_matches_eager_invariants(sqrt1_data, monkeypatch)
         )
         trainer(model, data)
         atoms[trainer] = sorted(
-            str(a) for a in extract_equalities(model, basis, states)
+            str(a) for a in extract_equalities(model, basis, states, exact_rows)
         )
     assert atoms[train_gcln] == atoms[train_gcln_eager]
 
@@ -233,7 +236,7 @@ def _ragged_model():
         # The trace cache is one solve's memo, with no LRU bound.
         (lambda: TraceCache(max_entries=2), TypeError, "max_entries"),
         # Options no caller set are module constants.
-        (lambda: extract_equalities(None, None, (), refine=False), TypeError,
+        (lambda: extract_equalities(None, None, (), [], refine=False), TypeError,
          "refine"),
         (lambda: refine_unit_atoms(None, None, [], None, max_support=4),
          TypeError, "max_support"),
