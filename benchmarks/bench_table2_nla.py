@@ -8,10 +8,7 @@ Z3), so absolute times differ; the shape to check is the solved set.
 Both comparison columns run through the public API: one
 :class:`~repro.api.service.InvariantService` dispatches the ``gcln``
 and ``numinv`` registered solvers over the suite, so the records share
-one schema and — with ``REPRO_BENCH_JOBS=1`` — the NumInv pass reuses
-the G-CLN pass's traces from the shared service cache for the
-non-fractional problems (fractional-sampling problems key their traces
-by interval, which the baselines don't use, so those re-collect).
+one schema.
 
 Columns per problem: degree, #vars, PIE (the ``enumerative`` baseline,
 which times out on all nonlinear problems), NumInv-style
@@ -56,9 +53,8 @@ def test_table2_nla(benchmark, emit):
 
         # Paper-default budget: solved problems exit after 1-2 attempts,
         # so only failures pay the full 4-attempt cost.  Both columns go
-        # through the service's batch path; REPRO_BENCH_JOBS (process
-        # pool) or REPRO_BENCH_WORKERS (distributed queue) fans them
-        # out over worker processes.
+        # through the service's batch path; REPRO_BENCH_JOBS fans them
+        # out over queue worker processes.
         problems = nla_suite([e.name for e in entries])
         service = InvariantService(InferenceConfig())
         records = {

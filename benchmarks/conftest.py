@@ -7,14 +7,12 @@ Environment knobs:
   The default uses representative subsets and reduced repetitions so
   the whole suite finishes in tens of minutes while preserving the
   tables' *shape*.
-* ``REPRO_BENCH_JOBS=N`` — fan suite benchmarks out over a process
-  pool on this host.
-* ``REPRO_BENCH_WORKERS=N`` — fan suite benchmarks out over the
-  distributed queue runner instead (N local workers, or ``auto`` for
-  an elastic fleet sized to queue depth; overrides
-  ``REPRO_BENCH_JOBS``).  With ``REPRO_BENCH_QUEUE_DIR=PATH`` the
-  queues are durable, so an interrupted ``REPRO_BENCH_FULL`` run
-  resumes instead of starting over.
+* ``REPRO_BENCH_JOBS=N`` — fan suite benchmarks out over N local
+  queue workers on this host, or ``auto`` for an elastic fleet sized
+  to queue depth.  With ``REPRO_BENCH_QUEUE_DIR=PATH`` the queues are
+  durable (one worker unless ``REPRO_BENCH_JOBS`` says more), so an
+  interrupted ``REPRO_BENCH_FULL`` run resumes instead of starting
+  over.
 """
 
 from __future__ import annotations
@@ -35,15 +33,12 @@ def batch_kwargs(label: str) -> dict:
     the gcln and numinv columns of Table 2) apart: item ids embed only
     the problem index, so two passes must never share one queue.
     """
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "1")
-    workers: "int | str" = raw if raw == "auto" else int(raw)
-    if workers == "auto" or workers > 1:
-        kwargs: dict = {"workers": workers}
-        queue_base = os.environ.get("REPRO_BENCH_QUEUE_DIR", "")
-        if queue_base:
-            kwargs["queue_dir"] = os.path.join(queue_base, label)
-        return kwargs
-    return {"jobs": int(os.environ.get("REPRO_BENCH_JOBS", "1"))}
+    raw = os.environ.get("REPRO_BENCH_JOBS", "1")
+    kwargs: dict = {"jobs": raw if raw == "auto" else int(raw)}
+    queue_base = os.environ.get("REPRO_BENCH_QUEUE_DIR", "")
+    if queue_base:
+        kwargs["queue_dir"] = os.path.join(queue_base, label)
+    return kwargs
 
 
 @pytest.fixture

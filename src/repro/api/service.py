@@ -3,14 +3,14 @@
 :class:`InvariantService` is the session object the public API is
 built around, and :meth:`InvariantService.solve` is the one place a
 solve is configured and run: the CLI, the batch runner
-:meth:`InvariantService.solve_many` (inline and in every pool worker),
-queue workers and the HTTP front end all call it.
+:meth:`InvariantService.solve_many`, queue workers and the HTTP front
+end all call it.
 The service holds one default config and an
 :class:`~repro.api.events.EventBus` that streams typed lifecycle
 events to subscribers.  It keeps no data between solves: each solve
 memoizes its own traces and term matrices, and the service only sums
 their hit/miss counters (:attr:`InvariantService.cache_stats`), also
-for the records a batch solved in pool or queue workers.
+for the records a batch solved in queue workers.
 Concurrent solves on one service (``serve``'s solve threads) are safe.
 
 Usage::
@@ -26,17 +26,16 @@ Usage::
     assert set(result.to_dict()) == set(baseline.to_dict())  # same schema
 
 Events are delivered synchronously on the solving thread.  With
-``solve_many(jobs > 1)`` the solves happen in worker processes, so
-per-stage timings travel back inside each ``SolveResult`` instead of
-streaming live; only ``ProblemSolved`` completion events are emitted
-(from the parent) in that mode.
+``solve_many(jobs > 1)`` the solves happen in queue worker processes,
+so per-stage timings travel back inside each ``SolveResult`` instead
+of streaming live; only ``ProblemSolved`` completion events are
+emitted (from the parent) in that mode.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.api.events import Event, EventBus, ProblemSolved
@@ -142,10 +141,9 @@ class InvariantService:
         problems: Sequence["Problem"],
         solver: str = "gcln",
         *,
-        jobs: int = 1,
+        jobs: "int | str" = 1,
         timeout_seconds: float | None = None,
         progress: Callable[["ProblemRecord"], None] | None = None,
-        workers: "int | str" = 1,
         queue_dir: str | None = None,
         min_workers: int = 1,
         max_workers: int | None = None,
@@ -155,25 +153,23 @@ class InvariantService:
 
         This is the one batch runner.  ``jobs == 1`` solves inline
         through :meth:`solve`, streaming the full event feed.
-        ``jobs > 1`` fans the problems out over a process pool of
-        ``min(jobs, len(problems))`` workers; each item solves through
-        a fresh service of its own under this service's
-        :attr:`config`, and only completion events stream live.
-        ``workers != 1`` (an integer, or ``"auto"`` for an elastic
-        fleet sized to queue depth between ``min_workers`` and
-        ``max_workers``) or a ``queue_dir`` runs the distributed runner
-        (:mod:`repro.dist`): local worker processes drain a journaled
-        work queue, ``fleet_status`` receives live fleet snapshots,
-        and a durable ``queue_dir`` (or queue-server URL) makes a
-        re-run resume.  ``workers``/``queue_dir`` and ``jobs`` are
-        mutually exclusive.
+        ``jobs > 1``, ``jobs="auto"`` or a ``queue_dir`` runs the
+        distributed runner (:mod:`repro.dist`): ``min(jobs,
+        len(problems))`` local worker processes (or, with ``"auto"``,
+        an elastic fleet sized to queue depth between ``min_workers``
+        and ``max_workers``) drain a journaled work queue under this
+        service's :attr:`config`, each through a service of its own,
+        and only completion events stream live.  ``fleet_status``
+        receives live fleet snapshots; a durable ``queue_dir`` (or
+        queue-server URL) makes a re-run resume, and without one the
+        queue is private and temporary.
 
         ``timeout_seconds`` is a per-problem wall-clock budget armed
         with ``SIGALRM`` in the solving process.  A budget that cannot
         be armed is refused before any solve: when the platform lacks
-        ``SIGALRM``, and when the solves would run on this thread
-        (inline, or the coordinator's inline drain) and it is not the
-        main thread.
+        ``SIGALRM``, and when this is not the main thread (inline
+        solves, and the coordinator's inline drain after a worker
+        died, run on this thread).
 
         ``progress`` and exactly one ``ProblemSolved`` event see each
         record in completion order, including timed-out and errored
@@ -182,21 +178,19 @@ class InvariantService:
 
         Raises:
             ValueError: for a bad ``jobs``, ``timeout_seconds``,
-                ``workers``, ``min_workers`` or ``max_workers``, for
-                ``jobs`` with ``workers``/``queue_dir``, and for a
-                budget that cannot be enforced.
+                ``min_workers`` or ``max_workers``, and for a budget
+                that cannot be enforced.
             UnknownSolverError: for an unregistered ``solver``.
         """
         from repro.infer import runner
 
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        distributed = workers != 1 or queue_dir is not None
-        if distributed and jobs != 1:
-            raise ValueError(
-                "workers/queue_dir and jobs are mutually exclusive: the "
-                "distributed runner spawns its own worker processes"
-            )
+        if jobs != "auto":
+            if not isinstance(jobs, int) or isinstance(jobs, bool):
+                raise ValueError(
+                    f"jobs must be an integer or 'auto', got {jobs!r}"
+                )
+            if jobs < 1:
+                raise ValueError(f"jobs must be >= 1, got {jobs}")
         if timeout_seconds is not None:
             if timeout_seconds <= 0:
                 raise ValueError(
@@ -207,22 +201,19 @@ class InvariantService:
                     "timeout_seconds cannot be enforced: this platform has "
                     "no SIGALRM"
                 )
-            # Inline solves and the coordinator's inline drain arm the
-            # alarm on this thread; pool items arm it in their own.
-            main = threading.main_thread()
-            if jobs == 1 and threading.current_thread() is not main:
+            if threading.current_thread() is not threading.main_thread():
                 raise ValueError(
                     "timeout_seconds cannot be enforced off the main thread "
                     "(SIGALRM handlers run only there); call solve_many "
-                    "from the main thread or with jobs > 1"
+                    "from the main thread"
                 )
         get_solver(solver)  # fail fast on unknown names
         if not problems:
             return []
 
         def complete(record: "ProblemRecord") -> None:
-            # Every record self.solve did not produce (pool and queue
-            # records, timeouts, errors) is counted and announced here.
+            # Every record self.solve did not produce (queue records,
+            # timeouts, errors) is counted and announced here.
             if record.result is not None:
                 self._add_stats(record.result.cache_stats)
                 attempts = record.result.attempts
@@ -240,28 +231,10 @@ class InvariantService:
             if progress is not None:
                 progress(record)
 
-        if distributed:
-            from repro.dist.coordinator import run_distributed
-
-            return run_distributed(
-                problems,
-                self.config,
-                workers=workers,
-                queue_dir=queue_dir,
-                solver=solver,
-                timeout_seconds=timeout_seconds,
-                progress=complete,
-                min_workers=min_workers,
-                max_workers=max_workers,
-                fleet_status=fleet_status,
-            )
-
-        if jobs == 1:
+        if jobs == 1 and queue_dir is None:
             records = []
             for problem in problems:
-                record = runner._run_one(
-                    problem, self.config, timeout_seconds, solver, self
-                )
+                record = runner._run_one(self, problem, solver, timeout_seconds)
                 if record.status != runner.STATUS_OK:
                     complete(record)
                 elif progress is not None:
@@ -269,30 +242,20 @@ class InvariantService:
                 records.append(record)
             return records
 
-        records_by_index: dict[int, "ProblemRecord"] = {}
-        with ProcessPoolExecutor(max_workers=min(jobs, len(problems))) as pool:
-            futures = {
-                pool.submit(
-                    runner._run_one, problem, self.config, timeout_seconds, solver
-                ): index
-                for index, problem in enumerate(problems)
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    try:
-                        record = future.result()
-                    except Exception as exc:  # worker died (e.g. OOM-kill)
-                        record = runner.ProblemRecord(
-                            name=problems[index].name,
-                            status=runner.STATUS_ERROR,
-                            error=f"worker failed: {type(exc).__name__}: {exc}",
-                        )
-                    records_by_index[index] = record
-                    complete(record)
-        return [records_by_index[i] for i in range(len(problems))]
+        from repro.dist.coordinator import run_distributed
+
+        return run_distributed(
+            problems,
+            self.config,
+            workers=jobs if jobs == "auto" else min(jobs, len(problems)),
+            queue_dir=queue_dir,
+            solver=solver,
+            timeout_seconds=timeout_seconds,
+            progress=complete,
+            min_workers=min_workers,
+            max_workers=max_workers,
+            fleet_status=fleet_status,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,9 +15,10 @@ Commands:
   payload, or a CSV of loop-head states — no program involved.
 * ``run-all [--solver NAME]`` — run a whole suite (``nla``,
   ``code2inv``, or ``stability``) through the service's batch path,
-  with ``--jobs N`` worker processes, per-problem ``--timeout``, and
-  ``--json`` output.  Records share one schema across solvers, so two
-  runs with different ``--solver`` values are directly comparable.
+  with ``--jobs N|auto`` queue worker processes, per-problem
+  ``--timeout``, and ``--json`` output.  Records share one schema
+  across solvers, so two runs with different ``--solver`` values are
+  directly comparable.
   ``--traces FILE [FILE ...]`` batches recorded trace files instead of
   a suite.
 * ``record <nla-problem> --json PATH`` — run the interpreter once and
@@ -87,7 +88,7 @@ def _parse_assignment(pairs: list[str]) -> dict[str, object]:
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1 (``--epochs``,
-    ``--jobs``, worker counts)."""
+    worker counts)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -102,8 +103,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> "int | str":
-    """``--workers``: a process count or ``auto`` (elastic)."""
+def _jobs(text: str) -> "int | str":
+    """``--jobs``: a process count or ``auto`` (elastic)."""
     if text == "auto":
         return "auto"
     try:
@@ -329,7 +330,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             timeout_seconds=args.timeout,
             progress=progress,
-            workers=args.workers,
             queue_dir=args.queue_dir,
             min_workers=args.min_workers,
             max_workers=args.max_workers,
@@ -365,11 +365,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"run-all — suite {suite_label}, solver {args.solver}, "
-                + (
-                    f"{args.workers} worker(s)"
-                    if args.workers != 1 or args.queue_dir
-                    else f"{args.jobs} job(s)"
-                )
+                f"{args.jobs} job(s)"
             ),
         )
     )
@@ -459,7 +455,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_queue_server(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.dist import serve_queue
+    from repro.dist.server import serve_queue
 
     server = serve_queue(
         args.queue_dir, host=args.host, port=args.port, verbose=args.verbose
@@ -473,7 +469,10 @@ def _cmd_queue_server(args: argparse.Namespace) -> int:
         f"follow it: python -m repro worker --queue-url http://{host}:{port}",
         flush=True,
     )
-    signal.signal(signal.SIGTERM, lambda *_: server.shutdown())
+    # SIGTERM unwinds serve_forever() like Ctrl-C.  shutdown() cannot
+    # be called here: the handler runs on the thread serving, and
+    # shutdown() waits for that loop to finish.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -670,19 +669,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     all_parser.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes (process pool)"
-    )
-    all_parser.add_argument(
-        "--workers",
-        type=_workers,
+        "--jobs",
+        type=_jobs,
         default=1,
         metavar="N",
         help=(
-            "drain the suite with N queue workers (the distributed "
-            "runner; mutually exclusive with --jobs), or 'auto' for an "
-            "elastic fleet sized to queue depth between --min-workers "
-            "and --max-workers"
+            "solve inline (1, the default), or drain the suite with N "
+            "queue worker processes, or 'auto' for an elastic fleet "
+            "sized to queue depth between --min-workers and "
+            "--max-workers"
         ),
     )
     all_parser.add_argument(
@@ -690,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="elastic-fleet floor with --workers auto (default: 1)",
+        help="elastic-fleet floor with --jobs auto (default: 1)",
     )
     all_parser.add_argument(
         "--max-workers",
@@ -698,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "elastic-fleet ceiling with --workers auto "
+            "elastic-fleet ceiling with --jobs auto "
             "(default: CPU count, capped at 8)"
         ),
     )
@@ -706,10 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-dir",
         metavar="PATH",
         help=(
-            "durable work-queue directory (or queue-server URL) for "
-            "--workers; re-running on a half-finished queue resumes it "
-            "(journaled problems are not re-solved).  Default: a "
-            "private temporary queue"
+            "durable work-queue directory (or queue-server URL) to "
+            "drain with --jobs workers (one with --jobs 1); re-running "
+            "on a half-finished queue resumes it "
+            "(journaled problems are not re-solved).  Default with "
+            "--jobs N>1 or auto: a private temporary queue"
         ),
     )
     all_parser.add_argument(

@@ -72,6 +72,9 @@ class GCLNConfig:
     # (0.3, 0.2, 0.1, 0.0) solves 14/12/11, so the higher rates are not
     # the better ones.
     dropout_rate: float = 0.6
+    # False turns term dropout off (the Table 3 ablation): every unit
+    # keeps every term, with no degree prior and no kept-terms cap.
+    term_dropout: bool = True
     weight_regularization: bool = True
     max_epochs: int = 5000
 
@@ -206,7 +209,7 @@ class GCLN:
                 same number of literals; when ``None``, builds
                 ``N_CLAUSES`` (scaled with the basis) clauses of
                 ``LITERALS_PER_CLAUSE`` equality units with random
-                dropout.
+                dropout (or full masks without ``config.term_dropout``).
             protected_terms: term indices never dropped (e.g. the
                 constant column stays available to every unit).
             term_weights: relative keep-probability per term during
@@ -226,19 +229,17 @@ class GCLN:
         # dropout lottery tickets for some unit to isolate an invariant.
         n_clauses = max(N_CLAUSES, min(3 * N_CLAUSES, n_terms))
         if units is None:
+
+            def mask() -> np.ndarray:
+                if not config.term_dropout:
+                    return np.ones(n_terms, dtype=bool)
+                return _random_mask(
+                    n_terms, config.dropout_rate, rng, protected_terms, term_weights
+                )
+
             units = [
                 [
-                    AtomicUnit(
-                        _random_mask(
-                            n_terms,
-                            config.dropout_rate,
-                            rng,
-                            protected_terms,
-                            term_weights,
-                        ),
-                        rng,
-                        config,
-                    )
+                    AtomicUnit(mask(), rng, config)
                     for _ in range(LITERALS_PER_CLAUSE)
                 ]
                 for _ in range(n_clauses)

@@ -1,7 +1,7 @@
 """Distributed suite execution: journaled work queue + workers.
 
 The distributed runner fans a suite out beyond one process (and, with a
-shared filesystem, beyond one host) through three small pieces:
+shared filesystem, beyond one host) through a few small pieces:
 
 * :mod:`repro.dist.queue` — a filesystem-backed work queue.  Items are
   JSON files moved between ``pending/``, ``claimed/``, and ``done/``
@@ -13,16 +13,19 @@ shared filesystem, beyond one host) through three small pieces:
   (each solve memoizes only its own traces), ack each record, repeat
   until the queue drains.
 * :mod:`repro.dist.coordinator` — enqueue a suite (skipping journaled
-  items, so resume is free), optionally spawn local workers (a fixed
-  count or an elastic ``workers="auto"`` fleet sized to queue depth),
-  wait, and merge the journal into the same payload ``run-all --json``
-  emits.
+  items, so resume is free), spawn local workers (a fixed count or an
+  elastic ``workers="auto"`` fleet sized to queue depth), wait, and
+  merge the journal into the same payload ``run-all --json`` emits.
+  It is the fan-out of ``InvariantService.solve_many(jobs=N)``.
 * :mod:`repro.dist.transport` — the byte-transport layer under the
   queue: :class:`~repro.dist.transport.LocalDirTransport` (the PR 5
   directory semantics) and :class:`~repro.dist.transport.HttpTransport`
   (follow a queue with no filesystem access, with retry/backoff).
 * :mod:`repro.dist.server` — ``python -m repro queue-server``, the
-  thin HTTP object-store endpoint remote followers talk to.
+  thin HTTP object-store endpoint remote followers talk to.  It is not
+  imported here, and :class:`~repro.dist.transport.HttpTransport`
+  imports ``urllib`` only when used, so a local fan-out loads no HTTP
+  code.
 
 Everything rides on the wire formats of the earlier PRs:
 ``ProblemRecord.to_dict()`` is the journal line and
@@ -35,7 +38,6 @@ from repro.dist.coordinator import (
     run_distributed,
 )
 from repro.dist.queue import QueueError, WorkItem, WorkQueue
-from repro.dist.server import serve_queue
 from repro.dist.transport import (
     HttpTransport,
     LocalDirTransport,
@@ -72,6 +74,5 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
     "run_distributed",
-    "serve_queue",
     "transport_for",
 ]

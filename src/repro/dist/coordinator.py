@@ -1,7 +1,8 @@
 """The coordinator: enqueue a suite, run workers, merge the journal.
 
-:func:`run_distributed` is the whole lifecycle in one call — it backs
-``InvariantService.solve_many(workers=N)`` and ``run-all --workers N``:
+:func:`run_distributed` is the whole lifecycle in one call — it is the
+fan-out of ``InvariantService.solve_many(jobs=N)`` and ``run-all
+--jobs N``:
 
 1. create (or re-open) the queue and enqueue one item per problem —
    ids are stable, so items already journaled from an earlier run are
@@ -30,7 +31,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-import time
+from multiprocessing.connection import wait as wait_for_exit
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.dist.queue import DEFAULT_LEASE_SECONDS, WorkQueue
@@ -349,7 +350,13 @@ def run_distributed(
                         # it finishes its current item, releases the
                         # rest of its claims, and exits 0.
                         live[-1][1].terminate()
-                time.sleep(poll_seconds)
+                # Wake early when a worker exits: the last one exits right
+                # after journaling the last record, which then reaches
+                # progress without waiting out the tick.
+                wait_for_exit(
+                    [p.sentinel for p in processes.values() if p.is_alive()],
+                    timeout=poll_seconds,
+                )
         finally:
             for process in processes.values():
                 process.join()

@@ -100,9 +100,10 @@ class WorkQueue:
 
     ``root`` may be a local directory path or an ``http(s)://`` queue
     server URL (:func:`~repro.dist.transport.transport_for` picks the
-    transport); pass ``transport=`` to inject a wrapped one.  For local
-    queues the PR 5 path attributes (``pending_dir`` etc.) remain real
-    paths; on remote transports they are ``None``.
+    transport); pass ``transport=`` to inject a wrapped one.
+    :attr:`root` is the queue directory's ``Path`` for local queues
+    (also under a wrapping transport) and the transport's description,
+    e.g. its URL, otherwise.
     """
 
     def __init__(
@@ -117,22 +118,11 @@ class WorkQueue:
             transport = transport_for(root)
         self.transport = transport
         local = transport
-        while not isinstance(local, LocalDirTransport):
+        while local is not None and not isinstance(local, LocalDirTransport):
             local = getattr(local, "inner", None)
-            if local is None:
-                break
-        if isinstance(local, LocalDirTransport):
-            self.root: "Path | str" = local.root
-            self.pending_dir: "Path | None" = local.root / "pending"
-            self.claimed_dir: "Path | None" = local.root / "claimed"
-            self.done_dir: "Path | None" = local.root / "done"
-            self.health_dir: "Path | None" = local.root / "health"
-            self.journal_path: "Path | None" = local.root / _JOURNAL
-            self.meta_path: "Path | None" = local.root / _META
-        else:
-            self.root = transport.describe()
-            self.pending_dir = self.claimed_dir = self.done_dir = None
-            self.health_dir = self.journal_path = self.meta_path = None
+        self.root: "Path | str" = (
+            local.root if local is not None else transport.describe()
+        )
         self._meta: dict | None = None
 
     # -- lifecycle -------------------------------------------------------------

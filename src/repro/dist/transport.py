@@ -36,9 +36,6 @@ import json
 import os
 import tempfile
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from abc import ABC, abstractmethod
 from pathlib import Path
 
@@ -335,6 +332,11 @@ class HttpTransport(Transport):
         "absent" semantics; other 4xx raise immediately (retrying a
         rejected request cannot help); network errors and 5xx retry.
         """
+        # Imported here, not at module level: local queues (every
+        # solve_many fan-out) never load the HTTP client.
+        import urllib.error
+        import urllib.request
+
         url = f"{self.base_url}{path}"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -374,6 +376,8 @@ class HttpTransport(Transport):
         ) from last_error
 
     def _object_url(self, path: str) -> str:
+        import urllib.parse
+
         return "/q/" + urllib.parse.quote(path)
 
     def _post_json(self, path: str, payload: dict) -> dict:

@@ -84,7 +84,8 @@ class InferenceConfig:
     def gcln_for_attempt(self, dropout_rate: float) -> GCLNConfig:
         """GCLNConfig for one attempt, honoring ablation switches."""
         return GCLNConfig(
-            dropout_rate=dropout_rate if self.term_dropout else 0.0,
+            dropout_rate=dropout_rate,
+            term_dropout=self.term_dropout,
             weight_regularization=self.weight_regularization,
             max_epochs=self.max_epochs,
         )

@@ -4,17 +4,16 @@
 runner; this module holds what it, the distributed runner
 (:mod:`repro.dist`) and the HTTP front end share: the record and its
 wire form, the status constants, :func:`summarize`, and
-:func:`_run_one`, the unit of work of an inline run and of every pool
-item.  Every record carries the same
-:class:`~repro.api.solver.SolveResult` schema whichever registered
-solver ran, so benchmark tables, ``python -m repro run-all`` and solver
-comparisons share one result format.
+:func:`_run_one`, the unit of work of an inline run (queue workers
+solve each claimed item through an inline ``solve_many``).  Every
+record carries the same :class:`~repro.api.solver.SolveResult` schema
+whichever registered solver ran, so benchmark tables, ``python -m
+repro run-all`` and solver comparisons share one result format.
 
 Timeouts are enforced *inside* the solving process with ``SIGALRM``
-(POSIX), so a timed-out problem frees its pool slot immediately
-instead of poisoning the pool.  ``solve_many`` refuses a budget it
-cannot arm (no ``SIGALRM``, or solving off the main thread) before any
-solve starts.
+(POSIX), so a timed-out problem frees its worker immediately.
+``solve_many`` refuses a budget it cannot arm (no ``SIGALRM``, or
+solving off the main thread) before any solve starts.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.api.service import InvariantService
 from repro.api.solver import SolveResult
-from repro.infer.config import InferenceConfig
-from repro.infer.problem import Problem
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.api.service import InvariantService
+    from repro.infer.problem import Problem
 
 # Record statuses.
 STATUS_OK = "ok"
@@ -94,19 +94,16 @@ class _Timeout(Exception):
 
 
 def _run_one(
-    problem: Problem,
-    config: InferenceConfig | None,
+    service: "InvariantService",
+    problem: "Problem",
+    solver: str,
     timeout_seconds: float | None,
-    solver: str = "gcln",
-    service: InvariantService | None = None,
 ) -> ProblemRecord:
-    """Run one problem with an optional SIGALRM-enforced timeout.
+    """Solve ``problem`` through ``service`` under an optional
+    SIGALRM-enforced timeout.
 
-    Solves through ``service``, or through a fresh
-    :class:`InvariantService` when none is given.  This is the unit of
-    work shipped to pool workers; it must stay a module-level function
-    so it pickles (pool items never carry a service).  A budget needs
-    ``SIGALRM`` and the main thread, which the caller has checked.
+    A budget needs ``SIGALRM`` and the main thread, which the caller
+    has checked.
     """
     start = time.perf_counter()
     use_alarm = timeout_seconds is not None
@@ -130,9 +127,7 @@ def _run_one(
         # of the inner handlers, so _Timeout can never escape into the
         # caller's batch loop.
         try:
-            if service is None:
-                service = InvariantService(config)
-            result = service.solve(problem, solver, config=config)
+            result = service.solve(problem, solver)
             _disarm()
             return ProblemRecord(
                 name=problem.name,

@@ -31,6 +31,7 @@ from repro.sampling.fractional import (
     relax_initializers,
 )
 from repro.sampling.normalize import normalize_rows
+from repro.sampling.source import gather_states
 from repro.sampling.termgen import (
     TermBasis,
     build_term_basis,
@@ -151,15 +152,10 @@ def collect_states(
                     )
                     zero = {name: 0 for name in fractional_vars}
                     merged = [dict(s, **zero) for s in states[loop_index]]
-                    merged.extend(dict(s) for s in extra)
-                    seen: set[tuple] = set()
-                    unique: list[dict] = []
-                    for s in merged:
-                        state_key = tuple(sorted(s.items()))
-                        if state_key not in seen:
-                            seen.add(state_key)
-                            unique.append(s)
-                    states[loop_index] = unique[: 2 * problem.max_states]
+                    merged.extend(extra)
+                    states[loop_index] = gather_states(
+                        merged, 2 * problem.max_states
+                    )
         return StateDataset(
             states=states, fractional_vars=fractional_vars, interval=interval
         )

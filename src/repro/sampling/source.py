@@ -20,8 +20,8 @@ distributed queue — is agnostic about whether a program exists.
 Seed-equivalence contract: for a program-backed problem, recording its
 interpreter observations (:func:`repro.infer.record.record_problem`)
 and re-solving through :class:`RecordedTraceSource` must produce
-byte-identical training states — the dedup/cap logic here mirrors
-:func:`~repro.sampling.tracegen.loop_dataset` exactly.
+byte-identical training states — both read their states through
+:func:`gather_states`, the one dedup-and-cap of every state list.
 
 Layering: this module sits with the rest of :mod:`repro.sampling`
 (below ``checker``/``infer``) and must not reach upward.
@@ -96,22 +96,31 @@ class ObservationSource(Protocol):
         ...
 
 
-def _dedup_cap(
-    observations: Sequence[Observation], max_states: int | None
+def gather_states(
+    states: Iterable[Mapping[str, object]],
+    max_states: int | None = None,
+    *,
+    dedup: bool = True,
 ) -> list[dict]:
-    """``loop_dataset``'s dedup/cap applied to a recorded sequence."""
-    states: list[dict] = []
+    """Copies of ``states`` in order, without exact repeats (``dedup``),
+    at most ``max_states`` of them.
+
+    Every state list of a solve goes through here: interpreter loop
+    datasets, recorded observations and the fractional merge.  Repeats
+    would skew the loss toward heavily revisited states.
+    """
+    kept: list[dict] = []
     seen: set[tuple] = set()
-    for ob in observations:
-        state = dict(ob.state)
-        key = tuple(sorted(state.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        states.append(state)
-        if max_states is not None and len(states) >= max_states:
+    for state in states:
+        if max_states is not None and len(kept) >= max_states:
             break
-    return states
+        if dedup:
+            key = tuple(sorted(state.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+        kept.append(dict(state))
+    return kept
 
 
 class InterpreterSource:
@@ -166,7 +175,9 @@ class RecordedTraceSource:
 
     def train_states(self, max_states: int | None) -> dict[int, list[dict]]:
         return {
-            loop_index: _dedup_cap(self.data[loop_index].train, max_states)
+            loop_index: gather_states(
+                (ob.state for ob in self.data[loop_index].train), max_states
+            )
             for loop_index in range(self.n_loops)
         }
 

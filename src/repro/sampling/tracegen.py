@@ -8,6 +8,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.errors import FuelExhausted, InterpError
 from repro.lang.ast import Program
 from repro.lang.interp import ExecutionTrace, Interpreter
+from repro.sampling.source import gather_states
 
 
 def enumerate_inputs(
@@ -86,21 +87,10 @@ def loop_dataset(
     Returns:
         A list of variable-environment dicts.
     """
-    states: list[dict[str, object]] = []
-    seen: set[tuple] = set()
-    for trace in traces:
-        for snapshot in trace.snapshots:
-            if snapshot.loop_id != loop_id:
-                continue
-            if not include_exit and not snapshot.guard_value:
-                continue
-            state = dict(snapshot.state)
-            if dedup:
-                key = tuple(sorted(state.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-            states.append(state)
-            if max_states is not None and len(states) >= max_states:
-                return states
-    return states
+    selected = (
+        snapshot.state
+        for trace in traces
+        for snapshot in trace.snapshots
+        if snapshot.loop_id == loop_id and (include_exit or snapshot.guard_value)
+    )
+    return gather_states(selected, max_states, dedup=dedup)

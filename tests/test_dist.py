@@ -201,7 +201,7 @@ def test_done_marker_without_journal_is_rerunnable(tmp_path):
     queue.claim("doomed")
     # Simulate the crash window: marker renamed into place, no journal.
     os.rename(
-        queue.claimed_dir / "0000-a.json", queue.done_dir / "0000-a.json"
+        queue.root / "claimed" / "0000-a.json", queue.root / "done" / "0000-a.json"
     )
     assert queue.journal_entries() == []
     assert queue.enqueue([make_item("0000-a")]) == (1, 0)  # re-runnable
@@ -218,7 +218,7 @@ def test_append_heals_torn_journal_tail(tmp_path):
     queue = WorkQueue.create(tmp_path / "q")
     queue.enqueue([make_item("0000-a"), make_item("0001-b", 1)])
     queue.claim("w", limit=2)
-    with open(queue.journal_path, "ab") as handle:
+    with open(queue.root / "journal.jsonl", "ab") as handle:
         handle.write(b'{"id": "0000-a", "worker": "w", "payl')  # torn
     queue.ack("0001-b", {"record": {"name": "b"}}, "w")  # heals, appends
     entries = queue.journal_entries()  # must not raise "corrupt journal"
@@ -232,7 +232,7 @@ def test_corrupt_trailing_journal_line_is_truncated(tmp_path):
     queue.enqueue([make_item("0000-a"), make_item("0001-b", 1)])
     queue.claim("w1", limit=2)
     queue.ack("0000-a", {"record": {"name": "a"}}, "w1")
-    with open(queue.journal_path, "ab") as handle:
+    with open(queue.root / "journal.jsonl", "ab") as handle:
         handle.write(b'{"id": "0001-b", "worker": "w1", "payl')  # torn write
     entries = queue.journal_entries()
     assert [e["id"] for e in entries] == ["0000-a"]
@@ -243,7 +243,7 @@ def test_corrupt_trailing_journal_line_is_truncated(tmp_path):
 
 def test_corrupt_middle_journal_line_raises(tmp_path):
     queue = WorkQueue.create(tmp_path / "q")
-    with open(queue.journal_path, "wb") as handle:
+    with open(queue.root / "journal.jsonl", "wb") as handle:
         handle.write(b'{"id": "torn\n{"id": "0001-b", "payload": {}}\n')
     with pytest.raises(QueueError, match="corrupt journal"):
         queue.journal_entries()
@@ -455,7 +455,7 @@ def test_worker_main_entry_point(tmp_path):
     assert journaled.startswith("0000-wm-")
 
 
-# -- coordinator / solve_many(workers=N) --------------------------------------
+# -- coordinator / solve_many(jobs=N) -----------------------------------------
 
 
 def test_two_workers_match_sequential_run(tmp_path, normalized):
@@ -465,7 +465,7 @@ def test_two_workers_match_sequential_run(tmp_path, normalized):
     service = InvariantService(FAST_CONFIG)
     sequential = service.solve_many(problems, jobs=1)
     distributed = service.solve_many(
-        problems, workers=2, queue_dir=str(tmp_path / "q")
+        problems, jobs=2, queue_dir=str(tmp_path / "q")
     )
     assert [r.name for r in distributed] == [r.name for r in sequential]
     assert [normalized(r) for r in distributed] == [
@@ -624,7 +624,7 @@ def test_worker_sigterm_exits_cleanly_without_stranding_claims(tmp_path):
 def test_merge_payload_matches_run_all_shape(tmp_path):
     problems = [tiny_problem("pa"), tiny_problem("pb", 2)]
     InvariantService(FAST_CONFIG).solve_many(
-        problems, workers=1, queue_dir=str(tmp_path / "q")
+        problems, queue_dir=str(tmp_path / "q")
     )
     payload = merge_payload(WorkQueue.open(tmp_path / "q"))
     assert set(payload) == {
@@ -653,11 +653,15 @@ def test_enqueue_suite_resolves_and_dedups(tmp_path):
 
 
 def test_run_many_validates_distributed_args():
+    """``jobs`` is the one width knob: ``workers=`` is gone, and a bad
+    width is refused before any queue is made."""
     service = InvariantService(FAST_CONFIG)
-    with pytest.raises(ValueError, match="workers"):
-        service.solve_many([tiny_problem("x")], workers=0)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        service.solve_many([tiny_problem("x")], workers=2, jobs=2)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        service.solve_many([tiny_problem("x")], jobs=0)
+    with pytest.raises(ValueError, match="integer or 'auto'"):
+        service.solve_many([tiny_problem("x")], jobs="many")
+    with pytest.raises(TypeError, match="workers"):
+        service.solve_many([tiny_problem("x")], workers=2)
 
 
 def test_service_solve_many_workers(tmp_path):
@@ -668,7 +672,7 @@ def test_service_solve_many_workers(tmp_path):
     service.subscribe(lambda e: events.append(e), kinds=(ProblemSolved,))
     records = service.solve_many(
         [tiny_problem("sv1"), tiny_problem("sv2", 2)],
-        workers=2,
+        jobs=2,
         queue_dir=str(tmp_path / "q"),
     )
     assert [r.name for r in records] == ["sv1", "sv2"]
@@ -705,14 +709,17 @@ def test_cli_worker_rejects_missing_queue(tmp_path):
 
 
 def test_cli_run_all_workers_validation(capsys):
+    """``--jobs`` sizes the worker fleet; ``--workers`` is gone."""
     from repro.cli import main
 
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run-all", "--workers", "0"])
-    assert excinfo.value.code == 2  # an argparse error
-    assert "argument --workers: must be >= 1" in capsys.readouterr().err
-    with pytest.raises(SystemExit, match="mutually exclusive"):
-        main(["run-all", "--workers", "2", "--jobs", "2"])
+    for argv, message in (
+        (["--jobs", "0"], "argument --jobs: must be >= 1"),
+        (["--workers", "2"], "unrecognized arguments: --workers 2"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-all", *argv])
+        assert excinfo.value.code == 2  # an argparse error
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -723,13 +730,13 @@ def test_cli_run_all_distributed(tmp_path, capsys):
     code = main(
         [
             "run-all", "--suite", "stability", "--problems", "conj_eq",
-            "--epochs", "400", "--workers", "2",
+            "--epochs", "400", "--jobs", "2",
             "--queue-dir", str(tmp_path / "q"), "--json", str(out_path),
         ]
     )
     assert code in (0, 1)
     out = capsys.readouterr().out
-    assert "2 worker(s)" in out
+    assert "2 job(s)" in out
     payload = json.loads(out_path.read_text())
     assert payload["records"][0]["name"] == "conj_eq"
     assert payload["records"][0]["status"] == "ok"

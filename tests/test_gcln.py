@@ -48,6 +48,31 @@ def test_random_mask_protects_and_caps(rng, monkeypatch):
     assert mask.sum() <= 6  # 5 kept + protected
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.6])
+def test_term_dropout_off_keeps_every_term(rng, rate):
+    """``InferenceConfig(term_dropout=False)`` (the Table 3 ablation)
+    gives every unit every term: no Bernoulli draw, no degree prior and
+    no kept-terms cap, whatever the scheduled rate.  With the switch on
+    the same basis is masked."""
+    from repro.infer import InferenceConfig
+
+    degrees = [0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3]
+    weights = complexity_term_weights(degrees)
+
+    def masks(config):
+        model = GCLN(
+            len(degrees),
+            config.gcln_for_attempt(rate),
+            rng,
+            protected_terms=[0],
+            term_weights=weights,
+        )
+        return [unit.mask for clause in model.clauses for unit in clause]
+
+    assert all(mask.all() for mask in masks(InferenceConfig(term_dropout=False)))
+    assert not all(mask.all() for mask in masks(InferenceConfig()))
+
+
 def test_complexity_term_weights():
     weights = complexity_term_weights([0, 1, 2, 3])
     assert weights[0] == 1.0 and weights[1] == 1.0

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import PolyError
 from repro.lang import parse_program
@@ -161,6 +161,7 @@ while (y < k) { y = y + 1; x = x + y * y; }
     ),
     st.lists(st.floats(-3, 3), min_size=3, max_size=3),
 )
+@example(rows=[[0.0, 0.0, 23.0]], w=[0.0, 0.0, 4.54e-41])
 def test_normalization_preserves_constraint_satisfaction(rows, w):
     matrix = np.array(rows)
     weights = np.array(w)
@@ -169,10 +170,18 @@ def test_normalization_preserves_constraint_satisfaction(rows, w):
     # Row scaling by a positive constant preserves the sign of w·x.
     # The zero threshold must scale with each row's magnitude: a fixed
     # absolute cutoff classifies w·x ≈ 1e-12 differently before and
-    # after the row is rescaled to norm 10.
+    # after the row is rescaled to norm 10.  No absolute floor either:
+    # a scale of 0 already means w·x is exactly 0.  Scaling w by a
+    # positive constant preserves every sign too; at max-abs 1 no
+    # product w_j·x_j underflows (w = [0, 0, 5e-324] would: 1·w_3 is
+    # the smallest subnormal, 0.5·w_3 rounds to 0).
+    peak = np.abs(weights).max()
+    if peak > 0:
+        weights = weights / peak
+
     def signs(m: np.ndarray) -> np.ndarray:
         values = m @ weights
-        scale = np.linalg.norm(m, axis=1) * np.linalg.norm(weights) + 1e-30
+        scale = np.linalg.norm(m, axis=1) * np.linalg.norm(weights)
         return np.sign(np.where(np.abs(values) <= 1e-9 * scale, 0.0, values))
 
     mask = np.linalg.norm(matrix, axis=1) > 1e-9

@@ -107,6 +107,8 @@ def test_run_many_honors_timeout():
 
 
 def test_run_many_parallel_pool():
+    """``jobs=2`` drains a private work queue with two worker
+    processes and returns the records in input order."""
     problems = [tiny_problem("p1"), tiny_problem("p2", step=3)]
     seen: list[str] = []
     records = InvariantService(FAST_CONFIG).solve_many(
@@ -171,12 +173,13 @@ def test_run_many_inline_solves_through_the_given_service():
 
 @pytest.mark.parametrize(
     "mode",
-    [{"jobs": 1}, {"jobs": 2}, {"workers": 2}],
+    [{"jobs": 1}, {"jobs": 2}, {"jobs": "auto", "max_workers": 2}],
     ids=["inline", "pool", "queue"],
 )
 def test_service_stats_sum_the_records_in_every_mode(mode):
-    """Pool and queue records reach ``service.cache_stats`` too: the
-    service's counters are the sum of its records' counters."""
+    """Records solved by queue workers (a fixed pair, or an elastic
+    fleet) reach ``service.cache_stats`` too: the service's counters
+    are the sum of its records' counters."""
     from repro.api import ProblemSolved
     from repro.bench import nla_problem
 
@@ -204,8 +207,12 @@ def test_run_many_rejects_unknown_solver_up_front():
 
 def test_run_many_rejects_bad_jobs():
     service = InvariantService(FAST_CONFIG)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 1"):
         service.solve_many([tiny_problem("x")], jobs=0)
+    with pytest.raises(ValueError, match="integer or 'auto'"):
+        service.solve_many([tiny_problem("x")], jobs="soon")
+    with pytest.raises(ValueError, match="integer or 'auto'"):
+        service.solve_many([tiny_problem("x")], jobs=2.0)
     assert service.solve_many([], jobs=4) == []
 
 
@@ -223,8 +230,8 @@ def test_solved_property_guards_missing_result():
 
 
 def test_pool_records_match_inline_run(normalized):
-    """A process pool returns, in input order, exactly the records an
-    inline run produces (modulo timing fields)."""
+    """Two queue workers return, in input order, exactly the records
+    an inline run produces (modulo timing fields)."""
     problems = [tiny_problem("pa", 2), tiny_problem("pb", 3)]
     service = InvariantService(FAST_CONFIG)
     inline = service.solve_many(problems, jobs=1)
@@ -234,8 +241,8 @@ def test_pool_records_match_inline_run(normalized):
 
 
 def test_pool_timeout_records_status_and_sane_runtime():
-    """Under jobs > 1 the in-worker alarm produces timeout records with
-    runtimes near the budget, not the full solve."""
+    """Under jobs > 1 each queue worker's alarm produces timeout
+    records with runtimes near the budget, not the full solve."""
     slow_config = InferenceConfig(max_epochs=500_000, dropout_schedule=(0.6,))
     start = time.perf_counter()
     records = InvariantService(slow_config).solve_many(
@@ -271,7 +278,7 @@ def test_timeout_without_sigalrm_is_refused(monkeypatch, solve_calls):
 
     monkeypatch.delattr(signal, "SIGALRM")
     service = InvariantService(FAST_CONFIG)
-    for mode in ({"jobs": 1}, {"jobs": 2}, {"workers": 2}):
+    for mode in ({"jobs": 1}, {"jobs": 2}, {"jobs": "auto"}):
         with pytest.raises(ValueError, match="SIGALRM"):
             service.solve_many(
                 [tiny_problem("noalarm")], timeout_seconds=5.0, **mode
@@ -283,9 +290,10 @@ def test_timeout_without_sigalrm_is_refused(monkeypatch, solve_calls):
 
 
 def test_timeout_off_main_thread_is_refused(solve_calls):
-    """Solving on a non-main thread cannot arm SIGALRM, so a budget for
-    an inline or distributed run is refused before any solve; the pool
-    arms it in its own processes, and no budget needs no alarm."""
+    """Solving on a non-main thread cannot arm SIGALRM, so a budget is
+    refused before any solve, inline and queued alike (the coordinator
+    drains a dead worker's items on this thread); no budget needs no
+    alarm."""
     import threading
 
     service = InvariantService(FAST_CONFIG)
@@ -301,8 +309,7 @@ def test_timeout_off_main_thread_is_refused(solve_calls):
 
     for name, kwargs in (
         ("inline", {"timeout_seconds": 5.0}),
-        ("queued", {"timeout_seconds": 5.0, "workers": 2}),
-        ("pooled", {"timeout_seconds": 5.0, "jobs": 2}),
+        ("queued", {"timeout_seconds": 5.0, "jobs": 2}),
         ("nobudget", {}),
     ):
         thread = threading.Thread(target=run, args=(name,), kwargs=kwargs)
@@ -311,9 +318,7 @@ def test_timeout_off_main_thread_is_refused(solve_calls):
     for name in ("inline", "queued"):
         assert isinstance(outcomes[name], ValueError), outcomes[name]
         assert "main thread" in str(outcomes[name])
-    assert [r.status for r in outcomes["pooled"]] == [STATUS_OK]
     assert [r.status for r in outcomes["nobudget"]] == [STATUS_OK]
-    # Pool items solve in their own processes, not through this list.
     assert solve_calls == ["nobudget"]
 
 
@@ -328,14 +333,16 @@ def test_inline_solve_does_not_extend_the_callers_alarm():
         with slow_solver(0.6) as solver:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             record = runner_module._run_one(
-                tiny_problem("outer"), FAST_CONFIG, 5, solver
+                InvariantService(FAST_CONFIG), tiny_problem("outer"), solver, 5
             )
             remaining = signal.getitimer(signal.ITIMER_REAL)[0]
             assert record.status == STATUS_OK
             assert 0.2 < remaining < 0.45
 
             signal.setitimer(signal.ITIMER_REAL, 0.3)
-            runner_module._run_one(tiny_problem("outer"), FAST_CONFIG, 5, solver)
+            runner_module._run_one(
+                InvariantService(FAST_CONFIG), tiny_problem("outer"), solver, 5
+            )
             time.sleep(0.05)
         assert fired
     finally:

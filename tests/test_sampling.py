@@ -56,6 +56,20 @@ def test_loop_dataset_dedup_and_cap(ps2_program):
     assert len(capped) == 3
 
 
+def test_gather_states_keeps_first_occurrences_in_order():
+    """The one dedup-and-cap: first occurrences in input order (key
+    order inside a state does not matter), copies, at most the cap."""
+    from repro.sampling.source import gather_states
+
+    a, b, c = {"x": 1, "y": 2}, {"y": 2, "x": 1}, {"x": 3, "y": 4}
+    kept = gather_states([a, b, c, a])
+    assert kept == [a, c]
+    assert kept[0] is not a
+    assert gather_states([a, b, c], 1) == [a]
+    assert gather_states([a, b, c], 0) == []
+    assert gather_states([a, b, c], 2, dedup=False) == [a, b]
+
+
 def test_loop_dataset_exit_states(ps2_program):
     traces = collect_traces(ps2_program, [{"k": 3}])
     with_exit = loop_dataset(traces, 0, include_exit=True, dedup=False)

@@ -9,6 +9,7 @@ survive a transport that drops, duplicates, and delays operations.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -29,10 +30,10 @@ from repro.dist import (
     Worker,
     WorkQueue,
     run_distributed,
-    serve_queue,
     transport_for,
 )
 from repro.dist.coordinator import build_meta
+from repro.dist.server import serve_queue
 from repro.dist.wire import item_for_problem
 from repro.infer import InferenceConfig, Problem
 
@@ -671,25 +672,68 @@ def test_run_many_accepts_auto(tmp_path):
     service = InvariantService(FAST_CONFIG)
     records = service.solve_many(
         [tiny_problem("rma")],
-        workers="auto",
+        jobs="auto",
         max_workers=1,
         queue_dir=str(tmp_path / "q"),
     )
     assert len(records) == 1 and records[0].solved
     with pytest.raises(ValueError, match="integer or 'auto'"):
-        service.solve_many([tiny_problem("rma")], workers="soon")
+        service.solve_many([tiny_problem("rma")], jobs="soon")
 
 
 # -- CLI surface ---------------------------------------------------------------
+
+
+def test_local_fan_out_loads_no_http_code():
+    """``solve_many(jobs=N)`` imports the coordinator; in a fresh
+    interpreter that import must load neither the HTTP client
+    (``HttpTransport`` imports it when used) nor the queue server."""
+    probe = (
+        "import sys\n"
+        "names = ('urllib.request', 'http.server')\n"
+        "import repro.dist.coordinator\n"
+        "print(','.join(n for n in names if n in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_follower_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_queue_server_exits_cleanly_on_sigterm(tmp_path):
+    """SIGTERM stops ``queue-server`` with exit code 0 within seconds:
+    the handler unwinds ``serve_forever`` rather than waiting on it."""
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "queue-server",
+            "--queue-dir", str(tmp_path / "q"), "--port", "0",
+        ],
+        env=_follower_env(),
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as server:
+        try:
+            assert "serving work queue" in server.stdout.readline()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+
 
 
 def test_cli_run_all_workers_auto_validation(capsys):
     from repro.cli import main
 
     for argv, message in (
-        (["--workers", "soon"], "argument --workers: must be an integer or 'auto'"),
-        (["--workers", "0"], "argument --workers: must be >= 1"),
-        (["--workers", "auto", "--min-workers", "0"], "argument --min-workers"),
+        (["--jobs", "soon"], "argument --jobs: must be an integer or 'auto'"),
+        (["--jobs", "0"], "argument --jobs: must be >= 1"),
+        (["--jobs", "auto", "--min-workers", "0"], "argument --min-workers"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(["run-all", *argv])
@@ -697,7 +741,7 @@ def test_cli_run_all_workers_auto_validation(capsys):
         assert message in capsys.readouterr().err
     with pytest.raises(SystemExit, match="max_workers"):
         main([
-            "run-all", "--workers", "auto",
+            "run-all", "--jobs", "auto",
             "--min-workers", "3", "--max-workers", "2",
         ])
 
