@@ -8,8 +8,8 @@ Environment knobs:
   the whole suite finishes in tens of minutes while preserving the
   tables' *shape*.
 * ``REPRO_BENCH_JOBS=N`` — fan suite benchmarks out over N local
-  queue workers on this host, or ``auto`` for an elastic fleet sized
-  to queue depth.  With ``REPRO_BENCH_QUEUE_DIR=PATH`` the queues are
+  queue workers on this host, or ``auto`` for one per CPU (2 to 8,
+  at most one per problem).  With ``REPRO_BENCH_QUEUE_DIR=PATH`` the queues are
   durable (one worker unless ``REPRO_BENCH_JOBS`` says more), so an
   interrupted ``REPRO_BENCH_FULL`` run resumes instead of starting
   over.

@@ -34,6 +34,7 @@ emitted (from the parent) in that mode.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -145,9 +146,6 @@ class InvariantService:
         timeout_seconds: float | None = None,
         progress: Callable[["ProblemRecord"], None] | None = None,
         queue_dir: str | None = None,
-        min_workers: int = 1,
-        max_workers: int | None = None,
-        fleet_status: Callable[[dict], None] | None = None,
     ) -> list["ProblemRecord"]:
         """Batch-solve a suite: one record per problem, in input order.
 
@@ -155,14 +153,13 @@ class InvariantService:
         through :meth:`solve`, streaming the full event feed.
         ``jobs > 1``, ``jobs="auto"`` or a ``queue_dir`` runs the
         distributed runner (:mod:`repro.dist`): ``min(jobs,
-        len(problems))`` local worker processes (or, with ``"auto"``,
-        an elastic fleet sized to queue depth between ``min_workers``
-        and ``max_workers``) drain a journaled work queue under this
-        service's :attr:`config`, each through a service of its own,
-        and only completion events stream live.  ``fleet_status``
-        receives live fleet snapshots; a durable ``queue_dir`` (or
-        queue-server URL) makes a re-run resume, and without one the
-        queue is private and temporary.
+        len(problems))`` local worker processes drain a journaled work
+        queue under this service's :attr:`config`, each through a
+        service of its own, and only completion events stream live.
+        ``"auto"`` is resolved here, once, to the CPU count clamped to
+        2..8.  A durable ``queue_dir`` (or queue-server URL) makes a
+        re-run resume, and without one the queue is private and
+        temporary.
 
         ``timeout_seconds`` is a per-problem wall-clock budget armed
         with ``SIGALRM`` in the solving process.  A budget that cannot
@@ -177,9 +174,8 @@ class InvariantService:
         :attr:`cache_stats` sums every record's counters in every mode.
 
         Raises:
-            ValueError: for a bad ``jobs``, ``timeout_seconds``,
-                ``min_workers`` or ``max_workers``, and for a budget
-                that cannot be enforced.
+            ValueError: for a bad ``jobs`` or ``timeout_seconds``,
+                and for a budget that cannot be enforced.
             UnknownSolverError: for an unregistered ``solver``.
         """
         from repro.infer import runner
@@ -244,17 +240,16 @@ class InvariantService:
 
         from repro.dist.coordinator import run_distributed
 
+        if jobs == "auto":
+            jobs = max(2, min(os.cpu_count() or 2, 8))
         return run_distributed(
             problems,
             self.config,
-            workers=jobs if jobs == "auto" else min(jobs, len(problems)),
+            workers=min(jobs, len(problems)),
             queue_dir=queue_dir,
             solver=solver,
             timeout_seconds=timeout_seconds,
             progress=complete,
-            min_workers=min_workers,
-            max_workers=max_workers,
-            fleet_status=fleet_status,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -88,7 +88,7 @@ def _parse_assignment(pairs: list[str]) -> dict[str, object]:
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1 (``--epochs``,
-    worker counts)."""
+    ``--jobs`` and the other counts)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -104,7 +104,7 @@ def _positive_float(text: str) -> float:
 
 
 def _jobs(text: str) -> "int | str":
-    """``--jobs``: a process count or ``auto`` (elastic)."""
+    """``--jobs``: a process count or ``auto`` (one per CPU, 2 to 8)."""
     if text == "auto":
         return "auto"
     try:
@@ -310,19 +310,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    def fleet_tail(snapshot: dict) -> None:
-        # The coordinator's live tail: one line per fleet/queue change,
-        # with per-worker health inline when anything is unhealthy.
-        states = [w.get("state") for w in snapshot.get("workers", [])]
-        stale = sum(1 for s in states if s == "stale")
-        suffix = f", {stale} stale" if stale else ""
-        print(
-            f"[  fleet] {snapshot['live_workers']} live worker(s){suffix}; "
-            f"{snapshot['pending']} pending, {snapshot['claimed']} claimed, "
-            f"{snapshot['journaled']} journaled",
-            flush=True,
-        )
-
     try:
         records = service.solve_many(
             problems,
@@ -331,9 +318,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             timeout_seconds=args.timeout,
             progress=progress,
             queue_dir=args.queue_dir,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            fleet_status=fleet_tail,
         )
     except ValueError as exc:
         # Batch arguments that do not fit together (checked before
@@ -675,26 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "solve inline (1, the default), or drain the suite with N "
-            "queue worker processes, or 'auto' for an elastic fleet "
-            "sized to queue depth between --min-workers and "
-            "--max-workers"
-        ),
-    )
-    all_parser.add_argument(
-        "--min-workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="elastic-fleet floor with --jobs auto (default: 1)",
-    )
-    all_parser.add_argument(
-        "--max-workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "elastic-fleet ceiling with --jobs auto "
-            "(default: CPU count, capped at 8)"
+            "queue worker processes, or 'auto' for one per CPU "
+            "(2 to 8)"
         ),
     )
     all_parser.add_argument(

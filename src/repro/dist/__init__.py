@@ -13,10 +13,12 @@ shared filesystem, beyond one host) through a few small pieces:
   (each solve memoizes only its own traces), ack each record, repeat
   until the queue drains.
 * :mod:`repro.dist.coordinator` — enqueue a suite (skipping journaled
-  items, so resume is free), spawn local workers (a fixed count or an
-  elastic ``workers="auto"`` fleet sized to queue depth), wait, and
-  merge the journal into the same payload ``run-all --json`` emits.
-  It is the fan-out of ``InvariantService.solve_many(jobs=N)``.
+  items, so resume is free), spawn a fixed-width pool of local
+  workers, wait, and merge the journal into the same payload ``run-all
+  --json`` emits.  It is the fan-out of
+  ``InvariantService.solve_many(jobs=N)``, and its
+  :class:`~repro.dist.coordinator.JournalTail` is the one decoder of
+  journal entries into records.
 * :mod:`repro.dist.transport` — the byte-transport layer under the
   queue: :class:`~repro.dist.transport.LocalDirTransport` (the PR 5
   directory semantics) and :class:`~repro.dist.transport.HttpTransport`

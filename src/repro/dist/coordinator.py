@@ -8,9 +8,10 @@ fan-out of ``InvariantService.solve_many(jobs=N)`` and ``run-all
    ids are stable, so items already journaled from an earlier run are
    skipped (**resume is free**: a re-run after a crash only solves
    what is missing);
-2. spawn N local worker processes over the queue (each is exactly the
-   ``python -m repro worker`` loop), tailing the journal for live
-   progress while they drain;
+2. spawn ``min(N, unfinished items)`` local worker processes over the
+   queue, once (each is exactly the ``python -m repro worker`` loop),
+   and read the journal once per poll tick for live progress while
+   they drain;
 3. if any worker died, return its claims to ``pending`` and drain the
    remainder inline, so the call always completes the suite;
 4. merge the journal back into :class:`~repro.infer.runner.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import shutil
 import tempfile
 from multiprocessing.connection import wait as wait_for_exit
@@ -39,17 +39,11 @@ from repro.dist.transport import TransportNotFound
 from repro.dist.wire import config_to_dict, item_for_problem
 from repro.dist.worker import Worker, worker_main
 from repro.errors import ReproError
-
-#: Elastic mode never spawns more than this many extra processes after
-#: retiring/replacing crashed ones — a crash-looping worker must not
-#: fork-bomb the host.  The inline-drain safety net finishes the suite
-#: regardless.
-ELASTIC_RESPAWN_FACTOR = 4
+from repro.infer.runner import STATUS_ERROR, ProblemRecord, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.infer.config import InferenceConfig
     from repro.infer.problem import Problem
-    from repro.infer.runner import ProblemRecord
 
 
 def build_meta(
@@ -58,7 +52,7 @@ def build_meta(
     config: "InferenceConfig | None" = None,
     timeout_seconds: float | None = None,
     suite: str | None = None,
-    workers: "int | str" = 1,
+    workers: int = 1,
 ) -> dict:
     """The run-wide settings every worker must agree on."""
     return {
@@ -109,20 +103,35 @@ def enqueue_suite(
     return queue, added, skipped
 
 
-def records_from_journal(queue: WorkQueue) -> dict[str, "ProblemRecord"]:
-    """Journaled records keyed by item id (first ack of an id wins)."""
-    from repro.infer.runner import ProblemRecord
+class JournalTail:
+    """A queue journal's records, each decoded once.
 
-    records: dict[str, "ProblemRecord"] = {}
-    for entry in queue.journal_entries():
-        item_id = entry["id"]
-        if item_id in records:
-            continue  # duplicate ack after a lease-expiry re-claim
-        payload = entry.get("payload") or {}
-        record = payload.get("record")
-        if record is not None:
-            records[item_id] = ProblemRecord.from_dict(record)
-    return records
+    The journal is append-only, so :meth:`advance` reads it once and
+    decodes only the entries past its cursor.  The first ack of an id
+    wins (a later one is a duplicate after a lease-expiry re-claim), and
+    entries without a record are skipped.  This is the one decoder: the
+    coordinator's progress feed and merge, :func:`merge_payload` and the
+    queue-backed serve executor all read the journal through it.
+    """
+
+    def __init__(self, queue: WorkQueue):
+        self.queue = queue
+        self.records: dict[str, ProblemRecord] = {}
+        self._cursor = 0
+
+    def advance(self) -> list[str]:
+        """Read the journal once; return the newly decoded ids, in
+        journal order."""
+        entries = self.queue.journal_entries()
+        new: list[str] = []
+        for entry in entries[self._cursor:]:
+            item_id = entry.get("id")
+            data = (entry.get("payload") or {}).get("record")
+            if data is not None and item_id not in self.records:
+                self.records[item_id] = ProblemRecord.from_dict(data)
+                new.append(item_id)
+        self._cursor = len(entries)
+        return new
 
 
 def merge_payload(queue: WorkQueue) -> dict:
@@ -132,10 +141,10 @@ def merge_payload(queue: WorkQueue) -> dict:
     re-merging a finished queue is deterministic no matter which worker
     finished what.
     """
-    from repro.infer.runner import summarize
-
     meta = queue.meta
-    records = records_from_journal(queue)
+    journal = JournalTail(queue)
+    journal.advance()
+    records = journal.records
     ordered = [records[item_id] for item_id in sorted(records)]
     return {
         "suite": meta.get("suite"),
@@ -167,28 +176,22 @@ def run_distributed(
     problems: Sequence["Problem"],
     config: "InferenceConfig | None" = None,
     *,
-    workers: "int | str" = 2,
+    workers: int = 2,
     queue_dir: str | None = None,
     solver: str = "gcln",
     timeout_seconds: float | None = None,
     lease_seconds: float | None = None,
     suite: str | None = None,
-    progress: Callable[["ProblemRecord"], None] | None = None,
+    progress: Callable[[ProblemRecord], None] | None = None,
     poll_seconds: float = 0.5,
-    min_workers: int = 1,
-    max_workers: int | None = None,
-    fleet_status: Callable[[dict], None] | None = None,
-) -> list["ProblemRecord"]:
-    """Fan ``problems`` out over local worker processes.
+) -> list[ProblemRecord]:
+    """Fan ``problems`` out over ``workers`` local worker processes.
 
-    ``workers`` is a fixed process count, or ``"auto"`` for an elastic
-    fleet: the coordinator sizes the pool to the queue depth every
-    poll — spawning up to ``max_workers`` (default: CPU count, capped
-    at 8) while items outnumber live workers, retiring workers (clean
-    ``SIGTERM``, they finish their current item) as the queue drains
-    below the pool size, and never dropping under ``min_workers``
-    until the drain completes.  Dead workers are replaced within a
-    bounded respawn budget.
+    The pool has a fixed width: ``min(workers, unfinished items)``
+    processes, spawned once, so a queue that is already fully journaled
+    spawns none.  Each poll tick reads the journal once and forwards
+    its new records to ``progress``; the tick also ends early when a
+    worker exits.
 
     With ``queue_dir`` the queue is durable: a re-run on the same
     directory skips everything already journaled and only solves the
@@ -198,32 +201,13 @@ def run_distributed(
     server URL, in which case the spawned workers are remote followers
     of that server.
 
-    ``fleet_status`` (if given) is called with a snapshot dict — live
-    worker count, queue counts, per-worker health — every time the
-    fleet or queue state changes; it is the coordinator's live tail.
-
     Always returns one record per problem, in input order: if worker
     processes die (OOM, SIGKILL), their leases are reclaimed and the
     remainder is drained inline in this process.
     """
-    from repro.infer.runner import STATUS_ERROR, ProblemRecord
-
-    elastic = workers == "auto"
-    if elastic:
-        if min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {min_workers}")
-        if max_workers is None:
-            max_workers = max(2, min(os.cpu_count() or 2, 8))
-        if max_workers < min_workers:
-            raise ValueError(
-                f"max_workers ({max_workers}) must be >= min_workers "
-                f"({min_workers})"
-            )
-    elif not isinstance(workers, int):
-        raise ValueError(
-            f"workers must be an integer or 'auto', got {workers!r}"
-        )
-    elif workers < 1:
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     temp_dir = None
     if queue_dir is None:
@@ -248,108 +232,27 @@ def run_distributed(
             for index, problem in enumerate(problems)
         ]
         queue.enqueue(items)
-        expected = [item["id"] for item in items]
+        expected = {item["id"] for item in items}
+        journal = JournalTail(queue)
 
-        emitted: set[str] = set()
-        journal_cursor = 0
+        def forward() -> None:
+            for item_id in journal.advance():
+                if progress is not None and item_id in expected:
+                    progress(journal.records[item_id])
 
-        def emit_new() -> None:
-            """Forward newly journaled records to ``progress``.
-
-            The journal is append-only, so a cursor over the parsed
-            entries avoids rebuilding every record on every poll;
-            records are only deserialized for ids not yet emitted.
-            """
-            nonlocal journal_cursor
-            if progress is None:
-                return
-            entries = queue.journal_entries()
-            for entry in entries[journal_cursor:]:
-                item_id = entry.get("id")
-                record = (entry.get("payload") or {}).get("record")
-                if (
-                    record is not None
-                    and item_id in expected_set
-                    and item_id not in emitted
-                ):
-                    emitted.add(item_id)
-                    progress(ProblemRecord.from_dict(record))
-            journal_cursor = len(entries)
-
-        expected_set = set(expected)
         context = multiprocessing.get_context()
         processes: dict[str, multiprocessing.process.BaseProcess] = {}
-        spawned = 0
-
-        def spawn_worker() -> None:
-            nonlocal spawned
-            worker_id = f"local-{spawned}"
-            spawned += 1
-            process = context.Process(
+        for index in range(min(workers, queue.unfinished())):
+            worker_id = f"local-{index}"
+            processes[worker_id] = context.Process(
                 target=worker_main,
-                args=(str(queue.root),),
-                kwargs={
-                    "worker_id": worker_id,
-                    "poll_seconds": poll_seconds,
-                },
+                args=(str(queue.root), worker_id, poll_seconds),
                 daemon=False,
             )
-            process.start()
-            processes[worker_id] = process
-
-        def clamp_to_depth(unfinished: int) -> int:
-            return min(max(unfinished, min_workers), max_workers)
-
-        if elastic:
-            spawn_budget = max_workers * ELASTIC_RESPAWN_FACTOR
-            initial = clamp_to_depth(queue.unfinished()) if queue.unfinished() else 0
-            for _ in range(initial):
-                spawn_worker()
-        else:
-            spawn_budget = workers
-            for _ in range(workers):
-                spawn_worker()
-
-        last_status: dict | None = None
-
-        def emit_fleet() -> None:
-            """The coordinator's live tail: one snapshot per state change."""
-            nonlocal last_status
-            if fleet_status is None:
-                return
-            counts = queue.counts()
-            live = sum(1 for p in processes.values() if p.is_alive())
-            snapshot = {"live_workers": live, "spawned_workers": spawned,
-                        **counts}
-            if snapshot == last_status:
-                return
-            last_status = dict(snapshot)
-            snapshot["workers"] = queue.worker_health()
-            fleet_status(snapshot)
-
+            processes[worker_id].start()
         try:
             while any(p.is_alive() for p in processes.values()):
-                emit_new()
-                emit_fleet()
-                if elastic:
-                    unfinished = queue.unfinished()
-                    target = clamp_to_depth(unfinished)
-                    live = [
-                        (wid, p) for wid, p in processes.items()
-                        if p.is_alive()
-                    ]
-                    if (
-                        unfinished > 0
-                        and len(live) < target
-                        and spawned < spawn_budget
-                    ):
-                        spawn_worker()  # one per tick: a gentle ramp
-                    elif len(live) > target:
-                        # Retire the newest worker.  terminate() is
-                        # SIGTERM, which the worker handles gracefully:
-                        # it finishes its current item, releases the
-                        # rest of its claims, and exits 0.
-                        live[-1][1].terminate()
+                forward()
                 # Wake early when a worker exits: the last one exits right
                 # after journaling the last record, which then reaches
                 # progress without waiting out the tick.
@@ -360,34 +263,30 @@ def run_distributed(
         finally:
             for process in processes.values():
                 process.join()
-        emit_fleet()
-        worker_ids = set(processes)
         if queue.unfinished() > 0:
             # Some worker died (or third-party claims are stuck): take
             # back our dead workers' claims and finish here, inline.
-            _reclaim_dead(queue, worker_ids)
+            _reclaim_dead(queue, set(processes))
             Worker(
                 queue,
                 worker_id="coordinator-inline",
                 poll_seconds=poll_seconds,
             ).run()
-        journaled = records_from_journal(queue)
-        records: list["ProblemRecord"] = []
+        forward()
+        records: list[ProblemRecord] = []
         for item in items:
-            record = journaled.get(item["id"])
+            record = journal.records.get(item["id"])
             if record is None:
+                # Every returned record reaches progress exactly once,
+                # including this synthetic one the journal never saw.
                 record = ProblemRecord(
                     name=item["name"],
                     status=STATUS_ERROR,
                     error="item was never journaled (worker failure?)",
                 )
+                if progress is not None:
+                    progress(record)
             records.append(record)
-            # Every returned record reaches the progress callback
-            # exactly once — including synthetic never-journaled error
-            # records, which emit_new (journal-driven) cannot see.
-            if progress is not None and item["id"] not in emitted:
-                emitted.add(item["id"])
-                progress(record)
         return records
     finally:
         if temp_dir is not None:

@@ -258,23 +258,16 @@ def install_stop_handler(worker: Worker) -> bool:
 def worker_main(
     queue_dir: str,
     worker_id: str | None = None,
-    batch_size: int = 1,
-    max_items: int | None = None,
     poll_seconds: float = DEFAULT_POLL_SECONDS,
-    heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
 ) -> int:
-    """Module-level worker entry point (used as a process target).
+    """Module-level worker entry point (the coordinator's process target).
 
     ``queue_dir`` may be a local directory or an ``http(s)://`` queue
     server URL — a remote follower is the same loop over a different
     transport.
     """
     worker = Worker(
-        WorkQueue.open(queue_dir),
-        worker_id=worker_id,
-        batch_size=batch_size,
-        poll_seconds=poll_seconds,
-        heartbeat_seconds=heartbeat_seconds,
+        WorkQueue.open(queue_dir), worker_id=worker_id, poll_seconds=poll_seconds
     )
     install_stop_handler(worker)
-    return worker.run(max_items=max_items)
+    return worker.run()

@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
+from repro.dist.coordinator import JournalTail, build_meta
 from repro.dist.queue import WorkQueue
 from repro.dist.wire import config_to_dict, problem_to_dict
 from repro.infer.runner import (
@@ -128,8 +129,6 @@ class QueueExecutor:
         poll_seconds: float = DEFAULT_POLL_SECONDS,
         wait_seconds: float | None = None,
     ):
-        from repro.dist.coordinator import build_meta
-
         self.solver = solver
         self.config = config
         self.poll_seconds = poll_seconds
@@ -148,11 +147,7 @@ class QueueExecutor:
         self._config_blob = (
             config_to_dict(config) if config is not None else None
         )
-        # Journal tail state: records already parsed, and how many
-        # journal entries they came from (the journal is append-only,
-        # so re-parsing from the cursor is enough).
-        self._records: dict[str, ProblemRecord] = {}
-        self._cursor = 0
+        self._journal = JournalTail(self.queue)
 
     async def solve(
         self, request: "SolveRequest", fingerprint: str
@@ -205,16 +200,9 @@ class QueueExecutor:
 
     def _tail(self, fingerprint: str) -> ProblemRecord | None:
         """Advance over new journal entries; return the wanted record."""
-        if fingerprint not in self._records:
-            entries = self.queue.journal_entries()
-            for entry in entries[self._cursor:]:
-                payload = entry.get("payload") or {}
-                data = payload.get("record")
-                entry_id = entry.get("id")
-                if data is not None and entry_id not in self._records:
-                    self._records[entry_id] = ProblemRecord.from_dict(data)
-            self._cursor = len(entries)
-        return self._records.get(fingerprint)
+        if fingerprint not in self._journal.records:
+            self._journal.advance()
+        return self._journal.records.get(fingerprint)
 
     def describe(self) -> dict:
         counts = self.queue.counts()

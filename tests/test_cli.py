@@ -182,6 +182,8 @@ def test_profile_command(capsys):
         ["run", "ps2", "--backend", "fused"],
         ["run-all", "--backend", "numpy"],
         ["serve", "--backend", "fused"],
+        ["run-all", "--min-workers", "2"],
+        ["run-all", "--max-workers", "2"],
     ],
 )
 def test_removed_options_no_longer_parse(argv):
@@ -262,7 +264,7 @@ def test_run_all_refuses_unenforceable_timeout(monkeypatch):
         ["--jobs", "0"],
         ["--timeout", "0"],
         ["--timeout", "-1"],
-        ["--min-workers", "0"],
+        ["--jobs", "soon"],
         ["--epochs", "0"],
     ],
 )

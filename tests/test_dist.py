@@ -17,6 +17,7 @@ from repro.dist import (
     config_from_dict,
     config_to_dict,
     enqueue_suite,
+    install_stop_handler,
     merge_payload,
     problem_from_dict,
     problem_to_dict,
@@ -513,6 +514,78 @@ def test_distributed_resume_skips_journaled_records(tmp_path):
     assert sorted(solved_by_second_run) == ["ra", "rb"]  # both reported
 
 
+def test_rerun_on_a_fully_journaled_queue_spawns_no_process(
+    tmp_path, monkeypatch, normalized
+):
+    """Everything already journaled: the coordinator merges the journal
+    and starts no worker process."""
+    problems = [tiny_problem("fa"), tiny_problem("fb", 2)]
+    first = run_distributed(
+        problems, FAST_CONFIG, workers=2, queue_dir=str(tmp_path / "q")
+    )
+    started = []
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start",
+        lambda process: started.append(process),
+    )
+    reported = []
+    again = run_distributed(
+        problems,
+        FAST_CONFIG,
+        workers=2,
+        queue_dir=str(tmp_path / "q"),
+        progress=lambda r: reported.append(r.name),
+    )
+    assert started == []
+    assert [normalized(r) for r in again] == [normalized(r) for r in first]
+    assert sorted(reported) == ["fa", "fb"]
+
+
+def test_coordinator_reads_the_journal_once_per_tick(tmp_path, monkeypatch):
+    """While workers drain, each poll tick reads the journal once; the
+    only other reads are enqueue's dedup and the final merge."""
+    from repro.api import SolveResult, register_solver, unregister_solver
+    from repro.dist import coordinator
+
+    class NoOp:
+        name = "noop"
+
+        def solve(self, problem, *, config=None, events=None):
+            return SolveResult(
+                solver=self.name, problem=problem.name, solved=False
+            )
+
+    reads, ticks = [], []
+    journal_entries = WorkQueue.journal_entries
+    wait_for_exit = coordinator.wait_for_exit
+
+    def counted_read(queue, *args, **kwargs):
+        reads.append(1)
+        return journal_entries(queue, *args, **kwargs)
+
+    def counted_tick(*args, **kwargs):
+        ticks.append(1)
+        return wait_for_exit(*args, **kwargs)
+
+    monkeypatch.setattr(WorkQueue, "journal_entries", counted_read)
+    monkeypatch.setattr(coordinator, "wait_for_exit", counted_tick)
+    register_solver("noop", NoOp)
+    reported = []
+    try:
+        records = run_distributed(
+            [tiny_problem(f"nop{i}") for i in range(20)],
+            workers=2,
+            solver="noop",
+            progress=reported.append,
+            poll_seconds=0.05,
+        )
+    finally:
+        unregister_solver("noop")
+    assert [r.status for r in records] == [STATUS_OK] * 20
+    assert len(reported) == 20
+    assert len(reads) <= len(ticks) + 2
+
+
 def test_coordinator_finishes_after_worker_sigkill(tmp_path):
     """SIGKILL-ing a worker mid-run leaves a resumable queue: the next
     coordinator run reaps the orphaned claim and completes the suite."""
@@ -585,6 +658,17 @@ def test_worker_stop_request_acks_current_and_releases_rest(tmp_path):
     assert queue.unfinished() == 0
 
 
+def _batched_worker_main(queue_dir: str) -> int:
+    """``python -m repro worker --batch-size 3``: one claim holds every
+    item of the test's queue."""
+    worker = Worker(
+        WorkQueue.open(queue_dir), worker_id="termed", batch_size=3,
+        poll_seconds=0.05,
+    )
+    install_stop_handler(worker)
+    return worker.run()
+
+
 def test_worker_sigterm_exits_cleanly_without_stranding_claims(tmp_path):
     """SIGTERM mid-drain: exit code 0, nothing left in claimed/, and the
     remaining items resume with no lease-timeout wait."""
@@ -596,8 +680,7 @@ def test_worker_sigterm_exits_cleanly_without_stranding_claims(tmp_path):
         [item_for_problem(p, i, config=FAST_CONFIG) for i, p in enumerate(problems)]
     )
     process = multiprocessing.get_context().Process(
-        target=worker_main, args=(str(tmp_path / "q"),),
-        kwargs={"worker_id": "termed", "batch_size": 3, "poll_seconds": 0.05},
+        target=_batched_worker_main, args=(str(tmp_path / "q"),)
     )
     start = time.time()
     process.start()

@@ -173,13 +173,13 @@ def test_run_many_inline_solves_through_the_given_service():
 
 @pytest.mark.parametrize(
     "mode",
-    [{"jobs": 1}, {"jobs": 2}, {"jobs": "auto", "max_workers": 2}],
+    [{"jobs": 1}, {"jobs": 2}, {"jobs": "auto"}],
     ids=["inline", "pool", "queue"],
 )
 def test_service_stats_sum_the_records_in_every_mode(mode):
-    """Records solved by queue workers (a fixed pair, or an elastic
-    fleet) reach ``service.cache_stats`` too: the service's counters
-    are the sum of its records' counters."""
+    """Records solved by queue workers (two, or ``"auto"`` many) reach
+    ``service.cache_stats`` too: the service's counters are the sum of
+    its records' counters."""
     from repro.api import ProblemSolved
     from repro.bench import nla_problem
 
@@ -214,6 +214,32 @@ def test_run_many_rejects_bad_jobs():
     with pytest.raises(ValueError, match="integer or 'auto'"):
         service.solve_many([tiny_problem("x")], jobs=2.0)
     assert service.solve_many([], jobs=4) == []
+
+
+@pytest.mark.parametrize(
+    "cpus, count, width",
+    [(None, 5, 2), (1, 5, 2), (4, 5, 4), (64, 20, 8), (64, 3, 3)],
+)
+def test_jobs_auto_is_the_cpu_count_clamped_to_2_to_8(
+    monkeypatch, cpus, count, width
+):
+    """``jobs="auto"`` is resolved once, in ``solve_many``: the
+    coordinator gets ``min(max(2, min(cpus, 8)), len(problems))``."""
+    import os
+
+    from repro.dist import coordinator
+
+    widths = []
+
+    def run_distributed(problems, config, *, workers, **kwargs):
+        widths.append(workers)
+        return []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(coordinator, "run_distributed", run_distributed)
+    problems = [tiny_problem(f"auto{i}") for i in range(count)]
+    InvariantService(FAST_CONFIG).solve_many(problems, jobs="auto")
+    assert widths == [width]
 
 
 def test_run_many_rejects_non_positive_timeout():

@@ -616,56 +616,32 @@ def test_ack_journals_even_when_winner_crashed_before_journaling(tmp_path):
     assert len(queue.journal_entries()) == 1
 
 
-# -- elastic fleet -------------------------------------------------------------
+# -- fixed-width fan-out --------------------------------------------------------
 
 
 def test_run_distributed_auto_matches_sequential(tmp_path, normalized):
+    """``jobs="auto"`` is a fixed-width fan-out like any other width:
+    its records equal a sequential run's."""
     problems = [tiny_problem("ea"), tiny_problem("eb", step=2),
                 tiny_problem("ec", step=3)]
-    records = run_distributed(
-        problems,
-        FAST_CONFIG,
-        workers="auto",
-        max_workers=2,
-        queue_dir=str(tmp_path / "q"),
-        poll_seconds=0.1,
+    service = InvariantService(FAST_CONFIG)
+    records = service.solve_many(
+        problems, jobs="auto", queue_dir=str(tmp_path / "q")
     )
-    sequential = InvariantService(FAST_CONFIG).solve_many(problems)
+    sequential = service.solve_many(problems)
     assert [normalized(r) for r in records] == [
         normalized(r) for r in sequential
     ]
 
 
-def test_run_distributed_auto_reports_fleet_status(tmp_path):
-    snapshots: list[dict] = []
-    run_distributed(
-        [tiny_problem("fs")],
-        FAST_CONFIG,
-        workers="auto",
-        max_workers=2,
-        queue_dir=str(tmp_path / "q"),
-        poll_seconds=0.05,
-        fleet_status=snapshots.append,
-    )
-    assert snapshots, "the live tail never fired"
-    assert all("live_workers" in s and "pending" in s for s in snapshots)
-    final = snapshots[-1]
-    assert final["journaled"] == 1
-    assert isinstance(final["workers"], list)
-
-
 def test_run_distributed_validates_worker_bounds():
-    with pytest.raises(ValueError, match="integer or 'auto'"):
-        run_distributed([tiny_problem("vb")], FAST_CONFIG, workers="many")
-    with pytest.raises(ValueError, match="min_workers"):
-        run_distributed(
-            [tiny_problem("vb")], FAST_CONFIG, workers="auto", min_workers=0
-        )
-    with pytest.raises(ValueError, match="max_workers"):
-        run_distributed(
-            [tiny_problem("vb")], FAST_CONFIG, workers="auto",
-            min_workers=3, max_workers=2,
-        )
+    """``workers`` is a process count: ``"auto"`` is resolved by
+    ``solve_many``, never here."""
+    for workers in ("many", "auto", 2.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_distributed([tiny_problem("vb")], FAST_CONFIG, workers=workers)
+    with pytest.raises(ValueError, match=">= 1"):
+        run_distributed([tiny_problem("vb")], FAST_CONFIG, workers=0)
 
 
 def test_run_many_accepts_auto(tmp_path):
@@ -673,7 +649,6 @@ def test_run_many_accepts_auto(tmp_path):
     records = service.solve_many(
         [tiny_problem("rma")],
         jobs="auto",
-        max_workers=1,
         queue_dir=str(tmp_path / "q"),
     )
     assert len(records) == 1 and records[0].solved
@@ -733,17 +708,15 @@ def test_cli_run_all_workers_auto_validation(capsys):
     for argv, message in (
         (["--jobs", "soon"], "argument --jobs: must be an integer or 'auto'"),
         (["--jobs", "0"], "argument --jobs: must be >= 1"),
-        (["--jobs", "auto", "--min-workers", "0"], "argument --min-workers"),
+        (["--jobs", "auto", "--min-workers", "1"],
+         "unrecognized arguments: --min-workers 1"),
+        (["--jobs", "auto", "--max-workers", "2"],
+         "unrecognized arguments: --max-workers 2"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(["run-all", *argv])
         assert excinfo.value.code == 2  # an argparse error
         assert message in capsys.readouterr().err
-    with pytest.raises(SystemExit, match="max_workers"):
-        main([
-            "run-all", "--jobs", "auto",
-            "--min-workers", "3", "--max-workers", "2",
-        ])
 
 
 def test_cli_worker_requires_exactly_one_queue_target(tmp_path):

@@ -14,6 +14,7 @@ from repro.autodiff.functional import gaussian, sigmoid
 from repro.autodiff.optim import Adam
 from repro.checker.bounded import BoundedChecker
 import repro.cln.model
+from repro.api import InvariantService
 from repro.api.adapters import GuessAndCheckSolver
 from repro.baselines.enumerative import enumerative_search
 from repro.baselines.plain_cln import PlainCLN, train_plain_cln
@@ -262,6 +263,14 @@ def _ragged_model():
         (lambda: Adam(_eq_model().parameters(), eps=1e-6), TypeError, "eps"),
         (lambda: PlainCLN(2, 1, np.random.default_rng(0), sigma=0.2),
          TypeError, "sigma"),
+        # The batch fan-out has a fixed width: no elastic bounds, no
+        # fleet tail.
+        (lambda: InvariantService().solve_many([], fleet_status=print),
+         TypeError, "fleet_status"),
+        (lambda: InvariantService().solve_many([], min_workers=1),
+         TypeError, "min_workers"),
+        (lambda: InvariantService().solve_many([], max_workers=2),
+         TypeError, "max_workers"),
     ],
     ids=[
         "config-attempt_batch_size",
@@ -294,6 +303,9 @@ def _ragged_model():
         "Adam-betas",
         "Adam-eps",
         "PlainCLN-sigma",
+        "solve_many-fleet_status",
+        "solve_many-min_workers",
+        "solve_many-max_workers",
     ],
 )
 def test_removed_knobs_are_refused(build, error, message):
